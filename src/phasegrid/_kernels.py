@@ -1,193 +1,73 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
-
-The active path is chosen once at import time: set ``PHASEGRID_NUMBA=0``
-(or ``false``/``off``/``no``) to force the numpy path. Both paths consume
-identical pre-drawn sample arrays, so results are bit-identical whichever
-path runs. ``benchmarks/bench_kernels.py`` times the two side by side.
-"""
-
-import os
+"""Numpy kernels for Monte Carlo hit counting and level-tuple enumeration."""
 
 import numpy as np
 
-# potential-kind codes shared with potentials.py
-KIND_HARMONIC = 0
-KIND_MORSE = 1
-KIND_COULOMB1D = 2
-KIND_TABULATED = 3
+from .potentials import evaluate
 
-
-def _env_wants_numba() -> bool:
-    val = os.environ.get("PHASEGRID_NUMBA", "1").strip().lower()
-    return val not in ("0", "false", "off", "no")
-
-
-_USE_NUMBA = False
-if _env_wants_numba():
-    try:
-        from numba import njit
-
-        _USE_NUMBA = True
-    except ImportError:
-        _USE_NUMBA = False
-
-if not _USE_NUMBA:
-
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(f):
-            return f
-
-        return wrap
-
-
-def active_backend() -> str:
-    """Name of the kernel path selected at import time."""
-    return "numba" if _USE_NUMBA else "numpy"
+# most prefix sums built in one enumeration step
+BLOCK = 1 << 18
 
 
 # ---------------------------------------------------------------------------
 # Monte Carlo hit counting
 # ---------------------------------------------------------------------------
 
-def _mc_count_hits_numpy(xs, ps, kind, par, tab_x, tab_v, mass, energy):
-    """Count samples with sum_i p_i^2/2m + sum_i V(x_i) <= energy.
+def shell_mask(xs, ps, spec, energy):
+    """Mask of samples with sum_d p_d^2/2m + V(x_d) <= energy.
 
     xs, ps: (n, D) arrays of pre-drawn coordinates and momenta.
     """
-    if kind == KIND_HARMONIC:
-        v = 0.5 * par[0] * par[1] ** 2 * xs**2
-    elif kind == KIND_MORSE:
-        v = par[0] * (1.0 - np.exp(-par[1] * xs)) ** 2
-    elif kind == KIND_COULOMB1D:
-        v = np.where(xs > 0.0, -par[0] / np.where(xs > 0.0, xs, 1.0), np.inf)
-    elif kind == KIND_TABULATED:
-        v = np.interp(xs, tab_x, tab_v)
-        v = np.where((xs < tab_x[0]) | (xs > tab_x[-1]), np.inf, v)
-    else:
-        raise ValueError(f"unknown potential kind code {kind}")
-    h = v.sum(axis=1) + (ps**2).sum(axis=1) / (2.0 * mass)
-    return int(np.count_nonzero(h <= energy))
+    kin = np.sum(ps**2, axis=1) / (2.0 * spec.mass)
+    pot = sum(evaluate(spec, xs[:, d]) for d in range(xs.shape[1]))
+    return kin + pot <= energy
 
 
-@njit(cache=True)
-def _mc_count_hits_numba(xs, ps, kind, par, tab_x, tab_v, mass, energy):  # pragma: no cover - numba
-    n, ndim = xs.shape
-    hits = 0
-    for i in range(n):
-        h = 0.0
-        ok = True
-        for d in range(ndim):
-            x = xs[i, d]
-            if kind == KIND_HARMONIC:
-                v = 0.5 * par[0] * par[1] ** 2 * x * x
-            elif kind == KIND_MORSE:
-                e = 1.0 - np.exp(-par[1] * x)
-                v = par[0] * e * e
-            elif kind == KIND_COULOMB1D:
-                if x <= 0.0:
-                    ok = False
-                    break
-                v = -par[0] / x
-            else:
-                if x < tab_x[0] or x > tab_x[-1]:
-                    ok = False
-                    break
-                v = np.interp(x, tab_x, tab_v)
-            h += v + ps[i, d] * ps[i, d] / (2.0 * mass)
-        if ok and h <= energy:
-            hits += 1
-    return hits
-
-
-def mc_count_hits(xs, ps, kind, par, tab_x, tab_v, mass, energy):
-    """Dispatch hit counting to the active kernel path."""
-    xs = np.ascontiguousarray(xs, dtype=np.float64)
-    ps = np.ascontiguousarray(ps, dtype=np.float64)
-    par = np.asarray(par, dtype=np.float64)
-    tab_x = np.asarray(tab_x, dtype=np.float64)
-    tab_v = np.asarray(tab_v, dtype=np.float64)
-    if _USE_NUMBA:
-        return int(_mc_count_hits_numba(xs, ps, int(kind), par, tab_x, tab_v,
-                                        float(mass), float(energy)))
-    return _mc_count_hits_numpy(xs, ps, int(kind), par, tab_x, tab_v,
-                                float(mass), float(energy))
+def mc_count_hits(xs, ps, spec, energy):
+    """Number of samples inside the separable energy shell."""
+    return int(np.count_nonzero(shell_mask(xs, ps, spec, energy)))
 
 
 # ---------------------------------------------------------------------------
 # Brute-force state counting
 # ---------------------------------------------------------------------------
 
-@njit(cache=True)
-def _count_tuples_numba(levels, ndim, e_max, budget):  # pragma: no cover - numba
-    n = levels.size
-    lo = levels[0]
-    if ndim * lo > e_max:
-        return 0, 0, False
-    if ndim == 1:
-        return np.searchsorted(levels, e_max, side="right"), 1, False
-    idx = np.zeros(ndim - 1, np.int64)
-    psum = np.zeros(ndim - 1, np.float64)
-    count = 0
-    nodes = 0
-    d = 0
-    while True:
-        i = idx[d]
-        # dims d+1 .. ndim-1 must still fit, each at least lo
-        if i < n and psum[d] + levels[i] + (ndim - 1 - d) * lo <= e_max:
-            nodes += 1
-            if nodes > budget:
-                return count, nodes, True
-            if d == ndim - 2:
-                count += np.searchsorted(levels, e_max - psum[d] - levels[i],
-                                         side="right")
-                idx[d] += 1
-            else:
-                psum[d + 1] = psum[d] + levels[i]
-                d += 1
-                idx[d] = 0
-        else:
-            d -= 1
-            if d < 0:
-                return count, nodes, False
-            idx[d] += 1
-
-
-def _count_tuples_numpy(levels, ndim, e_max, budget):
-    n = levels.size
-    lo = levels[0]
-    if ndim * lo > e_max:
-        return 0, 0, False
-    if ndim == 1:
-        return int(np.searchsorted(levels, e_max, side="right")), 1, False
-    sums = np.zeros(1)
-    nodes = 0
-    for d in range(ndim - 1):
-        nodes += sums.size * n
-        if nodes > budget:
-            return 0, nodes, True
-        sums = (sums[:, None] + levels[None, :]).ravel()
-        # after this extension d+1 dims are fixed; ndim-d-1 remain, each >= lo
-        sums = sums[sums + (ndim - d - 1) * lo <= e_max]
-        if sums.size == 0:
-            return 0, nodes, False
-    count = int(np.searchsorted(levels, e_max - sums, side="right").sum())
-    return count, nodes, False
-
-
 def count_tuples_below(levels, ndim, e_max, budget=10**8):
     """Count ordered ndim-tuples of levels with total <= e_max.
 
     Returns (count, nodes_visited, budget_exceeded). Levels must be sorted
-    ascending.
+    ascending. A node is one prefix sum over the first ndim-1 dimensions;
+    the last dimension is counted by bisection. Prefixes are expanded
+    depth first in blocks sized so that the remaining budget can still
+    reach the last dimension, so running out of budget returns the tuples
+    completed so far, and nodes_visited never exceeds the budget.
     """
-    levels = np.ascontiguousarray(levels, dtype=np.float64)
-    if levels.size == 0:
+    levels = np.asarray(levels, dtype=np.float64)
+    if levels.size:
+        # a usable level leaves room for the other ndim-1 dims at the floor
+        top = e_max - (ndim - 1) * levels[0]
+        levels = levels[:np.searchsorted(levels, top, side="right")]
+    n = levels.size
+    if n == 0:
         return 0, 0, False
-    if _USE_NUMBA:
-        count, nodes, exceeded = _count_tuples_numba(levels, int(ndim),
-                                                     float(e_max), int(budget))
-        return int(count), int(nodes), bool(exceeded)
-    return _count_tuples_numpy(levels, int(ndim), float(e_max), int(budget))
+    lo = levels[0]
+    count = 0
+    nodes = 0
+    stack = [(ndim, np.zeros(1))]  # (dims still open, prefix sums)
+    while stack:
+        left, sums = stack.pop()
+        if left == 1:
+            count += int(np.searchsorted(levels, e_max - sums, side="right").sum())
+            continue
+        room = (budget - nodes) // n - (left - 2)
+        take = min(sums.size, room, max(1, BLOCK // n))
+        if take < 1:
+            return count, nodes, True
+        if take < sums.size:
+            stack.append((left, sums[take:]))
+        nodes += take * n
+        new = (sums[:take, None] + levels).ravel()
+        # left-1 dims stay open, each at least lo
+        new = new[new + (left - 1) * lo <= e_max]
+        if new.size:
+            stack.append((left - 1, new))
+    return count, nodes, False

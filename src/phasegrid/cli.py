@@ -29,7 +29,8 @@ from .semiclassics import scaling_report
 from .solver import (EfficiencyPolicy, GeneralizedProblem, assemble_bvn,
                      assemble_bvn_2d, assemble_pvn, efficiency_scan,
                      solve_generalized)
-from .vn_basis import VnLattice, build_basis, continuous_vn_matrices
+from .vn_basis import (VnLattice, balanced_factors, build_basis,
+                       continuous_vn_matrices)
 
 
 class ConfigError(ValueError):
@@ -508,7 +509,7 @@ def cmd_sweep(cfg: RunConfig, sizes, index: int, methods,
                                             spec.params["omega"], spec.hbar)
             else:
                 grid = Grid1D(cfg.grid.x_min, cfg.grid.length, size)
-            n_x, n_p = _square_factors(size)
+            n_x, n_p = balanced_factors(size)
             if method == "fgh":
                 energies = solve_fgh(grid, spec).energies
             elif method == "pvn":
@@ -530,15 +531,6 @@ def cmd_sweep(cfg: RunConfig, sizes, index: int, methods,
     csv_path = os.path.join(out_dir, "convergence.csv")
     write_csv(csv_path, ["method", "basis_size", "energy", "abs_error"], rows)
     return _finish(out_dir, meta, [csv_path], t0, quiet)
-
-
-def _square_factors(n: int):
-    """(n_x, n_p) with n_x*n_p = n, as close to square as divisors allow."""
-    best = 1
-    for d in range(1, int(math.isqrt(n)) + 1):
-        if n % d == 0:
-            best = d
-    return best, n // best
 
 
 def cmd_efficiency(cfg: RunConfig, hbars, out_dir: str,

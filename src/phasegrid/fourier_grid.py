@@ -102,18 +102,6 @@ def theta_eval(grid: Grid1D, n: int, x):
     return complex(out) if out.ndim == 0 else out
 
 
-def theta_eval_sum(grid: Grid1D, n: int, x):
-    """theta_n via the direct N-term exponential sum (oracle form)."""
-    if not 0 <= n < grid.N:
-        raise ValueError(f"basis index {n} outside 0..{grid.N - 1}")
-    x = np.asarray(x, dtype=float)
-    js = np.arange(-grid.N // 2 + 1, grid.N // 2 + 1)
-    xn = grid.x_min + grid.dx * n
-    phases = np.exp(2j * math.pi / grid.L * np.multiply.outer(x - xn, js))
-    out = phases.sum(axis=-1) / math.sqrt(grid.L * grid.N)
-    return complex(out) if out.ndim == 0 else out
-
-
 def kinetic_matrix(grid: Grid1D, mass: float, hbar: float = 1.0) -> np.ndarray:
     """Dense kinetic energy matrix of the periodic sinc basis.
 

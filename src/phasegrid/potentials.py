@@ -5,7 +5,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
 from .errors import NotAvailableError, SingularPointError
 
 KINDS = ("harmonic", "morse", "triangle2d", "coulomb1d", "tabulated")
@@ -199,19 +198,3 @@ def analytic_levels(spec: PotentialSpec, n_max: int | None = None) -> np.ndarray
         return y - y**2 / (4.0 * depth)
     raise NotAvailableError(f"no analytic levels for kind {spec.kind!r}")
 
-
-def kernel_args(spec: PotentialSpec):
-    """(kind_code, params, tab_x, tab_v) consumed by the sampling kernels."""
-    empty = np.empty(0)
-    p = spec.params
-    if spec.kind == "harmonic":
-        return _kernels.KIND_HARMONIC, np.array([p["mass"], p["omega"]]), empty, empty
-    if spec.kind == "morse":
-        return _kernels.KIND_MORSE, np.array([p["depth"], p["beta"]]), empty, empty
-    if spec.kind == "coulomb1d":
-        return _kernels.KIND_COULOMB1D, np.array([p["charge"]]), empty, empty
-    if spec.kind == "tabulated":
-        return (_kernels.KIND_TABULATED, empty,
-                np.ascontiguousarray(spec.table[:, 0]),
-                np.ascontiguousarray(spec.table[:, 1]))
-    raise NotAvailableError(f"kind {spec.kind!r} has no sampling kernel")

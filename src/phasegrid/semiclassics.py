@@ -17,8 +17,8 @@ from scipy import integrate, optimize
 
 from . import _kernels
 from .errors import (BudgetExceededError, DegenerateEstimateError,
-                     UnboundedOrbitError)
-from .potentials import PotentialSpec, evaluate, kernel_args
+                     NotAvailableError, UnboundedOrbitError)
+from .potentials import PotentialSpec, evaluate
 
 MC_CHUNK = 1 << 18
 
@@ -186,11 +186,13 @@ def mc_phase_volume(spec: PotentialSpec, ndim: int, energy: float,
         raise ValueError("ndim must be >= 1")
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
+    if spec.dimension != 1:
+        raise NotAvailableError(
+            f"kind {spec.kind!r} is not a 1-d degree of freedom to sample")
     if box is None:
         box = minimal_box(spec, energy, ndim)
     if box.ndim != ndim:
         raise ValueError("box dimension does not match ndim")
-    kind, par, tab_x, tab_v = kernel_args(spec)
     rng = np.random.default_rng(seed)
     x_lo = np.asarray(box.x_lo)
     x_hi = np.asarray(box.x_hi)
@@ -201,8 +203,7 @@ def mc_phase_volume(spec: PotentialSpec, ndim: int, energy: float,
         n = min(MC_CHUNK, n_samples - done)
         xs = rng.uniform(x_lo, x_hi, size=(n, ndim))
         ps = rng.uniform(-p_mx, p_mx, size=(n, ndim))
-        hits += _kernels.mc_count_hits(xs, ps, kind, par, tab_x, tab_v,
-                                       spec.mass, energy)
+        hits += _kernels.mc_count_hits(xs, ps, spec, energy)
         done += n
     frac = hits / n_samples
     if hits == 0:
@@ -224,11 +225,7 @@ def _boundary_diagnostic(spec, ndim, energy, box, rng, n):
     p_mx = np.asarray(box.p_max)
     xs = rng.uniform(x_lo, x_hi, size=(n, ndim))
     ps = rng.uniform(-p_mx, p_mx, size=(n, ndim))
-    kin = np.sum(ps**2, axis=1) / (2.0 * spec.mass)
-    pot = np.zeros(n)
-    for d in range(ndim):
-        pot += evaluate(spec, xs[:, [d]])
-    inside = kin + pot <= energy
+    inside = _kernels.shell_mask(xs, ps, spec, energy)
     n_in = int(np.count_nonzero(inside))
     if n_in == 0:
         return

@@ -245,7 +245,8 @@ def efficiency_scan(spec: PotentialSpec, hbars: Sequence[float], digits: int,
 
         p_max = math.sqrt(2.0 * sp.mass * e_max)
         n_target = policy.box_length * policy.p_pad * p_max / (math.pi * hb)
-        k = max(2, round(math.sqrt(n_target)))
+        # even k, so the k*k grid has an even number of points
+        k = 2 * max(1, round(math.sqrt(n_target) / 2))
         grid = Grid1D(policy.x_min, policy.box_length, k * k)
         h_grid = hamiltonian_fgh(grid, sp)
         lattice = VnLattice.from_grid(grid, k, k, hbar=hb)

@@ -1,63 +1,18 @@
-"""Numba/numpy dual-path kernels must agree bit for bit."""
+"""Numpy kernels against plain-Python oracles."""
 
-import json
-import os
-import subprocess
-import sys
+import itertools
 
 import numpy as np
-import pytest
 
 from phasegrid import _kernels
-from phasegrid.potentials import kernel_args
 import phasegrid as pg
-
-_PROBE = r"""
-import json, sys
-import numpy as np
-from phasegrid import _kernels
-from phasegrid.potentials import kernel_args
-import phasegrid as pg
-
-rng = np.random.default_rng(2024)
-xs = rng.uniform(-2.0, 14.0, size=(4000, 2))
-ps = rng.uniform(-9.0, 9.0, size=(4000, 2))
-kind, par, tx, tv = kernel_args(pg.morse())
-hits = _kernels.mc_count_hits(xs, ps, kind, par, tx, tv, 6.0, 9.0)
-levels = np.sort(pg.analytic_levels(pg.morse()))
-count, nodes, exceeded = _kernels.count_tuples_below(levels, 3, 20.0)
-print(json.dumps({"backend": _kernels.active_backend(),
-                  "hits": int(hits), "count": int(count),
-                  "nodes": int(nodes), "exceeded": bool(exceeded)}))
-"""
-
-
-def _run_probe(numba_flag: str) -> dict:
-    env = dict(os.environ, PHASEGRID_NUMBA=numba_flag)
-    out = subprocess.run([sys.executable, "-c", _PROBE], env=env,
-                         capture_output=True, text=True, check=True)
-    return json.loads(out.stdout.strip().splitlines()[-1])
-
-
-def test_backends_agree_exactly():
-    plain = _run_probe("0")
-    jitted = _run_probe("1")
-    assert plain["backend"] == "numpy"
-    assert jitted["backend"] == "numba"
-    # results are bit-identical; the visited-node diagnostic is allowed to
-    # differ because the fallback expands prefixes in vectorized blocks
-    for key in ("hits", "count", "exceeded"):
-        assert plain[key] == jitted[key], key
-    assert plain["nodes"] > 0 and jitted["nodes"] > 0
 
 
 def test_mc_hits_against_python_loop():
     rng = np.random.default_rng(3)
     xs = rng.uniform(-1.0, 1.0, size=(500, 1))
     ps = rng.uniform(-2.0, 2.0, size=(500, 1))
-    spec = pg.harmonic()
-    kind, par, tx, tv = kernel_args(spec)
-    got = _kernels.mc_count_hits(xs, ps, kind, par, tx, tv, 1.0, 1.3)
+    got = _kernels.mc_count_hits(xs, ps, pg.harmonic(), 1.3)
     expect = 0
     for x, p in zip(xs[:, 0], ps[:, 0]):
         if p * p / 2.0 + 0.5 * x * x <= 1.3:
@@ -66,25 +21,25 @@ def test_mc_hits_against_python_loop():
 
 
 def test_tuple_count_against_itertools():
-    import itertools
-
-    levels = np.array([0.3, 0.9, 1.1, 2.4])
-    e_max = 3.0
-    d = 3
-    expect = sum(1 for combo in itertools.product(levels, repeat=d)
-                 if sum(combo) <= e_max)
-    count, _nodes, exceeded = _kernels.count_tuples_below(levels, d, e_max)
-    assert not exceeded
-    assert count == expect
-
-
-def test_env_flag_is_honoured_in_subprocess():
-    # "off"-style spellings all select the fallback
-    for flag in ("0", "false", "no", "off"):
-        assert _run_probe(flag)["backend"] == "numpy"
-
-
-@pytest.mark.skipif(_kernels.active_backend() != "numba",
-                    reason="numba unavailable in this session")
-def test_inprocess_backend_reports_numba():
-    assert _kernels.active_backend() == "numba"
+    # (levels, ndim, e_max, budget, exceeded); a tight budget stops the walk
+    # with the tuples completed so far, never more nodes than the budget
+    cases = [
+        ([0.3, 0.9, 1.1, 2.4], 3, 3.0, 10**8, False),
+        ([0.3, 0.9, 1.1, 2.4], 3, 3.0, 4, True),
+        ([0.3, 0.9, 1.1, 2.4], 3, 3.0, 8, True),
+        (np.arange(8.0), 4, 12.0, 100, True),
+        (np.arange(8.0), 4, 12.0, 10**4, False),
+        (np.arange(6.0), 1, 3.5, 0, False),
+        (np.arange(6.0), 5, 1e9, 50, True),
+    ]
+    for levels, d, e_max, budget, exceeds in cases:
+        levels = np.asarray(levels, dtype=float)
+        expect = sum(1 for combo in itertools.product(levels, repeat=d)
+                     if sum(combo) <= e_max)
+        count, nodes, exceeded = _kernels.count_tuples_below(levels, d, e_max,
+                                                             budget)
+        assert exceeded == exceeds
+        assert nodes <= budget
+        assert count <= expect
+        if not exceeded:
+            assert count == expect

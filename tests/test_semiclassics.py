@@ -7,7 +7,7 @@ import pytest
 
 import phasegrid as pg
 from phasegrid.errors import (BudgetExceededError, DegenerateEstimateError,
-                              UnboundedOrbitError)
+                              NotAvailableError, UnboundedOrbitError)
 
 
 def test_turning_points_harmonic():
@@ -90,6 +90,12 @@ def test_mc_volume_degenerate_when_nothing_hits():
         pg.mc_phase_volume(pg.harmonic(), 1, 8.0, 50, seed=0,
                            box=pg.PhaseSpaceBox(x_lo=(100.0,), x_hi=(101.0,),
                                                 p_max=(1.0,)))
+
+
+def test_mc_volume_needs_1d_potential():
+    box = pg.PhaseSpaceBox(x_lo=(-1.0,), x_hi=(1.0,), p_max=(1.0,))
+    with pytest.raises(NotAvailableError):
+        pg.mc_phase_volume(pg.triangle2d(), 1, 0.5, 2, seed=0, box=box)
 
 
 def test_state_count_exact_is_binomial():

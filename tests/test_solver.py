@@ -138,6 +138,14 @@ def test_efficiency_scan_needs_levels_below_cutoff():
         pg.efficiency_scan(pg.morse(), [1.0], 3, 1e-6, policy)
 
 
+def test_efficiency_scan_lattice_side_is_even():
+    # sqrt(n_target) rounds to 9 at hbar=1.25; an odd side would give an
+    # odd k*k grid, which Grid1D rejects
+    policy = pg.EfficiencyPolicy(x_min=-1.6, box_length=21.7)
+    points = pg.efficiency_scan(pg.morse(), [1.25], 4, 12.0, policy)
+    assert [p.method for p in points] == ["fgh", "bvn"]
+
+
 def test_efficiency_point_ratio():
     pt = pg.EfficiencyPoint(hbar=1.0, method="bvn", basis_size=28, n_levels=18)
     assert pt.ratio == pytest.approx(28 / 18)
