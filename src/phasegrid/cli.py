@@ -55,7 +55,6 @@ class LatticeConfig:
     nx: int
     np: int
     alpha: float | None = None
-    center_convention: str = "cell_center"
 
 
 @dataclass
@@ -104,7 +103,7 @@ _SECTIONS = ("potential", "grid", "lattice", "prune", "solver", "output")
 _KEYS = {
     "potential": {"kind", "hbar", "mass", "omega", "depth", "beta", "charge"},
     "grid": {"x_min", "length", "n", "nx", "ny"},
-    "lattice": {"nx", "np", "alpha", "center_convention"},
+    "lattice": {"nx", "np", "alpha"},
     "prune": {"e_cut", "margin", "auto_scale"},
     "solver": {"basis", "n_states", "rcond", "digits", "long_running"},
     "output": {"outdir", "seed"},
@@ -173,8 +172,7 @@ def parse_config(text: str) -> RunConfig:
             nx=_as_int("lattice.nx", lat["nx"]),
             np=_as_int("lattice.np", lat["np"]),
             alpha=(None if lat.get("alpha", "") == ""
-                   else _as_float("lattice.alpha", lat["alpha"])),
-            center_convention=lat.get("center_convention", "cell_center"))
+                   else _as_float("lattice.alpha", lat["alpha"])))
 
     prune = None
     if raw["prune"]:
@@ -226,7 +224,6 @@ def serialize_config(cfg: RunConfig) -> str:
                   f"np = {cfg.lattice.np}"]
         if cfg.lattice.alpha is not None:
             lines.append(f"alpha = {_g(cfg.lattice.alpha)}")
-        lines.append(f"center_convention = {cfg.lattice.center_convention}")
     if cfg.prune is not None:
         lines += ["", "[prune]", f"e_cut = {_g(cfg.prune.e_cut)}",
                   f"margin = {cfg.prune.margin}",
@@ -362,8 +359,7 @@ def _solve_1d(cfg: RunConfig, grid: Grid1D, meta: dict):
         return out.energies, None
     lat_cfg = _require_lattice(cfg)
     lattice = VnLattice.from_grid(grid, lat_cfg.nx, lat_cfg.np,
-                                  hbar=spec.hbar, alpha=lat_cfg.alpha,
-                                  center_convention=lat_cfg.center_convention)
+                                  hbar=spec.hbar, alpha=lat_cfg.alpha)
     if basis_kind == "vn":
         h, s = continuous_vn_matrices(lattice, spec)
         out = solve_generalized(GeneralizedProblem(h, s, "vn"),
@@ -411,11 +407,9 @@ def _solve_2d(cfg: RunConfig, grid: Grid2D, meta: dict):
     if cfg.prune is None:
         raise ConfigError("2-d bvn solve needs a [prune] section")
     lat_x = VnLattice.from_grid(grid.gx, lat_cfg.nx, lat_cfg.np,
-                                hbar=spec.hbar, alpha=lat_cfg.alpha,
-                                center_convention=lat_cfg.center_convention)
+                                hbar=spec.hbar, alpha=lat_cfg.alpha)
     lat_y = VnLattice.from_grid(grid.gy, lat_cfg.nx, lat_cfg.np,
-                                hbar=spec.hbar, alpha=lat_cfg.alpha,
-                                center_convention=lat_cfg.center_convention)
+                                hbar=spec.hbar, alpha=lat_cfg.alpha)
     bx = build_basis(lat_x, grid.gx, rcond=cfg.solver.rcond, allow_pseudo=True)
     by = build_basis(lat_y, grid.gy, rcond=cfg.solver.rcond, allow_pseudo=True)
     meta["cond_s"] = _g(max(bx.cond_S, by.cond_S))

@@ -135,15 +135,10 @@ def kinetic_matrix_fft_oracle(grid: Grid1D, mass: float, hbar: float = 1.0) -> n
 
 def potential_matrix(grid, spec: PotentialSpec) -> np.ndarray:
     """Diagonal of the potential matrix, V(x_i) in grid ordering."""
-    if isinstance(grid, Grid2D):
-        if spec.dimension != 2:
-            raise ValueError(f"{spec.kind} potential is not two-dimensional")
-        diag = evaluate(spec, grid.points)
-    else:
-        if spec.dimension != 1:
-            raise ValueError(f"{spec.kind} potential is not one-dimensional")
-        diag = evaluate(spec, grid.points)
-    diag = np.asarray(diag, dtype=float)
+    ndim = 2 if isinstance(grid, Grid2D) else 1
+    if spec.dimension != ndim:
+        raise ValueError(f"{spec.kind} potential is not {ndim}-dimensional")
+    diag = np.asarray(evaluate(spec, grid.points), dtype=float)
     if not np.all(np.isfinite(diag)):
         raise SingularPointError(
             "potential is singular on a grid point; offset the grid so no "
@@ -179,7 +174,7 @@ class FghOperator2D:
         cols = m[:, None] if single else m
         ny, nx = self.grid.gy.N, self.grid.gx.N
         arr = np.ascontiguousarray(cols.T).reshape(-1, ny, nx)
-        out = np.einsum("ab,kbc->kac", self.ty, arr)
+        out = self.ty @ arr
         out += arr @ self.tx  # Tx symmetric
         out += self._v2d[None, :, :] * arr
         flat = out.reshape(-1, self.grid.size).T

@@ -8,7 +8,7 @@ bvN columns and the eigenvalues below the cutoff survive.
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 import scipy.linalg
@@ -99,35 +99,39 @@ def solve_generalized(problem: GeneralizedProblem,
                       rcond: float = 1e-12) -> Spectrum:
     """Solve H U = S U E for a Hermitian pencil with positive metric.
 
-    Well-conditioned metrics go through the Cholesky-based generalized
-    solver; otherwise the metric is eigendecomposed, directions below
-    rcond * lambda_max are discarded and the problem is solved in the
-    whitened subspace. A metric with a significantly negative eigenvalue is
-    rejected.
+    A metric whose Cholesky factor exists and whose LAPACK condition
+    estimate stays within cond_switch goes through the Cholesky-based
+    generalized solver. Otherwise the metric is eigendecomposed, directions
+    below rcond * lambda_max are discarded and the problem is solved in the
+    whitened subspace; a significantly negative metric eigenvalue is
+    rejected. Eigenvectors are computed only when want_vectors is set.
     """
     h = 0.5 * (problem.h + problem.h.conj().T)
     s = 0.5 * (problem.s + problem.s.conj().T)
-    w = np.linalg.eigvalsh(s)
-    w_max = w[-1]
-    if w_max <= 0:
-        raise IllConditionedError("metric has no positive direction")
-    if w[0] < -rcond * w_max:
-        raise IllConditionedError(
-            f"metric eigenvalue {w[0]:.3e} is negative beyond roundoff")
-    cond = w_max / w[0] if w[0] > 0 else math.inf
-    if cond <= cond_switch:
-        vals, vecs = scipy.linalg.eigh(h, s)
+    try:
+        c = scipy.linalg.cholesky(s)
+        pocon = scipy.linalg.get_lapack_funcs("pocon", (c,))
+        rc, _ = pocon(c, np.linalg.norm(s, 1))  # estimate of 1 / cond_1(S)
+    except scipy.linalg.LinAlgError:
+        rc = 0.0
+    if rc * cond_switch >= 1.0:
+        white, a, b = None, h, s
     else:
-        wv, u = np.linalg.eigh(s)
-        keep = wv > rcond * w_max
-        white = u[:, keep] / np.sqrt(wv[keep])
-        vals, sub = np.linalg.eigh(white.conj().T @ h @ white)
-        vecs = white @ sub
-    if n_states is not None:
-        vals = vals[:n_states]
-        vecs = vecs[:, :n_states]
-    return make_spectrum(vals, problem.basis_label, problem.size,
-                         vectors=vecs if want_vectors else None)
+        w, u = np.linalg.eigh(s)
+        if w[-1] <= 0:
+            raise IllConditionedError("metric has no positive direction")
+        if w[0] < -rcond * w[-1]:
+            raise IllConditionedError(
+                f"metric eigenvalue {w[0]:.3e} is negative beyond roundoff")
+        keep = w > rcond * w[-1]
+        white = u[:, keep] / np.sqrt(w[keep])
+        a, b = white.conj().T @ h @ white, None
+    out = scipy.linalg.eigh(a, b, eigvals_only=not want_vectors)
+    vals, vecs = out if want_vectors else (out, None)
+    if want_vectors:
+        vecs = (vecs if white is None else white @ vecs)[:, :n_states]
+    return make_spectrum(vals[:n_states], problem.basis_label, problem.size,
+                         vectors=vecs)
 
 
 def matching_tolerance(value: float, digits: int) -> float:

@@ -17,8 +17,6 @@ from .errors import IllConditionedError, NotAvailableError
 from .fourier_grid import Grid1D
 from .potentials import PotentialSpec
 
-CENTER_CONVENTIONS = ("cell_center", "integer")
-
 
 def balanced_factors(n: int) -> tuple:
     """Factor n = n_x * n_p with the sides as close to square as possible."""
@@ -35,9 +33,10 @@ class VnLattice:
     """Rectangular lattice of phase-space cells with Gaussian centers.
 
     Cell m corresponds to position index n = m % n_x and momentum index
-    l = m // n_x (position index fastest). Momentum rows cover [-P, P]
-    symmetrically; the width alpha defaults to dp/(2*a*hbar), which matches
-    the Gaussian aspect ratio to the unit cell.
+    l = m // n_x (position index fastest). Centers sit at cell midpoints;
+    p_l = dp * (l - (n_p-1)/2) makes rows l and n_p-1-l exact negatives in
+    floating point (see `mirror`). The width alpha defaults to
+    dp/(2*a*hbar), which matches the Gaussian aspect ratio to the unit cell.
     """
 
     x_min: float
@@ -46,15 +45,12 @@ class VnLattice:
     n_p: int
     hbar: float = 1.0
     alpha: float | None = None
-    center_convention: str = "cell_center"
 
     def __post_init__(self):
         if self.n_x <= 0 or self.n_p <= 0:
             raise ValueError("lattice dimensions must be positive")
         if self.L <= 0 or self.hbar <= 0:
             raise ValueError("L and hbar must be positive")
-        if self.center_convention not in CENTER_CONVENTIONS:
-            raise ValueError(f"unknown center convention {self.center_convention!r}")
         if self.alpha is None:
             object.__setattr__(self, "alpha", self.dp / (2.0 * self.a * self.hbar))
         elif not self.alpha > 0:
@@ -81,15 +77,17 @@ class VnLattice:
 
     @property
     def centers_x(self) -> np.ndarray:
-        n = np.arange(self.n_x)
-        off = 0.5 if self.center_convention == "cell_center" else 0.0
-        return self.x_min + self.a * (n + off)
+        return self.x_min + self.a * (np.arange(self.n_x) + 0.5)
 
     @property
     def centers_p(self) -> np.ndarray:
-        l = np.arange(self.n_p)
-        off = 0.5 if self.center_convention == "cell_center" else 0.0
-        return -self.p_half + self.dp * (l + off)
+        return self.dp * (np.arange(self.n_p) - (self.n_p - 1) / 2)
+
+    @property
+    def mirror(self) -> np.ndarray:
+        """Index of the cell at the same x and opposite p, for every cell."""
+        m = np.arange(self.size)
+        return m % self.n_x + self.n_x * (self.n_p - 1 - m // self.n_x)
 
     @property
     def centers(self) -> np.ndarray:
@@ -100,17 +98,16 @@ class VnLattice:
 
     @classmethod
     def from_grid(cls, grid: Grid1D, n_x: int, n_p: int, hbar: float = 1.0,
-                  alpha: float | None = None,
-                  center_convention: str = "cell_center") -> "VnLattice":
+                  alpha: float | None = None) -> "VnLattice":
         if n_x * n_p != grid.N:
             raise ValueError(
                 f"lattice size {n_x}*{n_p} must equal the grid size {grid.N}")
-        return cls(grid.x_min, grid.L, n_x, n_p, hbar, alpha, center_convention)
+        return cls(grid.x_min, grid.L, n_x, n_p, hbar, alpha)
 
 
 @dataclass(frozen=True)
 class BasisMatrices:
-    """Sampled Gaussians G, overlap S = G^dag G, its inverse and B = G S^-1."""
+    """Sampled basis G, overlap S = G^dag G, its inverse and B = G S^-1."""
 
     G: np.ndarray
     S: np.ndarray
@@ -192,8 +189,17 @@ def build_bvn(g: np.ndarray, s_inv: np.ndarray) -> np.ndarray:
 
 def build_basis(lattice: VnLattice, grid: Grid1D, hbar: float | None = None,
                 rcond: float = 1e-12, allow_pseudo: bool = False) -> BasisMatrices:
-    """Convenience constructor for the full (G, S, S_inv, B) bundle."""
-    g = build_G(lattice, grid, hbar)
+    """Real (G, S, S_inv, B) bundle; mirror-closed cell subsets span as build_G.
+
+    g at -p is the conjugate of g at +p, so a cell and its mirror become the
+    unitary pair sqrt(2) Re g, sqrt(2) Im g of the lower-index partner g (a
+    p = 0 cell keeps Re g). G^dag B = I and B^dag B = S^-1 still hold.
+    """
+    m = np.arange(lattice.size)
+    pair = lattice.mirror
+    gc = build_G(lattice, grid, hbar)[:, np.minimum(m, pair)]
+    g = np.where(m == pair, 1.0, math.sqrt(2.0)) * np.where(
+        m <= pair, gc.real, gc.imag)
     s = build_overlap(g)
     s_inv, cond = invert_overlap(s, rcond, allow_pseudo)
     return BasisMatrices(g, s, s_inv, build_bvn(g, s_inv), cond)

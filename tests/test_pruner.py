@@ -108,3 +108,32 @@ def test_pruning_fraction_shrinks_with_hbar():
         mask = pg.select_cells(lat, spec, pg.PruneRule(11.25, "auto"))
         fractions.append(mask.n_kept / mask.size)
     assert fractions[1] < fractions[0]
+
+
+def _closed_under_mirror(mask, lats):
+    kept = mask.kept.reshape([lat.size for lat in reversed(lats)])
+    for axis, lat in enumerate(reversed(lats)):
+        if not np.array_equal(kept, np.take(kept, lat.mirror, axis=axis)):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("spec", [
+    pg.harmonic(), pg.morse(), pg.coulomb1d(),
+    pg.tabulated(np.linspace(-8.0, 16.0, 40),
+                 0.1 * np.linspace(-8.0, 16.0, 40) ** 2),
+    pg.triangle2d()], ids=lambda s: s.kind)
+def test_masks_closed_under_mirror(spec):
+    # cutoffs equal to cell energies put cells exactly on the edge, so a
+    # +p/-p energy that differs in the last bit would split the pair
+    x_min = 0.3 if spec.kind == "coulomb1d" else -7.3  # V = inf for x < 0
+    for n_x, n_p in ((10, 10), (8, 9), (9, 8), (4, 5)):
+        grid = pg.Grid1D(x_min, 15.1, n_x * n_p)
+        lat = pg.VnLattice.from_grid(grid, n_x, n_p, hbar=0.7)
+        lats = (lat,) * spec.dimension
+        _, h_cl = pg.cell_table(lats, spec)
+        for e_cut in np.quantile(h_cl, [0.1, 0.3, 0.5], method="nearest"):
+            for margin in ("auto", 0.0, 0.25):
+                mask = pg.select_cells(lats, spec, pg.PruneRule(e_cut, margin))
+                assert 0 < mask.n_kept
+                assert _closed_under_mirror(mask, lats), (n_x, n_p, margin)

@@ -44,6 +44,18 @@ def test_centers_flat_ordering():
     assert np.all(c[4:, 1] == lat.centers_p[1])
 
 
+def test_mirror_pairs_cells_at_exactly_opposite_momentum():
+    for n_x in (1, 3, 6, 10):
+        for n_p in range(1, 21):
+            for length, hbar in ((10.0, 1.0), (21.7, 0.3), (7.3, 0.125)):
+                lat = pg.VnLattice(-1.0, length, n_x, n_p, hbar=hbar)
+                c = lat.centers
+                mir = lat.mirror
+                np.testing.assert_array_equal(mir[mir], np.arange(lat.size))
+                np.testing.assert_array_equal(c[mir, 0], c[:, 0])
+                np.testing.assert_array_equal(c[mir, 1], -c[:, 1])
+
+
 def test_gaussian_grid_norm():
     # pick a cell near the box center so edge truncation is negligible;
     # grid quadrature of a smooth Gaussian then converges superexponentially
@@ -68,17 +80,18 @@ def test_overlap_and_dual_identities():
 
 
 def test_pseudoinverse_flag_controls_singular_overlap():
-    # the integer-centered convention degrades with lattice size and is
-    # numerically singular by 8x8; cell centering stays benign
+    # a duplicated Gaussian column makes the overlap exactly singular;
+    # the cell-centered lattice itself stays benign
     grid = pg.harmonic_square_grid(64)
-    lat = pg.VnLattice.from_grid(grid, 8, 8, center_convention="integer")
+    lat = pg.VnLattice.from_grid(grid, 8, 8)
+    g = pg.build_G(lat, grid)
+    s = pg.build_overlap(np.column_stack([g, g[:, 27]]))
     with pytest.raises(IllConditionedError):
-        pg.build_basis(lat, grid, allow_pseudo=False)
-    with pytest.warns(UserWarning):
-        bundle = pg.build_basis(lat, grid, allow_pseudo=True)
-    assert np.isfinite(bundle.cond_S)
-    centered = pg.VnLattice.from_grid(grid, 8, 8)
-    assert pg.build_basis(centered, grid).cond_S < 1e4
+        pg.invert_overlap(s, allow_pseudo=False)
+    with pytest.warns(UserWarning, match="dropping 1 modes"):
+        s_inv, _ = pg.invert_overlap(s, allow_pseudo=True)
+    assert np.all(np.isfinite(s_inv))
+    assert pg.build_basis(lat, grid).cond_S < 1e4
 
 
 def test_alpha_override_changes_width_not_span():
