@@ -23,7 +23,7 @@ from .semiclassics import (PhaseSpaceBox, ScalingRow, VolumeEstimate,
                            state_count_bruteforce, state_count_limits,
                            turning_points)
 from .solver import (EfficiencyPoint, EfficiencyPolicy, GeneralizedProblem,
-                     assemble_bvn, assemble_bvn_2d, assemble_pvn,
+                     Pipeline, assemble_bvn, assemble_bvn_2d, assemble_pvn,
                      count_converged, efficiency_scan, solve_generalized)
 from .spectra import Spectrum, make_spectrum
 from .vn_basis import (BasisMatrices, VnLattice, build_basis, build_bvn,

@@ -20,17 +20,12 @@ import numpy as np
 
 from . import __version__
 from .errors import BudgetExceededError
-from .fourier_grid import (DENSE_2D_LIMIT, Grid1D, Grid2D,
-                           hamiltonian_fgh, harmonic_square_grid, solve_fgh)
+from .fourier_grid import DENSE_2D_LIMIT, Grid1D, Grid2D, harmonic_square_grid
 from .potentials import (PotentialSpec, analytic_levels, coulomb1d, harmonic,
                          morse, triangle2d)
 from .pruner import PruneRule, cell_table, select_cells
 from .semiclassics import scaling_report
-from .solver import (EfficiencyPolicy, GeneralizedProblem, assemble_bvn,
-                     assemble_bvn_2d, assemble_pvn, efficiency_scan,
-                     solve_generalized)
-from .vn_basis import (VnLattice, balanced_factors, build_basis,
-                       continuous_vn_matrices)
+from .solver import EfficiencyPolicy, Pipeline, efficiency_scan
 
 
 class ConfigError(ValueError):
@@ -198,6 +193,8 @@ def parse_config(text: str) -> RunConfig:
                               so.get("long_running", "false")))
     if solver.basis not in ("fgh", "pvn", "bvn", "vn"):
         raise ConfigError(f"solver.basis: unknown basis '{solver.basis}'")
+    if solver.n_states is not None and solver.n_states < 1:
+        raise ConfigError(f"solver.n_states: must be >= 1, got {solver.n_states}")
 
     out = raw["output"]
     output = OutputConfig(outdir=out.get("outdir", "out"),
@@ -335,95 +332,9 @@ def _build_grid(cfg: RunConfig):
     return Grid2D(gx, gy)
 
 
-def _require_lattice(cfg: RunConfig) -> LatticeConfig:
-    if cfg.lattice is None:
-        raise ConfigError(f"basis '{cfg.solver.basis}' needs a [lattice] section")
-    return cfg.lattice
-
-
-def _prune_rule(cfg: RunConfig) -> PruneRule | None:
-    if cfg.prune is None:
-        return None
-    margin = cfg.prune.margin
-    if margin != "auto":
-        margin = float(margin)
-    return PruneRule(cfg.prune.e_cut, margin, auto_scale=cfg.prune.auto_scale)
-
-
-def _solve_1d(cfg: RunConfig, grid: Grid1D, meta: dict):
-    """Returns (energies, cells_rows or None)."""
-    spec = cfg.spec()
-    basis_kind = cfg.solver.basis
-    if basis_kind == "fgh":
-        out = solve_fgh(grid, spec, n_states=cfg.solver.n_states)
-        return out.energies, None
-    lat_cfg = _require_lattice(cfg)
-    lattice = VnLattice.from_grid(grid, lat_cfg.nx, lat_cfg.np,
-                                  hbar=spec.hbar, alpha=lat_cfg.alpha)
-    if basis_kind == "vn":
-        h, s = continuous_vn_matrices(lattice, spec)
-        out = solve_generalized(GeneralizedProblem(h, s, "vn"),
-                                n_states=cfg.solver.n_states,
-                                rcond=cfg.solver.rcond)
-        return out.energies, None
-    bundle = build_basis(lattice, grid, rcond=cfg.solver.rcond,
-                         allow_pseudo=True)
-    meta["cond_s"] = _g(bundle.cond_S)
-    h_grid = hamiltonian_fgh(grid, spec)
-    if basis_kind == "pvn":
-        problem = assemble_pvn(h_grid, bundle.G)
-        out = solve_generalized(problem, n_states=cfg.solver.n_states,
-                                rcond=cfg.solver.rcond)
-        return out.energies, None
-    rule = _prune_rule(cfg)
-    mask = None
-    cells_rows = None
-    if rule is not None:
-        mask = select_cells(lattice, spec, rule)
-        centers, h_cl = cell_table(lattice, spec)
-        cells_rows = [(centers[i, 0], centers[i, 1], h_cl[i],
-                       int(mask.kept[i])) for i in range(mask.size)]
-        meta["n_kept"] = str(mask.n_kept)
-        meta["n_cells"] = str(mask.size)
-    problem = assemble_bvn(h_grid, bundle.B, bundle.S_inv, mask)
-    out = solve_generalized(problem, n_states=cfg.solver.n_states,
-                            rcond=cfg.solver.rcond)
-    return out.energies, cells_rows
-
-
-def _solve_2d(cfg: RunConfig, grid: Grid2D, meta: dict):
-    spec = cfg.spec()
-    basis_kind = cfg.solver.basis
-    if grid.size > DENSE_2D_LIMIT and not cfg.solver.long_running:
-        raise ConfigError(
-            f"grid has {grid.size} points (> {DENSE_2D_LIMIT}); pass "
-            "--long-running to enable the large matrix-free path")
-    if basis_kind == "fgh":
-        out = solve_fgh(grid, spec, n_states=cfg.solver.n_states)
-        return out.energies, None
-    if basis_kind != "bvn":
-        raise ConfigError(f"basis '{basis_kind}' supports only 1-d grids")
-    lat_cfg = _require_lattice(cfg)
-    if cfg.prune is None:
-        raise ConfigError("2-d bvn solve needs a [prune] section")
-    lat_x = VnLattice.from_grid(grid.gx, lat_cfg.nx, lat_cfg.np,
-                                hbar=spec.hbar, alpha=lat_cfg.alpha)
-    lat_y = VnLattice.from_grid(grid.gy, lat_cfg.nx, lat_cfg.np,
-                                hbar=spec.hbar, alpha=lat_cfg.alpha)
-    bx = build_basis(lat_x, grid.gx, rcond=cfg.solver.rcond, allow_pseudo=True)
-    by = build_basis(lat_y, grid.gy, rcond=cfg.solver.rcond, allow_pseudo=True)
-    meta["cond_s"] = _g(max(bx.cond_S, by.cond_S))
-    mask = select_cells((lat_x, lat_y), spec, _prune_rule(cfg))
-    centers, h_cl = cell_table((lat_x, lat_y), spec)
-    cells_rows = [(centers[i, 0], centers[i, 1], centers[i, 2], centers[i, 3],
-                   h_cl[i], int(mask.kept[i])) for i in range(mask.size)]
-    meta["n_kept"] = str(mask.n_kept)
-    meta["n_cells"] = str(mask.size)
-    h_op = hamiltonian_fgh(grid, spec, assembly="matfree")
-    problem = assemble_bvn_2d(h_op, bx.B, by.B, bx.S_inv, by.S_inv, mask)
-    out = solve_generalized(problem, n_states=cfg.solver.n_states,
-                            rcond=cfg.solver.rcond)
-    return out.energies, cells_rows
+def _prune_rule(prune: PruneConfig) -> PruneRule:
+    margin = prune.margin if prune.margin == "auto" else float(prune.margin)
+    return PruneRule(prune.e_cut, margin, auto_scale=prune.auto_scale)
 
 
 def _meta_base(cfg: RunConfig, command: str) -> dict:
@@ -457,22 +368,40 @@ def cmd_solve(cfg: RunConfig, out_dir: str, quiet: bool = False) -> ResultBundle
     t0 = time.time()
     meta = _meta_base(cfg, "solve")
     grid = _build_grid(cfg)
-    if isinstance(grid, Grid1D):
-        energies, cells_rows = _solve_1d(cfg, grid, meta)
-    else:
-        energies, cells_rows = _solve_2d(cfg, grid, meta)
+    basis, two_d, lat = cfg.solver.basis, isinstance(grid, Grid2D), cfg.lattice
+    if two_d and grid.size > DENSE_2D_LIMIT and not cfg.solver.long_running:
+        raise ConfigError(
+            f"grid has {grid.size} points (> {DENSE_2D_LIMIT}); pass "
+            "--long-running to enable the large matrix-free path")
+    if two_d and basis in ("pvn", "vn"):
+        raise ConfigError(f"basis '{basis}' supports only 1-d grids")
+    if basis != "fgh" and lat is None:
+        raise ConfigError(f"basis '{basis}' needs a [lattice] section")
+    if two_d and basis == "bvn" and cfg.prune is None:
+        raise ConfigError("2-d bvn solve needs a [prune] section")
+    spec = cfg.spec()
+    pipe = Pipeline(spec, grid, basis, shape=lat and (lat.nx, lat.np),
+                    alpha=lat and lat.alpha, rcond=cfg.solver.rcond)
+    meta.update((key, _g(value)) for key, value in pipe.info.items())
+    mask = None
+    paths = [os.path.join(out_dir, "eigenvalues.csv")]
+    if basis == "bvn" and cfg.prune is not None:
+        mask = select_cells(pipe.lattices, spec, _prune_rule(cfg.prune))
+        if mask.n_kept == 0:
+            raise ConfigError(
+                f"prune.e_cut = {_g(cfg.prune.e_cut)} keeps no phase-space cell")
+        centers, h_cl = cell_table(pipe.lattices, spec)
+        meta.update(n_kept=str(mask.n_kept), n_cells=str(mask.size))
+    energies = pipe.solve(mask, n_states=cfg.solver.n_states).energies
     meta["n_levels"] = str(len(energies))
-    paths = []
-    eig_path = os.path.join(out_dir, "eigenvalues.csv")
-    write_csv(eig_path, ["index", "energy"],
+    write_csv(paths[0], ["index", "energy"],
               [(i, e) for i, e in enumerate(energies)])
-    paths.append(eig_path)
-    if cells_rows is not None:
-        cells_path = os.path.join(out_dir, "cells.csv")
-        header = (["x", "p", "h_cl", "kept"] if len(cells_rows[0]) == 4
-                  else ["x", "px", "y", "py", "h_cl", "kept"])
-        write_csv(cells_path, header, cells_rows)
-        paths.append(cells_path)
+    if mask is not None:
+        paths.append(os.path.join(out_dir, "cells.csv"))
+        header = (["x", "px", "y", "py", "h_cl", "kept"] if two_d
+                  else ["x", "p", "h_cl", "kept"])
+        write_csv(paths[1], header, [(*c, e, int(k)) for c, e, k in zip(
+            centers.tolist(), h_cl.tolist(), mask.kept)])
     return _finish(out_dir, meta, paths, t0, quiet)
 
 
@@ -490,6 +419,9 @@ def cmd_sweep(cfg: RunConfig, sizes, index: int, methods,
     levels = analytic_levels(spec, n_max=index)
     if index >= levels.size:
         raise ConfigError(f"sweep index {index} outside the analytic table")
+    for method in methods:
+        if method not in ("fgh", "pvn", "vn"):
+            raise ConfigError(f"sweep method '{method}' not supported")
     target = levels[index]
     meta["sweep.index"] = str(index)
     meta["sweep.reference"] = _g(target)
@@ -503,22 +435,8 @@ def cmd_sweep(cfg: RunConfig, sizes, index: int, methods,
                                             spec.params["omega"], spec.hbar)
             else:
                 grid = Grid1D(cfg.grid.x_min, cfg.grid.length, size)
-            n_x, n_p = balanced_factors(size)
-            if method == "fgh":
-                energies = solve_fgh(grid, spec).energies
-            elif method == "pvn":
-                lattice = VnLattice.from_grid(grid, n_x, n_p, hbar=spec.hbar)
-                bundle = build_basis(lattice, grid, allow_pseudo=True)
-                problem = assemble_pvn(hamiltonian_fgh(grid, spec), bundle.G)
-                energies = solve_generalized(problem).energies
-            elif method == "vn":
-                lattice = VnLattice.from_grid(grid, n_x, n_p, hbar=spec.hbar)
-                h, s = continuous_vn_matrices(lattice, spec)
-                energies = solve_generalized(
-                    GeneralizedProblem(h, s, "vn"),
-                    rcond=cfg.solver.rcond).energies
-            else:
-                raise ConfigError(f"sweep method '{method}' not supported")
+            energies = Pipeline(spec, grid, method,
+                                rcond=cfg.solver.rcond).solve().energies
             if index < len(energies):
                 energy = float(energies[index])
                 rows.append((method, size, energy, abs(energy - target)))

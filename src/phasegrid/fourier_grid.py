@@ -190,34 +190,22 @@ class FghOperator2D:
         return h
 
 
-def hamiltonian_fgh(grid, spec: PotentialSpec, mass: float | None = None,
-                    hbar: float | None = None, assembly: str = "auto"):
+def hamiltonian_fgh(grid, spec: PotentialSpec):
     """Grid Hamiltonian T + V.
 
-    1-d grids always return a dense symmetric matrix. 2-d grids return a
-    dense matrix when assembly is "dense" (or "auto" below DENSE_2D_LIMIT
-    points) and an FghOperator2D otherwise.
+    A dense symmetric matrix on a 1-d grid; an FghOperator2D on a 2-d grid
+    (call its to_dense for the matrix).
     """
-    mass = spec.mass if mass is None else mass
-    hbar = spec.hbar if hbar is None else hbar
     if isinstance(grid, Grid1D):
-        h = kinetic_matrix(grid, mass, hbar)
+        h = kinetic_matrix(grid, spec.mass, spec.hbar)
         h[np.diag_indices_from(h)] += potential_matrix(grid, spec)
         return h
-    tx = kinetic_matrix(grid.gx, mass, hbar)
-    ty = kinetic_matrix(grid.gy, mass, hbar)
-    op = FghOperator2D(grid, tx, ty, potential_matrix(grid, spec))
-    if assembly == "matfree":
-        return op
-    if assembly == "dense" or (assembly == "auto" and grid.size <= DENSE_2D_LIMIT):
-        return op.to_dense()
-    if assembly == "auto":
-        return op
-    raise ValueError(f"unknown assembly mode {assembly!r}")
+    tx = kinetic_matrix(grid.gx, spec.mass, spec.hbar)
+    ty = kinetic_matrix(grid.gy, spec.mass, spec.hbar)
+    return FghOperator2D(grid, tx, ty, potential_matrix(grid, spec))
 
 
-def solve_fgh(grid, spec: PotentialSpec, mass: float | None = None,
-              hbar: float | None = None, n_states: int | None = None,
+def solve_fgh(grid, spec: PotentialSpec, n_states: int | None = None,
               want_vectors: bool = False) -> Spectrum:
     """Eigenvalues (ascending) of the grid Hamiltonian.
 
@@ -227,7 +215,9 @@ def solve_fgh(grid, spec: PotentialSpec, mass: float | None = None,
     size = grid.N if isinstance(grid, Grid1D) else grid.size
     if n_states is not None and n_states > size:
         raise ValueError("n_states exceeds the basis size")
-    h = hamiltonian_fgh(grid, spec, mass, hbar)
+    h = hamiltonian_fgh(grid, spec)
+    if isinstance(h, FghOperator2D) and size <= DENSE_2D_LIMIT:
+        h = h.to_dense()
     if isinstance(h, FghOperator2D):
         if n_states is None:
             raise ValueError("matrix-free solve requires n_states")

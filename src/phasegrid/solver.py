@@ -3,7 +3,9 @@
 The grid Hamiltonian H is re-expressed in a Gaussian (pvN) or biorthogonal
 (bvN) basis as H' U = S' U E. Because the bases span the same space as the
 grid, the unpruned spectra coincide with the grid spectrum; pruning removes
-bvN columns and the eigenvalues below the cutoff survive.
+bvN columns and the eigenvalues below the cutoff survive. `Pipeline` runs
+the whole chain (grid, lattice, basis, pruned pencil, eigensolve) for every
+basis; the command line and the efficiency scan both go through it.
 """
 
 import math
@@ -14,11 +16,12 @@ import numpy as np
 import scipy.linalg
 
 from .errors import BudgetExceededError, IllConditionedError
-from .fourier_grid import (FghOperator2D, Grid1D, hamiltonian_fgh, solve_fgh)
+from .fourier_grid import FghOperator2D, Grid1D, hamiltonian_fgh, solve_fgh
 from .potentials import PotentialSpec, analytic_levels
 from .pruner import PruneMask, PruneRule, select_cells
 from .spectra import Spectrum, make_spectrum
-from .vn_basis import VnLattice, build_basis
+from .vn_basis import (VnLattice, balanced_factors, build_basis,
+                       continuous_vn_matrices)
 
 
 @dataclass(frozen=True)
@@ -67,15 +70,15 @@ def assemble_bvn(h_grid: np.ndarray, b: np.ndarray, s_inv: np.ndarray,
                               "bvn")
 
 
-def assemble_bvn_2d(h_op, bx: np.ndarray, by: np.ndarray,
+def assemble_bvn_2d(h_op: FghOperator2D, bx: np.ndarray, by: np.ndarray,
                     sx_inv: np.ndarray, sy_inv: np.ndarray,
                     mask: PruneMask) -> GeneralizedProblem:
     """Two-dimensional pruned projection with a Kronecker-factored basis.
 
     The kept columns of kron(By, Bx) are materialized individually (never
-    the full product), the Hamiltonian is applied through `h_op` (dense
-    matrix or operator with an apply method), and the metric entries
-    factorize as Sy_inv[cy, cy'] * Sx_inv[cx, cx'].
+    the full product), the Hamiltonian is applied through the matrix-free
+    `h_op`, and the metric entries factorize as Sy_inv[cy, cy'] *
+    Sx_inv[cx, cx'].
     """
     nx = bx.shape[1]
     idx = mask.indices
@@ -85,8 +88,7 @@ def assemble_bvn_2d(h_op, bx: np.ndarray, by: np.ndarray,
     cy = idx // nx
     bk = np.einsum("yk,xk->yxk", by[:, cy], bx[:, cx])
     bk = bk.reshape(by.shape[0] * bx.shape[0], idx.size)
-    hb = h_op.apply(bk) if isinstance(h_op, FghOperator2D) else h_op @ bk
-    h = bk.conj().T @ hb
+    h = bk.conj().T @ h_op.apply(bk)
     s = sy_inv[np.ix_(cy, cy)] * sx_inv[np.ix_(cx, cx)]
     return GeneralizedProblem(0.5 * (h + h.conj().T), 0.5 * (s + s.conj().T),
                               "bvn")
@@ -132,6 +134,65 @@ def solve_generalized(problem: GeneralizedProblem,
         vecs = (vecs if white is None else white @ vecs)[:, :n_states]
     return make_spectrum(vals[:n_states], problem.basis_label, problem.size,
                          vectors=vecs)
+
+
+class Pipeline:
+    """One basis solve, built once and solved for any number of masks.
+
+    basis is "fgh" (the grid itself), "vn" (raw Gaussians, analytic
+    integrals), "pvn" (periodized Gaussians) or "bvn" (their biorthogonal
+    partners). Every non-grid basis puts an n_x x n_p lattice (`shape`,
+    balanced factors of the axis size by default) on each grid axis; a 2-d
+    grid supports fgh and bvn only. The lattices, the real basis bundles,
+    the grid Hamiltonian and `info` (cond_s) are made here, so repeated
+    `solve` calls with different masks reuse them.
+    """
+
+    def __init__(self, spec: PotentialSpec, grid, basis: str,
+                 shape: tuple | None = None, alpha: float | None = None,
+                 rcond: float = 1e-12):
+        axes = (grid,) if isinstance(grid, Grid1D) else (grid.gx, grid.gy)
+        if basis not in ("fgh", "vn", "pvn", "bvn"):
+            raise ValueError(f"unknown basis {basis!r}")
+        if len(axes) > 1 and basis in ("vn", "pvn"):
+            raise ValueError(f"basis {basis!r} supports only 1-d grids")
+        self.spec, self.grid, self.basis, self.rcond = spec, grid, basis, rcond
+        self.lattices, self.bundles, self.info, self.h_grid = (), (), {}, None
+        if basis == "fgh":
+            return
+        n_x, n_p = shape or balanced_factors(axes[0].N)
+        self.lattices = tuple(VnLattice.from_grid(g, n_x, n_p, hbar=spec.hbar,
+                                                  alpha=alpha) for g in axes)
+        if basis == "vn":
+            return
+        self.bundles = tuple(build_basis(lat, g, rcond=rcond, allow_pseudo=True)
+                             for lat, g in zip(self.lattices, axes))
+        self.info["cond_s"] = max(b.cond_S for b in self.bundles)
+        self.h_grid = hamiltonian_fgh(grid, spec)
+
+    def solve(self, mask: PruneMask | None = None,
+              n_states: int | None = None) -> Spectrum:
+        """Lowest n_states levels (all by default) on the kept bvn cells.
+
+        mask applies to bvn only; a 2-d bvn solve requires one.
+        """
+        if self.basis == "fgh":
+            return solve_fgh(self.grid, self.spec, n_states=n_states)
+        if self.basis == "vn":
+            h, s = continuous_vn_matrices(self.lattices[0], self.spec)
+            problem = GeneralizedProblem(h, s, "vn")
+        elif self.basis == "pvn":
+            problem = assemble_pvn(self.h_grid, self.bundles[0].G)
+        elif len(self.bundles) == 1:
+            b = self.bundles[0]
+            problem = assemble_bvn(self.h_grid, b.B, b.S_inv, mask)
+        elif mask is None:
+            raise ValueError("a 2-d bvn solve needs a prune mask")
+        else:
+            bx, by = self.bundles
+            problem = assemble_bvn_2d(self.h_grid, bx.B, by.B, bx.S_inv,
+                                      by.S_inv, mask)
+        return solve_generalized(problem, n_states=n_states, rcond=self.rcond)
 
 
 def matching_tolerance(value: float, digits: int) -> float:
@@ -208,8 +269,49 @@ class EfficiencyPolicy:
 
 def _fgh_converges(policy, spec, n, ref, digits, e_max):
     grid = Grid1D(policy.x_min, policy.box_length, n)
-    out = solve_fgh(grid, spec)
+    out = Pipeline(spec, grid, "fgh").solve()
     return count_converged(out.energies, ref, digits, e_max) == ref.size
+
+
+def _min_pruned_size(policy, spec, ref, digits, e_max, points):
+    """Fewest kept bvn cells reproducing ref, over the auto-margin scale.
+
+    The pipeline lives only for this call, so no two hbar bases coexist.
+    """
+    p_max = math.sqrt(2.0 * spec.mass * e_max)
+    n_target = policy.box_length * policy.p_pad * p_max / (math.pi * spec.hbar)
+    # even k, so the k*k grid has an even number of points
+    k = 2 * max(1, round(math.sqrt(n_target) / 2))
+    grid = Grid1D(policy.x_min, policy.box_length, k * k)
+    pipe = Pipeline(spec, grid, "bvn", shape=(k, k), rcond=policy.rcond)
+
+    def bvn_converges(scale):
+        mask = select_cells(pipe.lattices, spec,
+                            PruneRule(e_max, "auto", auto_scale=scale))
+        if mask.n_kept < ref.size:
+            return False, mask.n_kept
+        out = pipe.solve(mask)
+        ok = count_converged(out.energies, ref, digits, e_max) == ref.size
+        return ok, mask.n_kept
+
+    s_lo, s_hi = 0.0, 1.0
+    ok, kept = bvn_converges(s_hi)
+    tries = 0
+    while not ok:
+        tries += 1
+        if tries > 4:
+            raise BudgetExceededError(
+                f"margin search failed at hbar={spec.hbar}", partial=points)
+        s_lo, s_hi = s_hi, 2.0 * s_hi
+        ok, kept = bvn_converges(s_hi)
+    while s_hi - s_lo > policy.scale_tol:
+        mid = 0.5 * (s_lo + s_hi)
+        ok_mid, kept_mid = bvn_converges(mid)
+        if ok_mid:
+            s_hi, kept = mid, kept_mid
+        else:
+            s_lo = mid
+    return kept
 
 
 def efficiency_scan(spec: PotentialSpec, hbars: Sequence[float], digits: int,
@@ -244,45 +346,8 @@ def efficiency_scan(spec: PotentialSpec, hbars: Sequence[float], digits: int,
                 hi = mid
             else:
                 lo = mid
-        n_min = hi
-        points.append(EfficiencyPoint(hb, "fgh", n_min, int(ref.size)))
+        points.append(EfficiencyPoint(hb, "fgh", hi, int(ref.size)))
 
-        p_max = math.sqrt(2.0 * sp.mass * e_max)
-        n_target = policy.box_length * policy.p_pad * p_max / (math.pi * hb)
-        # even k, so the k*k grid has an even number of points
-        k = 2 * max(1, round(math.sqrt(n_target) / 2))
-        grid = Grid1D(policy.x_min, policy.box_length, k * k)
-        h_grid = hamiltonian_fgh(grid, sp)
-        lattice = VnLattice.from_grid(grid, k, k, hbar=hb)
-        basis = build_basis(lattice, grid, rcond=policy.rcond,
-                            allow_pseudo=True)
-
-        def bvn_converges(scale):
-            mask = select_cells(lattice, sp,
-                                PruneRule(e_max, "auto", auto_scale=scale))
-            if mask.n_kept < ref.size:
-                return False, mask.n_kept
-            prob = assemble_bvn(h_grid, basis.B, basis.S_inv, mask)
-            out = solve_generalized(prob)
-            ok = count_converged(out.energies, ref, digits, e_max) == ref.size
-            return ok, mask.n_kept
-
-        s_lo, s_hi = 0.0, 1.0
-        ok, kept = bvn_converges(s_hi)
-        tries = 0
-        while not ok:
-            tries += 1
-            if tries > 4:
-                raise BudgetExceededError(
-                    f"margin search failed at hbar={hb}", partial=points)
-            s_lo, s_hi = s_hi, 2.0 * s_hi
-            ok, kept = bvn_converges(s_hi)
-        while s_hi - s_lo > policy.scale_tol:
-            mid = 0.5 * (s_lo + s_hi)
-            ok_mid, kept_mid = bvn_converges(mid)
-            if ok_mid:
-                s_hi, kept = mid, kept_mid
-            else:
-                s_lo = mid
+        kept = _min_pruned_size(policy, sp, ref, digits, e_max, points)
         points.append(EfficiencyPoint(hb, "bvn", kept, int(ref.size)))
     return points

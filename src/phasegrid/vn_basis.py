@@ -116,7 +116,7 @@ class BasisMatrices:
     cond_S: float
 
 
-def gaussian_eval(lattice: VnLattice, m: int, x, hbar: float | None = None):
+def gaussian_eval(lattice: VnLattice, m: int, x):
     """Continuous-normalized Gaussian of cell m at x (scalar or array).
 
     (2a/pi)^(1/4) exp(-a (x-x_c)^2 - i p_c (x-x_c)/hbar); the momentum phase
@@ -124,25 +124,24 @@ def gaussian_eval(lattice: VnLattice, m: int, x, hbar: float | None = None):
     """
     if not 0 <= m < lattice.size:
         raise ValueError(f"cell index {m} outside 0..{lattice.size - 1}")
-    hbar = lattice.hbar if hbar is None else hbar
     x = np.asarray(x, dtype=float)
     xc, pc = lattice.centers[m]
     alpha = lattice.alpha
     out = ((2.0 * alpha / math.pi) ** 0.25
-           * np.exp(-alpha * (x - xc) ** 2 - 1j * pc * (x - xc) / hbar))
+           * np.exp(-alpha * (x - xc) ** 2 - 1j * pc * (x - xc) / lattice.hbar))
     return complex(out) if out.ndim == 0 else out
 
 
-def build_G(lattice: VnLattice, grid: Grid1D, hbar: float | None = None) -> np.ndarray:
+def build_G(lattice: VnLattice, grid: Grid1D) -> np.ndarray:
     """N x N complex matrix G[i, m] = g_m(x_i) over the grid points."""
     if lattice.size != grid.N:
         raise ValueError("lattice size must equal the grid size")
-    hbar = lattice.hbar if hbar is None else hbar
     x = grid.points[:, None]
     xc = lattice.centers[:, 0][None, :]
     pc = lattice.centers[:, 1][None, :]
     return ((2.0 * lattice.alpha / math.pi) ** 0.25
-            * np.exp(-lattice.alpha * (x - xc) ** 2 - 1j * pc * (x - xc) / hbar))
+            * np.exp(-lattice.alpha * (x - xc) ** 2
+                     - 1j * pc * (x - xc) / lattice.hbar))
 
 
 def build_overlap(g: np.ndarray) -> np.ndarray:
@@ -187,8 +186,8 @@ def build_bvn(g: np.ndarray, s_inv: np.ndarray) -> np.ndarray:
     return g @ s_inv
 
 
-def build_basis(lattice: VnLattice, grid: Grid1D, hbar: float | None = None,
-                rcond: float = 1e-12, allow_pseudo: bool = False) -> BasisMatrices:
+def build_basis(lattice: VnLattice, grid: Grid1D, rcond: float = 1e-12,
+                allow_pseudo: bool = False) -> BasisMatrices:
     """Real (G, S, S_inv, B) bundle; mirror-closed cell subsets span as build_G.
 
     g at -p is the conjugate of g at +p, so a cell and its mirror become the
@@ -197,7 +196,7 @@ def build_basis(lattice: VnLattice, grid: Grid1D, hbar: float | None = None,
     """
     m = np.arange(lattice.size)
     pair = lattice.mirror
-    gc = build_G(lattice, grid, hbar)[:, np.minimum(m, pair)]
+    gc = build_G(lattice, grid)[:, np.minimum(m, pair)]
     g = np.where(m == pair, 1.0, math.sqrt(2.0)) * np.where(
         m <= pair, gc.real, gc.imag)
     s = build_overlap(g)
@@ -205,9 +204,7 @@ def build_basis(lattice: VnLattice, grid: Grid1D, hbar: float | None = None,
     return BasisMatrices(g, s, s_inv, build_bvn(g, s_inv), cond)
 
 
-def continuous_vn_matrices(lattice: VnLattice, spec: PotentialSpec,
-                           mass: float | None = None,
-                           hbar: float | None = None):
+def continuous_vn_matrices(lattice: VnLattice, spec: PotentialSpec):
     """Analytic Hamiltonian and overlap of the raw (non-periodized) Gaussians.
 
     Closed-form integrals over the infinite line; only the harmonic potential
@@ -218,8 +215,7 @@ def continuous_vn_matrices(lattice: VnLattice, spec: PotentialSpec,
         raise NotAvailableError(
             "analytic Gaussian integrals are implemented for the harmonic "
             "potential only")
-    mass = spec.mass if mass is None else mass
-    hbar = spec.hbar if hbar is None else hbar
+    mass, hbar = spec.mass, spec.hbar
     omega = spec.params["omega"]
     alpha = lattice.alpha
     c = lattice.centers

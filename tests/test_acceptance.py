@@ -140,13 +140,13 @@ def test_c06_triangle_2d_pruned_vs_grid_reference():
     gx = pg.Grid1D(-8.0, 16.0, 64)
     grid = pg.Grid2D(gx, gx)
     e_cut = 0.4
-    ref = np.linalg.eigvalsh(pg.hamiltonian_fgh(grid, spec, assembly="dense"))
+    ref = np.linalg.eigvalsh(pg.hamiltonian_fgh(grid, spec).to_dense())
     ref = ref[ref < e_cut]
     lat = pg.VnLattice.from_grid(gx, 8, 8)
     bundle = pg.build_basis(lat, gx, allow_pseudo=True)
     mask = pg.select_cells((lat, lat), spec,
                            pg.PruneRule(e_cut, "auto", auto_scale=1.5))
-    h_op = pg.hamiltonian_fgh(grid, spec, assembly="matfree")
+    h_op = pg.hamiltonian_fgh(grid, spec)
     prob = pg.assemble_bvn_2d(h_op, bundle.B, bundle.B,
                               bundle.S_inv, bundle.S_inv, mask)
     out = pg.solve_generalized(prob)

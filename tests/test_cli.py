@@ -2,6 +2,7 @@
 
 import glob
 import os
+import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -101,6 +102,10 @@ def test_shipped_configs_parse_and_roundtrip():
     (lambda t: t.replace("omega = 1", "omegaa = 1"), "unknown key"),
     (lambda t: t.replace("basis = pvn", "basis = dvr"), "solver.basis"),
     (lambda t: t.replace("n = 16", ""), "grid"),
+    (lambda t: t.replace("basis = pvn", "basis = pvn\nn_states = 0"),
+     "solver.n_states"),
+    (lambda t: t.replace("basis = pvn", "basis = pvn\nn_states = -3"),
+     "solver.n_states"),
 ])
 def test_parse_errors_name_the_field(mangle, needle):
     with pytest.raises(cli.ConfigError) as err:
@@ -201,6 +206,62 @@ outdir = out
     out = str(tmp_path / "big")
     assert cli.main(["solve", "--config", cfg, "--out", out, "--quiet"]) == 2
     assert "--long-running" in capsys.readouterr().err
+
+
+TRIANGLE_CFG = """\
+[potential]
+kind = triangle2d
+mass = 30
+
+[grid]
+x_min = -6
+length = 12
+nx = 16
+ny = 16
+
+[lattice]
+nx = 4
+np = 4
+
+[prune]
+e_cut = 0.3
+auto_scale = 1.5
+
+[solver]
+basis = bvn
+
+[output]
+outdir = out
+"""
+
+
+@pytest.mark.parametrize("text,argv,needle", [
+    (HARMONIC_CFG.replace("[lattice]\nnx = 4\nnp = 4\n", ""), ["solve"],
+     "needs a [lattice] section"),
+    (TRIANGLE_CFG.replace("basis = bvn", "basis = pvn"), ["solve"],
+     "supports only 1-d grids"),
+    (TRIANGLE_CFG.replace("basis = bvn", "basis = vn"), ["solve"],
+     "supports only 1-d grids"),
+    (TRIANGLE_CFG.replace("[prune]\ne_cut = 0.3\nauto_scale = 1.5\n", ""),
+     ["solve"], "needs a [prune] section"),
+    (HARMONIC_CFG, ["sweep", "--sizes", "16", "--methods", "fgh,dvr"],
+     "sweep method 'dvr' not supported"),
+])
+def test_config_errors_exit_2(tmp_path, capsys, text, argv, needle):
+    cfg = _write(tmp_path, text)
+    code = cli.main([argv[0], "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--quiet", *argv[1:]])
+    assert code == 2
+    assert needle in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [MORSE_CFG, TRIANGLE_CFG], ids=["1d", "2d"])
+def test_cutoff_keeping_no_cell_exits_2(tmp_path, capsys, text):
+    cfg = _write(tmp_path, re.sub(r"e_cut = \S+", "e_cut = -100", text))
+    assert cli.main(["solve", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "prune.e_cut" in err and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -104,8 +104,12 @@ def test_operator2d_matches_dense():
     gx = pg.Grid1D(-3.0, 6.0, 8)
     grid = pg.Grid2D(gx, gx)
     spec = pg.triangle2d(mass=10.0)
-    h_dense = pg.hamiltonian_fgh(grid, spec, assembly="dense")
-    h_op = pg.hamiltonian_fgh(grid, spec, assembly="matfree")
+    # the dense matrix built term by term, independently of to_dense
+    t = pg.kinetic_matrix(gx, spec.mass, spec.hbar)
+    eye = np.eye(gx.N)
+    h_dense = (np.kron(t, eye) + np.kron(eye, t)
+               + np.diag(pg.potential_matrix(grid, spec)))
+    h_op = pg.hamiltonian_fgh(grid, spec)
     np.testing.assert_allclose(h_op.to_dense(), h_dense, atol=1e-12)
     rng = np.random.default_rng(5)
     v = rng.standard_normal(grid.size)
@@ -117,8 +121,8 @@ def test_matfree_eigsh_matches_dense():
     grid = pg.Grid2D(gx, gx)
     spec = pg.triangle2d(mass=20.0)
     dense_vals = np.linalg.eigvalsh(
-        pg.hamiltonian_fgh(grid, spec, assembly="dense"))
-    h_op = pg.hamiltonian_fgh(grid, spec, assembly="matfree")
+        pg.hamiltonian_fgh(grid, spec).to_dense())
+    h_op = pg.hamiltonian_fgh(grid, spec)
     from scipy.sparse.linalg import LinearOperator, eigsh
 
     op = LinearOperator(h_op.shape, matvec=h_op.matvec, dtype=float)

@@ -29,7 +29,7 @@ def _triangle_setup(n=16, n_x=4, n_p=4):
     grid = pg.Grid2D(gx, gx)
     spec = pg.triangle2d(mass=30.0)
     lat = pg.VnLattice.from_grid(gx, n_x, n_p)
-    h_op = pg.hamiltonian_fgh(grid, spec, assembly="matfree")
+    h_op = pg.hamiltonian_fgh(grid, spec)
     return gx, lat, spec, h_op
 
 

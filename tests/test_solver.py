@@ -107,10 +107,10 @@ def test_bvn_2d_full_mask_equals_dense_fgh():
     grid = pg.Grid2D(gx, gx)
     spec = pg.triangle2d(mass=30.0)
     dense_vals = np.linalg.eigvalsh(
-        pg.hamiltonian_fgh(grid, spec, assembly="dense"))
+        pg.hamiltonian_fgh(grid, spec).to_dense())
     lat = pg.VnLattice.from_grid(gx, 4, 3)
     bundle = pg.build_basis(lat, gx, allow_pseudo=True)
-    h_op = pg.hamiltonian_fgh(grid, spec, assembly="matfree")
+    h_op = pg.hamiltonian_fgh(grid, spec)
     mask = pg.PruneMask(kept=np.ones(144, dtype=bool))
     prob = pg.assemble_bvn_2d(h_op, bundle.B, bundle.B,
                               bundle.S_inv, bundle.S_inv, mask)
@@ -125,7 +125,7 @@ def test_bvn_2d_mask_length_checked():
     spec = pg.triangle2d(mass=30.0)
     lat = pg.VnLattice.from_grid(gx, 4, 2)
     bundle = pg.build_basis(lat, gx, allow_pseudo=True)
-    h_op = pg.hamiltonian_fgh(grid, spec, assembly="matfree")
+    h_op = pg.hamiltonian_fgh(grid, spec)
     bad = pg.PruneMask(kept=np.ones(63, dtype=bool))
     with pytest.raises(ValueError):
         pg.assemble_bvn_2d(h_op, bundle.B, bundle.B,

@@ -1,8 +1,12 @@
 """Guards for the tooling that wraps the package from outside."""
 
 import importlib
+import json
+import os
 import pathlib
 import runpy
+import subprocess
+import sys
 
 import pytest
 
@@ -23,3 +27,68 @@ def test_benchmark_tracer_names_resolve():
             if not callable(owner):
                 missing.append(f"phasegrid.{mod_name}.{dotted}")
     assert not missing, f"names the benchmark tracer wraps are gone: {missing}"
+
+
+TRIANGLE_CFG = """\
+[potential]
+kind = triangle2d
+mass = 30
+
+[grid]
+x_min = -6
+length = 12
+nx = 16
+ny = 16
+
+[lattice]
+nx = 4
+np = 4
+
+[prune]
+e_cut = 0.3
+auto_scale = 1.5
+
+[solver]
+basis = bvn
+"""
+
+
+def _traced_layers(tmp_path, cli_argv):
+    """Run one CLI operation under the benchmark tracer in a subprocess."""
+    root = TRACER.parents[1]
+    op_json = tmp_path / "op.json"
+    # no bytecode is written next to the tracer or the package
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join(
+                   [str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "child.py"), "--op-json",
+         str(op_json), "--trace", "--", *cli_argv, "--out",
+         str(tmp_path / "out"), "--quiet"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    return json.loads(op_json.read_text())["layers"]
+
+
+@pytest.mark.skipif(not TRACER.exists(), reason="perfbench/tracer.py absent")
+def test_traced_layers_see_the_pruned_2d_solve(tmp_path):
+    cfg = tmp_path / "tri.cfg"
+    cfg.write_text(TRIANGLE_CFG)
+    layers = _traced_layers(tmp_path, ["solve", "--config", str(cfg)])
+    meta = dict(line.split(" = ", 1) for line in
+                (tmp_path / "out" / "meta.txt").read_text().splitlines())
+    n_kept = int(meta["n_kept"])
+    assert 0 < n_kept < int(meta["n_cells"])
+    assert layers["vn_basis.build_basis_calls"] == 2
+    assert layers["pruner.select_calls"] == 1
+    assert layers["solver.eig_calls"] == 1
+    assert layers["fourier_grid.apply_cols"] == n_kept
+    assert layers["solver.assemble_s"] > 0
+
+
+@pytest.mark.skipif(not TRACER.exists(), reason="perfbench/tracer.py absent")
+def test_traced_layers_see_the_efficiency_scan(tmp_path):
+    layers = _traced_layers(tmp_path, ["efficiency", "--config",
+                                       "configs/morse_bvn.cfg",
+                                       "--hbars", "1"])
+    assert layers["solver.scan_probes"] > 0
