@@ -1,9 +1,10 @@
 """Command-line front end: config files, experiment drivers, CSV and SVG.
 
-The config format is flat ``key = value`` lines under ``[section]`` headers
-(see FORMATS.md for the key list). Every command writes its outputs
-atomically and exits 0 only when all requested files are on disk. CSV floats
-carry 17 significant digits so outputs are byte-identical across reruns.
+The config format is flat ``key = value`` lines under ``[section]`` headers;
+the section dataclasses below are its schema (FORMATS.md documents the keys).
+Every command writes its outputs atomically and exits 0 only when all
+requested files are on disk. CSV floats carry 17 significant digits so
+outputs are byte-identical across reruns.
 """
 
 import argparse
@@ -14,15 +15,16 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
+from typing import get_args
 
 import numpy as np
 
 from . import __version__
 from .errors import BudgetExceededError
 from .fourier_grid import DENSE_2D_LIMIT, Grid1D, Grid2D, harmonic_square_grid
-from .potentials import (PotentialSpec, analytic_levels, coulomb1d, harmonic,
-                         morse, triangle2d)
+from .potentials import (PARAMETERS, PotentialSpec, analytic_levels,
+                         coulomb1d, harmonic, morse, triangle2d)
 from .pruner import PruneRule, cell_table, select_cells
 from .semiclassics import scaling_report
 from .solver import EfficiencyPolicy, Pipeline, efficiency_scan
@@ -34,15 +36,31 @@ class ConfigError(ValueError):
 
 # ---------------------------------------------------------------------------
 # RunConfig and the config file format
+#
+# Each section dataclass is the only statement of its [section]: the fields
+# are the keys, the annotation picks the converter (an empty value of an
+# `X | None` field means None), the default is the default and a field
+# without one is required. Keys are written back in declaration order.
+
+
+@dataclass
+class PotentialConfig:
+    kind: str
+    hbar: float = 1.0
+    beta: float | None = None
+    charge: float | None = None
+    depth: float | None = None
+    mass: float | None = None
+    omega: float | None = None
 
 
 @dataclass
 class GridConfig:
     x_min: float
     length: float
-    n: int = 0          # 1-d point count; 0 when the grid is 2-d
-    nx: int = 0         # 2-d per-axis counts; 0 when the grid is 1-d
-    ny: int = 0
+    n: int | None = None     # 1-d point count
+    nx: int | None = None    # 2-d per-axis counts
+    ny: int | None = None
 
 
 @dataclass
@@ -76,9 +94,7 @@ class OutputConfig:
 
 @dataclass
 class RunConfig:
-    kind: str
-    params: dict
-    hbar: float
+    potential: PotentialConfig
     grid: GridConfig
     lattice: LatticeConfig | None = None
     prune: PruneConfig | None = None
@@ -86,25 +102,29 @@ class RunConfig:
     output: OutputConfig = field(default_factory=OutputConfig)
 
     def spec(self) -> PotentialSpec:
-        maker = _MAKERS[self.kind]
-        return maker(hbar=self.hbar, **self.params)
+        pot = self.potential
+        params = {key: getattr(pot, key) for key in PARAMETERS[pot.kind]
+                  if getattr(pot, key) is not None}
+        return _MAKERS[pot.kind](hbar=pot.hbar, **params)
 
+    @property
+    def hbar(self) -> float:  # read-only alias; perfbench/make_refs.py reads it
+        return self.potential.hbar
+
+
+# The [section] names and their dataclasses, read off RunConfig's fields.
+SECTION_CLASSES = {f.name: (get_args(f.type) or (f.type,))[0]
+                   for f in fields(RunConfig)}
 
 _MAKERS = {"harmonic": harmonic, "morse": morse, "triangle2d": triangle2d,
            "coulomb1d": coulomb1d}
 
-_SECTIONS = ("potential", "grid", "lattice", "prune", "solver", "output")
+_BOOLS = {"true": True, "1": True, "yes": True,
+          "false": False, "0": False, "no": False}
 
-_KEYS = {
-    "potential": {"kind", "hbar", "mass", "omega", "depth", "beta", "charge"},
-    "grid": {"x_min", "length", "n", "nx", "ny"},
-    "lattice": {"nx", "np", "alpha"},
-    "prune": {"e_cut", "margin", "auto_scale"},
-    "solver": {"basis", "n_states", "rcond", "digits", "long_running"},
-    "output": {"outdir", "seed"},
-}
-
-_PARAM_KEYS = {"mass", "omega", "depth", "beta", "charge"}
+_CONVERTERS = {str: (str, "a string"), int: (int, "an integer"),
+               float: (float, "a number"),
+               bool: (lambda text: _BOOLS[text.lower()], "a boolean")}
 
 
 def parse_config(text: str) -> RunConfig:
@@ -113,7 +133,9 @@ def parse_config(text: str) -> RunConfig:
     Unknown sections or keys, missing required fields, and malformed values
     all raise ConfigError naming the offending line or field.
     """
-    raw: dict = {name: {} for name in _SECTIONS}
+    keys = {name: {f.name for f in fields(cls)}
+            for name, cls in SECTION_CLASSES.items()}
+    raw: dict = {name: {} for name in keys}
     section = None
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
@@ -121,7 +143,7 @@ def parse_config(text: str) -> RunConfig:
             continue
         if body.startswith("[") and body.endswith("]"):
             section = body[1:-1].strip()
-            if section not in _SECTIONS:
+            if section not in keys:
                 raise ConfigError(f"line {lineno}: unknown section [{section}]")
             continue
         if "=" not in body:
@@ -129,134 +151,84 @@ def parse_config(text: str) -> RunConfig:
         if section is None:
             raise ConfigError(f"line {lineno}: key outside any [section]")
         key, value = (part.strip() for part in body.split("=", 1))
-        if key not in _KEYS[section]:
+        if key not in keys[section]:
             raise ConfigError(f"line {lineno}: unknown key '{key}' in [{section}]")
         raw[section][key] = value
+    cfg = RunConfig(**{f.name: _parse_section(f.name, SECTION_CLASSES[f.name],
+                                              raw[f.name])
+                       for f in fields(RunConfig)
+                       if raw[f.name] or f.default is not None})
 
-    pot = raw["potential"]
-    if "kind" not in pot:
-        raise ConfigError("missing potential.kind")
-    kind = pot["kind"]
+    kind = cfg.potential.kind
     if kind not in _MAKERS:
         raise ConfigError(f"potential.kind: unknown potential '{kind}'")
-    params = {k: _as_float(f"potential.{k}", v) for k, v in pot.items()
-              if k in _PARAM_KEYS}
-    hbar = _as_float("potential.hbar", pot.get("hbar", "1.0"))
-
-    g = raw["grid"]
-    for need in ("x_min", "length"):
-        if need not in g:
-            raise ConfigError(f"missing grid.{need}")
-    grid = GridConfig(x_min=_as_float("grid.x_min", g["x_min"]),
-                      length=_as_float("grid.length", g["length"]),
-                      n=_as_int("grid.n", g.get("n", "0")),
-                      nx=_as_int("grid.nx", g.get("nx", "0")),
-                      ny=_as_int("grid.ny", g.get("ny", "0")))
-    if grid.n == 0 and (grid.nx == 0 or grid.ny == 0):
+    for key, text in raw["potential"].items():
+        if key not in ("kind", "hbar", *PARAMETERS[kind]):
+            raise ConfigError(f"potential.{key}: not a {kind} parameter")
+        if text == "":  # optional only by omission: empty is not a number
+            raise ConfigError(f"potential.{key}: not a number: ''")
+    grid = cfg.grid
+    if not grid.n and not (grid.nx and grid.ny):
         raise ConfigError("grid needs n (1-d) or nx and ny (2-d)")
     if grid.n and (grid.nx or grid.ny):
         raise ConfigError("grid.n conflicts with grid.nx/grid.ny")
-
-    lattice = None
-    if raw["lattice"]:
-        lat = raw["lattice"]
-        for need in ("nx", "np"):
-            if need not in lat:
-                raise ConfigError(f"missing lattice.{need}")
-        lattice = LatticeConfig(
-            nx=_as_int("lattice.nx", lat["nx"]),
-            np=_as_int("lattice.np", lat["np"]),
-            alpha=(None if lat.get("alpha", "") == ""
-                   else _as_float("lattice.alpha", lat["alpha"])))
-
-    prune = None
-    if raw["prune"]:
-        pr = raw["prune"]
-        if "e_cut" not in pr:
-            raise ConfigError("missing prune.e_cut")
-        margin = pr.get("margin", "auto")
-        if margin != "auto":
-            _as_float("prune.margin", margin)
-        prune = PruneConfig(e_cut=_as_float("prune.e_cut", pr["e_cut"]),
-                            margin=margin,
-                            auto_scale=_as_float("prune.auto_scale",
-                                                 pr.get("auto_scale", "1.0")))
-
-    so = raw["solver"]
-    solver = SolverConfig(
-        basis=so.get("basis", "fgh"),
-        n_states=(None if so.get("n_states", "") == ""
-                  else _as_int("solver.n_states", so["n_states"])),
-        rcond=_as_float("solver.rcond", so.get("rcond", "1e-12")),
-        digits=_as_int("solver.digits", so.get("digits", "3")),
-        long_running=_as_bool("solver.long_running",
-                              so.get("long_running", "false")))
+    if cfg.prune is not None and cfg.prune.margin != "auto":
+        _convert("prune.margin", float, cfg.prune.margin)
+    solver = cfg.solver
     if solver.basis not in ("fgh", "pvn", "bvn", "vn"):
         raise ConfigError(f"solver.basis: unknown basis '{solver.basis}'")
     if solver.n_states is not None and solver.n_states < 1:
         raise ConfigError(f"solver.n_states: must be >= 1, got {solver.n_states}")
+    return cfg
 
-    out = raw["output"]
-    output = OutputConfig(outdir=out.get("outdir", "out"),
-                          seed=_as_int("output.seed", out.get("seed", "0")))
-    return RunConfig(kind=kind, params=params, hbar=hbar, grid=grid,
-                     lattice=lattice, prune=prune, solver=solver,
-                     output=output)
+
+def _parse_section(section: str, cls, values: dict):
+    """One section dataclass from its raw key -> text pairs."""
+    kwargs = {}
+    for f in fields(cls):
+        name = f"{section}.{f.name}"
+        if f.name in values:
+            kwargs[f.name] = _convert(name, f.type, values[f.name])
+        elif f.default is MISSING:
+            raise ConfigError(f"missing {name}")
+    return cls(**kwargs)
+
+
+def _convert(name: str, annotation, text: str):
+    """Config text to the annotated type; empty text of `X | None` is None."""
+    args = get_args(annotation)
+    if args:
+        if text == "":
+            return None
+        annotation = args[0]
+    convert, what = _CONVERTERS[annotation]
+    try:
+        return convert(text)
+    except (KeyError, ValueError):
+        raise ConfigError(f"{name}: not {what}: '{text}'") from None
+
+
+def _config_items(cfg: RunConfig):
+    """(section, key, text) of every set field, in declaration order."""
+    for sec in fields(cfg):
+        part = getattr(cfg, sec.name)
+        for f in fields(part) if part is not None else ():
+            value = getattr(part, f.name)
+            if isinstance(value, bool):
+                yield sec.name, f.name, "true" if value else "false"
+            elif isinstance(value, float):
+                yield sec.name, f.name, _g(value)
+            elif value is not None:
+                yield sec.name, f.name, str(value)
 
 
 def serialize_config(cfg: RunConfig) -> str:
     """Inverse of parse_config up to formatting; round-trips semantically."""
-    lines = ["[potential]", f"kind = {cfg.kind}", f"hbar = {_g(cfg.hbar)}"]
-    for key in sorted(cfg.params):
-        lines.append(f"{key} = {_g(cfg.params[key])}")
-    lines += ["", "[grid]", f"x_min = {_g(cfg.grid.x_min)}",
-              f"length = {_g(cfg.grid.length)}"]
-    if cfg.grid.n:
-        lines.append(f"n = {cfg.grid.n}")
-    else:
-        lines.append(f"nx = {cfg.grid.nx}")
-        lines.append(f"ny = {cfg.grid.ny}")
-    if cfg.lattice is not None:
-        lines += ["", "[lattice]", f"nx = {cfg.lattice.nx}",
-                  f"np = {cfg.lattice.np}"]
-        if cfg.lattice.alpha is not None:
-            lines.append(f"alpha = {_g(cfg.lattice.alpha)}")
-    if cfg.prune is not None:
-        lines += ["", "[prune]", f"e_cut = {_g(cfg.prune.e_cut)}",
-                  f"margin = {cfg.prune.margin}",
-                  f"auto_scale = {_g(cfg.prune.auto_scale)}"]
-    lines += ["", "[solver]", f"basis = {cfg.solver.basis}"]
-    if cfg.solver.n_states is not None:
-        lines.append(f"n_states = {cfg.solver.n_states}")
-    lines += [f"rcond = {_g(cfg.solver.rcond)}",
-              f"digits = {cfg.solver.digits}",
-              f"long_running = {'true' if cfg.solver.long_running else 'false'}"]
-    lines += ["", "[output]", f"outdir = {cfg.output.outdir}",
-              f"seed = {cfg.output.seed}", ""]
-    return "\n".join(lines)
-
-
-def _as_float(name: str, value: str) -> float:
-    try:
-        return float(value)
-    except ValueError:
-        raise ConfigError(f"{name}: not a number: '{value}'") from None
-
-
-def _as_int(name: str, value: str) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(f"{name}: not an integer: '{value}'") from None
-
-
-def _as_bool(name: str, value: str) -> bool:
-    low = value.lower()
-    if low in ("true", "1", "yes"):
-        return True
-    if low in ("false", "0", "no"):
-        return False
-    raise ConfigError(f"{name}: not a boolean: '{value}'")
+    blocks: dict = {}
+    for section, key, text in _config_items(cfg):
+        blocks.setdefault(section, []).append(f"{key} = {text}")
+    return "\n\n".join(f"[{section}]\n" + "\n".join(lines)
+                       for section, lines in blocks.items()) + "\n"
 
 
 def _g(x) -> str:
@@ -315,14 +287,6 @@ def read_csv(path: str):
 # Command implementations
 
 
-@dataclass
-class ResultBundle:
-    """Paths written by a command plus the flat metadata that went to meta.txt."""
-
-    paths: list
-    meta: dict
-
-
 def _build_grid(cfg: RunConfig):
     g = cfg.grid
     if g.n:
@@ -338,32 +302,23 @@ def _prune_rule(prune: PruneConfig) -> PruneRule:
 
 
 def _meta_base(cfg: RunConfig, command: str) -> dict:
-    meta = {"command": command, "version": __version__}
-    for line in serialize_config(cfg).splitlines():
-        body = line.strip()
-        if body.startswith("[") and body.endswith("]"):
-            section = body[1:-1]
-        elif body:
-            key, value = (part.strip() for part in body.split("=", 1))
-            meta[f"{section}.{key}"] = value
-    return meta
+    return {"command": command, "version": __version__,
+            **{f"{sec}.{key}": text for sec, key, text in _config_items(cfg)}}
 
 
 def _finish(out_dir: str, meta: dict, paths: list, t0: float,
-            quiet: bool) -> ResultBundle:
+            quiet: bool) -> None:
     meta["wall_time_s"] = f"{time.time() - t0:.3f}"
     meta["outputs"] = " ".join(os.path.basename(p) for p in paths)
     meta_path = os.path.join(out_dir, "meta.txt")
     write_text_atomic(meta_path,
                       "".join(f"{k} = {v}\n" for k, v in meta.items()))
-    paths = paths + [meta_path]
     if not quiet:
-        for p in paths:
+        for p in paths + [meta_path]:
             print(f"wrote {p}")
-    return ResultBundle(paths=paths, meta=meta)
 
 
-def cmd_solve(cfg: RunConfig, out_dir: str, quiet: bool = False) -> ResultBundle:
+def cmd_solve(cfg: RunConfig, out_dir: str, quiet: bool = False) -> None:
     """Run one basis pipeline end-to-end and write eigenvalues (+cells)."""
     t0 = time.time()
     meta = _meta_base(cfg, "solve")
@@ -402,11 +357,11 @@ def cmd_solve(cfg: RunConfig, out_dir: str, quiet: bool = False) -> ResultBundle
                   else ["x", "p", "h_cl", "kept"])
         write_csv(paths[1], header, [(*c, e, int(k)) for c, e, k in zip(
             centers.tolist(), h_cl.tolist(), mask.kept)])
-    return _finish(out_dir, meta, paths, t0, quiet)
+    _finish(out_dir, meta, paths, t0, quiet)
 
 
 def cmd_sweep(cfg: RunConfig, sizes, index: int, methods,
-              out_dir: str, quiet: bool = False) -> ResultBundle:
+              out_dir: str, quiet: bool = False) -> None:
     """Convergence of one eigenvalue vs basis size, per method.
 
     The reference is the analytic level for potentials that have one. The
@@ -417,7 +372,7 @@ def cmd_sweep(cfg: RunConfig, sizes, index: int, methods,
     meta = _meta_base(cfg, "sweep")
     spec = cfg.spec()
     levels = analytic_levels(spec, n_max=index)
-    if index >= levels.size:
+    if not 0 <= index < levels.size:
         raise ConfigError(f"sweep index {index} outside the analytic table")
     for method in methods:
         if method not in ("fgh", "pvn", "vn"):
@@ -428,7 +383,7 @@ def cmd_sweep(cfg: RunConfig, sizes, index: int, methods,
     rows = []
     for method in methods:
         for size in sizes:
-            if cfg.kind == "harmonic":
+            if cfg.potential.kind == "harmonic":
                 # keep the phase-space box square as the grid grows, the
                 # natural box schedule for basis-size convergence plots
                 grid = harmonic_square_grid(size, spec.params["mass"],
@@ -442,11 +397,11 @@ def cmd_sweep(cfg: RunConfig, sizes, index: int, methods,
                 rows.append((method, size, energy, abs(energy - target)))
     csv_path = os.path.join(out_dir, "convergence.csv")
     write_csv(csv_path, ["method", "basis_size", "energy", "abs_error"], rows)
-    return _finish(out_dir, meta, [csv_path], t0, quiet)
+    _finish(out_dir, meta, [csv_path], t0, quiet)
 
 
 def cmd_efficiency(cfg: RunConfig, hbars, out_dir: str,
-                   quiet: bool = False) -> ResultBundle:
+                   quiet: bool = False) -> None:
     """Smallest basis per method and per hbar; ratio = size / levels."""
     t0 = time.time()
     meta = _meta_base(cfg, "efficiency")
@@ -477,19 +432,17 @@ def cmd_efficiency(cfg: RunConfig, hbars, out_dir: str,
     write_csv(csv_path,
               ["hbar", "method", "basis_size", "n_converged", "ratio",
                "status"], rows)
-    return _finish(out_dir, meta, [csv_path], t0, quiet)
+    _finish(out_dir, meta, [csv_path], t0, quiet)
 
 
 def cmd_scaling(cfg: RunConfig, dims, energy: float, n_samples: int,
-                out_dir: str, seed: int | None = None,
-                quiet: bool = False) -> ResultBundle:
+                out_dir: str, quiet: bool = False) -> None:
     """Volume and state-count scaling table across dimension."""
     t0 = time.time()
     meta = _meta_base(cfg, "scaling")
-    use_seed = cfg.output.seed if seed is None else seed
-    meta["scaling.seed"] = str(use_seed)
+    meta["scaling.seed"] = str(cfg.output.seed)
     rows = scaling_report(cfg.spec(), dims, energy, n_samples=n_samples,
-                          seed=use_seed)
+                          seed=cfg.output.seed)
     csv_path = os.path.join(out_dir, "scaling.csv")
     write_csv(csv_path,
               ["D", "V_mc", "V_mc_stderr", "V_semiclassical",
@@ -498,7 +451,7 @@ def cmd_scaling(cfg: RunConfig, dims, energy: float, n_samples: int,
               [(r.ndim, r.v_mc, r.v_mc_err, r.v_simplex, r.v_exponential,
                 r.n_exact, r.n_limit_power, r.n_limit_factorial, r.box_ratio)
                for r in rows])
-    return _finish(out_dir, meta, [csv_path], t0, quiet)
+    _finish(out_dir, meta, [csv_path], t0, quiet)
 
 
 # ---------------------------------------------------------------------------
@@ -523,8 +476,7 @@ def _nice_ticks(lo: float, hi: float, target: int = 5):
     if hi <= lo:
         hi = lo + 1.0
     span = hi - lo
-    raw = span / target
-    mag = 10.0 ** math.floor(math.log10(raw))
+    mag = 10.0 ** math.floor(math.log10(span / target))
     for mult in (1.0, 2.0, 5.0, 10.0):
         step = mult * mag
         if span / step <= target:
@@ -543,8 +495,7 @@ def _fmt_tick(value: float) -> str:
         return "0"
     if abs(value) >= 1e4 or abs(value) < 1e-3:
         return f"{value:.0e}"
-    text = f"{value:.6g}"
-    return text
+    return f"{value:.6g}"
 
 
 class _Frame:
@@ -594,10 +545,7 @@ def _axes(frame: _Frame, x_label: str, y_label: str):
         lines.append(f'<text x="{px:.1f}" y="{y0 + 18}" font-size="11" '
                      f'text-anchor="middle">{_fmt_tick(tick)}</text>')
     if frame.log_y:
-        lo = math.floor(frame.y_lo)
-        hi = math.ceil(frame.y_hi)
-        decades = range(int(lo), int(hi) + 1)
-        for d in decades:
+        for d in range(math.floor(frame.y_lo), math.ceil(frame.y_hi) + 1):
             if d < frame.y_lo - 1e-9 or d > frame.y_hi + 1e-9:
                 continue
             py = frame.py(d)
@@ -634,15 +582,10 @@ def _polyline(frame: _Frame, xs, ys, color: str, label: str, slot: int):
 
 
 def _series_by(rows, key: str):
-    order = []
-    groups = {}
+    groups: dict = {}
     for row in rows:
-        name = row[key]
-        if name not in groups:
-            groups[name] = []
-            order.append(name)
-        groups[name].append(row)
-    return [(name, groups[name]) for name in order]
+        groups.setdefault(row[key], []).append(row)
+    return list(groups.items())
 
 
 def render_plot(kind: str, csv_path: str, timestamp: bool = True) -> str:
@@ -744,14 +687,12 @@ def _min_spacing(values) -> float:
 
 
 def cmd_plot(csv_path: str, kind: str, out_path: str,
-             timestamp: bool = True, quiet: bool = False) -> ResultBundle:
+             timestamp: bool = True, quiet: bool = False) -> None:
     """Render one CSV into a standalone SVG file."""
     svg = render_plot(kind, csv_path, timestamp=timestamp)
     write_text_atomic(out_path, svg)
     if not quiet:
         print(f"wrote {out_path}")
-    return ResultBundle(paths=[out_path], meta={"command": "plot",
-                                                "kind": kind})
 
 
 # ---------------------------------------------------------------------------
@@ -855,7 +796,7 @@ def main(argv=None) -> int:
                 raise ConfigError("scaling needs --energy or prune.e_cut")
             energy = args.energy if args.energy is not None else cfg.prune.e_cut
             cmd_scaling(cfg, args.dims, energy, args.samples, out_dir,
-                        seed=args.seed, quiet=args.quiet)
+                        quiet=args.quiet)
         return 0
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

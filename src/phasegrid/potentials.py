@@ -9,7 +9,8 @@ from .errors import NotAvailableError, SingularPointError
 
 KINDS = ("harmonic", "morse", "triangle2d", "coulomb1d", "tabulated")
 
-_REQUIRED = {
+# The parameters each kind takes; PotentialSpec requires all of them.
+PARAMETERS = {
     "harmonic": ("mass", "omega"),
     "morse": ("depth", "beta", "mass"),
     "triangle2d": ("mass",),
@@ -35,7 +36,7 @@ class PotentialSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown potential kind {self.kind!r}")
-        for name in _REQUIRED[self.kind]:
+        for name in PARAMETERS[self.kind]:
             if name not in self.params:
                 raise ValueError(f"{self.kind} potential requires parameter {name!r}")
         for name in _POSITIVE:

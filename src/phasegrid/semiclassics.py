@@ -155,14 +155,8 @@ def minimal_box(spec: PotentialSpec, energy: float, ndim: int) -> PhaseSpaceBox:
 
 
 def packing_ratio_1d(spec: PotentialSpec, energy: float,
-                     box: PhaseSpaceBox | None = None,
-                     hbar: float | None = None) -> float:
-    """Orbit area divided by the area of its enclosing box.
-
-    Independent of hbar; the argument is accepted only so callers can keep a
-    uniform signature.
-    """
-    del hbar
+                     box: PhaseSpaceBox | None = None) -> float:
+    """Orbit area over the area of its enclosing box; independent of hbar."""
     if box is None:
         box = minimal_box(spec, energy, 1)
     if box.ndim != 1:

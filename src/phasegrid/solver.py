@@ -108,6 +108,8 @@ def solve_generalized(problem: GeneralizedProblem,
     whitened subspace; a significantly negative metric eigenvalue is
     rejected. Eigenvectors are computed only when want_vectors is set.
     """
+    if problem.size == 0:
+        raise ValueError("empty pencil: no basis function to solve for")
     h = 0.5 * (problem.h + problem.h.conj().T)
     s = 0.5 * (problem.s + problem.s.conj().T)
     try:

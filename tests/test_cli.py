@@ -1,5 +1,6 @@
 """Config grammar, commands, CSV/SVG outputs, exit codes."""
 
+import dataclasses
 import glob
 import os
 import re
@@ -10,6 +11,7 @@ import pytest
 
 import phasegrid as pg
 from phasegrid import cli
+from phasegrid.potentials import PARAMETERS
 
 HARMONIC_CFG = """\
 [potential]
@@ -106,11 +108,57 @@ def test_shipped_configs_parse_and_roundtrip():
      "solver.n_states"),
     (lambda t: t.replace("basis = pvn", "basis = pvn\nn_states = -3"),
      "solver.n_states"),
+    (lambda t: t.replace("omega = 1", "omega = 1\ndepth = 3"),
+     "potential.depth"),
+    (lambda t: t.replace("omega = 1", "omega ="),
+     "potential.omega: not a number"),
 ])
 def test_parse_errors_name_the_field(mangle, needle):
     with pytest.raises(cli.ConfigError) as err:
         cli.parse_config(mangle(HARMONIC_CFG))
     assert needle in str(err.value)
+
+
+def test_formats_md_lists_every_config_key():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "FORMATS.md")
+    documented, section = {}, None
+    for line in open(path).read().splitlines():
+        header = re.match(r"### `\[(\w+)\]`", line)
+        if header:
+            section = header.group(1)
+            documented[section] = set()
+        elif line.startswith("## "):
+            section = None
+        elif section and line.startswith("| `"):
+            documented[section] |= set(re.findall(r"`(\w+)`",
+                                                  line.split("|")[1]))
+    assert documented == {name: {f.name for f in dataclasses.fields(cls)}
+                          for name, cls in cli.SECTION_CLASSES.items()}
+
+
+def test_potential_fields_are_the_kinds_parameters():
+    params = set().union(*(PARAMETERS[kind] for kind in cli._MAKERS))
+    assert ({f.name for f in dataclasses.fields(cli.PotentialConfig)}
+            == {"kind", "hbar"} | params)
+
+
+def test_meta_echoes_the_serialized_config(tmp_path):
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                        "morse_bvn.cfg")
+    out = str(tmp_path / "out")
+    assert cli.main(["solve", "--config", path, "--out", out, "--quiet"]) == 0
+    with open(path) as fh:
+        text = cli.serialize_config(cli.parse_config(fh.read()))
+    expected, section = [], None
+    for line in text.splitlines():
+        if line.startswith("["):
+            section = line[1:-1]
+        elif line:
+            expected.append(f"{section}.{line}")
+    with open(os.path.join(out, "meta.txt")) as fh:
+        echoed = [line for line in fh.read().splitlines()
+                  if line.split(".", 1)[0] in cli.SECTION_CLASSES]
+    assert echoed == expected
 
 
 def test_17_digit_float_format():
@@ -290,10 +338,11 @@ def test_sweep_convergence_orders_methods(tmp_path):
     assert vn[2] > 100 * fgh[2]
 
 
-def test_sweep_index_outside_table(tmp_path, capsys):
+@pytest.mark.parametrize("index", ["40", "-1"])
+def test_sweep_index_outside_table(tmp_path, capsys, index):
     cfg = _write(tmp_path, MORSE_CFG)
     assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "s"),
-                     "--quiet", "--sizes", "36", "--index", "40"]) == 2
+                     "--quiet", "--sizes", "36", "--index", index]) == 2
     assert "index" in capsys.readouterr().err
 
 

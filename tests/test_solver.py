@@ -35,6 +35,14 @@ def test_generalized_solver_rejects_indefinite_metric():
         pg.solve_generalized(pg.GeneralizedProblem(h, s, "bvn"))
 
 
+def test_empty_pencil_raises_before_lapack(capfd):
+    pipe = pg.Pipeline(pg.morse(), pg.Grid1D(-1.6, 21.7, 100), "bvn",
+                       shape=(10, 10))
+    with pytest.raises(ValueError, match="empty pencil"):
+        pipe.solve(pg.PruneMask(np.zeros(100, dtype=bool)))
+    assert "DPOCON" not in capfd.readouterr().err
+
+
 def test_problem_shape_validation():
     with pytest.raises(ValueError):
         pg.GeneralizedProblem(np.eye(3), np.eye(4), "bvn")

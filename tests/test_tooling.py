@@ -4,13 +4,16 @@ import importlib
 import json
 import os
 import pathlib
+import re
 import runpy
 import subprocess
 import sys
 
 import pytest
 
-TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
+MAKE_REFS = ROOT / "perfbench" / "make_refs.py"
 
 
 @pytest.mark.skipif(not TRACER.exists(), reason="perfbench/tracer.py absent")
@@ -27,6 +30,19 @@ def test_benchmark_tracer_names_resolve():
             if not callable(owner):
                 missing.append(f"phasegrid.{mod_name}.{dotted}")
     assert not missing, f"names the benchmark tracer wraps are gone: {missing}"
+
+
+@pytest.mark.skipif(not MAKE_REFS.exists(), reason="perfbench/make_refs.py absent")
+def test_reference_script_config_reads_resolve():
+    from phasegrid.cli import parse_config
+    reads = re.findall(r'_config\("([^"]+)"\)((?:\.\w+)+)',
+                       MAKE_REFS.read_text())
+    assert reads
+    for path, chain in reads:
+        owner = parse_config((ROOT / path).read_text())
+        for part in chain[1:].split("."):
+            owner = getattr(owner, part)
+        assert isinstance(owner, float), f"{path}{chain}"
 
 
 TRIANGLE_CFG = """\
