@@ -16,7 +16,7 @@ from .potentials import (PhasePoint, PotentialSpec, analytic_levels,
                          classical_hamiltonian, coulomb1d, evaluate,
                          harmonic, morse, morse_frequency, tabulated,
                          triangle2d, triangle_alpha)
-from .pruner import PruneMask, PruneRule, cell_table, mask_apply, select_cells
+from .pruner import PruneMask, PruneRule, cell_table, select_cells
 from .semiclassics import (PhaseSpaceBox, ScalingRow, VolumeEstimate,
                            mc_phase_volume, minimal_box, packing_ratio_1d,
                            phase_area_1d, scaling_report, state_count_exact,

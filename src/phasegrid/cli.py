@@ -21,7 +21,7 @@ from typing import get_args
 import numpy as np
 
 from . import __version__
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, UnboundedOrbitError
 from .fourier_grid import DENSE_2D_LIMIT, Grid1D, Grid2D, harmonic_square_grid
 from .potentials import (PARAMETERS, PotentialSpec, analytic_levels,
                          coulomb1d, harmonic, morse, triangle2d)
@@ -324,10 +324,11 @@ def cmd_solve(cfg: RunConfig, out_dir: str, quiet: bool = False) -> None:
     meta = _meta_base(cfg, "solve")
     grid = _build_grid(cfg)
     basis, two_d, lat = cfg.solver.basis, isinstance(grid, Grid2D), cfg.lattice
-    if two_d and grid.size > DENSE_2D_LIMIT and not cfg.solver.long_running:
+    if (two_d and basis == "fgh" and grid.size > DENSE_2D_LIMIT
+            and not cfg.solver.long_running):
         raise ConfigError(
             f"grid has {grid.size} points (> {DENSE_2D_LIMIT}); pass "
-            "--long-running to enable the large matrix-free path")
+            "--long-running to enable the matrix-free Lanczos fgh solve")
     if two_d and basis in ("pvn", "vn"):
         raise ConfigError(f"basis '{basis}' supports only 1-d grids")
     if basis != "fgh" and lat is None:
@@ -374,6 +375,8 @@ def cmd_sweep(cfg: RunConfig, sizes, index: int, methods,
     levels = analytic_levels(spec, n_max=index)
     if not 0 <= index < levels.size:
         raise ConfigError(f"sweep index {index} outside the analytic table")
+    if any(size <= 0 or size % 2 for size in sizes):
+        raise ConfigError(f"sweep --sizes must be positive and even: {sizes}")
     for method in methods:
         if method not in ("fgh", "pvn", "vn"):
             raise ConfigError(f"sweep method '{method}' not supported")
@@ -395,6 +398,8 @@ def cmd_sweep(cfg: RunConfig, sizes, index: int, methods,
             if index < len(energies):
                 energy = float(energies[index])
                 rows.append((method, size, energy, abs(energy - target)))
+    if not rows:
+        raise ConfigError(f"sweep --index {index}: no size in {sizes} has it")
     csv_path = os.path.join(out_dir, "convergence.csv")
     write_csv(csv_path, ["method", "basis_size", "energy", "abs_error"], rows)
     _finish(out_dir, meta, [csv_path], t0, quiet)
@@ -441,8 +446,11 @@ def cmd_scaling(cfg: RunConfig, dims, energy: float, n_samples: int,
     t0 = time.time()
     meta = _meta_base(cfg, "scaling")
     meta["scaling.seed"] = str(cfg.output.seed)
-    rows = scaling_report(cfg.spec(), dims, energy, n_samples=n_samples,
-                          seed=cfg.output.seed)
+    try:
+        rows = scaling_report(cfg.spec(), dims, energy, n_samples=n_samples,
+                              seed=cfg.output.seed)
+    except UnboundedOrbitError as exc:
+        raise ConfigError(f"--energy (default prune.e_cut): {exc}") from None
     csv_path = os.path.join(out_dir, "scaling.csv")
     write_csv(csv_path,
               ["D", "V_mc", "V_mc_stderr", "V_semiclassical",
@@ -731,7 +739,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
         p.add_argument("--long-running", action="store_true",
-                       help="allow full-resolution runs (large 2-d grids)")
+                       help="allow the 2-d Lanczos fgh solve (> 5000 points)")
         p.add_argument("--quiet", action="store_true")
 
     p_solve = sub.add_parser("solve", help="one spectrum, one basis")

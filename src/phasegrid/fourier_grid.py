@@ -164,10 +164,6 @@ class FghOperator2D:
     def shape(self):
         return (self.grid.size, self.grid.size)
 
-    @property
-    def dtype(self):
-        return np.result_type(self.tx, self.v_diag)
-
     def apply(self, m: np.ndarray) -> np.ndarray:
         """H @ m for m of shape (size,) or (size, k)."""
         single = m.ndim == 1

@@ -8,7 +8,7 @@ retained.
 """
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -129,18 +129,3 @@ def select_cells(lattices, spec: PotentialSpec, rule: PruneRule) -> PruneMask:
     else:
         margins = np.full(h_cl.shape, float(rule.margin))
     return PruneMask(kept=h_cl <= rule.e_cut + margins)
-
-
-def mask_apply(m: np.ndarray, mask: PruneMask, mode: str = "columns") -> np.ndarray:
-    """Restrict a matrix to kept columns, or to kept rows and columns."""
-    if mode not in ("columns", "both"):
-        raise ValueError(f"unknown mode {mode!r}")
-    idx = mask.indices
-    if m.shape[-1] != mask.size:
-        raise ValueError("matrix width does not match the mask length")
-    out = m[:, idx]
-    if mode == "both":
-        if m.shape[0] != mask.size:
-            raise ValueError("matrix height does not match the mask length")
-        out = out[idx, :]
-    return np.ascontiguousarray(out)

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import integrate, optimize
 
 from . import _kernels
 from .errors import (BudgetExceededError, DegenerateEstimateError,
@@ -105,10 +104,11 @@ def _turning_points_table(spec: PotentialSpec, energy: float):
     def v_of(x):
         return float(np.interp(x, xs, vs)) - energy
 
+    from scipy.optimize import brentq  # deferred: costly, rarely needed
     il = np.flatnonzero(f[: i0 + 1] >= 0)[-1]
     ir = i0 + np.flatnonzero(f[i0:] >= 0)[0]
-    xl = optimize.brentq(v_of, xs[il], xs[min(il + 1, len(xs) - 1)])
-    xr = optimize.brentq(v_of, xs[max(ir - 1, 0)], xs[ir])
+    xl = brentq(v_of, xs[il], xs[min(il + 1, len(xs) - 1)])
+    xr = brentq(v_of, xs[max(ir - 1, 0)], xs[ir])
     return float(xl), float(xr)
 
 
@@ -119,6 +119,7 @@ def phase_area_1d(spec: PotentialSpec, energy: float) -> float:
     at the turning points before handing the integrand to adaptive
     quadrature.
     """
+    from scipy.integrate import quad  # deferred: costly, rarely needed
     xl, xr = turning_points(spec, energy)
     c = 0.5 * (xl + xr)
     r = 0.5 * (xr - xl)
@@ -131,8 +132,7 @@ def phase_area_1d(spec: PotentialSpec, energy: float) -> float:
             gap = 0.0
         return math.sqrt(2.0 * m * gap) * r * math.cos(t)
 
-    val, _ = integrate.quad(integrand, -0.5 * math.pi, 0.5 * math.pi,
-                            limit=200)
+    val, _ = quad(integrand, -0.5 * math.pi, 0.5 * math.pi, limit=200)
     return 2.0 * val
 
 

@@ -75,23 +75,31 @@ def assemble_bvn_2d(h_op: FghOperator2D, bx: np.ndarray, by: np.ndarray,
                     mask: PruneMask) -> GeneralizedProblem:
     """Two-dimensional pruned projection with a Kronecker-factored basis.
 
-    The kept columns of kron(By, Bx) are materialized individually (never
-    the full product), the Hamiltonian is applied through the matrix-free
-    `h_op`, and the metric entries factorize as Sy_inv[cy, cy'] *
-    Sx_inv[cx, cx'].
+    Kept cell k = (cx, cy) is the column kron(By[:, cy], Bx[:, cx]), which is
+    never formed. With W[x] = By^H (Ty + diag v[:, x]) By and Sy = By^H By,
+    the rows of one cy = a take one GEMM over the grid x,
+    H[rows] = Bx[:, cx_rows]^H (W[x, a, cy] Bx[:, cx] + Sy[a, cy] (Tx Bx)[:, cx]),
+    and S[k, k'] = Sy_inv[cy, cy'] Sx_inv[cx, cx'], so memory stays
+    O(n_kept^2 + Ny^2 Nx). `solve_generalized` symmetrizes the pencil.
     """
-    nx = bx.shape[1]
+    ncx = bx.shape[1]
     idx = mask.indices
-    if mask.size != nx * by.shape[1]:
+    if mask.size != ncx * by.shape[1]:
         raise ValueError("mask length does not match the product basis size")
-    cx = idx % nx
-    cy = idx // nx
-    bk = np.einsum("yk,xk->yxk", by[:, cy], bx[:, cx])
-    bk = bk.reshape(by.shape[0] * bx.shape[0], idx.size)
-    h = bk.conj().T @ h_op.apply(bk)
-    s = sy_inv[np.ix_(cy, cy)] * sx_inv[np.ix_(cx, cx)]
-    return GeneralizedProblem(0.5 * (h + h.conj().T), 0.5 * (s + s.conj().T),
-                              "bvn")
+    cx, cy = idx % ncx, idx // ncx
+    v2d = h_op.v_diag.reshape(by.shape[0], bx.shape[0])
+    w = np.tensordot(v2d, by.conj()[:, :, None] * by[:, None, :], axes=(0, 0))
+    w += by.conj().T @ h_op.ty @ by
+    sy = by.conj().T @ by
+    bxk, tbxk = bx[:, cx], (h_op.tx @ bx)[:, cx]
+    h = np.empty((idx.size, idx.size), np.result_type(bx, by, h_op.tx))
+    s = np.empty((idx.size, idx.size), np.result_type(sx_inv, sy_inv))
+    for a in np.unique(cy):  # idx ascends: the rows of one cy are a block
+        lo, hi = np.searchsorted(cy, [a, a + 1])
+        op = w[:, a, cy] * bxk + sy[a, cy] * tbxk
+        h[lo:hi] = bxk[:, lo:hi].conj().T @ op
+        s[lo:hi] = sx_inv[np.ix_(cx[lo:hi], cx)] * sy_inv[a, cy]
+    return GeneralizedProblem(h, s, "bvn")
 
 
 def solve_generalized(problem: GeneralizedProblem,
@@ -110,12 +118,13 @@ def solve_generalized(problem: GeneralizedProblem,
     """
     if problem.size == 0:
         raise ValueError("empty pencil: no basis function to solve for")
-    h = 0.5 * (problem.h + problem.h.conj().T)
-    s = 0.5 * (problem.s + problem.s.conj().T)
+    # private Fortran-ordered copies, which LAPACK overwrites in place
+    h = 0.5 * np.add(problem.h, problem.h.conj().T, order="F")
+    s = 0.5 * np.add(problem.s, problem.s.conj().T, order="F")
     try:
-        c = scipy.linalg.cholesky(s)
-        pocon = scipy.linalg.get_lapack_funcs("pocon", (c,))
-        rc, _ = pocon(c, np.linalg.norm(s, 1))  # estimate of 1 / cond_1(S)
+        pocon = scipy.linalg.get_lapack_funcs("pocon", (s,))
+        s_norm = np.linalg.norm(s, 1)  # taken before the factor exists
+        rc, _ = pocon(scipy.linalg.cholesky(s), s_norm)  # ~ 1 / cond_1(S)
     except scipy.linalg.LinAlgError:
         rc = 0.0
     if rc * cond_switch >= 1.0:
@@ -130,7 +139,8 @@ def solve_generalized(problem: GeneralizedProblem,
         keep = w > rcond * w[-1]
         white = u[:, keep] / np.sqrt(w[keep])
         a, b = white.conj().T @ h @ white, None
-    out = scipy.linalg.eigh(a, b, eigvals_only=not want_vectors)
+    out = scipy.linalg.eigh(a, b, eigvals_only=not want_vectors,
+                            overwrite_a=True, overwrite_b=True)
     vals, vecs = out if want_vectors else (out, None)
     if want_vectors:
         vecs = (vecs if white is None else white @ vecs)[:, :n_states]

@@ -256,6 +256,41 @@ outdir = out
     assert "--long-running" in capsys.readouterr().err
 
 
+def test_large_2d_bvn_needs_no_long_running(tmp_path):
+    # 72 x 72 = 5184 points is above the gate, which holds only 2-d fgh
+    text = """\
+[potential]
+kind = triangle2d
+mass = 96
+
+[grid]
+x_min = -8
+length = 16
+nx = 72
+ny = 72
+
+[lattice]
+nx = 8
+np = 9
+
+[prune]
+e_cut = 0.15
+
+[solver]
+basis = bvn
+n_states = 5
+
+[output]
+outdir = out
+"""
+    cfg = _write(tmp_path, text)
+    out = tmp_path / "big"
+    assert cli.main(["solve", "--config", cfg, "--out", str(out),
+                     "--quiet"]) == 0
+    meta = (out / "meta.txt").read_text()
+    assert "n_cells = 5184" in meta and "n_levels = 5" in meta
+
+
 TRIANGLE_CFG = """\
 [potential]
 kind = triangle2d
@@ -294,6 +329,12 @@ outdir = out
      ["solve"], "needs a [prune] section"),
     (HARMONIC_CFG, ["sweep", "--sizes", "16", "--methods", "fgh,dvr"],
      "sweep method 'dvr' not supported"),
+    (HARMONIC_CFG, ["sweep", "--sizes", "0"], "--sizes must be positive"),
+    (HARMONIC_CFG, ["sweep", "--sizes", "4", "--index", "7"],
+     "no size in [4] has it"),
+    # MORSE_CFG has prune.e_cut = depth = 12, the default shell energy
+    (MORSE_CFG, ["scaling"], "--energy (default prune.e_cut): energy 12.0"),
+    (MORSE_CFG, ["scaling", "--energy", "13"], "well depth 12"),
 ])
 def test_config_errors_exit_2(tmp_path, capsys, text, argv, needle):
     cfg = _write(tmp_path, text)

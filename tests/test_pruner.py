@@ -58,24 +58,6 @@ def test_rule_validation():
         pg.PruneRule(1.0, "auto", auto_scale=-1.0)
 
 
-def test_mask_apply_shapes():
-    lat, _ = _lattice_1d()
-    spec = pg.morse()
-    mask = pg.select_cells(lat, spec, pg.PruneRule(12.0, "auto"))
-    m = np.arange(100 * 100, dtype=float).reshape(100, 100)
-    cols = pg.mask_apply(m, mask, mode="columns")
-    both = pg.mask_apply(m, mask, mode="both")
-    assert cols.shape == (100, mask.n_kept)
-    assert both.shape == (mask.n_kept, mask.n_kept)
-    np.testing.assert_array_equal(cols[:, 0], m[:, mask.indices[0]])
-    np.testing.assert_array_equal(
-        both, m[np.ix_(mask.indices, mask.indices)])
-    with pytest.raises(ValueError):
-        pg.mask_apply(m[:, :7], mask, mode="columns")
-    with pytest.raises(ValueError):
-        pg.mask_apply(m, mask, mode="rows")
-
-
 def test_2d_product_cells():
     gx = pg.Grid1D(-6.0, 12.0, 16)
     lat_x = pg.VnLattice.from_grid(gx, 4, 4)

@@ -5,6 +5,8 @@ basis with the same span as the complex Gaussians. The complex bundle is
 rebuilt here from its parts to check that nothing observable changed.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -162,3 +164,65 @@ def test_eigenvalues_only_matches_vectors_path():
         assert some.eigenvectors.shape == (prob.size, 5)
         np.testing.assert_allclose(some.energies, only.energies[:5],
                                    rtol=0, atol=1e-10)
+
+
+def _materialized_assembly(h_op, bx, by, sx_inv, sy_inv, mask):
+    """Pencil from the kept columns of kron(By, Bx) and the dense grid H."""
+    cx = mask.indices % bx.shape[1]
+    cy = mask.indices // bx.shape[1]
+    bk = np.einsum("yk,xk->yxk", by[:, cy], bx[:, cx])
+    bk = bk.reshape(by.shape[0] * bx.shape[0], mask.n_kept)
+    h = bk.conj().T @ h_op.to_dense() @ bk
+    return h, sy_inv[np.ix_(cy, cy)] * sx_inv[np.ix_(cx, cx)]
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("complex_b", [False, True])
+@pytest.mark.parametrize("axes", [((16, 4, 4), (16, 4, 4)),
+                                  ((16, 2, 8), (12, 3, 4)),
+                                  ((12, 4, 3), (18, 6, 3))])
+def test_factorized_assembly_matches_materialized_columns(axes, complex_b,
+                                                          seed):
+    grids, lats, bundles = [], [], []
+    for n, n_x, n_p in axes:
+        grids.append(pg.Grid1D(-6.0, 12.0, n))
+        lats.append(pg.VnLattice.from_grid(grids[-1], n_x, n_p))
+        if complex_b:
+            bundles.append(_complex_bundle(lats[-1], grids[-1]))
+        else:
+            real = pg.build_basis(lats[-1], grids[-1], allow_pseudo=True)
+            bundles.append((real.B, real.S_inv))
+    h_op = pg.hamiltonian_fgh(pg.Grid2D(*grids), pg.triangle2d(mass=30.0))
+    rng = np.random.default_rng(200 + seed)
+    r = rng.random((lats[1].size, lats[0].size)) < rng.uniform(0.2, 0.6)
+    r = r | r[:, lats[0].mirror]
+    r = r | r[lats[1].mirror, :]
+    mask = pg.PruneMask(kept=r.ravel())
+    (bx, sx_inv), (by, sy_inv) = bundles
+    prob = pg.assemble_bvn_2d(h_op, bx, by, sx_inv, sy_inv, mask)
+    h_ref, s_ref = _materialized_assembly(h_op, bx, by, sx_inv, sy_inv, mask)
+    assert prob.size == mask.n_kept
+    assert np.iscomplexobj(prob.h) == complex_b
+    tol = 1e-12 * np.abs(h_ref).max()
+    assert np.max(np.abs(prob.h - h_ref)) < tol
+    assert np.max(np.abs(prob.s - s_ref)) < 1e-12 * np.abs(s_ref).max()
+
+
+def test_factorized_assembly_memory_scales_with_the_pencil():
+    gx = pg.Grid1D(-6.0, 12.0, 32)
+    spec = pg.triangle2d(mass=30.0)
+    lat = pg.VnLattice.from_grid(gx, 4, 8)
+    h_op = pg.hamiltonian_fgh(pg.Grid2D(gx, gx), spec)
+    basis = pg.build_basis(lat, gx, allow_pseudo=True)
+    mask = pg.select_cells((lat, lat), spec, pg.PruneRule(0.5, "auto"))
+    assert 0 < mask.n_kept < mask.size // 2
+    tracemalloc.start()
+    try:
+        pg.assemble_bvn_2d(h_op, basis.B, basis.B, basis.S_inv, basis.S_inv,
+                           mask)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # H and S themselves take 2 n_kept^2 doubles; a grid-by-kept array
+    # (1024 x n_kept) and its operator copies would take several more
+    assert peak < 4 * mask.n_kept**2 * 8

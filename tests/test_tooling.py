@@ -45,6 +45,18 @@ def test_reference_script_config_reads_resolve():
         assert isinstance(owner, float), f"{path}{chain}"
 
 
+def test_cli_import_leaves_out_scipy_optimize_and_integrate():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run(
+        [sys.executable, "-c", "import sys, phasegrid.cli; print(sorted("
+         "m for m in ('scipy.optimize', 'scipy.integrate') "
+         "if m in sys.modules))"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
+
+
 TRIANGLE_CFG = """\
 [potential]
 kind = triangle2d
@@ -98,7 +110,7 @@ def test_traced_layers_see_the_pruned_2d_solve(tmp_path):
     assert layers["vn_basis.build_basis_calls"] == 2
     assert layers["pruner.select_calls"] == 1
     assert layers["solver.eig_calls"] == 1
-    assert layers["fourier_grid.apply_cols"] == n_kept
+    assert layers["fourier_grid.apply_cols"] == 0  # assembly never applies H
     assert layers["solver.assemble_s"] > 0
 
 
