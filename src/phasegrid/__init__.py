@@ -25,7 +25,7 @@ from .semiclassics import (PhaseSpaceBox, ScalingRow, VolumeEstimate,
 from .solver import (EfficiencyPoint, EfficiencyPolicy, GeneralizedProblem,
                      Pipeline, assemble_bvn, assemble_bvn_2d, assemble_pvn,
                      count_converged, efficiency_scan, solve_generalized)
-from .spectra import Spectrum, make_spectrum
+from .spectra import Spectrum
 from .vn_basis import (BasisMatrices, VnLattice, build_basis, build_bvn,
                        build_G, build_overlap, continuous_vn_matrices,
                        gaussian_eval, invert_overlap)

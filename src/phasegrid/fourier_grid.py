@@ -14,7 +14,7 @@ import scipy.linalg
 
 from .errors import NumericFailureError, SingularPointError
 from .potentials import PotentialSpec, evaluate
-from .spectra import Spectrum, make_spectrum
+from .spectra import Spectrum
 
 DENSE_2D_LIMIT = 5000
 
@@ -176,9 +176,6 @@ class FghOperator2D:
         flat = out.reshape(-1, self.grid.size).T
         return flat[:, 0] if single else flat
 
-    def matvec(self, v):  # scipy LinearOperator protocol
-        return self.apply(v)
-
     def to_dense(self) -> np.ndarray:
         nx, ny = self.grid.gx.N, self.grid.gy.N
         h = np.kron(self.ty, np.eye(nx)) + np.kron(np.eye(ny), self.tx)
@@ -201,8 +198,8 @@ def hamiltonian_fgh(grid, spec: PotentialSpec):
     return FghOperator2D(grid, tx, ty, potential_matrix(grid, spec))
 
 
-def solve_fgh(grid, spec: PotentialSpec, n_states: int | None = None,
-              want_vectors: bool = False) -> Spectrum:
+def solve_fgh(grid, spec: PotentialSpec,
+              n_states: int | None = None) -> Spectrum:
     """Eigenvalues (ascending) of the grid Hamiltonian.
 
     Dense path everywhere; for 2-d grids above DENSE_2D_LIMIT points a
@@ -221,22 +218,15 @@ def solve_fgh(grid, spec: PotentialSpec, n_states: int | None = None,
 
         op = LinearOperator(h.shape, matvec=h.apply, matmat=h.apply, dtype=float)
         try:
-            vals, vecs = eigsh(op, k=n_states, which="SA")
+            vals = eigsh(op, k=n_states, which="SA", return_eigenvectors=False)
         except Exception as exc:  # ArpackNoConvergence and friends
             raise NumericFailureError(f"Lanczos eigensolve failed: {exc}") from exc
-        return make_spectrum(vals, "fgh", size, vecs if want_vectors else None)
+        return Spectrum(np.sort(vals))  # descending without eigenvectors
     try:
-        if want_vectors:
-            vals, vecs = scipy.linalg.eigh(h)
-        else:
-            vals = scipy.linalg.eigh(h, eigvals_only=True)
-            vecs = None
+        vals = scipy.linalg.eigh(h, eigvals_only=True)
     except scipy.linalg.LinAlgError as exc:
         raise NumericFailureError(f"dense eigensolve failed: {exc}") from exc
-    if n_states is not None:
-        vals = vals[:n_states]
-        vecs = vecs[:, :n_states] if vecs is not None else None
-    return make_spectrum(vals, "fgh", size, vecs)
+    return Spectrum(vals[:n_states])
 
 
 def harmonic_square_grid(n: int, mass: float = 1.0, omega: float = 1.0,

@@ -63,30 +63,20 @@ def cell_table(lattices, spec: PotentialSpec):
     """Centers and classical energies of every cell, flattened.
 
     Returns (centers, h_cl): centers has one row per cell with columns
-    (x, p) in 1-D and (x, px, y, py) in 2-D; the flat cell index runs with
-    the first dimension fastest, matching the Kronecker column order of the
-    basis matrices.
+    (x, p) per dimension, i.e. (x, px, y, py) in 2-D; the flat cell index
+    runs with the first dimension fastest, matching the Kronecker column
+    order of the basis matrices.
     """
     lats = _as_lattices(lattices)
     if len(lats) != spec.dimension:
         raise ValueError(
             f"{len(lats)} lattice(s) for a {spec.dimension}-D potential")
-    if len(lats) == 1:
-        c = lats[0].centers
-        x, p = c[:, 0], c[:, 1]
-        kin = p**2 / (2.0 * spec.mass)
-        v = evaluate(spec, x[:, None])
-        return c.copy(), kin + v
-    cx, cy = lats[0].centers, lats[1].centers
-    nx = lats[0].size
-    ny = lats[1].size
-    x = np.tile(cx[:, 0], ny)
-    px = np.tile(cx[:, 1], ny)
-    y = np.repeat(cy[:, 0], nx)
-    py = np.repeat(cy[:, 1], nx)
-    kin = (px**2 + py**2) / (2.0 * spec.mass)
-    v = evaluate(spec, np.column_stack([x, y]))
-    return np.column_stack([x, px, y, py]), kin + v
+    sizes = [lat.size for lat in lats]
+    # per-axis cell index of every flat cell, first axis fastest
+    cell = np.unravel_index(np.arange(np.prod(sizes)), sizes[::-1])[::-1]
+    centers = np.column_stack([lat.centers[i] for lat, i in zip(lats, cell)])
+    kin = (centers[:, 1::2] ** 2).sum(axis=1) / (2.0 * spec.mass)
+    return centers, kin + evaluate(spec, centers[:, 0::2])
 
 
 def _auto_margins(lats, spec: PotentialSpec, centers: np.ndarray,
@@ -96,14 +86,8 @@ def _auto_margins(lats, spec: PotentialSpec, centers: np.ndarray,
     sum_d |dH/dx_d| a_d/2 + |dH/dp_d| dp_d/2, with the potential gradient
     taken by central differences.
     """
-    ndim = len(lats)
     margins = np.zeros(centers.shape[0])
-    if ndim == 1:
-        xs = centers[:, [0]]
-        ps = centers[:, [1]]
-    else:
-        xs = centers[:, [0, 2]]
-        ps = centers[:, [1, 3]]
+    xs, ps = centers[:, 0::2], centers[:, 1::2]
     for d, lat in enumerate(lats):
         h = 1e-6 * np.maximum(1.0, np.abs(xs[:, d]))
         xp = xs.copy()

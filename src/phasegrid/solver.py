@@ -19,18 +19,21 @@ from .errors import BudgetExceededError, IllConditionedError
 from .fourier_grid import FghOperator2D, Grid1D, hamiltonian_fgh, solve_fgh
 from .potentials import PotentialSpec, analytic_levels
 from .pruner import PruneMask, PruneRule, select_cells
-from .spectra import Spectrum, make_spectrum
+from .spectra import Spectrum
 from .vn_basis import (VnLattice, balanced_factors, build_basis,
                        continuous_vn_matrices)
 
 
 @dataclass(frozen=True)
 class GeneralizedProblem:
-    """Pencil (H, S) with S the basis overlap (metric)."""
+    """Pencil (H, S) with S the basis overlap (metric).
+
+    H and S need to be Hermitian only up to roundoff: `solve_generalized`
+    symmetrizes both, once.
+    """
 
     h: np.ndarray
     s: np.ndarray
-    basis_label: str
 
     def __post_init__(self):
         if self.h.shape != self.s.shape or self.h.shape[0] != self.h.shape[1]:
@@ -43,11 +46,8 @@ class GeneralizedProblem:
 
 def assemble_pvn(h_grid: np.ndarray, g: np.ndarray) -> GeneralizedProblem:
     """Project the grid Hamiltonian onto the Gaussian columns of G."""
-    hg = h_grid @ g
-    h = g.conj().T @ hg
-    s = g.conj().T @ g
-    return GeneralizedProblem(0.5 * (h + h.conj().T), 0.5 * (s + s.conj().T),
-                              "pvn")
+    gh = g.conj().T
+    return GeneralizedProblem(gh @ (h_grid @ g), gh @ g)
 
 
 def assemble_bvn(h_grid: np.ndarray, b: np.ndarray, s_inv: np.ndarray,
@@ -64,10 +64,7 @@ def assemble_bvn(h_grid: np.ndarray, b: np.ndarray, s_inv: np.ndarray,
         idx = mask.indices
         bk = b[:, idx]
         s = s_inv[np.ix_(idx, idx)]
-    hb = h_grid @ bk
-    h = bk.conj().T @ hb
-    return GeneralizedProblem(0.5 * (h + h.conj().T), 0.5 * (s + s.conj().T),
-                              "bvn")
+    return GeneralizedProblem(bk.conj().T @ (h_grid @ bk), s)
 
 
 def assemble_bvn_2d(h_op: FghOperator2D, bx: np.ndarray, by: np.ndarray,
@@ -99,7 +96,7 @@ def assemble_bvn_2d(h_op: FghOperator2D, bx: np.ndarray, by: np.ndarray,
         op = w[:, a, cy] * bxk + sy[a, cy] * tbxk
         h[lo:hi] = bxk[:, lo:hi].conj().T @ op
         s[lo:hi] = sx_inv[np.ix_(cx[lo:hi], cx)] * sy_inv[a, cy]
-    return GeneralizedProblem(h, s, "bvn")
+    return GeneralizedProblem(h, s)
 
 
 def solve_generalized(problem: GeneralizedProblem,
@@ -141,11 +138,11 @@ def solve_generalized(problem: GeneralizedProblem,
         a, b = white.conj().T @ h @ white, None
     out = scipy.linalg.eigh(a, b, eigvals_only=not want_vectors,
                             overwrite_a=True, overwrite_b=True)
-    vals, vecs = out if want_vectors else (out, None)
-    if want_vectors:
-        vecs = (vecs if white is None else white @ vecs)[:, :n_states]
-    return make_spectrum(vals[:n_states], problem.basis_label, problem.size,
-                         vectors=vecs)
+    if not want_vectors:
+        return Spectrum(out[:n_states])
+    vals, vecs = out
+    vecs = vecs if white is None else white @ vecs
+    return Spectrum(vals[:n_states], vecs[:, :n_states])
 
 
 class Pipeline:
@@ -192,7 +189,7 @@ class Pipeline:
             return solve_fgh(self.grid, self.spec, n_states=n_states)
         if self.basis == "vn":
             h, s = continuous_vn_matrices(self.lattices[0], self.spec)
-            problem = GeneralizedProblem(h, s, "vn")
+            problem = GeneralizedProblem(h, s)
         elif self.basis == "pvn":
             problem = assemble_pvn(self.h_grid, self.bundles[0].G)
         elif len(self.bundles) == 1:
@@ -228,8 +225,8 @@ def count_converged(test, reference, digits: int, e_max: float) -> int:
     counted digit). The count stops at the first miss so accidental
     agreement further up cannot inflate it.
     """
-    t = np.asarray(getattr(test, "energies", test), dtype=float)
-    r = np.asarray(getattr(reference, "energies", reference), dtype=float)
+    t = np.asarray(test, dtype=float)
+    r = np.asarray(reference, dtype=float)
     r = r[r < e_max]
     n = 0
     for i in range(r.size):
@@ -253,30 +250,24 @@ class EfficiencyPoint:
         return self.basis_size / self.n_levels
 
 
+# Fixed search recipe, so scans are reproducible. Grid sizes double from
+# N_START until the levels converge (above N_BUDGET the scan gives up), then
+# bisect to the smallest even size. The pruned scan runs on its own square
+# k x k lattice whose grid momentum range covers the classical p at e_max
+# with P_PAD headroom, and bisects the margin scale down to SCALE_TOL.
+N_START = 16
+N_BUDGET = 4096
+P_PAD = 1.25
+SCALE_TOL = 0.0625
+
+
 @dataclass(frozen=True)
 class EfficiencyPolicy:
-    """Fixed search recipe so scans are reproducible.
-
-    The grid box is held fixed while hbar varies. Grid sizes double from
-    n_start until the levels converge, then bisect to the smallest even
-    size. The pruned scan runs on its own square k x k lattice whose grid
-    momentum range covers the classical p at e_max with p_pad headroom, and
-    bisects the scale of the per-cell selection margin down to scale_tol.
-    """
+    """The grid box, held fixed while hbar varies, and the basis rcond."""
 
     x_min: float
     box_length: float
-    n_start: int = 16
-    n_budget: int = 4096
-    p_pad: float = 1.25
-    scale_tol: float = 0.0625
     rcond: float = 1e-12
-
-    def __post_init__(self):
-        if self.n_start < 2 or self.n_start % 2:
-            raise ValueError("n_start must be even and >= 2")
-        if self.n_budget < self.n_start:
-            raise ValueError("n_budget below n_start")
 
 
 def _fgh_converges(policy, spec, n, ref, digits, e_max):
@@ -291,7 +282,7 @@ def _min_pruned_size(policy, spec, ref, digits, e_max, points):
     The pipeline lives only for this call, so no two hbar bases coexist.
     """
     p_max = math.sqrt(2.0 * spec.mass * e_max)
-    n_target = policy.box_length * policy.p_pad * p_max / (math.pi * spec.hbar)
+    n_target = policy.box_length * P_PAD * p_max / (math.pi * spec.hbar)
     # even k, so the k*k grid has an even number of points
     k = 2 * max(1, round(math.sqrt(n_target) / 2))
     grid = Grid1D(policy.x_min, policy.box_length, k * k)
@@ -316,7 +307,7 @@ def _min_pruned_size(policy, spec, ref, digits, e_max, points):
                 f"margin search failed at hbar={spec.hbar}", partial=points)
         s_lo, s_hi = s_hi, 2.0 * s_hi
         ok, kept = bvn_converges(s_hi)
-    while s_hi - s_lo > policy.scale_tol:
+    while s_hi - s_lo > SCALE_TOL:
         mid = 0.5 * (s_lo + s_hi)
         ok_mid, kept_mid = bvn_converges(mid)
         if ok_mid:
@@ -343,12 +334,12 @@ def efficiency_scan(spec: PotentialSpec, hbars: Sequence[float], digits: int,
         if ref.size == 0:
             raise ValueError(f"no levels below {e_max} at hbar={hb}")
 
-        n = policy.n_start
+        n = N_START
         while not _fgh_converges(policy, sp, n, ref, digits, e_max):
             n *= 2
-            if n > policy.n_budget:
+            if n > N_BUDGET:
                 raise BudgetExceededError(
-                    f"grid budget {policy.n_budget} exceeded at hbar={hb}",
+                    f"grid budget {N_BUDGET} exceeded at hbar={hb}",
                     partial=points)
         lo, hi = n // 2, n
         while hi - lo > 2:

@@ -4,47 +4,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericFailureError
-
-BASIS_LABELS = ("fgh", "vn", "pvn", "bvn")
-
 
 @dataclass
 class Spectrum:
-    """Sorted real eigenvalues plus optional eigenvectors.
+    """Ascending real eigenvalues plus optional eigenvectors.
 
     eigenvectors, when present, holds one column of basis coefficients per
     energy, in the same order.
     """
 
     energies: np.ndarray
-    basis_label: str
-    basis_size: int
     eigenvectors: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.basis_label not in BASIS_LABELS:
-            raise ValueError(f"unknown basis label {self.basis_label!r}")
-        self.energies = np.asarray(self.energies, dtype=float)
-
-    def __len__(self) -> int:
-        return self.energies.size
-
-
-def make_spectrum(values, basis_label, basis_size, vectors=None) -> Spectrum:
-    """Build a Spectrum from raw eigensolver output, sorted ascending.
-
-    Complex values are accepted only if the imaginary parts are below
-    1e-10 of the spectrum scale.
-    """
-    values = np.asarray(values)
-    if np.iscomplexobj(values):
-        scale = max(float(np.abs(values).max(initial=0.0)), 1.0)
-        if np.abs(values.imag).max(initial=0.0) > 1e-10 * scale:
-            raise NumericFailureError(
-                "eigenvalues have non-negligible imaginary parts")
-        values = values.real
-    order = np.argsort(values)
-    if vectors is not None:
-        vectors = np.asarray(vectors)[:, order]
-    return Spectrum(values[order], basis_label, int(basis_size), vectors)

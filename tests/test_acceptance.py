@@ -53,7 +53,7 @@ def test_c02_baseline_gap_and_kinetic_ladder():
     t0 = time.perf_counter()
     grid, spec, h, lat, bundle = _n16_pieces()
     h_vn, s_vn = pg.continuous_vn_matrices(lat, spec)
-    vn = pg.solve_generalized(pg.GeneralizedProblem(h_vn, s_vn, "vn"))
+    vn = pg.solve_generalized(pg.GeneralizedProblem(h_vn, s_vn))
     vn_err = abs(vn.energies[7] - 7.5)
     t_mat = pg.kinetic_matrix(grid, 1.0)
     t_ref = np.linalg.eigvalsh(t_mat)
@@ -233,13 +233,13 @@ def test_c10_linear_algebra_identities():
     n = 12
     a = rng.standard_normal((n, n))
     h0 = a + a.T
-    base = pg.solve_generalized(pg.GeneralizedProblem(h0, np.eye(n), "bvn"))
+    base = pg.solve_generalized(pg.GeneralizedProblem(h0, np.eye(n)))
     cong = 0.0
     for _ in range(5):
         t = rng.standard_normal((n, n)) + np.eye(n)
         h1 = t.T @ h0 @ t
         s1 = t.T @ t
-        out = pg.solve_generalized(pg.GeneralizedProblem(h1, s1, "bvn"))
+        out = pg.solve_generalized(pg.GeneralizedProblem(h1, s1))
         cong = max(cong, float(np.max(np.abs(out.energies - base.energies)
                                       / np.maximum(np.abs(base.energies),
                                                    1e-30))))

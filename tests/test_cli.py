@@ -407,6 +407,26 @@ def test_efficiency_scan_csv(tmp_path):
         assert ratio[("fgh", hb)] >= ratio[("bvn", hb)]
 
 
+def test_efficiency_grid_budget_keeps_finished_points(tmp_path, monkeypatch):
+    # hbar=1 converges on 94 points, hbar=0.5 needs 174: above the budget
+    monkeypatch.setattr("phasegrid.solver.N_BUDGET", 128)
+    cfg = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                       "morse_bvn.cfg")
+    out = str(tmp_path / "eff")
+    assert cli.main(["efficiency", "--config", cfg, "--out", out, "--quiet",
+                     "--hbars", "1,0.5"]) == 0
+    _, rows = cli.read_csv(os.path.join(out, "efficiency.csv"))
+    got = [(r["hbar"], r["method"], r["basis_size"], r["n_converged"],
+            r["ratio"], r["status"]) for r in rows]
+    assert got[:2] == [("1", "fgh", "94", "24", "3.9166666666666665", "ok"),
+                       ("1", "bvn", "44", "24", "1.8333333333333333", "ok")]
+    assert got[2:] == [("0.5", m, "", "", "", "budget_exceeded")
+                       for m in ("fgh", "bvn")]
+    with open(os.path.join(out, "meta.txt")) as fh:
+        assert any(line.startswith("budget_error") and "128" in line
+                   for line in fh)
+
+
 def test_efficiency_needs_prune(tmp_path, capsys):
     cfg = _write(tmp_path, HARMONIC_CFG)
     assert cli.main(["efficiency", "--config", cfg, "--out",

@@ -24,7 +24,7 @@ def test_generalized_solver_both_branches():
     # (ill conditioned, nothing discarded) must both return D
     for cond, seed in ((1e2, 0), (1e10, 1)):
         h, s, d = _random_pencil(12, cond, seed)
-        out = pg.solve_generalized(pg.GeneralizedProblem(h, s, "bvn"))
+        out = pg.solve_generalized(pg.GeneralizedProblem(h, s))
         np.testing.assert_allclose(out.energies, d, rtol=1e-7, atol=1e-9)
 
 
@@ -32,7 +32,7 @@ def test_generalized_solver_rejects_indefinite_metric():
     h = np.eye(3)
     s = np.diag([1.0, 1.0, -0.5])
     with pytest.raises(IllConditionedError):
-        pg.solve_generalized(pg.GeneralizedProblem(h, s, "bvn"))
+        pg.solve_generalized(pg.GeneralizedProblem(h, s))
 
 
 def test_empty_pencil_raises_before_lapack(capfd):
@@ -45,12 +45,12 @@ def test_empty_pencil_raises_before_lapack(capfd):
 
 def test_problem_shape_validation():
     with pytest.raises(ValueError):
-        pg.GeneralizedProblem(np.eye(3), np.eye(4), "bvn")
+        pg.GeneralizedProblem(np.eye(3), np.eye(4))
 
 
 def test_eigenvector_metric_normalization():
     h, s, d = _random_pencil(8, 1e3, 3)
-    out = pg.solve_generalized(pg.GeneralizedProblem(h, s, "bvn"),
+    out = pg.solve_generalized(pg.GeneralizedProblem(h, s),
                                want_vectors=True)
     gram = out.eigenvectors.T @ s @ out.eigenvectors
     np.testing.assert_allclose(gram, np.eye(8), atol=1e-8)

@@ -120,3 +120,11 @@ def test_traced_layers_see_the_efficiency_scan(tmp_path):
                                        "configs/morse_bvn.cfg",
                                        "--hbars", "1"])
     assert layers["solver.scan_probes"] > 0
+
+
+def test_readme_quickstart_runs():
+    text = (ROOT / "README.md").read_text()
+    section = text.split("## Python quickstart", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```python\n(.*?)```", section, flags=re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md quickstart", "exec"), {})

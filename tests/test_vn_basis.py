@@ -126,6 +126,6 @@ def test_continuous_lattice_is_variational():
     grid = pg.harmonic_square_grid(36)
     lat = pg.VnLattice.from_grid(grid, 6, 6)
     h, s = pg.continuous_vn_matrices(lat, pg.harmonic())
-    out = pg.solve_generalized(pg.GeneralizedProblem(h, s, "vn"))
+    out = pg.solve_generalized(pg.GeneralizedProblem(h, s))
     assert out.energies[0] >= 0.5 - 1e-9
     assert out.energies[0] < 1.5  # localized in the right region all the same
