@@ -21,7 +21,8 @@ from typing import get_args
 import numpy as np
 
 from . import __version__
-from .errors import BudgetExceededError, UnboundedOrbitError
+from .errors import (BudgetExceededError, NotAvailableError,
+                     UnboundedOrbitError)
 from .fourier_grid import DENSE_2D_LIMIT, Grid1D, Grid2D, harmonic_square_grid
 from .potentials import (PARAMETERS, PotentialSpec, analytic_levels,
                          coulomb1d, harmonic, morse, triangle2d)
@@ -214,12 +215,8 @@ def _config_items(cfg: RunConfig):
         part = getattr(cfg, sec.name)
         for f in fields(part) if part is not None else ():
             value = getattr(part, f.name)
-            if isinstance(value, bool):
-                yield sec.name, f.name, "true" if value else "false"
-            elif isinstance(value, float):
-                yield sec.name, f.name, _g(value)
-            elif value is not None:
-                yield sec.name, f.name, str(value)
+            if value is not None:
+                yield sec.name, f.name, _text(value)
 
 
 def serialize_config(cfg: RunConfig) -> str:
@@ -234,6 +231,18 @@ def serialize_config(cfg: RunConfig) -> str:
 def _g(x) -> str:
     """17-significant-digit float formatting used in all outputs."""
     return "%.17g" % float(x)
+
+
+def _text(value) -> str:
+    """A config, meta or CSV value as written: floats by _g, lists joined
+    by commas, None empty, booleans in the config spelling."""
+    if isinstance(value, (float, np.floating)):
+        return _g(value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, list):
+        return ",".join(map(_text, value))
+    return "" if value is None else str(value)
 
 
 # ---------------------------------------------------------------------------
@@ -257,18 +266,8 @@ def write_text_atomic(path: str, text: str) -> None:
 
 def write_csv(path: str, header, rows) -> None:
     """Atomic CSV with floats at 17 significant digits."""
-    out = [",".join(header)]
-    for row in rows:
-        cells = []
-        for item in row:
-            if isinstance(item, (float, np.floating)):
-                cells.append(_g(item))
-            elif item is None:
-                cells.append("")
-            else:
-                cells.append(str(item))
-        out.append(",".join(cells))
-    write_text_atomic(path, "\n".join(out) + "\n")
+    lines = [",".join(header)] + [",".join(map(_text, row)) for row in rows]
+    write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def read_csv(path: str):
@@ -301,27 +300,8 @@ def _prune_rule(prune: PruneConfig) -> PruneRule:
     return PruneRule(prune.e_cut, margin, auto_scale=prune.auto_scale)
 
 
-def _meta_base(cfg: RunConfig, command: str) -> dict:
-    return {"command": command, "version": __version__,
-            **{f"{sec}.{key}": text for sec, key, text in _config_items(cfg)}}
-
-
-def _finish(out_dir: str, meta: dict, paths: list, t0: float,
-            quiet: bool) -> None:
-    meta["wall_time_s"] = f"{time.time() - t0:.3f}"
-    meta["outputs"] = " ".join(os.path.basename(p) for p in paths)
-    meta_path = os.path.join(out_dir, "meta.txt")
-    write_text_atomic(meta_path,
-                      "".join(f"{k} = {v}\n" for k, v in meta.items()))
-    if not quiet:
-        for p in paths + [meta_path]:
-            print(f"wrote {p}")
-
-
-def cmd_solve(cfg: RunConfig, out_dir: str, quiet: bool = False) -> None:
-    """Run one basis pipeline end-to-end and write eigenvalues (+cells)."""
-    t0 = time.time()
-    meta = _meta_base(cfg, "solve")
+def cmd_solve(cfg: RunConfig, args, meta: dict) -> dict:
+    """Run one basis pipeline end-to-end: eigenvalues (+cells)."""
     grid = _build_grid(cfg)
     basis, two_d, lat = cfg.solver.basis, isinstance(grid, Grid2D), cfg.lattice
     if (two_d and basis == "fgh" and grid.size > DENSE_2D_LIMIT
@@ -340,7 +320,6 @@ def cmd_solve(cfg: RunConfig, out_dir: str, quiet: bool = False) -> None:
                     alpha=lat and lat.alpha, rcond=cfg.solver.rcond)
     meta.update((key, _g(value)) for key, value in pipe.info.items())
     mask = None
-    paths = [os.path.join(out_dir, "eigenvalues.csv")]
     if basis == "bvn" and cfg.prune is not None:
         mask = select_cells(pipe.lattices, spec, _prune_rule(cfg.prune))
         if mask.n_kept == 0:
@@ -350,27 +329,24 @@ def cmd_solve(cfg: RunConfig, out_dir: str, quiet: bool = False) -> None:
         meta.update(n_kept=str(mask.n_kept), n_cells=str(mask.size))
     energies = pipe.solve(mask, n_states=cfg.solver.n_states).energies
     meta["n_levels"] = str(len(energies))
-    write_csv(paths[0], ["index", "energy"],
-              [(i, e) for i, e in enumerate(energies)])
+    tables = {"eigenvalues.csv": (["index", "energy"],
+                                  list(enumerate(energies)))}
     if mask is not None:
-        paths.append(os.path.join(out_dir, "cells.csv"))
         header = (["x", "px", "y", "py", "h_cl", "kept"] if two_d
                   else ["x", "p", "h_cl", "kept"])
-        write_csv(paths[1], header, [(*c, e, int(k)) for c, e, k in zip(
+        tables["cells.csv"] = (header, [(*c, e, int(k)) for c, e, k in zip(
             centers.tolist(), h_cl.tolist(), mask.kept)])
-    _finish(out_dir, meta, paths, t0, quiet)
+    return tables
 
 
-def cmd_sweep(cfg: RunConfig, sizes, index: int, methods,
-              out_dir: str, quiet: bool = False) -> None:
+def cmd_sweep(cfg: RunConfig, args, meta: dict) -> dict:
     """Convergence of one eigenvalue vs basis size, per method.
 
     The reference is the analytic level for potentials that have one. The
     pvn and fgh columns coincide because the bases span the same space;
     the vn method is the non-periodized Gaussian baseline.
     """
-    t0 = time.time()
-    meta = _meta_base(cfg, "sweep")
+    sizes, index, methods = args.sizes, args.index, args.methods
     spec = cfg.spec()
     levels = analytic_levels(spec, n_max=index)
     if not 0 <= index < levels.size:
@@ -381,7 +357,6 @@ def cmd_sweep(cfg: RunConfig, sizes, index: int, methods,
         if method not in ("fgh", "pvn", "vn"):
             raise ConfigError(f"sweep method '{method}' not supported")
     target = levels[index]
-    meta["sweep.index"] = str(index)
     meta["sweep.reference"] = _g(target)
     rows = []
     for method in methods:
@@ -400,66 +375,81 @@ def cmd_sweep(cfg: RunConfig, sizes, index: int, methods,
                 rows.append((method, size, energy, abs(energy - target)))
     if not rows:
         raise ConfigError(f"sweep --index {index}: no size in {sizes} has it")
-    csv_path = os.path.join(out_dir, "convergence.csv")
-    write_csv(csv_path, ["method", "basis_size", "energy", "abs_error"], rows)
-    _finish(out_dir, meta, [csv_path], t0, quiet)
+    return {"convergence.csv": (["method", "basis_size", "energy",
+                                 "abs_error"], rows)}
 
 
-def cmd_efficiency(cfg: RunConfig, hbars, out_dir: str,
-                   quiet: bool = False) -> None:
+def cmd_efficiency(cfg: RunConfig, args, meta: dict) -> dict:
     """Smallest basis per method and per hbar; ratio = size / levels."""
-    t0 = time.time()
-    meta = _meta_base(cfg, "efficiency")
     if cfg.prune is None:
         raise ConfigError("efficiency scan needs prune.e_cut as the level cutoff")
-    spec = cfg.spec()
     policy = EfficiencyPolicy(x_min=cfg.grid.x_min,
                               box_length=cfg.grid.length,
                               rcond=cfg.solver.rcond)
-    status = "ok"
     try:
-        points = efficiency_scan(spec, hbars, cfg.solver.digits,
+        points = efficiency_scan(cfg.spec(), args.hbars, cfg.solver.digits,
                                  cfg.prune.e_cut, policy)
     except BudgetExceededError as exc:
         points = exc.partial or []
-        status = "budget_exceeded"
         meta["budget_error"] = str(exc)
     rows = [(p.hbar, p.method, p.basis_size, p.n_levels, p.ratio, "ok")
             for p in points]
-    if status != "ok":
-        done = {(p.hbar, p.method) for p in points}
-        for hb in hbars:
-            for method in ("fgh", "bvn"):
-                if (hb, method) not in done:
-                    rows.append((hb, method, None, None, None,
-                                 "budget_exceeded"))
-    csv_path = os.path.join(out_dir, "efficiency.csv")
-    write_csv(csv_path,
-              ["hbar", "method", "basis_size", "n_converged", "ratio",
-               "status"], rows)
-    _finish(out_dir, meta, [csv_path], t0, quiet)
+    done = {(p.hbar, p.method) for p in points}  # all of them unless over budget
+    for hb in args.hbars:
+        for method in ("fgh", "bvn"):
+            if (hb, method) not in done:
+                rows.append((hb, method, None, None, None, "budget_exceeded"))
+    return {"efficiency.csv": (["hbar", "method", "basis_size", "n_converged",
+                                "ratio", "status"], rows)}
 
 
-def cmd_scaling(cfg: RunConfig, dims, energy: float, n_samples: int,
-                out_dir: str, quiet: bool = False) -> None:
+def cmd_scaling(cfg: RunConfig, args, meta: dict) -> dict:
     """Volume and state-count scaling table across dimension."""
-    t0 = time.time()
-    meta = _meta_base(cfg, "scaling")
-    meta["scaling.seed"] = str(cfg.output.seed)
+    if args.energy is None:
+        if cfg.prune is None:
+            raise ConfigError("scaling needs --energy or prune.e_cut")
+        args.energy = cfg.prune.e_cut
     try:
-        rows = scaling_report(cfg.spec(), dims, energy, n_samples=n_samples,
-                              seed=cfg.output.seed)
+        rows = scaling_report(cfg.spec(), args.dims, args.energy,
+                              n_samples=args.samples, seed=cfg.output.seed)
     except UnboundedOrbitError as exc:
         raise ConfigError(f"--energy (default prune.e_cut): {exc}") from None
-    csv_path = os.path.join(out_dir, "scaling.csv")
-    write_csv(csv_path,
-              ["D", "V_mc", "V_mc_stderr", "V_semiclassical",
-               "V_exponential_ref", "G_exact", "G_limit_gD", "G_limit_Dg",
-               "box_ratio"],
-              [(r.ndim, r.v_mc, r.v_mc_err, r.v_simplex, r.v_exponential,
-                r.n_exact, r.n_limit_power, r.n_limit_factorial, r.box_ratio)
-               for r in rows])
-    _finish(out_dir, meta, [csv_path], t0, quiet)
+    return {"scaling.csv": (
+        ["D", "V_mc", "V_mc_stderr", "V_semiclassical", "V_exponential_ref",
+         "G_exact", "G_limit_gD", "G_limit_Dg", "box_ratio"],
+        [(r.ndim, r.v_mc, r.v_mc_err, r.v_simplex, r.v_exponential,
+          r.n_exact, r.n_limit_power, r.n_limit_factorial, r.box_ratio)
+         for r in rows])}
+
+
+COMMANDS = {"solve": cmd_solve, "sweep": cmd_sweep,
+            "efficiency": cmd_efficiency, "scaling": cmd_scaling}
+
+
+def run_command(cfg: RunConfig, args) -> None:
+    """Time one config command, write its tables, then meta.txt last.
+
+    The only writer of those files. The command returns its tables, adds
+    its own meta keys and resolves any defaulted argument in `args`; this
+    echoes the config and the command's arguments as resolved.
+    """
+    t0 = time.time()
+    meta = {"command": args.command, "version": __version__,
+            **{f"{sec}.{key}": text for sec, key, text in _config_items(cfg)}}
+    tables = COMMANDS[args.command](cfg, args, meta)
+    meta.update((f"{args.command}.{key}", _text(value))
+                for key, value in vars(args).items() if key not in _COMMON)
+    out_dir = args.out if args.out is not None else cfg.output.outdir
+    paths = [os.path.join(out_dir, name) for name in (*tables, "meta.txt")]
+    for path, (header, rows) in zip(paths, tables.values()):
+        write_csv(path, header, rows)
+    meta["wall_time_s"] = f"{time.time() - t0:.3f}"
+    meta["outputs"] = " ".join(tables)
+    write_text_atomic(paths[-1],
+                      "".join(f"{k} = {v}\n" for k, v in meta.items()))
+    if not args.quiet:
+        for path in paths:
+            print(f"wrote {path}")
 
 
 # ---------------------------------------------------------------------------
@@ -481,8 +471,6 @@ _REQUIRED_COLUMNS = {
 
 
 def _nice_ticks(lo: float, hi: float, target: int = 5):
-    if hi <= lo:
-        hi = lo + 1.0
     span = hi - lo
     mag = 10.0 ** math.floor(math.log10(span / target))
     for mult in (1.0, 2.0, 5.0, 10.0):
@@ -553,21 +541,18 @@ def _axes(frame: _Frame, x_label: str, y_label: str):
         lines.append(f'<text x="{px:.1f}" y="{y0 + 18}" font-size="11" '
                      f'text-anchor="middle">{_fmt_tick(tick)}</text>')
     if frame.log_y:
-        for d in range(math.floor(frame.y_lo), math.ceil(frame.y_hi) + 1):
-            if d < frame.y_lo - 1e-9 or d > frame.y_hi + 1e-9:
-                continue
-            py = frame.py(d)
-            lines.append(f'<line x1="{x0 - 5}" y1="{py:.1f}" x2="{x0}" '
-                         f'y2="{py:.1f}" stroke="black"/>')
-            lines.append(f'<text x="{x0 - 8}" y="{py + 4:.1f}" font-size="11" '
-                         f'text-anchor="end">1e{d}</text>')
+        y_ticks = [(d, f"1e{d}") for d in range(math.floor(frame.y_lo),
+                                                math.ceil(frame.y_hi) + 1)
+                   if frame.y_lo - 1e-9 <= d <= frame.y_hi + 1e-9]
     else:
-        for tick in _nice_ticks(frame.y_lo, frame.y_hi):
-            py = frame.py(tick)
-            lines.append(f'<line x1="{x0 - 5}" y1="{py:.1f}" x2="{x0}" '
-                         f'y2="{py:.1f}" stroke="black"/>')
-            lines.append(f'<text x="{x0 - 8}" y="{py + 4:.1f}" font-size="11" '
-                         f'text-anchor="end">{_fmt_tick(tick)}</text>')
+        y_ticks = [(tick, _fmt_tick(tick))
+                   for tick in _nice_ticks(frame.y_lo, frame.y_hi)]
+    for value, label in y_ticks:
+        py = frame.py(value)
+        lines.append(f'<line x1="{x0 - 5}" y1="{py:.1f}" x2="{x0}" '
+                     f'y2="{py:.1f}" stroke="black"/>')
+        lines.append(f'<text x="{x0 - 8}" y="{py + 4:.1f}" font-size="11" '
+                     f'text-anchor="end">{label}</text>')
     lines.append(f'<text x="{(x0 + x1) / 2:.1f}" y="{_PLOT_H - 12}" '
                  f'font-size="13" text-anchor="middle">{x_label}</text>')
     lines.append(f'<text x="16" y="{(y0 + y1) / 2:.1f}" font-size="13" '
@@ -587,13 +572,6 @@ def _polyline(frame: _Frame, xs, ys, color: str, label: str, slot: int):
                  f'stroke="{color}" stroke-width="1.5"/>')
     lines.append(f'<text x="{lx + 30}" y="{ly}" font-size="12">{label}</text>')
     return lines
-
-
-def _series_by(rows, key: str):
-    groups: dict = {}
-    for row in rows:
-        groups.setdefault(row[key], []).append(row)
-    return list(groups.items())
 
 
 def render_plot(kind: str, csv_path: str, timestamp: bool = True) -> str:
@@ -619,16 +597,22 @@ def render_plot(kind: str, csv_path: str, timestamp: bool = True) -> str:
         return _render_lines(ok_rows, "method", "hbar", "ratio",
                              "hbar", "basis functions per state", False,
                              timestamp)
-    return _render_scaling(rows, timestamp)
+    series = [{"series": name, "D": r["D"], "volume": r[name]}
+              for name in _REQUIRED_COLUMNS["scaling"][1:] for r in rows]
+    return _render_lines(series, "series", "D", "volume", "dimension D",
+                         "phase-space volume", True, timestamp,
+                         "volume scaling with dimension")
 
 
 def _render_lines(rows, series_key, x_key, y_key, x_label, y_label,
-                  log_y: bool, timestamp: bool) -> str:
-    series = _series_by(rows, series_key)
+                  log_y: bool, timestamp: bool, title=None) -> str:
+    series: dict = {}
+    for row in rows:
+        series.setdefault(row[series_key], []).append(row)
     floor = 1e-17
     all_x, all_y = [], []
     plotted = []
-    for name, group in series:
+    for name, group in series.items():
         xs = [float(r[x_key]) for r in group]
         ys = [float(r[y_key]) for r in group]
         if log_y:
@@ -645,25 +629,7 @@ def _render_lines(rows, series_key, x_key, y_key, x_label, y_label,
     for slot, (name, xs, ys) in enumerate(plotted):
         color = _COLORS.get(name, _FALLBACK_COLORS[slot % len(_FALLBACK_COLORS)])
         body += _polyline(frame, xs, ys, color, name, slot)
-    return _svg_document(body, f"{y_label} vs {x_label}", timestamp)
-
-
-def _render_scaling(rows, timestamp: bool) -> str:
-    dims = [float(r["D"]) for r in rows]
-    series = [("V_mc", [float(r["V_mc"]) for r in rows]),
-              ("V_semiclassical", [float(r["V_semiclassical"]) for r in rows]),
-              ("V_exponential_ref", [float(r["V_exponential_ref"])
-                                     for r in rows])]
-    logged = [(name, [math.log10(max(v, 1e-300)) for v in vals])
-              for name, vals in series]
-    all_y = [y for _, ys in logged for y in ys]
-    frame = _Frame((min(dims), max(dims)), (min(all_y), max(all_y)),
-                   log_y=True)
-    body = _axes(frame, "dimension D", "phase-space volume")
-    for slot, (name, ys) in enumerate(logged):
-        color = _FALLBACK_COLORS[slot % len(_FALLBACK_COLORS)]
-        body += _polyline(frame, dims, ys, color, name, slot)
-    return _svg_document(body, "volume scaling with dimension", timestamp)
+    return _svg_document(body, title or f"{y_label} vs {x_label}", timestamp)
 
 
 def _render_cells(rows, timestamp: bool) -> str:
@@ -707,12 +673,13 @@ def cmd_plot(csv_path: str, kind: str, out_path: str,
 # Argument parsing and entry point
 
 
-def _float_list(text: str):
-    return [float(part) for part in text.split(",") if part.strip()]
-
-
-def _int_list(text: str):
-    return [int(part) for part in text.split(",") if part.strip()]
+def _list_of(convert):
+    """An argparse type: comma-separated values, each passed to convert."""
+    def parse(text: str):
+        return [convert(part.strip()) for part in text.split(",")
+                if part.strip()]
+    parse.__name__ = convert.__name__  # argparse names it in its errors
+    return parse
 
 
 def _load_config(path: str) -> RunConfig:
@@ -721,6 +688,10 @@ def _load_config(path: str) -> RunConfig:
             return parse_config(fh.read())
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
+
+
+# the options every config command shares; the runner echoes the others
+_COMMON = ("command", "config", "out", "seed", "long_running", "quiet")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -732,35 +703,37 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"phasegrid {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", required=True, help="run config file")
-        p.add_argument("--out", default=None,
-                       help="output directory (default: config outdir)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the config seed")
-        p.add_argument("--long-running", action="store_true",
-                       help="allow the 2-d Lanczos fgh solve (> 5000 points)")
-        p.add_argument("--quiet", action="store_true")
+    common = argparse.ArgumentParser(add_help=False)  # see _COMMON
+    common.add_argument("--config", required=True, help="run config file")
+    common.add_argument("--out", default=None,
+                        help="output directory (default: config outdir)")
+    common.add_argument("--seed", type=int, default=None,
+                        help="override the config seed")
+    common.add_argument("--long-running", action="store_true",
+                        help="allow the 2-d Lanczos fgh solve (> 5000 points)")
+    common.add_argument("--quiet", action="store_true")
 
-    p_solve = sub.add_parser("solve", help="one spectrum, one basis")
-    common(p_solve)
+    sub.add_parser("solve", parents=[common], help="one spectrum, one basis")
 
-    p_sweep = sub.add_parser("sweep", help="eigenvalue error vs basis size")
-    common(p_sweep)
-    p_sweep.add_argument("--sizes", type=_int_list, default=None,
+    p_sweep = sub.add_parser("sweep", parents=[common],
+                             help="eigenvalue error vs basis size")
+    p_sweep.add_argument("--sizes", type=_list_of(int),
+                         default=list(range(8, 26, 2)),
                          help="comma-separated basis sizes")
     p_sweep.add_argument("--index", type=int, default=7,
                          help="eigenvalue index to track")
-    p_sweep.add_argument("--methods", default="fgh,pvn,vn",
+    p_sweep.add_argument("--methods", type=_list_of(str),
+                         default=["fgh", "pvn", "vn"],
                          help="comma-separated methods")
 
-    p_eff = sub.add_parser("efficiency", help="minimal basis per hbar")
-    common(p_eff)
-    p_eff.add_argument("--hbars", type=_float_list, default=[1.0, 0.5, 0.25])
+    p_eff = sub.add_parser("efficiency", parents=[common],
+                           help="minimal basis per hbar")
+    p_eff.add_argument("--hbars", type=_list_of(float),
+                       default=[1.0, 0.5, 0.25])
 
-    p_scal = sub.add_parser("scaling", help="volume scaling with dimension")
-    common(p_scal)
-    p_scal.add_argument("--dims", type=_int_list, default=[1, 2, 3])
+    p_scal = sub.add_parser("scaling", parents=[common],
+                            help="volume scaling with dimension")
+    p_scal.add_argument("--dims", type=_list_of(int), default=[1, 2, 3])
     p_scal.add_argument("--energy", type=float, default=None,
                         help="shell energy (default: prune.e_cut)")
     p_scal.add_argument("--samples", type=int, default=200000)
@@ -789,24 +762,9 @@ def main(argv=None) -> int:
             cfg.output.seed = args.seed
         if args.long_running:
             cfg.solver.long_running = True
-        out_dir = args.out if args.out is not None else cfg.output.outdir
-        if args.command == "solve":
-            cmd_solve(cfg, out_dir, quiet=args.quiet)
-        elif args.command == "sweep":
-            sizes = args.sizes if args.sizes else list(range(8, 26, 2))
-            methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-            cmd_sweep(cfg, sizes, args.index, methods, out_dir,
-                      quiet=args.quiet)
-        elif args.command == "efficiency":
-            cmd_efficiency(cfg, args.hbars, out_dir, quiet=args.quiet)
-        elif args.command == "scaling":
-            if cfg.prune is None and args.energy is None:
-                raise ConfigError("scaling needs --energy or prune.e_cut")
-            energy = args.energy if args.energy is not None else cfg.prune.e_cut
-            cmd_scaling(cfg, args.dims, energy, args.samples, out_dir,
-                        quiet=args.quiet)
+        run_command(cfg, args)
         return 0
-    except ConfigError as exc:
+    except (ConfigError, NotAvailableError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, RuntimeError) as exc:

@@ -65,7 +65,8 @@ def turning_points(spec: PotentialSpec, energy: float):
     threshold have no bounded orbit.
     """
     if spec.dimension != 1:
-        raise ValueError("turning points are defined per 1-D degree of freedom")
+        raise NotAvailableError(
+            "turning points are defined per 1-D degree of freedom")
     if spec.kind == "harmonic":
         if energy <= 0:
             raise ValueError("harmonic orbit needs energy > 0")

@@ -329,7 +329,7 @@ def efficiency_scan(spec: PotentialSpec, hbars: Sequence[float], digits: int,
     points = []
     for hb in hbars:
         sp = replace(spec, hbar=hb)
-        ref = analytic_levels(sp)
+        ref = analytic_levels(sp, n_max=N_BUDGET)  # no scanned grid holds more
         ref = ref[ref < e_max]
         if ref.size == 0:
             raise ValueError(f"no levels below {e_max} at hbar={hb}")

@@ -161,6 +161,33 @@ def test_meta_echoes_the_serialized_config(tmp_path):
     assert echoed == expected
 
 
+@pytest.mark.parametrize("argv,echoed", [
+    (["solve", "--seed", "5", "--long-running"],
+     {"output.seed": "5", "solver.long_running": "true"}),
+    (["sweep", "--sizes", "36,64", "--index", "3", "--methods", "fgh,pvn"],
+     {"sweep.sizes": "36,64", "sweep.index": "3",
+      "sweep.methods": "fgh,pvn"}),
+    (["efficiency", "--hbars", "1,0.5"], {"efficiency.hbars": "1,0.5"}),
+    (["scaling", "--dims", "1,2", "--energy", "8.5", "--samples", "5000",
+      "--seed", "3"],
+     {"scaling.dims": "1,2", "scaling.energy": "8.5",
+      "scaling.samples": "5000", "output.seed": "3"}),
+    # the default energy is prune.e_cut, echoed as resolved
+    (["scaling", "--dims", "1", "--samples", "2000"],
+     {"scaling.energy": "8", "scaling.dims": "1"}),
+], ids=["solve", "sweep", "efficiency", "scaling", "scaling-default"])
+def test_meta_echoes_the_command_arguments(tmp_path, argv, echoed):
+    # e_cut below the well depth 12, where the scaling shell is unbounded
+    cfg = _write(tmp_path, MORSE_CFG.replace("e_cut = 12", "e_cut = 8"))
+    out = tmp_path / "out"
+    assert cli.main([argv[0], "--config", cfg, "--out", str(out), "--quiet",
+                     *argv[1:]]) == 0
+    meta = dict(line.split(" = ", 1)
+                for line in (out / "meta.txt").read_text().splitlines())
+    assert {key: meta.get(key) for key in echoed} == echoed
+    assert "scaling.seed" not in meta
+
+
 def test_17_digit_float_format():
     assert cli._g(1.0 / 3.0) == "0.33333333333333331"
     assert float(cli._g(np.pi)) == np.pi
@@ -317,6 +344,19 @@ basis = bvn
 outdir = out
 """
 
+COULOMB_CFG = """\
+[potential]
+kind = coulomb1d
+
+[grid]
+x_min = -10.3
+length = 20
+n = 64
+
+[prune]
+e_cut = -0.2
+"""
+
 
 @pytest.mark.parametrize("text,argv,needle", [
     (HARMONIC_CFG.replace("[lattice]\nnx = 4\nnp = 4\n", ""), ["solve"],
@@ -335,6 +375,12 @@ outdir = out
     # MORSE_CFG has prune.e_cut = depth = 12, the default shell energy
     (MORSE_CFG, ["scaling"], "--energy (default prune.e_cut): energy 12.0"),
     (MORSE_CFG, ["scaling", "--energy", "13"], "well depth 12"),
+    # a potential kind the command cannot handle
+    (TRIANGLE_CFG, ["scaling"], "turning points are defined per 1-D"),
+    (COULOMB_CFG, ["sweep"], "no analytic levels for kind 'coulomb1d'"),
+    (COULOMB_CFG, ["efficiency"], "no analytic levels for kind 'coulomb1d'"),
+    (MORSE_CFG.replace("basis = bvn", "basis = vn"), ["solve"],
+     "implemented for the harmonic potential only"),
 ])
 def test_config_errors_exit_2(tmp_path, capsys, text, argv, needle):
     cfg = _write(tmp_path, text)
@@ -425,6 +471,21 @@ def test_efficiency_grid_budget_keeps_finished_points(tmp_path, monkeypatch):
     with open(os.path.join(out, "meta.txt")) as fh:
         assert any(line.startswith("budget_error") and "128" in line
                    for line in fh)
+
+
+def test_efficiency_on_a_harmonic_config(tmp_path):
+    text = HARMONIC_CFG.replace("x_min = -4.6999280149331257", "x_min = -6")
+    text = text.replace("length = 10.026513098524001", "length = 12")
+    cfg = _write(tmp_path, text + "\n[prune]\ne_cut = 5\n")
+    out = tmp_path / "eff"
+    assert cli.main(["efficiency", "--config", cfg, "--out", str(out),
+                     "--quiet", "--hbars", "1,0.5"]) == 0
+    _, rows = cli.read_csv(str(out / "efficiency.csv"))
+    # levels hbar*(n + 1/2) below 5: 5 at hbar = 1, 10 at hbar = 1/2
+    assert [(r["hbar"], r["method"], r["basis_size"], r["n_converged"],
+             r["status"]) for r in rows] == [
+        ("1", "fgh", "16", "5", "ok"), ("1", "bvn", "16", "5", "ok"),
+        ("0.5", "fgh", "28", "10", "ok"), ("0.5", "bvn", "20", "10", "ok")]
 
 
 def test_efficiency_needs_prune(tmp_path, capsys):

@@ -6,6 +6,7 @@ import os
 import pathlib
 import re
 import runpy
+import shlex
 import subprocess
 import sys
 
@@ -128,3 +129,19 @@ def test_readme_quickstart_runs():
     blocks = re.findall(r"```python\n(.*?)```", section, flags=re.S)
     assert len(blocks) == 1
     exec(compile(blocks[0], "README.md quickstart", "exec"), {})
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch):
+    from phasegrid import cli
+    text = (ROOT / "README.md").read_text()
+    section = text.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```sh\n(.*?)```", section, flags=re.S)
+    assert len(blocks) == 1
+    commands = [shlex.split(line) for line in blocks[0].splitlines()
+                if line.startswith("phasegrid ")]
+    assert len(commands) == 5
+    monkeypatch.chdir(ROOT)  # the block names configs/ relative to the root
+    for argv in commands:
+        argv = [str(tmp_path / arg[4:]) if arg.startswith("out/") else arg
+                for arg in argv[1:]]
+        assert cli.main(argv) == 0, " ".join(argv)
