@@ -15,7 +15,7 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, astuple, dataclass, field, fields
 from typing import get_args
 
 import numpy as np
@@ -383,6 +383,8 @@ def cmd_efficiency(cfg: RunConfig, args, meta: dict) -> dict:
     """Smallest basis per method and per hbar; ratio = size / levels."""
     if cfg.prune is None:
         raise ConfigError("efficiency scan needs prune.e_cut as the level cutoff")
+    if not args.hbars or not all(hb > 0 for hb in args.hbars):
+        raise ConfigError(f"efficiency --hbars must be positive: {args.hbars}")
     policy = EfficiencyPolicy(x_min=cfg.grid.x_min,
                               box_length=cfg.grid.length,
                               rcond=cfg.solver.rcond)
@@ -405,6 +407,10 @@ def cmd_efficiency(cfg: RunConfig, args, meta: dict) -> dict:
 
 def cmd_scaling(cfg: RunConfig, args, meta: dict) -> dict:
     """Volume and state-count scaling table across dimension."""
+    if not args.dims or min(args.dims) < 1:
+        raise ConfigError(f"scaling --dims must be >= 1: {args.dims}")
+    if args.samples < 1:
+        raise ConfigError(f"scaling --samples must be >= 1: {args.samples}")
     if args.energy is None:
         if cfg.prune is None:
             raise ConfigError("scaling needs --energy or prune.e_cut")
@@ -417,9 +423,7 @@ def cmd_scaling(cfg: RunConfig, args, meta: dict) -> dict:
     return {"scaling.csv": (
         ["D", "V_mc", "V_mc_stderr", "V_semiclassical", "V_exponential_ref",
          "G_exact", "G_limit_gD", "G_limit_Dg", "box_ratio"],
-        [(r.ndim, r.v_mc, r.v_mc_err, r.v_simplex, r.v_exponential,
-          r.n_exact, r.n_limit_power, r.n_limit_factorial, r.box_ratio)
-         for r in rows])}
+        [astuple(r) for r in rows])}
 
 
 COMMANDS = {"solve": cmd_solve, "sweep": cmd_sweep,

@@ -24,37 +24,24 @@ MC_CHUNK = 1 << 18
 
 @dataclass(frozen=True)
 class PhaseSpaceBox:
-    """Axis-aligned sampling box, symmetric in momentum about zero."""
+    """Sampling box of one degree of freedom, symmetric in p about zero."""
 
-    x_lo: tuple
-    x_hi: tuple
-    p_max: tuple
+    x_lo: float
+    x_hi: float
+    p_max: float
 
     def __post_init__(self):
-        if not len(self.x_lo) == len(self.x_hi) == len(self.p_max):
-            raise ValueError("box tuples must have equal lengths")
-        for lo, hi, pm in zip(self.x_lo, self.x_hi, self.p_max):
-            if hi <= lo or pm <= 0:
-                raise ValueError("degenerate box")
+        if self.x_hi <= self.x_lo or self.p_max <= 0:
+            raise ValueError("degenerate box")
 
-    @property
-    def ndim(self) -> int:
-        return len(self.x_lo)
-
-    @property
-    def volume(self) -> float:
-        out = 1.0
-        for lo, hi, pm in zip(self.x_lo, self.x_hi, self.p_max):
-            out *= (hi - lo) * 2.0 * pm
-        return out
+    def volume(self, ndim: int) -> float:
+        return math.prod([(self.x_hi - self.x_lo) * 2.0 * self.p_max] * ndim)
 
 
 @dataclass(frozen=True)
 class VolumeEstimate:
     value: float
     std_error: float
-    n_samples: int
-    seed: int
 
 
 def turning_points(spec: PotentialSpec, energy: float):
@@ -137,11 +124,12 @@ def phase_area_1d(spec: PotentialSpec, energy: float) -> float:
     return 2.0 * val
 
 
-def minimal_box(spec: PotentialSpec, energy: float, ndim: int) -> PhaseSpaceBox:
-    """Smallest axis-aligned box containing the D-fold direct-sum shell.
+def minimal_box(spec: PotentialSpec, energy: float) -> PhaseSpaceBox:
+    """Smallest box containing the 1-D orbit at `energy`.
 
-    Each degree of freedom can carry the full energy while the others sit at
-    the potential minimum, so every axis uses the 1-D extents at `energy`.
+    In the D-fold direct sum each degree of freedom can carry the full
+    energy while the others sit at the potential minimum, so the D-th power
+    of this box is the smallest axis-aligned box containing that shell.
     """
     xl, xr = turning_points(spec, energy)
     if spec.kind in ("harmonic", "morse"):
@@ -149,20 +137,14 @@ def minimal_box(spec: PotentialSpec, energy: float, ndim: int) -> PhaseSpaceBox:
     elif spec.kind == "tabulated":
         v_min = float(np.min(spec.table[:, 1]))
     else:
-        raise UnboundedOrbitError(
+        raise NotAvailableError(
             f"momentum extent diverges for kind {spec.kind!r}")
-    p_max = math.sqrt(2.0 * spec.mass * (energy - v_min))
-    return PhaseSpaceBox((xl,) * ndim, (xr,) * ndim, (p_max,) * ndim)
+    return PhaseSpaceBox(xl, xr, math.sqrt(2.0 * spec.mass * (energy - v_min)))
 
 
-def packing_ratio_1d(spec: PotentialSpec, energy: float,
-                     box: PhaseSpaceBox | None = None) -> float:
+def packing_ratio_1d(spec: PotentialSpec, energy: float) -> float:
     """Orbit area over the area of its enclosing box; independent of hbar."""
-    if box is None:
-        box = minimal_box(spec, energy, 1)
-    if box.ndim != 1:
-        raise ValueError("packing ratio is a 1-D quantity")
-    return phase_area_1d(spec, energy) / box.volume
+    return phase_area_1d(spec, energy) / minimal_box(spec, energy).volume(1)
 
 
 def mc_phase_volume(spec: PotentialSpec, ndim: int, energy: float,
@@ -170,11 +152,12 @@ def mc_phase_volume(spec: PotentialSpec, ndim: int, energy: float,
                     box: PhaseSpaceBox | None = None) -> VolumeEstimate:
     """Monte Carlo estimate of the phase-space volume below `energy`.
 
-    Uniform samples over the box, counted against the separable classical
-    Hamiltonian sum_d p_d^2/2m + V(x_d). The estimate is box_volume * hit
-    fraction with the binomial standard error; at a fixed seed it is
-    monotone nondecreasing in energy because the accepted set only grows.
-    A diagnostic chunk checks that hits do not pile up against the box
+    Uniform samples over the ndim-th power of the box (default: the minimal
+    box), counted against the separable classical Hamiltonian
+    sum_d p_d^2/2m + V(x_d). The estimate is box volume * hit fraction with
+    the binomial standard error; at a fixed seed it is monotone
+    nondecreasing in energy because the accepted set only grows. A
+    diagnostic chunk checks that hits do not pile up against the box
     faces, which would mean the box truncates the shell.
     """
     if ndim < 1:
@@ -185,20 +168,14 @@ def mc_phase_volume(spec: PotentialSpec, ndim: int, energy: float,
         raise NotAvailableError(
             f"kind {spec.kind!r} is not a 1-d degree of freedom to sample")
     if box is None:
-        box = minimal_box(spec, energy, ndim)
-    if box.ndim != ndim:
-        raise ValueError("box dimension does not match ndim")
+        box = minimal_box(spec, energy)
     rng = np.random.default_rng(seed)
-    x_lo = np.asarray(box.x_lo)
-    x_hi = np.asarray(box.x_hi)
-    p_mx = np.asarray(box.p_max)
     hits = 0
     done = 0
     while done < n_samples:
         n = min(MC_CHUNK, n_samples - done)
-        xs = rng.uniform(x_lo, x_hi, size=(n, ndim))
-        ps = rng.uniform(-p_mx, p_mx, size=(n, ndim))
-        hits += _kernels.mc_count_hits(xs, ps, spec, energy)
+        # unnamed, so the last chunk is freed before the next is drawn
+        hits += _kernels.mc_count_hits(*_draw(rng, box, n, ndim), spec, energy)
         done += n
     frac = hits / n_samples
     if hits == 0:
@@ -207,30 +184,29 @@ def mc_phase_volume(spec: PotentialSpec, ndim: int, energy: float,
             "shrink the box")
     _boundary_diagnostic(spec, ndim, energy, box, rng,
                          min(n_samples, 200_000))
-    value = box.volume * frac
-    err = box.volume * math.sqrt(frac * (1.0 - frac) / n_samples)
-    return VolumeEstimate(value=value, std_error=err,
-                          n_samples=n_samples, seed=seed)
+    volume = box.volume(ndim)
+    value = volume * frac
+    err = volume * math.sqrt(frac * (1.0 - frac) / n_samples)
+    return VolumeEstimate(value=value, std_error=err)
+
+
+def _draw(rng, box, n, ndim):
+    """n uniform points of the ndim-th power of the box, as (xs, ps)."""
+    return (rng.uniform(box.x_lo, box.x_hi, size=(n, ndim)),
+            rng.uniform(-box.p_max, box.p_max, size=(n, ndim)))
 
 
 def _boundary_diagnostic(spec, ndim, energy, box, rng, n):
     """Warn when more than 0.1% of the hits sit in a thin face shell."""
-    x_lo = np.asarray(box.x_lo)
-    x_hi = np.asarray(box.x_hi)
-    p_mx = np.asarray(box.p_max)
-    xs = rng.uniform(x_lo, x_hi, size=(n, ndim))
-    ps = rng.uniform(-p_mx, p_mx, size=(n, ndim))
+    xs, ps = _draw(rng, box, n, ndim)
     inside = _kernels.shell_mask(xs, ps, spec, energy)
     n_in = int(np.count_nonzero(inside))
     if n_in == 0:
         return
-    eps_x = 1e-3 * (x_hi - x_lo)
-    eps_p = 1e-3 * (2.0 * p_mx)
-    near = np.zeros(n, dtype=bool)
-    for d in range(ndim):
-        near |= xs[:, d] < x_lo[d] + eps_x[d]
-        near |= xs[:, d] > x_hi[d] - eps_x[d]
-        near |= np.abs(ps[:, d]) > p_mx[d] - eps_p[d]
+    eps_x = 1e-3 * (box.x_hi - box.x_lo)
+    eps_p = 1e-3 * (2.0 * box.p_max)
+    near = ((xs < box.x_lo + eps_x) | (xs > box.x_hi - eps_x)
+            | (np.abs(ps) > box.p_max - eps_p)).any(axis=1)
     frac = np.count_nonzero(near & inside) / n_in
     if frac > 1e-3:
         warnings.warn(
@@ -248,23 +224,20 @@ def state_count_exact(g: int, ndim: int) -> int:
     return math.comb(g + ndim, ndim)
 
 
+def _power_over_factorial(base: float, n: int) -> float:
+    """base^n / n!, evaluated in the log domain (0^0 = 1)."""
+    if n == 0:
+        return 1.0
+    if base == 0:
+        return 0.0
+    return math.exp(n * math.log(base) - math.lgamma(n + 1))
+
+
 def state_count_limits(g: int, ndim: int):
     """Asymptotic forms (g^D / D!, D^g / g!) evaluated in the log domain."""
     if g < 0 or ndim < 0:
         raise ValueError("g and ndim must be nonnegative")
-    if ndim == 0:
-        lim_power = 1.0
-    elif g == 0:
-        lim_power = 0.0
-    else:
-        lim_power = math.exp(ndim * math.log(g) - math.lgamma(ndim + 1))
-    if g == 0:
-        lim_factorial = 1.0
-    elif ndim == 0:
-        lim_factorial = 0.0
-    else:
-        lim_factorial = math.exp(g * math.log(ndim) - math.lgamma(g + 1))
-    return lim_power, lim_factorial
+    return _power_over_factorial(g, ndim), _power_over_factorial(ndim, g)
 
 
 def state_count_bruteforce(levels: Sequence[float], ndim: int, e_max: float,
@@ -288,7 +261,7 @@ def state_count_bruteforce(levels: Sequence[float], ndim: int, e_max: float,
 
 @dataclass(frozen=True)
 class ScalingRow:
-    """One dimension's worth of volume and state-count comparisons."""
+    """One dimension's comparisons, in the column order of scaling.csv."""
 
     ndim: int
     v_mc: float
@@ -298,7 +271,6 @@ class ScalingRow:
     n_exact: int
     n_limit_power: float
     n_limit_factorial: float
-    packing: float
     box_ratio: float
 
 
@@ -306,25 +278,26 @@ def scaling_report(spec: PotentialSpec, ndims: Sequence[int], energy: float,
                    n_samples: int = 10**6, seed: int = 0) -> list:
     """Volume and state-count scaling across dimensions for a separable well.
 
-    Per dimension D: Monte Carlo volume over the minimal box, the simplex
-    value v^D/D! built from the 1-D orbit area v, the exact tuple count at
-    g = floor(v/(2 pi hbar)) excitation quanta, and its two asymptotic
-    limits. Monte Carlo seeds derive deterministically from `seed` and D.
+    Per dimension D: Monte Carlo volume over the D-th power of the minimal
+    1-D box, the simplex value v^D/D! built from the 1-D orbit area v, the
+    exact tuple count at g = floor(v/(2 pi hbar)) excitation quanta, its
+    two asymptotic limits, and s^D/D! for the 1-D packing ratio s. Monte
+    Carlo seeds derive deterministically from `seed` and D.
     """
+    box = minimal_box(spec, energy)
     v1 = phase_area_1d(spec, energy)
-    box1 = minimal_box(spec, energy, 1)
-    pack = v1 / box1.volume
+    pack = v1 / box.volume(1)
     g = int(math.floor(v1 / (2.0 * math.pi * spec.hbar) + 1e-9))
     rows = []
     for d in ndims:
-        est = mc_phase_volume(spec, d, energy, n_samples, seed * 1009 + d)
-        simplex = math.exp(d * math.log(v1) - math.lgamma(d + 1))
+        est = mc_phase_volume(spec, d, energy, n_samples, seed * 1009 + d,
+                              box=box)
         lim_g, lim_d = state_count_limits(g, d)
         rows.append(ScalingRow(
             ndim=d, v_mc=est.value, v_mc_err=est.std_error,
-            v_simplex=simplex,
+            v_simplex=_power_over_factorial(v1, d),
             v_exponential=math.exp(d * math.log(v1)),
             n_exact=state_count_exact(g, d),
-            n_limit_power=lim_g, n_limit_factorial=lim_d, packing=pack,
-            box_ratio=math.exp(d * math.log(pack) - math.lgamma(d + 1))))
+            n_limit_power=lim_g, n_limit_factorial=lim_d,
+            box_ratio=_power_over_factorial(pack, d)))
     return rows

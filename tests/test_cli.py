@@ -381,6 +381,13 @@ e_cut = -0.2
     (COULOMB_CFG, ["efficiency"], "no analytic levels for kind 'coulomb1d'"),
     (MORSE_CFG.replace("basis = bvn", "basis = vn"), ["solve"],
      "implemented for the harmonic potential only"),
+    (COULOMB_CFG, ["scaling"],
+     "error: momentum extent diverges for kind 'coulomb1d'"),
+    (MORSE_CFG, ["scaling", "--energy", "8", "--dims", ","], "--dims"),
+    (MORSE_CFG, ["scaling", "--energy", "8", "--dims", "0"], "--dims"),
+    (MORSE_CFG, ["scaling", "--energy", "8", "--samples", "0"], "--samples"),
+    (MORSE_CFG, ["efficiency", "--hbars", ","], "--hbars"),
+    (MORSE_CFG, ["efficiency", "--hbars", "0"], "--hbars"),
 ])
 def test_config_errors_exit_2(tmp_path, capsys, text, argv, needle):
     cfg = _write(tmp_path, text)

@@ -1,6 +1,7 @@
 """Phase-space volumes, state counting, and the scaling table."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -50,13 +51,11 @@ def test_phase_area_morse_closed_form():
 
 def test_minimal_box_harmonic():
     spec = pg.harmonic()
-    box = pg.minimal_box(spec, 8.0, 1)
+    box = pg.minimal_box(spec, 8.0)
     x_t = math.sqrt(16.0)
     p_t = math.sqrt(16.0)
-    assert box.volume == pytest.approx(4 * x_t * p_t)
-    box3 = pg.minimal_box(spec, 8.0, 3)
-    assert box3.ndim == 3
-    assert box3.volume == pytest.approx((4 * x_t * p_t) ** 3)
+    assert box.volume(1) == pytest.approx(4 * x_t * p_t)
+    assert box.volume(3) == pytest.approx((4 * x_t * p_t) ** 3)
 
 
 def test_packing_ratio_harmonic_is_quarter_pi():
@@ -88,14 +87,28 @@ def test_mc_volume_degenerate_when_nothing_hits():
     # a box placed entirely outside the allowed region scores zero hits
     with pytest.raises(DegenerateEstimateError):
         pg.mc_phase_volume(pg.harmonic(), 1, 8.0, 50, seed=0,
-                           box=pg.PhaseSpaceBox(x_lo=(100.0,), x_hi=(101.0,),
-                                                p_max=(1.0,)))
+                           box=pg.PhaseSpaceBox(x_lo=100.0, x_hi=101.0,
+                                                p_max=1.0))
 
 
 def test_mc_volume_needs_1d_potential():
-    box = pg.PhaseSpaceBox(x_lo=(-1.0,), x_hi=(1.0,), p_max=(1.0,))
+    box = pg.PhaseSpaceBox(x_lo=-1.0, x_hi=1.0, p_max=1.0)
     with pytest.raises(NotAvailableError):
         pg.mc_phase_volume(pg.triangle2d(), 1, 0.5, 2, seed=0, box=box)
+
+
+def test_truncating_box_warns():
+    spec = pg.harmonic()
+    # the orbit at E = 8 reaches |x| = |p| = 4; each box cuts one of them
+    cut_x = pg.PhaseSpaceBox(-2.0, 2.0, 4.0)
+    cut_p = pg.PhaseSpaceBox(-4.0, 4.0, 2.0)
+    for ndim in (1, 2):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pg.mc_phase_volume(spec, ndim, 8.0, 200000, seed=1)
+        for box in (cut_x, cut_p):
+            with pytest.warns(UserWarning, match="touch the box faces"):
+                pg.mc_phase_volume(spec, ndim, 8.0, 200000, seed=1, box=box)
 
 
 def test_state_count_exact_is_binomial():
@@ -141,7 +154,7 @@ def test_scaling_report_structure():
     assert rows[0].v_simplex == pytest.approx(v1)
     assert rows[1].v_simplex == pytest.approx(v1**2 / 2.0)
     assert rows[1].v_exponential == pytest.approx(v1**2)
-    pack = rows[0].packing
+    pack = pg.packing_ratio_1d(spec, 8.0)
     assert rows[1].box_ratio == pytest.approx(pack**2 / 2.0)
     # in 1-d the MC estimate targets the orbit area itself; in 2-d the
     # simplex form v^2/2 is exact only for a linear area law (harmonic),

@@ -123,6 +123,18 @@ def test_traced_layers_see_the_efficiency_scan(tmp_path):
     assert layers["solver.scan_probes"] > 0
 
 
+@pytest.mark.skipif(not TRACER.exists(), reason="perfbench/tracer.py absent")
+def test_traced_layers_see_the_scaling_run(tmp_path):
+    # the tracer reads n_samples and the kernel's arrays by position
+    layers = _traced_layers(tmp_path, ["scaling", "--config",
+                                       "configs/morse_bvn.cfg", "--energy",
+                                       "8", "--dims", "1,2", "--samples",
+                                       "20000"])
+    assert layers["semiclassics.mc_samples"] == 40000
+    assert layers["kernels.mc_hits_calls"] == 2
+    assert layers["kernels.mc_bytes_computed"] == 960000
+
+
 def test_readme_quickstart_runs():
     text = (ROOT / "README.md").read_text()
     section = text.split("## Python quickstart", 1)[1].split("\n## ", 1)[0]
