@@ -4,10 +4,10 @@ Fourier-grid diagonalization plus Gaussian and biorthogonal phase-space
 bases with energy pruning, and semiclassical state-counting utilities.
 """
 
-from .errors import (BudgetExceededError, DegenerateEstimateError,
-                     IllConditionedError, NotAvailableError,
-                     NumericFailureError, SingularPointError,
-                     UnboundedOrbitError)
+from .errors import (BelowWellBottomError, BudgetExceededError,
+                     DegenerateEstimateError, IllConditionedError,
+                     NotAvailableError, NumericFailureError,
+                     SingularPointError, UnboundedOrbitError)
 from .fourier_grid import (FghOperator2D, Grid1D, Grid2D,
                            harmonic_square_grid, hamiltonian_fgh,
                            kinetic_matrix, potential_matrix, solve_fgh,

@@ -15,11 +15,22 @@ BLOCK = 1 << 18
 def shell_mask(xs, ps, spec, energy):
     """Mask of samples with sum_d p_d^2/2m + V(x_d) <= energy.
 
-    xs, ps: (n, D) arrays of pre-drawn coordinates and momenta.
+    xs, ps: (n, D) arrays of pre-drawn coordinates and momenta, left
+    unchanged. The potential is evaluated once on the whole array; both
+    sums add columns left to right, as np.sum does along a short axis.
     """
-    kin = np.sum(ps**2, axis=1) / (2.0 * spec.mass)
-    pot = sum(evaluate(spec, xs[:, d]) for d in range(xs.shape[1]))
-    return kin + pot <= energy
+    kin = _row_sum(ps * ps)
+    kin /= 2.0 * spec.mass
+    kin += _row_sum(evaluate(spec, xs).reshape(xs.shape))
+    return kin <= energy
+
+
+def _row_sum(a):
+    """Sum over the columns of an (n, D) array, one column at a time."""
+    out = a[:, 0].copy()
+    for d in range(1, a.shape[1]):
+        out += a[:, d]
+    return out
 
 
 def mc_count_hits(xs, ps, spec, energy):

@@ -21,8 +21,8 @@ from typing import get_args
 import numpy as np
 
 from . import __version__
-from .errors import (BudgetExceededError, NotAvailableError,
-                     UnboundedOrbitError)
+from .errors import (BelowWellBottomError, BudgetExceededError,
+                     NotAvailableError, UnboundedOrbitError)
 from .fourier_grid import DENSE_2D_LIMIT, Grid1D, Grid2D, harmonic_square_grid
 from .potentials import (PARAMETERS, PotentialSpec, analytic_levels,
                          coulomb1d, harmonic, morse, triangle2d)
@@ -415,11 +415,14 @@ def cmd_scaling(cfg: RunConfig, args, meta: dict) -> dict:
         if cfg.prune is None:
             raise ConfigError("scaling needs --energy or prune.e_cut")
         args.energy = cfg.prune.e_cut
+    where = "--energy (default prune.e_cut)"
+    if not math.isfinite(args.energy):
+        raise ConfigError(f"{where}: energy {args.energy} is not finite")
     try:
         rows = scaling_report(cfg.spec(), args.dims, args.energy,
                               n_samples=args.samples, seed=cfg.output.seed)
-    except UnboundedOrbitError as exc:
-        raise ConfigError(f"--energy (default prune.e_cut): {exc}") from None
+    except (UnboundedOrbitError, BelowWellBottomError) as exc:
+        raise ConfigError(f"{where}: {exc}") from None
     return {"scaling.csv": (
         ["D", "V_mc", "V_mc_stderr", "V_semiclassical", "V_exponential_ref",
          "G_exact", "G_limit_gD", "G_limit_Dg", "box_ratio"],

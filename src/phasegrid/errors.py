@@ -25,6 +25,10 @@ class UnboundedOrbitError(ValueError):
     """Classical motion at the requested energy is not bounded."""
 
 
+class BelowWellBottomError(ValueError):
+    """The requested energy is at or below the potential minimum: no orbit."""
+
+
 class BudgetExceededError(RuntimeError):
     """A search or enumeration exceeded its size budget.
 

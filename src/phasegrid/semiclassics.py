@@ -15,8 +15,9 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernels
-from .errors import (BudgetExceededError, DegenerateEstimateError,
-                     NotAvailableError, UnboundedOrbitError)
+from .errors import (BelowWellBottomError, BudgetExceededError,
+                     DegenerateEstimateError, NotAvailableError,
+                     UnboundedOrbitError)
 from .potentials import PotentialSpec, evaluate
 
 MC_CHUNK = 1 << 18
@@ -56,14 +57,14 @@ def turning_points(spec: PotentialSpec, energy: float):
             "turning points are defined per 1-D degree of freedom")
     if spec.kind == "harmonic":
         if energy <= 0:
-            raise ValueError("harmonic orbit needs energy > 0")
+            raise BelowWellBottomError("harmonic orbit needs energy > 0")
         m, w = spec.mass, spec.params["omega"]
         xt = math.sqrt(2.0 * energy / (m * w * w))
         return -xt, xt
     if spec.kind == "morse":
         de, beta = spec.params["depth"], spec.params["beta"]
         if energy <= 0:
-            raise ValueError("morse orbit needs energy > 0")
+            raise BelowWellBottomError("morse orbit needs energy > 0")
         if energy >= de:
             raise UnboundedOrbitError(
                 f"energy {energy} at or above the well depth {de}")
@@ -84,7 +85,8 @@ def _turning_points_table(spec: PotentialSpec, energy: float):
     vs = spec.table[:, 1]
     i0 = int(np.argmin(vs))
     if energy <= vs[i0]:
-        raise ValueError("energy below the tabulated minimum")
+        raise BelowWellBottomError(
+            "energy at or below the tabulated minimum")
     f = vs - energy
     if f[0] < 0 or f[-1] < 0:
         raise UnboundedOrbitError("table does not bracket the orbit")
@@ -103,15 +105,25 @@ def _turning_points_table(spec: PotentialSpec, energy: float):
 def phase_area_1d(spec: PotentialSpec, energy: float) -> float:
     """Area enclosed by the 1-D orbit, 2 * integral of sqrt(2m(E-V)) dx.
 
-    The substitution x = c + r*sin(t) removes the square-root singularities
-    at the turning points before handing the integrand to adaptive
-    quadrature.
+    Closed forms for harmonic (2 pi E / omega) and Morse wells; tabulated
+    and other kinds go to adaptive quadrature after the substitution
+    x = c + r*sin(t), which removes the square-root singularities at the
+    turning points.
     """
-    from scipy.integrate import quad  # deferred: costly, rarely needed
+    # turning_points also rejects energies with no bounded orbit
     xl, xr = turning_points(spec, energy)
+    m = spec.mass
+    if spec.kind == "harmonic":
+        return 2.0 * math.pi * energy / spec.params["omega"]
+    if spec.kind == "morse":
+        de, beta = spec.params["depth"], spec.params["beta"]
+        # 1 - sqrt(1 - u) as u / (1 + sqrt(1 - u)): no cancellation at small E
+        u = energy / de
+        return (2.0 * math.pi * math.sqrt(2.0 * m * de) / beta
+                * (u / (1.0 + math.sqrt(1.0 - u))))
+    from scipy.integrate import quad  # deferred: costly, rarely needed
     c = 0.5 * (xl + xr)
     r = 0.5 * (xr - xl)
-    m = spec.mass
 
     def integrand(t):
         x = c + r * math.sin(t)
@@ -170,12 +182,15 @@ def mc_phase_volume(spec: PotentialSpec, ndim: int, energy: float,
     if box is None:
         box = minimal_box(spec, energy)
     rng = np.random.default_rng(seed)
+    # one buffer pair, refilled chunk by chunk
+    shape = (min(MC_CHUNK, n_samples), ndim)
+    bufs = (np.empty(shape), np.empty(shape))
     hits = 0
     done = 0
     while done < n_samples:
         n = min(MC_CHUNK, n_samples - done)
-        # unnamed, so the last chunk is freed before the next is drawn
-        hits += _kernels.mc_count_hits(*_draw(rng, box, n, ndim), spec, energy)
+        hits += _kernels.mc_count_hits(*_draw(rng, box, n, ndim, bufs), spec,
+                                       energy)
         done += n
     frac = hits / n_samples
     if hits == 0:
@@ -190,10 +205,21 @@ def mc_phase_volume(spec: PotentialSpec, ndim: int, energy: float,
     return VolumeEstimate(value=value, std_error=err)
 
 
-def _draw(rng, box, n, ndim):
-    """n uniform points of the ndim-th power of the box, as (xs, ps)."""
-    return (rng.uniform(box.x_lo, box.x_hi, size=(n, ndim)),
-            rng.uniform(-box.p_max, box.p_max, size=(n, ndim)))
+def _draw(rng, box, n, ndim, bufs=None):
+    """n uniform points of the ndim-th power of the box, as (xs, ps).
+
+    Written into the first n rows of `bufs` (fresh arrays when None). The
+    values and the generator state match rng.uniform(lo, hi, size=(n, ndim))
+    for x, then for p.
+    """
+    if bufs is None:
+        bufs = (np.empty((n, ndim)), np.empty((n, ndim)))
+    out = bufs[0][:n], bufs[1][:n]
+    for a, lo, hi in zip(out, (box.x_lo, -box.p_max), (box.x_hi, box.p_max)):
+        rng.random(out=a)
+        a *= hi - lo  # Generator.uniform computes lo + (hi - lo) * u
+        a += lo
+    return out
 
 
 def _boundary_diagnostic(spec, ndim, energy, box, rng, n):

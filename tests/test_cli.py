@@ -388,6 +388,15 @@ e_cut = -0.2
     (MORSE_CFG, ["scaling", "--energy", "8", "--samples", "0"], "--samples"),
     (MORSE_CFG, ["efficiency", "--hbars", ","], "--hbars"),
     (MORSE_CFG, ["efficiency", "--hbars", "0"], "--hbars"),
+    # a non-finite energy, or one at or below the well bottom, has no orbit
+    (HARMONIC_CFG, ["scaling", "--energy", "nan"],
+     "--energy (default prune.e_cut): energy nan is not finite"),
+    (HARMONIC_CFG, ["scaling", "--energy", "inf"],
+     "--energy (default prune.e_cut): energy inf is not finite"),
+    (HARMONIC_CFG, ["scaling", "--energy", "0"],
+     "--energy (default prune.e_cut): harmonic orbit needs energy > 0"),
+    (MORSE_CFG, ["scaling", "--energy", "-1"],
+     "--energy (default prune.e_cut): morse orbit needs energy > 0"),
 ])
 def test_config_errors_exit_2(tmp_path, capsys, text, argv, needle):
     cfg = _write(tmp_path, text)

@@ -1,6 +1,7 @@
 """Numpy kernels against plain-Python oracles."""
 
 import itertools
+import math
 
 import numpy as np
 
@@ -18,6 +19,42 @@ def test_mc_hits_against_python_loop():
         if p * p / 2.0 + 0.5 * x * x <= 1.3:
             expect += 1
     assert got == expect
+
+
+def test_shell_mask_matches_summed_formula():
+    # the per-axis formula the kernel replaced, bit for bit, up to D = 4
+    rng = np.random.default_rng(8)
+    grid = np.linspace(-3.0, 9.0, 97)
+    specs = (pg.harmonic(mass=2.0, omega=1.5), pg.morse(),
+             pg.tabulated(grid, 0.1 * grid**2 - 0.3 * np.cos(grid), mass=3.0))
+    for spec in specs:
+        for d in (1, 2, 3, 4):
+            xs = rng.uniform(-2.5, 8.5, size=(4000, d))
+            ps = rng.uniform(-6.0, 6.0, size=(4000, d))
+            total = (np.sum(ps**2, axis=1) / (2.0 * spec.mass)
+                     + sum(pg.evaluate(spec, xs[:, k]) for k in range(d)))
+            energy = float(np.median(total))
+            x0, p0 = xs.copy(), ps.copy()
+            got = _kernels.shell_mask(xs, ps, spec, energy)
+            assert np.array_equal(got, total <= energy), (spec.kind, d)
+            assert np.array_equal(xs, x0) and np.array_equal(ps, p0)
+
+
+def test_mc_hits_3d_morse_against_python_loop():
+    spec = pg.morse()
+    rng = np.random.default_rng(4)
+    xs = rng.uniform(-1.0, 4.0, size=(1000, 3))
+    ps = rng.uniform(-6.0, 6.0, size=(1000, 3))
+    depth, beta, mass = (spec.params["depth"], spec.params["beta"],
+                         spec.mass)
+    expect = 0
+    for x, p in zip(xs, ps):
+        energy = sum(pk * pk for pk in p) / (2.0 * mass)
+        energy += sum(depth * (1.0 - math.exp(-beta * xk)) ** 2 for xk in x)
+        if energy <= 11.25:
+            expect += 1
+    assert 0 < expect < 1000
+    assert _kernels.mc_count_hits(xs, ps, spec, 11.25) == expect
 
 
 def test_tuple_count_against_itertools():

@@ -9,6 +9,7 @@ import pytest
 import phasegrid as pg
 from phasegrid.errors import (BudgetExceededError, DegenerateEstimateError,
                               NotAvailableError, UnboundedOrbitError)
+from phasegrid.semiclassics import MC_CHUNK, _draw
 
 
 def test_turning_points_harmonic():
@@ -49,6 +50,40 @@ def test_phase_area_morse_closed_form():
         assert pg.phase_area_1d(spec, e) == pytest.approx(expect, rel=1e-7)
 
 
+def _area_by_quadrature(spec, energy):
+    # 2 * integral of sqrt(2m(E - V)) over the orbit, x = c + r sin(t)
+    from scipy.integrate import quad
+    xl, xr = pg.turning_points(spec, energy)
+    c, r = 0.5 * (xl + xr), 0.5 * (xr - xl)
+
+    def integrand(t):
+        gap = max(energy - pg.evaluate(spec, c + r * math.sin(t)), 0.0)
+        return math.sqrt(2.0 * spec.mass * gap) * r * math.cos(t)
+
+    return 2.0 * quad(integrand, -0.5 * math.pi, 0.5 * math.pi, limit=200)[0]
+
+
+def test_phase_area_closed_forms_match_quadrature():
+    for spec, top in ((pg.harmonic(mass=3.0, omega=0.7), 20.0),
+                      (pg.morse(depth=12.0, beta=0.5, mass=6.0), 11.9)):
+        for e in np.linspace(top / 20, top, 20):
+            assert pg.phase_area_1d(spec, e) == pytest.approx(
+                _area_by_quadrature(spec, e), rel=1e-13, abs=0.0)
+
+
+def test_phase_area_tabulated_well_uses_quadrature():
+    # a harmonic well sampled every 0.005: linear interpolation raises V by
+    # at most h^2/8, and the area falls short of 2 pi E by at most 4.1e-6
+    # relative (at E = 0.5); the kinks at the knots make quad warn
+    xs = np.linspace(-5.0, 5.0, 2001)
+    spec = pg.tabulated(xs, 0.5 * xs**2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for e in (0.5, 3.0, 8.0):
+            assert pg.phase_area_1d(spec, e) == pytest.approx(
+                2 * math.pi * e, rel=1e-5)
+
+
 def test_minimal_box_harmonic():
     spec = pg.harmonic()
     box = pg.minimal_box(spec, 8.0)
@@ -81,6 +116,26 @@ def test_mc_volume_separable_2d():
     est = pg.mc_phase_volume(spec, 2, 6.0, 400000, seed=11)
     exact = (2 * math.pi * 6.0) ** 2 / 2.0
     assert abs(est.value - exact) < 4 * est.std_error
+
+
+def test_buffered_draw_matches_uniform():
+    # chunked draws into one buffer pair replay rng.uniform, x then p, bit
+    # for bit, through the short last chunk
+    box = pg.PhaseSpaceBox(-1.3, 2.9, 3.7)
+    n_samples = MC_CHUNK + 7
+    for ndim in (1, 2, 3):
+        mine, ref = np.random.default_rng(17), np.random.default_rng(17)
+        bufs = (np.empty((MC_CHUNK, ndim)), np.empty((MC_CHUNK, ndim)))
+        done = 0
+        while done < n_samples:
+            n = min(MC_CHUNK, n_samples - done)
+            xs, ps = _draw(mine, box, n, ndim, bufs)
+            assert np.array_equal(
+                xs, ref.uniform(box.x_lo, box.x_hi, size=(n, ndim)))
+            assert np.array_equal(
+                ps, ref.uniform(-box.p_max, box.p_max, size=(n, ndim)))
+            done += n
+        assert mine.bit_generator.state == ref.bit_generator.state
 
 
 def test_mc_volume_degenerate_when_nothing_hits():

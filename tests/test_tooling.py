@@ -58,6 +58,22 @@ def test_cli_import_leaves_out_scipy_optimize_and_integrate():
     assert run.stdout.strip() == "[]"
 
 
+def test_morse_scaling_run_leaves_out_scipy_integrate(tmp_path):
+    # harmonic and Morse orbit areas are closed forms, no quadrature
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    argv = ["scaling", "--config", "configs/morse_bvn.cfg", "--energy", "8",
+            "--dims", "1", "--samples", "1000", "--out", str(tmp_path / "o"),
+            "--quiet"]
+    run = subprocess.run(
+        [sys.executable, "-c", "import sys; from phasegrid import cli; "
+         f"assert cli.main({argv!r}) == 0; "
+         "print('scipy.integrate' in sys.modules)"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "False"
+
+
 TRIANGLE_CFG = """\
 [potential]
 kind = triangle2d
