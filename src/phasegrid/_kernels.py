@@ -17,7 +17,7 @@ def shell_mask(xs, ps, spec, energy):
 
     xs, ps: (n, D) arrays of pre-drawn coordinates and momenta, left
     unchanged. The potential is evaluated once on the whole array; both
-    sums add columns left to right, as np.sum does along a short axis.
+    sums are bit-identical to np.sum(..., axis=1).
     """
     kin = _row_sum(ps * ps)
     kin /= 2.0 * spec.mass
@@ -26,7 +26,14 @@ def shell_mask(xs, ps, spec, energy):
 
 
 def _row_sum(a):
-    """Sum over the columns of an (n, D) array, one column at a time."""
+    """np.sum(a, axis=1) for an (n, D) array, bit for bit.
+
+    np.sum adds fewer than 8 columns left to right, which one pass per
+    column does without the slow short-axis reduction; from 8 columns on
+    it sums pairwise, so those go to np.sum itself.
+    """
+    if a.shape[1] >= 8:
+        return np.sum(a, axis=1)
     out = a[:, 0].copy()
     for d in range(1, a.shape[1]):
         out += a[:, d]

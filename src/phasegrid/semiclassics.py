@@ -189,7 +189,7 @@ def mc_phase_volume(spec: PotentialSpec, ndim: int, energy: float,
     done = 0
     while done < n_samples:
         n = min(MC_CHUNK, n_samples - done)
-        hits += _kernels.mc_count_hits(*_draw(rng, box, n, ndim, bufs), spec,
+        hits += _kernels.mc_count_hits(*_draw(rng, box, n, bufs), spec,
                                        energy)
         done += n
     frac = hits / n_samples
@@ -197,23 +197,21 @@ def mc_phase_volume(spec: PotentialSpec, ndim: int, energy: float,
         raise DegenerateEstimateError(
             "no sample fell inside the energy shell; enlarge n_samples or "
             "shrink the box")
-    _boundary_diagnostic(spec, ndim, energy, box, rng,
-                         min(n_samples, 200_000))
+    _boundary_diagnostic(spec, energy, box, rng, bufs,
+                         min(len(bufs[0]), 200_000))
     volume = box.volume(ndim)
     value = volume * frac
     err = volume * math.sqrt(frac * (1.0 - frac) / n_samples)
     return VolumeEstimate(value=value, std_error=err)
 
 
-def _draw(rng, box, n, ndim, bufs=None):
-    """n uniform points of the ndim-th power of the box, as (xs, ps).
+def _draw(rng, box, n, bufs):
+    """n uniform points of the D-th power of the box, as (xs, ps).
 
-    Written into the first n rows of `bufs` (fresh arrays when None). The
-    values and the generator state match rng.uniform(lo, hi, size=(n, ndim))
-    for x, then for p.
+    Written into the first n rows of the (m, D) buffer pair `bufs`, m >= n.
+    The values and the generator state match rng.uniform(lo, hi,
+    size=(n, D)) for x, then for p.
     """
-    if bufs is None:
-        bufs = (np.empty((n, ndim)), np.empty((n, ndim)))
     out = bufs[0][:n], bufs[1][:n]
     for a, lo, hi in zip(out, (box.x_lo, -box.p_max), (box.x_hi, box.p_max)):
         rng.random(out=a)
@@ -222,9 +220,9 @@ def _draw(rng, box, n, ndim, bufs=None):
     return out
 
 
-def _boundary_diagnostic(spec, ndim, energy, box, rng, n):
-    """Warn when more than 0.1% of the hits sit in a thin face shell."""
-    xs, ps = _draw(rng, box, n, ndim)
+def _boundary_diagnostic(spec, energy, box, rng, bufs, n):
+    """Warn when over 0.1% of the hits in n new draws touch the box faces."""
+    xs, ps = _draw(rng, box, n, bufs)
     inside = _kernels.shell_mask(xs, ps, spec, energy)
     n_in = int(np.count_nonzero(inside))
     if n_in == 0:

@@ -33,11 +33,24 @@ def test_shell_mask_matches_summed_formula():
             ps = rng.uniform(-6.0, 6.0, size=(4000, d))
             total = (np.sum(ps**2, axis=1) / (2.0 * spec.mass)
                      + sum(pg.evaluate(spec, xs[:, k]) for k in range(d)))
-            energy = float(np.median(total))
             x0, p0 = xs.copy(), ps.copy()
-            got = _kernels.shell_mask(xs, ps, spec, energy)
-            assert np.array_equal(got, total <= energy), (spec.kind, d)
+            # at a sample's own total, and one ulp below it, a sum that
+            # differs from the formula in the last bit flips that sample
+            for i in range(0, 4000, 400):
+                for energy in (total[i], np.nextafter(total[i], -np.inf)):
+                    got = _kernels.shell_mask(xs, ps, spec, energy)
+                    assert np.array_equal(got, total <= energy), (spec.kind,
+                                                                  d, i)
             assert np.array_equal(xs, x0) and np.array_equal(ps, p0)
+
+
+def test_row_sum_matches_np_sum():
+    # left to right below 8 columns, numpy's pairwise order from 8 on
+    rng = np.random.default_rng(5)
+    for d in range(1, 11):
+        a = (rng.standard_normal((3000, d))
+             * np.exp(rng.uniform(-20.0, 20.0, size=(3000, d))))
+        assert np.array_equal(_kernels._row_sum(a), np.sum(a, axis=1)), d
 
 
 def test_mc_hits_3d_morse_against_python_loop():

@@ -129,7 +129,7 @@ def test_buffered_draw_matches_uniform():
         done = 0
         while done < n_samples:
             n = min(MC_CHUNK, n_samples - done)
-            xs, ps = _draw(mine, box, n, ndim, bufs)
+            xs, ps = _draw(mine, box, n, bufs)
             assert np.array_equal(
                 xs, ref.uniform(box.x_lo, box.x_hi, size=(n, ndim)))
             assert np.array_equal(
