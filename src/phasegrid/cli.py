@@ -309,8 +309,6 @@ def cmd_solve(cfg: RunConfig, args, meta: dict) -> dict:
         raise ConfigError(
             f"grid has {grid.size} points (> {DENSE_2D_LIMIT}); pass "
             "--long-running to enable the matrix-free Lanczos fgh solve")
-    if two_d and basis in ("pvn", "vn"):
-        raise ConfigError(f"basis '{basis}' supports only 1-d grids")
     if basis != "fgh" and lat is None:
         raise ConfigError(f"basis '{basis}' needs a [lattice] section")
     if two_d and basis == "bvn" and cfg.prune is None:

@@ -78,29 +78,6 @@ class Grid2D:
         y = np.repeat(self.gy.points, self.gx.N)
         return np.column_stack([x, y])
 
-    def flat_index(self, ix: int, iy: int) -> int:
-        return iy * self.gx.N + ix
-
-
-def theta_eval(grid: Grid1D, n: int, x):
-    """Periodic sinc basis function theta_n evaluated at x (scalar or array).
-
-    Closed form exp(i*A/2) * sin(N*A/2) / (sqrt(L*N) * sin(A/2)) with
-    A = 2*pi*(x - x_n)/L; equals sqrt(N/L) where A is a multiple of 2*pi.
-    The expression is L-periodic, so x outside the box needs no wrapping.
-    """
-    if not 0 <= n < grid.N:
-        raise ValueError(f"basis index {n} outside 0..{grid.N - 1}")
-    x = np.asarray(x, dtype=float)
-    a = 2.0 * math.pi * (x - (grid.x_min + grid.dx * n)) / grid.L
-    # reduce to |b| <= pi; for even N the closed form is unchanged
-    b = a - 2.0 * math.pi * np.round(a / (2.0 * math.pi))
-    sb = np.sin(0.5 * b)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(b == 0.0, float(grid.N), np.sin(0.5 * grid.N * b) / sb)
-    out = np.exp(0.5j * b) * ratio / math.sqrt(grid.L * grid.N)
-    return complex(out) if out.ndim == 0 else out
-
 
 def kinetic_matrix(grid: Grid1D, mass: float, hbar: float = 1.0) -> np.ndarray:
     """Dense kinetic energy matrix of the periodic sinc basis.

@@ -1,4 +1,4 @@
-"""Benchmark potentials, their classical Hamiltonians and analytic spectra."""
+"""Benchmark potentials and their analytic spectra."""
 
 import math
 from dataclasses import dataclass, field
@@ -84,26 +84,6 @@ def tabulated(xs, vs, mass=1.0, hbar=1.0) -> PotentialSpec:
     return PotentialSpec("tabulated", {"mass": mass}, hbar, table=table)
 
 
-@dataclass(frozen=True)
-class PhasePoint:
-    """A classical phase-space point (x, p), one entry per dimension."""
-
-    x: tuple
-    p: tuple
-
-    def __post_init__(self):
-        x = tuple(float(v) for v in np.atleast_1d(self.x))
-        p = tuple(float(v) for v in np.atleast_1d(self.p))
-        if len(x) != len(p):
-            raise ValueError("x and p must have equal length")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "p", p)
-
-    @property
-    def dimension(self) -> int:
-        return len(self.x)
-
-
 def triangle_alpha(theta):
     """Angular width parameter of the three-fold symmetric well."""
     return ((1.0 - np.cos(3.0 * theta)) / 4.0) ** 2 + 0.05
@@ -155,18 +135,6 @@ def evaluate(spec: PotentialSpec, x):
         arr = arr[..., 0]
     out = _eval_1d(spec, arr)
     return float(out) if np.ndim(out) == 0 else out
-
-
-def classical_hamiltonian(spec: PotentialSpec, pt: PhasePoint) -> float:
-    """Classical energy p^2/2m + V(x) at a phase-space point."""
-    if pt.dimension != spec.dimension:
-        raise ValueError(
-            f"phase point dimension {pt.dimension} does not match "
-            f"{spec.kind} dimension {spec.dimension}")
-    x = np.asarray(pt.x)
-    kin = float(np.sum(np.asarray(pt.p) ** 2)) / (2.0 * spec.mass)
-    pot = evaluate(spec, x if spec.dimension > 1 else x[0])
-    return kin + float(pot)
 
 
 def morse_frequency(spec: PotentialSpec) -> float:

@@ -3,8 +3,9 @@
 One quantum state occupies a phase-space cell of area 2*pi*hbar per degree
 of freedom, so the number of states below E tracks the classical volume
 V(E)/(2*pi*hbar)^D. For separable potentials the volume below a direct-sum
-energy surface is estimated three ways: Monte Carlo over an enclosing box,
-the simplex formula v^D/D!, and exact enumeration of level tuples.
+energy surface is estimated by Monte Carlo over an enclosing box and by the
+simplex formula v^D/D!, and the states below it are counted exactly as
+binomial(g + D, D).
 """
 
 import math
@@ -15,10 +16,9 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernels
-from .errors import (BelowWellBottomError, BudgetExceededError,
-                     DegenerateEstimateError, NotAvailableError,
-                     UnboundedOrbitError)
-from .potentials import PotentialSpec, evaluate
+from .errors import (BelowWellBottomError, DegenerateEstimateError,
+                     NotAvailableError, UnboundedOrbitError)
+from .potentials import PotentialSpec
 
 MC_CHUNK = 1 << 18
 
@@ -105,10 +105,9 @@ def _turning_points_table(spec: PotentialSpec, energy: float):
 def phase_area_1d(spec: PotentialSpec, energy: float) -> float:
     """Area enclosed by the 1-D orbit, 2 * integral of sqrt(2m(E-V)) dx.
 
-    Closed forms for harmonic (2 pi E / omega) and Morse wells; tabulated
-    and other kinds go to adaptive quadrature after the substitution
-    x = c + r*sin(t), which removes the square-root singularities at the
-    turning points.
+    Closed forms for every 1-D kind: harmonic (2 pi E / omega), Morse,
+    Coulomb (pi z sqrt(2m/|E|)), and for tables the exact integral of the
+    linearly interpolated potential, segment by segment.
     """
     # turning_points also rejects energies with no bounded orbit
     xl, xr = turning_points(spec, energy)
@@ -121,19 +120,16 @@ def phase_area_1d(spec: PotentialSpec, energy: float) -> float:
         u = energy / de
         return (2.0 * math.pi * math.sqrt(2.0 * m * de) / beta
                 * (u / (1.0 + math.sqrt(1.0 - u))))
-    from scipy.integrate import quad  # deferred: costly, rarely needed
-    c = 0.5 * (xl + xr)
-    r = 0.5 * (xr - xl)
-
-    def integrand(t):
-        x = c + r * math.sin(t)
-        gap = energy - float(evaluate(spec, np.array([[x]]))[0])
-        if gap < 0.0:
-            gap = 0.0
-        return math.sqrt(2.0 * m * gap) * r * math.cos(t)
-
-    val, _ = quad(integrand, -0.5 * math.pi, 0.5 * math.pi, limit=200)
-    return 2.0 * val
+    if spec.kind == "coulomb1d":
+        return math.pi * spec.params["charge"] * math.sqrt(2.0 * m / -energy)
+    xs, vs = spec.table[:, 0], spec.table[:, 1]
+    x = np.concatenate(([xl], xs[(xs > xl) & (xs < xr)], [xr]))
+    gap = np.maximum(energy - np.interp(x, xs, vs), 0.0)
+    # integral of sqrt(gap) over a segment where gap runs linearly from a^2
+    # to b^2: (2/3) dx (b^3 - a^3) / (b^2 - a^2), without the cancellation
+    a, b = np.sqrt(gap[:-1]), np.sqrt(gap[1:])
+    seg = np.diff(x) * (a * a + a * b + b * b) / (a + b)
+    return 2.0 * math.sqrt(2.0 * m) * (2.0 / 3.0) * float(np.sum(seg))
 
 
 def minimal_box(spec: PotentialSpec, energy: float) -> PhaseSpaceBox:
@@ -152,11 +148,6 @@ def minimal_box(spec: PotentialSpec, energy: float) -> PhaseSpaceBox:
         raise NotAvailableError(
             f"momentum extent diverges for kind {spec.kind!r}")
     return PhaseSpaceBox(xl, xr, math.sqrt(2.0 * spec.mass * (energy - v_min)))
-
-
-def packing_ratio_1d(spec: PotentialSpec, energy: float) -> float:
-    """Orbit area over the area of its enclosing box; independent of hbar."""
-    return phase_area_1d(spec, energy) / minimal_box(spec, energy).volume(1)
 
 
 def mc_phase_volume(spec: PotentialSpec, ndim: int, energy: float,
@@ -262,25 +253,6 @@ def state_count_limits(g: int, ndim: int):
     if g < 0 or ndim < 0:
         raise ValueError("g and ndim must be nonnegative")
     return _power_over_factorial(g, ndim), _power_over_factorial(ndim, g)
-
-
-def state_count_bruteforce(levels: Sequence[float], ndim: int, e_max: float,
-                           budget: int = 10**8) -> int:
-    """Count tuples of 1-D levels whose sum stays at or below e_max.
-
-    Enumerates with branch pruning; raises a budget error carrying the
-    partial count when the tree exceeds `budget` visited nodes.
-    """
-    lv = np.ascontiguousarray(np.sort(np.asarray(levels, dtype=float)))
-    if lv.size == 0 or ndim < 1:
-        raise ValueError("need at least one level and one dimension")
-    count, nodes, exceeded = _kernels.count_tuples_below(lv, ndim, e_max,
-                                                         budget)
-    if exceeded:
-        raise BudgetExceededError(
-            f"enumeration budget {budget} exhausted after {nodes} nodes",
-            partial=int(count))
-    return int(count)
 
 
 @dataclass(frozen=True)

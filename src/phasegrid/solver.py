@@ -15,7 +15,8 @@ from typing import Sequence
 import numpy as np
 import scipy.linalg
 
-from .errors import BudgetExceededError, IllConditionedError
+from .errors import (BudgetExceededError, IllConditionedError,
+                     NotAvailableError)
 from .fourier_grid import FghOperator2D, Grid1D, hamiltonian_fgh, solve_fgh
 from .potentials import PotentialSpec, analytic_levels
 from .pruner import PruneMask, PruneRule, select_cells
@@ -164,7 +165,7 @@ class Pipeline:
         if basis not in ("fgh", "vn", "pvn", "bvn"):
             raise ValueError(f"unknown basis {basis!r}")
         if len(axes) > 1 and basis in ("vn", "pvn"):
-            raise ValueError(f"basis {basis!r} supports only 1-d grids")
+            raise NotAvailableError(f"basis '{basis}' supports only 1-d grids")
         self.spec, self.grid, self.basis, self.rcond = spec, grid, basis, rcond
         self.lattices, self.bundles, self.info, self.h_grid = (), (), {}, None
         if basis == "fgh":

@@ -116,24 +116,13 @@ class BasisMatrices:
     cond_S: float
 
 
-def gaussian_eval(lattice: VnLattice, m: int, x):
-    """Continuous-normalized Gaussian of cell m at x (scalar or array).
-
-    (2a/pi)^(1/4) exp(-a (x-x_c)^2 - i p_c (x-x_c)/hbar); the momentum phase
-    sign is fixed by convention and only conjugates the basis globally.
-    """
-    if not 0 <= m < lattice.size:
-        raise ValueError(f"cell index {m} outside 0..{lattice.size - 1}")
-    x = np.asarray(x, dtype=float)
-    xc, pc = lattice.centers[m]
-    alpha = lattice.alpha
-    out = ((2.0 * alpha / math.pi) ** 0.25
-           * np.exp(-alpha * (x - xc) ** 2 - 1j * pc * (x - xc) / lattice.hbar))
-    return complex(out) if out.ndim == 0 else out
-
-
 def build_G(lattice: VnLattice, grid: Grid1D) -> np.ndarray:
-    """N x N complex matrix G[i, m] = g_m(x_i) over the grid points."""
+    """N x N complex matrix G[i, m] = g_m(x_i) over the grid points.
+
+    g_m(x) = (2a/pi)^(1/4) exp(-a (x-x_c)^2 - i p_c (x-x_c)/hbar) is the
+    continuous-normalized Gaussian of cell m; the momentum phase sign is
+    fixed by convention and only conjugates the basis globally.
+    """
     if lattice.size != grid.N:
         raise ValueError("lattice size must equal the grid size")
     x = grid.points[:, None]

@@ -23,22 +23,6 @@ def test_grid_geometry():
         pg.Grid1D(0.0, -1.0, 8)
 
 
-def test_theta_is_cardinal_on_grid():
-    grid = pg.Grid1D(-3.0, 6.0, 8)
-    x = grid.points
-    peak = math.sqrt(grid.N / grid.L)
-    for n in (0, 3, 7):
-        vals = pg.theta_eval(grid, n, x)
-        expect = np.zeros(8)
-        expect[n] = peak
-        np.testing.assert_allclose(vals, expect, atol=1e-12)
-    # periodic: shifting the argument by L reproduces the function
-    probe = np.linspace(-3.0, 3.0, 40, endpoint=False)
-    np.testing.assert_allclose(pg.theta_eval(grid, 2, probe),
-                               pg.theta_eval(grid, 2, probe + grid.L),
-                               atol=1e-12)
-
-
 @pytest.mark.parametrize("n", [8, 16, 30])
 def test_kinetic_closed_form_matches_fft_oracle(n):
     grid = pg.Grid1D(-4.0, 8.0, n)
@@ -94,9 +78,8 @@ def test_grid2d_flat_ordering():
     # x index runs fastest
     np.testing.assert_allclose(pts[:4, 0], gx.points)
     np.testing.assert_allclose(pts[:4, 1], gy.points[0])
-    assert grid.flat_index(2, 3) == 3 * 4 + 2
-    np.testing.assert_allclose(pts[grid.flat_index(2, 3)],
-                               [gx.points[2], gy.points[3]])
+    # (ix, iy) = (2, 3) sits at flat index iy * gx.N + ix
+    np.testing.assert_allclose(pts[3 * 4 + 2], [gx.points[2], gy.points[3]])
 
 
 def test_operator2d_matches_dense():

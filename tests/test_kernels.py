@@ -1,6 +1,5 @@
 """Numpy kernels against plain-Python oracles."""
 
-import itertools
 import math
 
 import numpy as np
@@ -68,28 +67,3 @@ def test_mc_hits_3d_morse_against_python_loop():
             expect += 1
     assert 0 < expect < 1000
     assert _kernels.mc_count_hits(xs, ps, spec, 11.25) == expect
-
-
-def test_tuple_count_against_itertools():
-    # (levels, ndim, e_max, budget, exceeded); a tight budget stops the walk
-    # with the tuples completed so far, never more nodes than the budget
-    cases = [
-        ([0.3, 0.9, 1.1, 2.4], 3, 3.0, 10**8, False),
-        ([0.3, 0.9, 1.1, 2.4], 3, 3.0, 4, True),
-        ([0.3, 0.9, 1.1, 2.4], 3, 3.0, 8, True),
-        (np.arange(8.0), 4, 12.0, 100, True),
-        (np.arange(8.0), 4, 12.0, 10**4, False),
-        (np.arange(6.0), 1, 3.5, 0, False),
-        (np.arange(6.0), 5, 1e9, 50, True),
-    ]
-    for levels, d, e_max, budget, exceeds in cases:
-        levels = np.asarray(levels, dtype=float)
-        expect = sum(1 for combo in itertools.product(levels, repeat=d)
-                     if sum(combo) <= e_max)
-        count, nodes, exceeded = _kernels.count_tuples_below(levels, d, e_max,
-                                                             budget)
-        assert exceeded == exceeds
-        assert nodes <= budget
-        assert count <= expect
-        if not exceeded:
-            assert count == expect

@@ -76,19 +76,6 @@ def test_spec_validation():
         pg.tabulated([0.0, 0.0], [1.0, 2.0])  # x not increasing
 
 
-def test_classical_hamiltonian_1d_and_2d():
-    spec = pg.harmonic()
-    pt = pg.PhasePoint(x=(1.5,), p=(2.0,))
-    assert pg.classical_hamiltonian(spec, pt) == pytest.approx(
-        2.0**2 / 2.0 + 0.5 * 1.5**2)
-    tri = pg.triangle2d(mass=96.0)
-    pt2 = pg.PhasePoint(x=(0.3, -0.4), p=(1.0, 2.0))
-    expect = (1.0 + 4.0) / (2 * 96.0) + pg.evaluate(tri, (0.3, -0.4))
-    assert pg.classical_hamiltonian(tri, pt2) == pytest.approx(expect)
-    with pytest.raises(ValueError):
-        pg.classical_hamiltonian(tri, pt)
-
-
 def test_harmonic_levels_need_truncation():
     spec = pg.harmonic(omega=2.0, hbar=0.5)
     np.testing.assert_allclose(pg.analytic_levels(spec, n_max=3),

@@ -18,8 +18,9 @@ def test_cell_table_matches_classical_hamiltonian():
     assert centers.shape == (100, 2)
     assert h_cl.shape == (100,)
     for i in (0, 37, 99):
-        pt = pg.PhasePoint(x=(centers[i, 0],), p=(centers[i, 1],))
-        assert h_cl[i] == pytest.approx(pg.classical_hamiltonian(spec, pt))
+        x, p = centers[i]
+        assert h_cl[i] == pytest.approx(
+            p**2 / (2 * spec.mass) + pg.evaluate(spec, x))
     # flat ordering: position index fastest
     np.testing.assert_allclose(centers[:10, 0], lat.centers_x)
     assert np.ptp(centers[:10, 1]) == 0.0
@@ -71,9 +72,9 @@ def test_2d_product_cells():
     np.testing.assert_allclose(centers[:16, 1], lat_x.centers[:, 1])
     assert np.ptp(centers[:16, 2]) == 0.0 and np.ptp(centers[:16, 3]) == 0.0
     i = 200
-    pt = pg.PhasePoint(x=(centers[i, 0], centers[i, 2]),
-                       p=(centers[i, 1], centers[i, 3]))
-    assert h_cl[i] == pytest.approx(pg.classical_hamiltonian(spec, pt))
+    x, px, y, py = centers[i]
+    assert h_cl[i] == pytest.approx(
+        (px**2 + py**2) / (2 * spec.mass) + pg.evaluate(spec, (x, y)))
     mask = pg.select_cells((lat_x, lat_y), spec, pg.PruneRule(0.4, "auto"))
     assert 0 < mask.n_kept < 256
 

@@ -1,5 +1,6 @@
 """Phase-space volumes, state counting, and the scaling table."""
 
+import itertools
 import math
 import warnings
 
@@ -7,8 +8,8 @@ import numpy as np
 import pytest
 
 import phasegrid as pg
-from phasegrid.errors import (BudgetExceededError, DegenerateEstimateError,
-                              NotAvailableError, UnboundedOrbitError)
+from phasegrid.errors import (DegenerateEstimateError, NotAvailableError,
+                              UnboundedOrbitError)
 from phasegrid.semiclassics import MC_CHUNK, _draw
 
 
@@ -64,24 +65,35 @@ def _area_by_quadrature(spec, energy):
 
 
 def test_phase_area_closed_forms_match_quadrature():
-    for spec, top in ((pg.harmonic(mass=3.0, omega=0.7), 20.0),
-                      (pg.morse(depth=12.0, beta=0.5, mass=6.0), 11.9)):
+    # the Coulomb orbit runs from x = 0 to z/|E|: pi z sqrt(2m/|E|)
+    for spec, top, rel in (
+            (pg.harmonic(mass=3.0, omega=0.7), 20.0, 1e-13),
+            (pg.morse(depth=12.0, beta=0.5, mass=6.0), 11.9, 1e-13),
+            (pg.coulomb1d(charge=1.3, mass=2.0), -3.0, 1e-12)):
         for e in np.linspace(top / 20, top, 20):
             assert pg.phase_area_1d(spec, e) == pytest.approx(
-                _area_by_quadrature(spec, e), rel=1e-13, abs=0.0)
+                _area_by_quadrature(spec, e), rel=rel, abs=0.0)
 
 
-def test_phase_area_tabulated_well_uses_quadrature():
+@pytest.mark.filterwarnings("error")
+def test_phase_area_tabulated_well_integrates_the_interpolant():
     # a harmonic well sampled every 0.005: linear interpolation raises V by
     # at most h^2/8, and the area falls short of 2 pi E by at most 4.1e-6
-    # relative (at E = 0.5); the kinks at the knots make quad warn
+    # relative (at E = 0.5)
     xs = np.linspace(-5.0, 5.0, 2001)
     spec = pg.tabulated(xs, 0.5 * xs**2)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for e in (0.5, 3.0, 8.0):
-            assert pg.phase_area_1d(spec, e) == pytest.approx(
-                2 * math.pi * e, rel=1e-5)
+    for e in (0.5, 3.0, 8.0):
+        assert pg.phase_area_1d(spec, e) == pytest.approx(
+            2 * math.pi * e, rel=1e-5)
+
+
+def test_phase_area_tabulated_v_abs_x_is_exact():
+    # V = |x| is linear between the three knots, so the interpolant is the
+    # potential itself: 2 * 2 * integral_0^E sqrt(2m(E - x)) dx
+    spec = pg.tabulated([-4.0, 0.0, 4.0], [4.0, 0.0, 4.0], mass=1.5)
+    for e in (0.3, 1.0, 3.9):
+        assert pg.phase_area_1d(spec, e) == pytest.approx(
+            8.0 / 3.0 * math.sqrt(2 * 1.5) * e**1.5, rel=1e-14)
 
 
 def test_minimal_box_harmonic():
@@ -94,8 +106,9 @@ def test_minimal_box_harmonic():
 
 
 def test_packing_ratio_harmonic_is_quarter_pi():
-    assert pg.packing_ratio_1d(pg.harmonic(), 8.0) == pytest.approx(
-        math.pi / 4, abs=1e-9)
+    # the D = 1 box ratio of scaling.csv is the 1-d packing ratio itself
+    row, = pg.scaling_report(pg.harmonic(), (1,), 8.0, n_samples=1000)
+    assert row.box_ratio == pytest.approx(math.pi / 4, abs=1e-9)
 
 
 def test_mc_volume_harmonic_matches_ellipse():
@@ -176,16 +189,9 @@ def test_state_count_exact_is_binomial():
 def test_bruteforce_count_agrees_on_unit_ladder():
     for d in (1, 2, 3):
         for g in (0, 1, 5, 9):
-            levels = np.arange(g + 1, dtype=float)
-            got = pg.state_count_bruteforce(levels, d, g + 0.5)
+            got = sum(1 for combo in itertools.product(range(g + 1), repeat=d)
+                      if sum(combo) <= g)
             assert got == pg.state_count_exact(g, d)
-
-
-def test_bruteforce_respects_budget():
-    levels = np.arange(40, dtype=float)
-    with pytest.raises(BudgetExceededError) as err:
-        pg.state_count_bruteforce(levels, 6, 1e9, budget=1000)
-    assert err.value.partial > 0
 
 
 def test_count_limits_power_law():
@@ -209,7 +215,8 @@ def test_scaling_report_structure():
     assert rows[0].v_simplex == pytest.approx(v1)
     assert rows[1].v_simplex == pytest.approx(v1**2 / 2.0)
     assert rows[1].v_exponential == pytest.approx(v1**2)
-    pack = pg.packing_ratio_1d(spec, 8.0)
+    pack = v1 / pg.minimal_box(spec, 8.0).volume(1)
+    assert rows[0].box_ratio == pytest.approx(pack)
     assert rows[1].box_ratio == pytest.approx(pack**2 / 2.0)
     # in 1-d the MC estimate targets the orbit area itself; in 2-d the
     # simplex form v^2/2 is exact only for a linear area law (harmonic),

@@ -74,6 +74,23 @@ def test_morse_scaling_run_leaves_out_scipy_integrate(tmp_path):
     assert run.stdout.strip() == "False"
 
 
+def test_orbit_areas_leave_out_scipy_integrate():
+    # every 1-d kind has a closed-form orbit area, tables included
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, numpy as np, phasegrid as pg; "
+            "xs = np.linspace(-5, 5, 201); "
+            "pg.phase_area_1d(pg.harmonic(), 2.0); "
+            "pg.phase_area_1d(pg.morse(), 8.0); "
+            "pg.phase_area_1d(pg.coulomb1d(), -0.5); "
+            "pg.phase_area_1d(pg.tabulated(xs, 0.5 * xs**2), 3.0); "
+            "print('scipy.integrate' in sys.modules)")
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "False"
+
+
 TRIANGLE_CFG = """\
 [potential]
 kind = triangle2d

@@ -63,7 +63,7 @@ def test_gaussian_grid_norm():
     lat = pg.VnLattice.from_grid(grid, 6, 6)
     m = 3 * 6 + 2
     assert abs(lat.centers[m, 0]) < lat.a  # really the central cell
-    g = pg.gaussian_eval(lat, m, grid.points)
+    g = pg.build_G(lat, grid)[:, m]
     norm = np.sum(np.abs(g) ** 2) * grid.dx
     assert norm == pytest.approx(1.0, abs=1e-6)
 
@@ -98,8 +98,8 @@ def test_alpha_override_changes_width_not_span():
     grid = pg.Grid1D(-6.0, 12.0, 16)
     narrow = pg.VnLattice.from_grid(grid, 4, 4, alpha=2.0)
     wide = pg.VnLattice.from_grid(grid, 4, 4, alpha=0.2)
-    g_n = np.abs(pg.gaussian_eval(narrow, 5, grid.points))
-    g_w = np.abs(pg.gaussian_eval(wide, 5, grid.points))
+    g_n = np.abs(pg.build_G(narrow, grid)[:, 5])
+    g_w = np.abs(pg.build_G(wide, grid)[:, 5])
     # same center, different spread
     spread = lambda g: np.sqrt(np.sum(g**2 * grid.points**2) / np.sum(g**2))
     assert spread(g_w) > spread(g_n)
