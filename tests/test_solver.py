@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import phasegrid as pg
-from phasegrid.errors import IllConditionedError
+from phasegrid.errors import IllConditionedError, NotAvailableError
 
 
 def _random_pencil(n, cond, seed):
@@ -138,6 +138,18 @@ def test_bvn_2d_mask_length_checked():
     with pytest.raises(ValueError):
         pg.assemble_bvn_2d(h_op, bundle.B, bundle.B,
                            bundle.S_inv, bundle.S_inv, bad)
+
+
+def test_pipeline_rejects_2d_vn_and_pvn():
+    # only fgh and bvn have a 2-d path; Pipeline is the one place that says so
+    gx = pg.Grid1D(-6.0, 12.0, 8)
+    grid = pg.Grid2D(gx, gx)
+    spec = pg.triangle2d(mass=30.0)
+    for basis in ("vn", "pvn"):
+        with pytest.raises(NotAvailableError,
+                           match=f"basis '{basis}' supports only 1-d grids"):
+            pg.Pipeline(spec, grid, basis)
+    assert pg.Pipeline(spec, grid, "bvn", shape=(4, 2)).basis == "bvn"
 
 
 def test_efficiency_scan_needs_levels_below_cutoff():
