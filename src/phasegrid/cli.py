@@ -180,6 +180,8 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"solver.basis: unknown basis '{solver.basis}'")
     if solver.n_states is not None and solver.n_states < 1:
         raise ConfigError(f"solver.n_states: must be >= 1, got {solver.n_states}")
+    if cfg.output.seed < 0:
+        raise ConfigError(f"output.seed: must be >= 0, got {cfg.output.seed}")
     return cfg
 
 
@@ -764,6 +766,8 @@ def main(argv=None) -> int:
             return 0
         cfg = _load_config(args.config)
         if args.seed is not None:
+            if args.seed < 0:
+                raise ConfigError(f"--seed: must be >= 0, got {args.seed}")
             cfg.output.seed = args.seed
         if args.long_running:
             cfg.solver.long_running = True

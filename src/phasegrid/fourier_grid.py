@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NumericFailureError, SingularPointError
 from .potentials import PotentialSpec, evaluate
@@ -199,6 +198,8 @@ def solve_fgh(grid, spec: PotentialSpec,
         except Exception as exc:  # ArpackNoConvergence and friends
             raise NumericFailureError(f"Lanczos eigensolve failed: {exc}") from exc
         return Spectrum(np.sort(vals))  # descending without eigenvectors
+    import scipy.linalg  # deferred: the scaling path never needs it
+
     try:
         vals = scipy.linalg.eigh(h, eigvals_only=True)
     except scipy.linalg.LinAlgError as exc:

@@ -92,11 +92,20 @@ def triangle_alpha(theta):
 def _eval_1d(spec: PotentialSpec, x):
     x = np.asarray(x, dtype=float)
     p = spec.params
+    # harmonic and Morse fill one output in place, the same operations in
+    # the same order as the written formula; x itself is never written
     if spec.kind == "harmonic":
-        return 0.5 * p["mass"] * p["omega"] ** 2 * x**2
+        out = np.square(x, out=np.empty_like(x))
+        out *= 0.5 * p["mass"] * p["omega"] ** 2
+        return out
     if spec.kind == "morse":
+        out = np.multiply(x, -p["beta"], out=np.empty_like(x))
         with np.errstate(over="ignore"):
-            return p["depth"] * (1.0 - np.exp(-p["beta"] * x)) ** 2
+            np.exp(out, out=out)
+        np.subtract(1.0, out, out=out)
+        np.square(out, out=out)
+        out *= p["depth"]
+        return out
     if spec.kind == "coulomb1d":
         if np.any(x == 0.0):
             raise SingularPointError(

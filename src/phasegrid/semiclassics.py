@@ -140,6 +140,10 @@ def minimal_box(spec: PotentialSpec, energy: float) -> PhaseSpaceBox:
     of this box is the smallest axis-aligned box containing that shell.
     """
     xl, xr = turning_points(spec, energy)
+    if not xl < xr:  # a Morse energy near 1e-300 rounds both points to 0
+        raise BelowWellBottomError(
+            f"energy {energy} is too close to the well bottom: both turning "
+            "points round to the same x")
     if spec.kind in ("harmonic", "morse"):
         v_min = 0.0
     elif spec.kind == "tabulated":

@@ -13,7 +13,6 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (BudgetExceededError, IllConditionedError,
                      NotAvailableError)
@@ -116,6 +115,8 @@ def solve_generalized(problem: GeneralizedProblem,
     """
     if problem.size == 0:
         raise ValueError("empty pencil: no basis function to solve for")
+    import scipy.linalg  # deferred: the scaling path never needs it
+
     # private Fortran-ordered copies, which LAPACK overwrites in place
     h = 0.5 * np.add(problem.h, problem.h.conj().T, order="F")
     s = 0.5 * np.add(problem.s, problem.s.conj().T, order="F")

@@ -397,6 +397,15 @@ e_cut = -0.2
      "--energy (default prune.e_cut): harmonic orbit needs energy > 0"),
     (MORSE_CFG, ["scaling", "--energy", "-1"],
      "--energy (default prune.e_cut): morse orbit needs energy > 0"),
+    # both Morse turning points round to 0, -log(1 +- 1e-150)/beta
+    (MORSE_CFG, ["scaling", "--energy", "1e-300"],
+     "--energy (default prune.e_cut): energy 1e-300 is too close to the "
+     "well bottom"),
+    # numpy's generator would reject a negative seed with no option named
+    (MORSE_CFG, ["scaling", "--energy", "8", "--seed", "-1"],
+     "--seed: must be >= 0, got -1"),
+    (MORSE_CFG.replace("seed = 0", "seed = -3"), ["scaling", "--energy", "8"],
+     "output.seed: must be >= 0, got -3"),
 ])
 def test_config_errors_exit_2(tmp_path, capsys, text, argv, needle):
     cfg = _write(tmp_path, text)

@@ -1,6 +1,7 @@
 """Potential definitions, closed-form levels, classical Hamiltonian."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,46 @@ def test_morse_shape():
     # dissociation plateau on the stretched side, steep wall on the other
     assert abs(pg.evaluate(spec, 40.0) - 12.0) < 1e-6
     assert pg.evaluate(spec, -2.0) > 12.0
+
+
+def _formula(spec, x):
+    """The harmonic and Morse wells as written, one temporary per step."""
+    p = spec.params
+    if spec.kind == "harmonic":
+        return 0.5 * p["mass"] * p["omega"] ** 2 * x**2
+    with np.errstate(over="ignore"):
+        return p["depth"] * (1.0 - np.exp(-p["beta"] * x)) ** 2
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("spec", [pg.harmonic(mass=2.0, omega=1.5),
+                                  pg.morse(depth=7.0, beta=0.8, mass=3.0)],
+                         ids=["harmonic", "morse"])
+@pytest.mark.parametrize("shape", [(4000, 3), (4000,), ()])
+def test_evaluate_is_the_written_formula_bit_for_bit(spec, shape):
+    rng = np.random.default_rng(11)
+    x = rng.uniform(-4.0, 30.0, size=shape)
+    # far on the repulsive side exp overflows to inf, silently
+    x = np.where(rng.random(shape) < 0.1, -2000.0, x)
+    for arr in (x, np.asarray(-2000.0)):
+        before = arr.copy()
+        got = pg.evaluate(spec, arr)
+        assert np.array_equal(got, _formula(spec, before))
+        assert np.array_equal(arr, before)  # the input is never written
+    if spec.kind == "morse":
+        assert np.isposinf(pg.evaluate(spec, -2000.0))
+
+
+def test_morse_evaluate_allocates_only_its_output():
+    spec = pg.morse()
+    x = np.random.default_rng(2).uniform(-1.0, 20.0, size=(65536, 3))
+    tracemalloc.start()
+    try:
+        out = pg.evaluate(spec, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * out.nbytes, peak / out.nbytes
 
 
 def test_coulomb1d_singular_at_origin():

@@ -1,5 +1,6 @@
 """Guards for the tooling that wraps the package from outside."""
 
+import ast
 import importlib
 import json
 import os
@@ -46,38 +47,70 @@ def test_reference_script_config_reads_resolve():
         assert isinstance(owner, float), f"{path}{chain}"
 
 
-def test_cli_import_leaves_out_scipy_optimize_and_integrate():
+def _python(code, cwd=None):
+    """stdout of `python -c code` with src on the path; it must exit 0."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
-    run = subprocess.run(
-        [sys.executable, "-c", "import sys, phasegrid.cli; print(sorted("
-         "m for m in ('scipy.optimize', 'scipy.integrate') "
-         "if m in sys.modules))"],
-        env=env, capture_output=True, text=True, timeout=120)
+    run = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                         capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.strip() == "[]"
+    return run.stdout.strip()
 
 
-def test_morse_scaling_run_leaves_out_scipy_integrate(tmp_path):
-    # harmonic and Morse orbit areas are closed forms, no quadrature
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
-    argv = ["scaling", "--config", "configs/morse_bvn.cfg", "--energy", "8",
-            "--dims", "1", "--samples", "1000", "--out", str(tmp_path / "o"),
-            "--quiet"]
-    run = subprocess.run(
-        [sys.executable, "-c", "import sys; from phasegrid import cli; "
-         f"assert cli.main({argv!r}) == 0; "
-         "print('scipy.integrate' in sys.modules)"],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
-    assert run.returncode == 0, run.stderr
-    assert run.stdout.strip() == "False"
+_SCIPY_LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
+def test_package_and_cli_import_load_no_scipy():
+    assert _python("import sys, phasegrid; "
+                   f"print({_SCIPY_LOADED}); import phasegrid.cli; "
+                   f"print({_SCIPY_LOADED})") == "[]\n[]"
+
+
+def test_scaling_runs_and_their_plot_load_no_scipy(tmp_path):
+    # the scaling path is Monte Carlo and closed forms: numpy only
+    out = tmp_path / "o"
+    runs = [["scaling", "--config", "configs/morse_bvn.cfg", "--energy", "8",
+             "--dims", "1,2", "--samples", "1000", "--out", str(out / "m"),
+             "--quiet"],
+            ["scaling", "--config", "configs/harmonic_pvn.cfg", "--energy",
+             "3", "--dims", "1,2", "--samples", "1000", "--out",
+             str(out / "h"), "--quiet"],
+            ["plot", str(out / "m" / "scaling.csv"), "--kind", "scaling",
+             "--out", str(out / "m.svg"), "--quiet"]]
+    code = ("import sys; from phasegrid import cli\n"
+            f"for argv in {runs!r}:\n"
+            "    assert cli.main(argv) == 0, argv\n"
+            f"    print({_SCIPY_LOADED})")
+    assert _python(code, cwd=ROOT).splitlines() == ["[]"] * 3
+    assert (out / "m.svg").exists()
+
+
+def test_no_module_level_scipy_import():
+    # scipy is imported inside the functions that need it, so importing
+    # phasegrid (and every command that never solves) stays numpy-only
+    def top_level(node):
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                      ast.Lambda)):
+                yield child
+                yield from top_level(child)
+
+    found = []
+    for path in sorted((ROOT / "src" / "phasegrid").glob("*.py")):
+        for node in top_level(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] == "scipy"]
+    assert not found, found
 
 
 def test_orbit_areas_leave_out_scipy_integrate():
     # every 1-d kind has a closed-form orbit area, tables included
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
     code = ("import sys, numpy as np, phasegrid as pg; "
             "xs = np.linspace(-5, 5, 201); "
             "pg.phase_area_1d(pg.harmonic(), 2.0); "
@@ -85,10 +118,7 @@ def test_orbit_areas_leave_out_scipy_integrate():
             "pg.phase_area_1d(pg.coulomb1d(), -0.5); "
             "pg.phase_area_1d(pg.tabulated(xs, 0.5 * xs**2), 3.0); "
             "print('scipy.integrate' in sys.modules)")
-    run = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, timeout=120)
-    assert run.returncode == 0, run.stderr
-    assert run.stdout.strip() == "False"
+    assert _python(code) == "False"
 
 
 TRIANGLE_CFG = """\
