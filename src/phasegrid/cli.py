@@ -22,7 +22,8 @@ import numpy as np
 
 from . import __version__
 from .errors import (BelowWellBottomError, BudgetExceededError,
-                     NotAvailableError, UnboundedOrbitError)
+                     DegenerateEstimateError, NotAvailableError,
+                     UnboundedOrbitError)
 from .fourier_grid import DENSE_2D_LIMIT, Grid1D, Grid2D, harmonic_square_grid
 from .potentials import (PARAMETERS, PotentialSpec, analytic_levels,
                          coulomb1d, harmonic, morse, triangle2d)
@@ -423,6 +424,10 @@ def cmd_scaling(cfg: RunConfig, args, meta: dict) -> dict:
                               n_samples=args.samples, seed=cfg.output.seed)
     except (UnboundedOrbitError, BelowWellBottomError) as exc:
         raise ConfigError(f"{where}: {exc}") from None
+    except DegenerateEstimateError:
+        raise ConfigError(f"--samples {args.samples}, --dims {args.dims}: no "
+                          "sample fell inside the energy shell; raise "
+                          "--samples or lower --dims") from None
     return {"scaling.csv": (
         ["D", "V_mc", "V_mc_stderr", "V_semiclassical", "V_exponential_ref",
          "G_exact", "G_limit_gD", "G_limit_Dg", "box_ratio"],

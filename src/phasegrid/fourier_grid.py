@@ -50,10 +50,6 @@ class Grid1D:
         """Wavenumber half-extent K = pi/dx."""
         return math.pi / self.dx
 
-    def p_max(self, hbar: float = 1.0) -> float:
-        """Momentum half-extent P = pi*hbar/dx."""
-        return math.pi * hbar / self.dx
-
 
 @dataclass(frozen=True)
 class Grid2D:

@@ -91,15 +91,13 @@ def _turning_points_table(spec: PotentialSpec, energy: float):
     if f[0] < 0 or f[-1] < 0:
         raise UnboundedOrbitError("table does not bracket the orbit")
 
-    def v_of(x):
-        return float(np.interp(x, xs, vs)) - energy
+    def root(i, j):  # zero of the linear interpolant between knots i and j
+        return float(xs[i] + f[i] * (xs[j] - xs[i]) / (f[i] - f[j]))
 
-    from scipy.optimize import brentq  # deferred: costly, rarely needed
+    # the knots nearest the minimum with f >= 0 close the orbit's segments
     il = np.flatnonzero(f[: i0 + 1] >= 0)[-1]
     ir = i0 + np.flatnonzero(f[i0:] >= 0)[0]
-    xl = brentq(v_of, xs[il], xs[min(il + 1, len(xs) - 1)])
-    xr = brentq(v_of, xs[max(ir - 1, 0)], xs[ir])
-    return float(xl), float(xr)
+    return root(il, il + 1), root(ir - 1, ir)
 
 
 def phase_area_1d(spec: PotentialSpec, energy: float) -> float:

@@ -14,14 +14,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (BudgetExceededError, IllConditionedError,
-                     NotAvailableError)
+from .errors import BudgetExceededError, NotAvailableError
 from .fourier_grid import FghOperator2D, Grid1D, hamiltonian_fgh, solve_fgh
 from .potentials import PotentialSpec, analytic_levels
 from .pruner import PruneMask, PruneRule, select_cells
 from .spectra import Spectrum
 from .vn_basis import (VnLattice, balanced_factors, build_basis,
-                       continuous_vn_matrices)
+                       continuous_vn_matrices, positive_modes)
+
+# solve_generalized whitens a metric whose LAPACK cond estimate exceeds this
+COND_SWITCH = 1e8
 
 
 @dataclass(frozen=True)
@@ -44,10 +46,10 @@ class GeneralizedProblem:
         return self.h.shape[0]
 
 
-def assemble_pvn(h_grid: np.ndarray, g: np.ndarray) -> GeneralizedProblem:
-    """Project the grid Hamiltonian onto the Gaussian columns of G."""
-    gh = g.conj().T
-    return GeneralizedProblem(gh @ (h_grid @ g), gh @ g)
+def assemble_pvn(h_grid: np.ndarray, g: np.ndarray,
+                 s: np.ndarray) -> GeneralizedProblem:
+    """Project the grid Hamiltonian onto G, whose overlap S is the metric."""
+    return GeneralizedProblem(g.conj().T @ (h_grid @ g), s)
 
 
 def assemble_bvn(h_grid: np.ndarray, b: np.ndarray, s_inv: np.ndarray,
@@ -102,16 +104,14 @@ def assemble_bvn_2d(h_op: FghOperator2D, bx: np.ndarray, by: np.ndarray,
 def solve_generalized(problem: GeneralizedProblem,
                       n_states: int | None = None,
                       want_vectors: bool = False,
-                      cond_switch: float = 1e8,
                       rcond: float = 1e-12) -> Spectrum:
     """Solve H U = S U E for a Hermitian pencil with positive metric.
 
     A metric whose Cholesky factor exists and whose LAPACK condition
-    estimate stays within cond_switch goes through the Cholesky-based
-    generalized solver. Otherwise the metric is eigendecomposed, directions
-    below rcond * lambda_max are discarded and the problem is solved in the
-    whitened subspace; a significantly negative metric eigenvalue is
-    rejected. Eigenvectors are computed only when want_vectors is set.
+    estimate stays within COND_SWITCH goes through the Cholesky-based
+    generalized solver. Otherwise the problem is solved in the subspace
+    that `positive_modes` keeps, whitened; each dropped direction is
+    warned about. Eigenvectors are computed only when want_vectors is set.
     """
     if problem.size == 0:
         raise ValueError("empty pencil: no basis function to solve for")
@@ -126,17 +126,11 @@ def solve_generalized(problem: GeneralizedProblem,
         rc, _ = pocon(scipy.linalg.cholesky(s), s_norm)  # ~ 1 / cond_1(S)
     except scipy.linalg.LinAlgError:
         rc = 0.0
-    if rc * cond_switch >= 1.0:
+    if rc * COND_SWITCH >= 1.0:
         white, a, b = None, h, s
     else:
-        w, u = np.linalg.eigh(s)
-        if w[-1] <= 0:
-            raise IllConditionedError("metric has no positive direction")
-        if w[0] < -rcond * w[-1]:
-            raise IllConditionedError(
-                f"metric eigenvalue {w[0]:.3e} is negative beyond roundoff")
-        keep = w > rcond * w[-1]
-        white = u[:, keep] / np.sqrt(w[keep])
+        w, u, _ = positive_modes(s, rcond, "pencil metric whitened")
+        white = u / np.sqrt(w)
         a, b = white.conj().T @ h @ white, None
     out = scipy.linalg.eigh(a, b, eigvals_only=not want_vectors,
                             overwrite_a=True, overwrite_b=True)
@@ -176,7 +170,7 @@ class Pipeline:
                                                   alpha=alpha) for g in axes)
         if basis == "vn":
             return
-        self.bundles = tuple(build_basis(lat, g, rcond=rcond, allow_pseudo=True)
+        self.bundles = tuple(build_basis(lat, g, rcond=rcond)
                              for lat, g in zip(self.lattices, axes))
         self.info["cond_s"] = max(b.cond_S for b in self.bundles)
         self.h_grid = hamiltonian_fgh(grid, spec)
@@ -193,7 +187,8 @@ class Pipeline:
             h, s = continuous_vn_matrices(self.lattices[0], self.spec)
             problem = GeneralizedProblem(h, s)
         elif self.basis == "pvn":
-            problem = assemble_pvn(self.h_grid, self.bundles[0].G)
+            b = self.bundles[0]
+            problem = assemble_pvn(self.h_grid, b.G, b.S)
         elif len(self.bundles) == 1:
             b = self.bundles[0]
             problem = assemble_bvn(self.h_grid, b.B, b.S_inv, mask)

@@ -139,32 +139,33 @@ def build_overlap(g: np.ndarray) -> np.ndarray:
     return 0.5 * (s + s.conj().T)
 
 
-def invert_overlap(s: np.ndarray, rcond: float = 1e-12,
-                   allow_pseudo: bool = False):
-    """Invert S by Hermitian eigendecomposition.
+def positive_modes(s: np.ndarray, rcond: float, what: str):
+    """Kept eigenpairs (w, u) of a Hermitian metric and cond = max/min.
 
-    Eigenvalues below rcond * lambda_max are inverted only when allow_pseudo
-    is set (with a warning); otherwise the overlap counts as numerically
-    singular. Returns (S_inv, cond) with cond = lambda_max / lambda_min.
+    The one rule for near-singular metrics: no positive direction, or an
+    eigenvalue below -rcond * lambda_max, raises; the modes at or below
+    rcond * lambda_max are dropped with the warning "<what>: dropping N".
     """
     w, u = np.linalg.eigh(s)
-    w_max = w[-1]
-    if w_max <= 0:
-        raise IllConditionedError("overlap matrix is not positive definite")
-    bad = w < rcond * w_max
-    cond = float(w_max / w[0]) if w[0] > 0 else float("inf")
-    if np.any(bad):
-        if not allow_pseudo:
-            raise IllConditionedError(
-                f"overlap matrix numerically singular (cond ~ {cond:.3e}); "
-                "pass allow_pseudo=True to pseudo-invert")
+    if w[-1] <= 0:
+        raise IllConditionedError("metric has no positive direction")
+    if w[0] < -rcond * w[-1]:
+        raise IllConditionedError(
+            f"metric eigenvalue {w[0]:.3e} is negative beyond roundoff")
+    cond = float(w[-1] / w[0]) if w[0] > 0 else float("inf")
+    keep = w > rcond * w[-1]
+    if not keep.all():
         warnings.warn(
-            f"overlap pseudo-inverted: dropping {int(bad.sum())} modes below "
-            f"rcond (cond ~ {cond:.3e})", stacklevel=2)
-        keep = ~bad
-        s_inv = (u[:, keep] / w[keep]) @ u[:, keep].conj().T
-    else:
-        s_inv = (u / w) @ u.conj().T
+            f"{what}: dropping {int((~keep).sum())} modes below rcond "
+            f"(cond ~ {cond:.3e})", stacklevel=3)
+        w, u = w[keep], u[:, keep]
+    return w, u, cond
+
+
+def invert_overlap(s: np.ndarray, rcond: float = 1e-12):
+    """(S_inv, cond): S inverted on the modes `positive_modes` keeps."""
+    w, u, cond = positive_modes(s, rcond, "overlap pseudo-inverted")
+    s_inv = (u / w) @ u.conj().T
     return 0.5 * (s_inv + s_inv.conj().T), cond
 
 
@@ -175,8 +176,8 @@ def build_bvn(g: np.ndarray, s_inv: np.ndarray) -> np.ndarray:
     return g @ s_inv
 
 
-def build_basis(lattice: VnLattice, grid: Grid1D, rcond: float = 1e-12,
-                allow_pseudo: bool = False) -> BasisMatrices:
+def build_basis(lattice: VnLattice, grid: Grid1D,
+                rcond: float = 1e-12) -> BasisMatrices:
     """Real (G, S, S_inv, B) bundle; mirror-closed cell subsets span as build_G.
 
     g at -p is the conjugate of g at +p, so a cell and its mirror become the
@@ -189,7 +190,7 @@ def build_basis(lattice: VnLattice, grid: Grid1D, rcond: float = 1e-12,
     g = np.where(m == pair, 1.0, math.sqrt(2.0)) * np.where(
         m <= pair, gc.real, gc.imag)
     s = build_overlap(g)
-    s_inv, cond = invert_overlap(s, rcond, allow_pseudo)
+    s_inv, cond = invert_overlap(s, rcond)
     return BasisMatrices(g, s, s_inv, build_bvn(g, s_inv), cond)
 
 

@@ -31,8 +31,9 @@ def test_c01_pvn_spectrum_equals_fgh():
         h = pg.hamiltonian_fgh(grid, pg.harmonic())
         fgh = np.linalg.eigvalsh(h)
         lat = pg.VnLattice.from_grid(grid, *balanced_factors(n))
-        bundle = pg.build_basis(lat, grid, allow_pseudo=True)
-        pvn = pg.solve_generalized(pg.assemble_pvn(h, bundle.G)).energies
+        bundle = pg.build_basis(lat, grid)
+        pvn = pg.solve_generalized(
+            pg.assemble_pvn(h, bundle.G, bundle.S)).energies
         worst = max(worst, float(np.max(np.abs(pvn - fgh) / np.abs(fgh))))
     dt = time.perf_counter() - t0
     _report("C01 pvn == fgh spectrum",
@@ -45,7 +46,7 @@ def _n16_pieces():
     spec = pg.harmonic()
     h = pg.hamiltonian_fgh(grid, spec)
     lat = pg.VnLattice.from_grid(grid, 4, 4)
-    bundle = pg.build_basis(lat, grid, allow_pseudo=True)
+    bundle = pg.build_basis(lat, grid)
     return grid, spec, h, lat, bundle
 
 
@@ -58,7 +59,8 @@ def test_c02_baseline_gap_and_kinetic_ladder():
     vn_err = abs(vn.energies[7] - 7.5)
     t_mat = pg.kinetic_matrix(grid, 1.0)
     t_ref = np.linalg.eigvalsh(t_mat)
-    t_pvn = pg.solve_generalized(pg.assemble_pvn(t_mat, bundle.G)).energies
+    t_pvn = pg.solve_generalized(
+        pg.assemble_pvn(t_mat, bundle.G, bundle.S)).energies
     scale = max(abs(t_ref[-1]), 1.0)
     ladder_dev = float(np.max(np.abs(t_pvn - t_ref))) / scale
     dt = time.perf_counter() - t0
@@ -74,7 +76,8 @@ def test_c02_baseline_gap_and_kinetic_ladder():
 def test_c02_tracked_level_error_below_1e5():
     """pvn |E7 - 7.5| <= 1e-5 at N=16: held red, floor is ~9.5e-5."""
     _, _, h, _, bundle = _n16_pieces()
-    pvn = pg.solve_generalized(pg.assemble_pvn(h, bundle.G)).energies
+    pvn = pg.solve_generalized(
+        pg.assemble_pvn(h, bundle.G, bundle.S)).energies
     err = abs(pvn[7] - 7.5)
     print(f"[acceptance] C02 tracked-level 1e-5 clause: measured "
           f"|E7-7.5| = {err:.3e} vs required 1e-5", flush=True)
@@ -102,7 +105,7 @@ def test_c04_morse_pruned_basis_size_and_accuracy():
     spec = pg.morse()
     grid = pg.Grid1D(-1.6, 21.7, 100)
     lat = pg.VnLattice.from_grid(grid, 10, 10, alpha=0.5)
-    bundle = pg.build_basis(lat, grid, allow_pseudo=True)
+    bundle = pg.build_basis(lat, grid)
     mask = pg.select_cells(lat, spec, pg.PruneRule(12.0, "auto"))
     prob = pg.assemble_bvn(pg.hamiltonian_fgh(grid, spec),
                            bundle.B, bundle.S_inv, mask)
@@ -144,7 +147,7 @@ def test_c06_triangle_2d_pruned_vs_grid_reference():
     ref = np.linalg.eigvalsh(pg.hamiltonian_fgh(grid, spec).to_dense())
     ref = ref[ref < e_cut]
     lat = pg.VnLattice.from_grid(gx, 8, 8)
-    bundle = pg.build_basis(lat, gx, allow_pseudo=True)
+    bundle = pg.build_basis(lat, gx)
     mask = pg.select_cells((lat, lat), spec,
                            pg.PruneRule(e_cut, "auto", auto_scale=1.5))
     h_op = pg.hamiltonian_fgh(grid, spec)
@@ -227,7 +230,7 @@ def test_c10_linear_algebra_identities():
     worst = 0.0
     for grid, nx, npp, alpha in setups:
         lat = pg.VnLattice.from_grid(grid, nx, npp, alpha=alpha)
-        b = pg.build_basis(lat, grid, allow_pseudo=True)
+        b = pg.build_basis(lat, grid)
         eye = np.eye(lat.size)
         worst = max(worst,
                     float(np.max(np.abs(b.G.conj().T @ b.B - eye))),

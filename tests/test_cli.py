@@ -386,6 +386,10 @@ e_cut = -0.2
     (MORSE_CFG, ["scaling", "--energy", "8", "--dims", ","], "--dims"),
     (MORSE_CFG, ["scaling", "--energy", "8", "--dims", "0"], "--dims"),
     (MORSE_CFG, ["scaling", "--energy", "8", "--samples", "0"], "--samples"),
+    # no Monte Carlo hit in the 12-d shell; the box is not a CLI option
+    (MORSE_CFG, ["scaling", "--energy", "11.25", "--dims", "12", "--samples",
+                 "10"], "--dims [12]: no sample fell inside the energy shell; "
+     "raise --samples or lower --dims"),
     (MORSE_CFG, ["efficiency", "--hbars", ","], "--hbars"),
     (MORSE_CFG, ["efficiency", "--hbars", "0"], "--hbars"),
     # a non-finite energy, or one at or below the well bottom, has no orbit

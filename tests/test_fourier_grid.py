@@ -15,7 +15,7 @@ def test_grid_geometry():
     assert grid.points[0] == pytest.approx(-5.0)
     assert grid.points[-1] == pytest.approx(4.5)
     # momentum span times box length is N Planck cells
-    assert 2 * grid.p_max(hbar=1.0) * grid.L == pytest.approx(
+    assert 2 * (math.pi / grid.dx) * grid.L == pytest.approx(
         2 * math.pi * grid.N)
     with pytest.raises(ValueError):
         pg.Grid1D(0.0, 1.0, 7)  # odd N unsupported
@@ -48,7 +48,8 @@ def test_harmonic_square_grid_balances_the_box():
         grid = pg.harmonic_square_grid(n, mass=2.0, omega=0.5, hbar=1.5)
         # position span equals momentum span over m*omega and the grid is
         # symmetric about the origin up to half a spacing
-        assert grid.L == pytest.approx(2 * grid.p_max(1.5) / (2.0 * 0.5))
+        p_max = math.pi * 1.5 / grid.dx
+        assert grid.L == pytest.approx(2 * p_max / (2.0 * 0.5))
         assert abs(grid.points[0] + grid.points[-1]) < 1e-12
         assert grid.N == n
 

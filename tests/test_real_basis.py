@@ -11,11 +11,12 @@ import numpy as np
 import pytest
 
 import phasegrid as pg
+from phasegrid import solver
 
 
 def _complex_bundle(lat, grid):
     g = pg.build_G(lat, grid)
-    s_inv, _ = pg.invert_overlap(pg.build_overlap(g), allow_pseudo=True)
+    s_inv, _ = pg.invert_overlap(pg.build_overlap(g))
     return pg.build_bvn(g, s_inv), s_inv
 
 
@@ -68,13 +69,13 @@ def test_real_bundle_is_float64_and_biorthogonal():
 def test_pruned_morse_matches_complex_pipeline():
     grid, lat, spec, h = _morse_setup()
     mask = pg.select_cells(lat, spec, pg.PruneRule(12.0, "auto"))
-    real = pg.build_basis(lat, grid, allow_pseudo=True)
+    real = pg.build_basis(lat, grid)
     b, s_inv = _complex_bundle(lat, grid)
     e_real = pg.solve_generalized(
         pg.assemble_bvn(h, real.B, real.S_inv, mask)).energies
     e_cplx = pg.solve_generalized(pg.assemble_bvn(h, b, s_inv, mask)).energies
     np.testing.assert_allclose(e_real, e_cplx, rtol=0, atol=1e-10)
-    e_pvn = pg.solve_generalized(pg.assemble_pvn(h, real.G)).energies
+    e_pvn = pg.solve_generalized(pg.assemble_pvn(h, real.G, real.S)).energies
     np.testing.assert_allclose(e_pvn, np.linalg.eigvalsh(h), rtol=0,
                                atol=1e-10)
 
@@ -83,7 +84,7 @@ def test_pruned_triangle_2d_matches_complex_pipeline():
     gx, lat, spec, h_op = _triangle_setup()
     mask = pg.select_cells((lat, lat), spec, pg.PruneRule(0.8, "auto"))
     assert 0 < mask.n_kept < mask.size
-    real = pg.build_basis(lat, gx, allow_pseudo=True)
+    real = pg.build_basis(lat, gx)
     b, s_inv = _complex_bundle(lat, gx)
     prob_r = pg.assemble_bvn_2d(h_op, real.B, real.B, real.S_inv,
                                 real.S_inv, mask)
@@ -111,7 +112,7 @@ def test_operator_apply_matches_dense_real_and_complex():
 def test_pruned_bvn_bounds_fgh_from_above_1d(seed):
     grid, lat, _, h = _morse_setup()
     fgh = np.linalg.eigvalsh(h)
-    basis = pg.build_basis(lat, grid, allow_pseudo=True)
+    basis = pg.build_basis(lat, grid)
     rng = np.random.default_rng(seed)
     mask = _closed_mask_1d(lat, rng, rng.uniform(0.2, 0.8))
     out = pg.solve_generalized(pg.assemble_bvn(h, basis.B, basis.S_inv, mask))
@@ -123,7 +124,7 @@ def test_pruned_bvn_bounds_fgh_from_above_1d(seed):
 def test_pruned_bvn_bounds_fgh_from_above_2d(seed):
     gx, lat, _, h_op = _triangle_setup()
     fgh = np.linalg.eigvalsh(h_op.to_dense())
-    basis = pg.build_basis(lat, gx, allow_pseudo=True)
+    basis = pg.build_basis(lat, gx)
     rng = np.random.default_rng(100 + seed)
     mask = _closed_mask_2d(lat, rng, rng.uniform(0.2, 0.6))
     prob = pg.assemble_bvn_2d(h_op, basis.B, basis.B, basis.S_inv,
@@ -135,7 +136,7 @@ def test_pruned_bvn_bounds_fgh_from_above_2d(seed):
 
 def test_unpruned_bvn_2d_equals_fgh():
     gx, lat, _, h_op = _triangle_setup()
-    basis = pg.build_basis(lat, gx, allow_pseudo=True)
+    basis = pg.build_basis(lat, gx)
     mask = pg.PruneMask(kept=np.ones(lat.size**2, dtype=bool))
     prob = pg.assemble_bvn_2d(h_op, basis.B, basis.B, basis.S_inv,
                               basis.S_inv, mask)
@@ -145,22 +146,21 @@ def test_unpruned_bvn_2d_equals_fgh():
                                rtol=0, atol=1e-10)
 
 
-def test_eigenvalues_only_matches_vectors_path():
+def test_eigenvalues_only_matches_vectors_path(monkeypatch):
     grid, lat, spec, h = _morse_setup()
-    basis = pg.build_basis(lat, grid, allow_pseudo=True)
+    basis = pg.build_basis(lat, grid)
     mask = pg.select_cells(lat, spec, pg.PruneRule(12.0, "auto"))
     prob = pg.assemble_bvn(h, basis.B, basis.S_inv, mask)
-    # cond_switch=1 forces the whitening route on the same pencil
+    # COND_SWITCH = 1 forces the whitening route on the same pencil
     for switch in (1e8, 1.0):
-        only = pg.solve_generalized(prob, cond_switch=switch)
-        full = pg.solve_generalized(prob, cond_switch=switch,
-                                    want_vectors=True)
+        monkeypatch.setattr(solver, "COND_SWITCH", switch)
+        only = pg.solve_generalized(prob)
+        full = pg.solve_generalized(prob, want_vectors=True)
         assert only.eigenvectors is None
         assert full.eigenvectors.shape == (prob.size, prob.size)
         np.testing.assert_allclose(only.energies, full.energies, rtol=0,
                                    atol=1e-10)
-        some = pg.solve_generalized(prob, n_states=5, cond_switch=switch,
-                                    want_vectors=True)
+        some = pg.solve_generalized(prob, n_states=5, want_vectors=True)
         assert some.eigenvectors.shape == (prob.size, 5)
         np.testing.assert_allclose(some.energies, only.energies[:5],
                                    rtol=0, atol=1e-10)
@@ -190,7 +190,7 @@ def test_factorized_assembly_matches_materialized_columns(axes, complex_b,
         if complex_b:
             bundles.append(_complex_bundle(lats[-1], grids[-1]))
         else:
-            real = pg.build_basis(lats[-1], grids[-1], allow_pseudo=True)
+            real = pg.build_basis(lats[-1], grids[-1])
             bundles.append((real.B, real.S_inv))
     h_op = pg.hamiltonian_fgh(pg.Grid2D(*grids), pg.triangle2d(mass=30.0))
     rng = np.random.default_rng(200 + seed)
@@ -213,7 +213,7 @@ def test_factorized_assembly_memory_scales_with_the_pencil():
     spec = pg.triangle2d(mass=30.0)
     lat = pg.VnLattice.from_grid(gx, 4, 8)
     h_op = pg.hamiltonian_fgh(pg.Grid2D(gx, gx), spec)
-    basis = pg.build_basis(lat, gx, allow_pseudo=True)
+    basis = pg.build_basis(lat, gx)
     mask = pg.select_cells((lat, lat), spec, pg.PruneRule(0.5, "auto"))
     assert 0 < mask.n_kept < mask.size // 2
     tracemalloc.start()

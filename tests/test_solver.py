@@ -35,6 +35,20 @@ def test_generalized_solver_rejects_indefinite_metric():
         pg.solve_generalized(pg.GeneralizedProblem(h, s))
 
 
+def test_whitening_warns_for_every_dropped_mode():
+    # S = A A^T with A 8x7 has rank 7: the whitened pencil keeps range(A),
+    # where H = A D A^T has exactly the levels D
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((8, 7))
+    d = np.sort(rng.uniform(-3.0, 5.0, 7))
+    prob = pg.GeneralizedProblem(a @ np.diag(d) @ a.T, a @ a.T)
+    with pytest.warns(UserWarning, match="pencil metric whitened: "
+                      "dropping 1 modes"):
+        out = pg.solve_generalized(prob)
+    assert out.energies.shape == (7,) and np.all(np.isfinite(out.energies))
+    np.testing.assert_allclose(out.energies, d, rtol=0, atol=1e-9)
+
+
 def test_empty_pencil_raises_before_lapack(capfd):
     pipe = pg.Pipeline(pg.morse(), pg.Grid1D(-1.6, 21.7, 100), "bvn",
                        shape=(10, 10))
@@ -80,7 +94,7 @@ def test_pvn_reproduces_fgh_exactly():
     fgh = np.linalg.eigvalsh(h)
     lat = pg.VnLattice.from_grid(grid, 4, 4)
     bundle = pg.build_basis(lat, grid)
-    out = pg.solve_generalized(pg.assemble_pvn(h, bundle.G))
+    out = pg.solve_generalized(pg.assemble_pvn(h, bundle.G, bundle.S))
     np.testing.assert_allclose(out.energies, fgh, rtol=1e-10, atol=1e-12)
 
 
@@ -89,7 +103,7 @@ def test_unpruned_bvn_reproduces_fgh():
     spec = pg.morse()
     h = pg.hamiltonian_fgh(grid, spec)
     lat = pg.VnLattice.from_grid(grid, 8, 8)
-    bundle = pg.build_basis(lat, grid, allow_pseudo=True)
+    bundle = pg.build_basis(lat, grid)
     prob = pg.assemble_bvn(h, bundle.B, bundle.S_inv, None)
     out = pg.solve_generalized(prob)
     np.testing.assert_allclose(out.energies[:20], np.linalg.eigvalsh(h)[:20],
@@ -101,7 +115,7 @@ def test_pruned_bvn_keeps_low_levels():
     spec = pg.morse()
     h = pg.hamiltonian_fgh(grid, spec)
     lat = pg.VnLattice.from_grid(grid, 10, 10, alpha=0.5)
-    bundle = pg.build_basis(lat, grid, allow_pseudo=True)
+    bundle = pg.build_basis(lat, grid)
     mask = pg.select_cells(lat, spec, pg.PruneRule(12.0, "auto"))
     prob = pg.assemble_bvn(h, bundle.B, bundle.S_inv, mask)
     assert prob.size == mask.n_kept < 100
@@ -117,7 +131,7 @@ def test_bvn_2d_full_mask_equals_dense_fgh():
     dense_vals = np.linalg.eigvalsh(
         pg.hamiltonian_fgh(grid, spec).to_dense())
     lat = pg.VnLattice.from_grid(gx, 4, 3)
-    bundle = pg.build_basis(lat, gx, allow_pseudo=True)
+    bundle = pg.build_basis(lat, gx)
     h_op = pg.hamiltonian_fgh(grid, spec)
     mask = pg.PruneMask(kept=np.ones(144, dtype=bool))
     prob = pg.assemble_bvn_2d(h_op, bundle.B, bundle.B,
@@ -132,7 +146,7 @@ def test_bvn_2d_mask_length_checked():
     grid = pg.Grid2D(gx, gx)
     spec = pg.triangle2d(mass=30.0)
     lat = pg.VnLattice.from_grid(gx, 4, 2)
-    bundle = pg.build_basis(lat, gx, allow_pseudo=True)
+    bundle = pg.build_basis(lat, gx)
     h_op = pg.hamiltonian_fgh(grid, spec)
     bad = pg.PruneMask(kept=np.ones(63, dtype=bool))
     with pytest.raises(ValueError):

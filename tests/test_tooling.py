@@ -10,6 +10,7 @@ import runpy
 import shlex
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -110,15 +111,31 @@ def test_no_module_level_scipy_import():
 
 
 def test_orbit_areas_leave_out_scipy_integrate():
-    # every 1-d kind has a closed-form orbit area, tables included
+    # every 1-d kind has closed-form turning points and orbit area, tables
+    # included, so no scipy module is loaded at all
     code = ("import sys, numpy as np, phasegrid as pg; "
             "xs = np.linspace(-5, 5, 201); "
             "pg.phase_area_1d(pg.harmonic(), 2.0); "
             "pg.phase_area_1d(pg.morse(), 8.0); "
             "pg.phase_area_1d(pg.coulomb1d(), -0.5); "
             "pg.phase_area_1d(pg.tabulated(xs, 0.5 * xs**2), 3.0); "
-            "print('scipy.integrate' in sys.modules)")
-    assert _python(code) == "False"
+            f"print({_SCIPY_LOADED})")
+    assert _python(code) == "[]"
+
+
+@pytest.mark.skipif(not TRACER.exists(), reason="perfbench/tracer.py absent")
+def test_pseudo_inverse_warning_keeps_the_tracer_text():
+    # the benchmark counts vn_basis.pseudo_inverse_warnings by this text
+    import phasegrid as pg
+    text = runpy.run_path(str(TRACER))["PSEUDO_INVERSE_TEXT"]
+    # needle-thin Gaussians: the four momenta of one x center sample to
+    # nearly the same grid vector, so S has rank ~4 of 16
+    grid = pg.Grid1D(-4.0, 8.0, 16)
+    lat = pg.VnLattice.from_grid(grid, 4, 4, alpha=100.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        pg.build_basis(lat, grid)
+    assert any(text in str(w.message) for w in caught), caught
 
 
 TRIANGLE_CFG = """\

@@ -29,7 +29,7 @@ def test_lattice_cells_tile_one_planck_cell_each():
         assert lat.centers_p.size == n_p
         # centers stay inside the box and inside the momentum span
         assert lat.centers_x.min() > -5.0 and lat.centers_x.max() < 5.0
-        assert np.max(np.abs(lat.centers_p)) < grid.p_max(0.7)
+        assert np.max(np.abs(lat.centers_p)) < math.pi * 0.7 / grid.dx
     with pytest.raises(ValueError):
         pg.VnLattice.from_grid(grid, 5, 4)  # 20 != 24
 
@@ -79,18 +79,21 @@ def test_overlap_and_dual_identities():
     assert bundle.cond_S >= 1.0
 
 
-def test_pseudoinverse_flag_controls_singular_overlap():
+def test_singular_overlap_is_pseudo_inverted_with_a_warning():
     # a duplicated Gaussian column makes the overlap exactly singular;
     # the cell-centered lattice itself stays benign
     grid = pg.harmonic_square_grid(64)
     lat = pg.VnLattice.from_grid(grid, 8, 8)
     g = pg.build_G(lat, grid)
     s = pg.build_overlap(np.column_stack([g, g[:, 27]]))
-    with pytest.raises(IllConditionedError):
-        pg.invert_overlap(s, allow_pseudo=False)
-    with pytest.warns(UserWarning, match="dropping 1 modes"):
-        s_inv, _ = pg.invert_overlap(s, allow_pseudo=True)
-    assert np.all(np.isfinite(s_inv))
+    with pytest.warns(UserWarning, match="overlap pseudo-inverted: "
+                      "dropping 1 modes"):
+        s_inv, cond = pg.invert_overlap(s)
+    assert np.all(np.isfinite(s_inv)) and cond > 1e12
+    # S S_inv S = S on the kept span
+    np.testing.assert_allclose(s @ s_inv @ s, s, atol=1e-8)
+    with pytest.raises(IllConditionedError, match="negative beyond roundoff"):
+        pg.invert_overlap(s - 0.01 * np.eye(s.shape[0]))
     assert pg.build_basis(lat, grid).cond_S < 1e4
 
 
