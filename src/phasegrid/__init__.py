@@ -19,8 +19,8 @@ from .semiclassics import (PhaseSpaceBox, ScalingRow, VolumeEstimate,
                            mc_phase_volume, minimal_box, phase_area_1d,
                            scaling_report, state_count_exact,
                            state_count_limits, turning_points)
-from .solver import (EfficiencyPoint, EfficiencyPolicy, GeneralizedProblem,
-                     Pipeline, assemble_bvn, assemble_bvn_2d, assemble_pvn,
+from .solver import (EfficiencyPoint, GeneralizedProblem, Pipeline,
+                     assemble_bvn, assemble_bvn_2d, assemble_pvn,
                      count_converged, efficiency_scan, solve_generalized)
 from .spectra import Spectrum
 from .vn_basis import (BasisMatrices, VnLattice, build_basis, build_bvn,

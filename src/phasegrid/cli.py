@@ -29,7 +29,8 @@ from .potentials import (PARAMETERS, PotentialSpec, analytic_levels,
                          coulomb1d, harmonic, morse, triangle2d)
 from .pruner import PruneRule, cell_table, select_cells
 from .semiclassics import scaling_report
-from .solver import EfficiencyPolicy, Pipeline, efficiency_scan
+from .solver import Pipeline, efficiency_scan
+from .vn_basis import VnLattice
 
 
 class ConfigError(ValueError):
@@ -60,9 +61,7 @@ class PotentialConfig:
 class GridConfig:
     x_min: float
     length: float
-    n: int | None = None     # 1-d point count
-    nx: int | None = None    # 2-d per-axis counts
-    ny: int | None = None
+    n: int                   # points per axis; a 2-d potential gets n x n
 
 
 @dataclass
@@ -83,9 +82,7 @@ class PruneConfig:
 class SolverConfig:
     basis: str = "fgh"
     n_states: int | None = None
-    rcond: float = 1e-12
     digits: int = 3
-    long_running: bool = False
 
 
 @dataclass
@@ -121,12 +118,8 @@ SECTION_CLASSES = {f.name: (get_args(f.type) or (f.type,))[0]
 _MAKERS = {"harmonic": harmonic, "morse": morse, "triangle2d": triangle2d,
            "coulomb1d": coulomb1d}
 
-_BOOLS = {"true": True, "1": True, "yes": True,
-          "false": False, "0": False, "no": False}
-
 _CONVERTERS = {str: (str, "a string"), int: (int, "an integer"),
-               float: (float, "a number"),
-               bool: (lambda text: _BOOLS[text.lower()], "a boolean")}
+               float: (float, "a number")}
 
 
 def parse_config(text: str) -> RunConfig:
@@ -169,11 +162,6 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"potential.{key}: not a {kind} parameter")
         if text == "":  # optional only by omission: empty is not a number
             raise ConfigError(f"potential.{key}: not a number: ''")
-    grid = cfg.grid
-    if not grid.n and not (grid.nx and grid.ny):
-        raise ConfigError("grid needs n (1-d) or nx and ny (2-d)")
-    if grid.n and (grid.nx or grid.ny):
-        raise ConfigError("grid.n conflicts with grid.nx/grid.ny")
     if cfg.prune is not None and cfg.prune.margin != "auto":
         _convert("prune.margin", float, cfg.prune.margin)
     solver = cfg.solver
@@ -208,7 +196,7 @@ def _convert(name: str, annotation, text: str):
     convert, what = _CONVERTERS[annotation]
     try:
         return convert(text)
-    except (KeyError, ValueError):
+    except ValueError:
         raise ConfigError(f"{name}: not {what}: '{text}'") from None
 
 
@@ -238,7 +226,7 @@ def _g(x) -> str:
 
 def _text(value) -> str:
     """A config, meta or CSV value as written: floats by _g, lists joined
-    by commas, None empty, booleans in the config spelling."""
+    by commas, None empty, booleans as true/false."""
     if isinstance(value, (float, np.floating)):
         return _g(value)
     if isinstance(value, bool):
@@ -289,13 +277,14 @@ def read_csv(path: str):
 # Command implementations
 
 
-def _build_grid(cfg: RunConfig):
-    g = cfg.grid
-    if g.n:
-        return Grid1D(g.x_min, g.length, g.n)
-    gx = Grid1D(g.x_min, g.length, g.nx)
-    gy = Grid1D(g.x_min, g.length, g.ny)
-    return Grid2D(gx, gy)
+def _build_grid(g: GridConfig, dimension: int):
+    """The [grid] axis, or the square n x n grid for a 2-d potential."""
+    try:
+        axis = Grid1D(g.x_min, g.length, g.n)
+    except ValueError as exc:
+        raise ConfigError(f"grid.n = {g.n}, grid.length = {_g(g.length)}: "
+                          f"{exc}") from None
+    return Grid2D(axis, axis) if dimension == 2 else axis
 
 
 def _prune_rule(prune: PruneConfig) -> PruneRule:
@@ -305,20 +294,29 @@ def _prune_rule(prune: PruneConfig) -> PruneRule:
 
 def cmd_solve(cfg: RunConfig, args, meta: dict) -> dict:
     """Run one basis pipeline end-to-end: eigenvalues (+cells)."""
-    grid = _build_grid(cfg)
-    basis, two_d, lat = cfg.solver.basis, isinstance(grid, Grid2D), cfg.lattice
-    if (two_d and basis == "fgh" and grid.size > DENSE_2D_LIMIT
-            and not cfg.solver.long_running):
-        raise ConfigError(
-            f"grid has {grid.size} points (> {DENSE_2D_LIMIT}); pass "
-            "--long-running to enable the matrix-free Lanczos fgh solve")
-    if basis != "fgh" and lat is None:
-        raise ConfigError(f"basis '{basis}' needs a [lattice] section")
+    spec = cfg.spec()
+    grid = _build_grid(cfg.grid, spec.dimension)
+    basis, two_d, lat = cfg.solver.basis, spec.dimension == 2, cfg.lattice
+    if two_d and basis == "fgh" and grid.size > DENSE_2D_LIMIT:
+        if not args.long_running:
+            raise ConfigError(
+                f"grid has {grid.size} points (> {DENSE_2D_LIMIT}); pass "
+                "--long-running to enable the matrix-free Lanczos fgh solve")
+        if cfg.solver.n_states is None:
+            raise ConfigError("solver.n_states: required by the matrix-free "
+                              f"fgh solve of {grid.size} points")
+    if basis != "fgh":
+        if lat is None:
+            raise ConfigError(f"basis '{basis}' needs a [lattice] section")
+        try:
+            VnLattice.from_grid(grid.gx if two_d else grid, lat.nx, lat.np)
+        except ValueError as exc:
+            raise ConfigError(f"lattice.nx = {lat.nx}, lattice.np = {lat.np}: "
+                              f"{exc}") from None
     if two_d and basis == "bvn" and cfg.prune is None:
         raise ConfigError("2-d bvn solve needs a [prune] section")
-    spec = cfg.spec()
     pipe = Pipeline(spec, grid, basis, shape=lat and (lat.nx, lat.np),
-                    alpha=lat and lat.alpha, rcond=cfg.solver.rcond)
+                    alpha=lat and lat.alpha)
     meta.update((key, _g(value)) for key, value in pipe.info.items())
     mask = None
     if basis == "bvn" and cfg.prune is not None:
@@ -369,8 +367,7 @@ def cmd_sweep(cfg: RunConfig, args, meta: dict) -> dict:
                                             spec.params["omega"], spec.hbar)
             else:
                 grid = Grid1D(cfg.grid.x_min, cfg.grid.length, size)
-            energies = Pipeline(spec, grid, method,
-                                rcond=cfg.solver.rcond).solve().energies
+            energies = Pipeline(spec, grid, method).solve().energies
             if index < len(energies):
                 energy = float(energies[index])
                 rows.append((method, size, energy, abs(energy - target)))
@@ -386,12 +383,10 @@ def cmd_efficiency(cfg: RunConfig, args, meta: dict) -> dict:
         raise ConfigError("efficiency scan needs prune.e_cut as the level cutoff")
     if not args.hbars or not all(hb > 0 for hb in args.hbars):
         raise ConfigError(f"efficiency --hbars must be positive: {args.hbars}")
-    policy = EfficiencyPolicy(x_min=cfg.grid.x_min,
-                              box_length=cfg.grid.length,
-                              rcond=cfg.solver.rcond)
     try:
         points = efficiency_scan(cfg.spec(), args.hbars, cfg.solver.digits,
-                                 cfg.prune.e_cut, policy)
+                                 cfg.prune.e_cut, cfg.grid.x_min,
+                                 cfg.grid.length)
     except BudgetExceededError as exc:
         points = exc.partial or []
         meta["budget_error"] = str(exc)
@@ -703,7 +698,7 @@ def _load_config(path: str) -> RunConfig:
 
 
 # the options every config command shares; the runner echoes the others
-_COMMON = ("command", "config", "out", "seed", "long_running", "quiet")
+_COMMON = ("command", "config", "out", "seed", "quiet")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -721,11 +716,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output directory (default: config outdir)")
     common.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
-    common.add_argument("--long-running", action="store_true",
-                        help="allow the 2-d Lanczos fgh solve (> 5000 points)")
     common.add_argument("--quiet", action="store_true")
 
-    sub.add_parser("solve", parents=[common], help="one spectrum, one basis")
+    p_solve = sub.add_parser("solve", parents=[common],
+                             help="one spectrum, one basis")
+    p_solve.add_argument("--long-running", action="store_true",
+                         help="allow the 2-d Lanczos fgh solve (> 5000 points)")
 
     p_sweep = sub.add_parser("sweep", parents=[common],
                              help="eigenvalue error vs basis size")
@@ -774,8 +770,6 @@ def main(argv=None) -> int:
             if args.seed < 0:
                 raise ConfigError(f"--seed: must be >= 0, got {args.seed}")
             cfg.output.seed = args.seed
-        if args.long_running:
-            cfg.solver.long_running = True
         run_command(cfg, args)
         return 0
     except (ConfigError, NotAvailableError) as exc:

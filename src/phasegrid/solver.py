@@ -103,8 +103,7 @@ def assemble_bvn_2d(h_op: FghOperator2D, bx: np.ndarray, by: np.ndarray,
 
 def solve_generalized(problem: GeneralizedProblem,
                       n_states: int | None = None,
-                      want_vectors: bool = False,
-                      rcond: float = 1e-12) -> Spectrum:
+                      want_vectors: bool = False) -> Spectrum:
     """Solve H U = S U E for a Hermitian pencil with positive metric.
 
     A metric whose Cholesky factor exists and whose LAPACK condition
@@ -129,7 +128,7 @@ def solve_generalized(problem: GeneralizedProblem,
     if rc * COND_SWITCH >= 1.0:
         white, a, b = None, h, s
     else:
-        w, u, _ = positive_modes(s, rcond, "pencil metric whitened")
+        w, u, _ = positive_modes(s, "pencil metric whitened")
         white = u / np.sqrt(w)
         a, b = white.conj().T @ h @ white, None
     out = scipy.linalg.eigh(a, b, eigvals_only=not want_vectors,
@@ -154,14 +153,13 @@ class Pipeline:
     """
 
     def __init__(self, spec: PotentialSpec, grid, basis: str,
-                 shape: tuple | None = None, alpha: float | None = None,
-                 rcond: float = 1e-12):
+                 shape: tuple | None = None, alpha: float | None = None):
         axes = (grid,) if isinstance(grid, Grid1D) else (grid.gx, grid.gy)
         if basis not in ("fgh", "vn", "pvn", "bvn"):
             raise ValueError(f"unknown basis {basis!r}")
         if len(axes) > 1 and basis in ("vn", "pvn"):
             raise NotAvailableError(f"basis '{basis}' supports only 1-d grids")
-        self.spec, self.grid, self.basis, self.rcond = spec, grid, basis, rcond
+        self.spec, self.grid, self.basis = spec, grid, basis
         self.lattices, self.bundles, self.info, self.h_grid = (), (), {}, None
         if basis == "fgh":
             return
@@ -170,7 +168,7 @@ class Pipeline:
                                                   alpha=alpha) for g in axes)
         if basis == "vn":
             return
-        self.bundles = tuple(build_basis(lat, g, rcond=rcond)
+        self.bundles = tuple(build_basis(lat, g)
                              for lat, g in zip(self.lattices, axes))
         self.info["cond_s"] = max(b.cond_S for b in self.bundles)
         self.h_grid = hamiltonian_fgh(grid, spec)
@@ -198,7 +196,7 @@ class Pipeline:
             bx, by = self.bundles
             problem = assemble_bvn_2d(self.h_grid, bx.B, by.B, bx.S_inv,
                                       by.S_inv, mask)
-        return solve_generalized(problem, n_states=n_states, rcond=self.rcond)
+        return solve_generalized(problem, n_states=n_states)
 
 
 def matching_tolerance(value: float, digits: int) -> float:
@@ -258,32 +256,23 @@ P_PAD = 1.25
 SCALE_TOL = 0.0625
 
 
-@dataclass(frozen=True)
-class EfficiencyPolicy:
-    """The grid box, held fixed while hbar varies, and the basis rcond."""
-
-    x_min: float
-    box_length: float
-    rcond: float = 1e-12
-
-
-def _fgh_converges(policy, spec, n, ref, digits, e_max):
-    grid = Grid1D(policy.x_min, policy.box_length, n)
+def _fgh_converges(x_min, length, spec, n, ref, digits, e_max):
+    grid = Grid1D(x_min, length, n)
     out = Pipeline(spec, grid, "fgh").solve()
     return count_converged(out.energies, ref, digits, e_max) == ref.size
 
 
-def _min_pruned_size(policy, spec, ref, digits, e_max, points):
+def _min_pruned_size(x_min, length, spec, ref, digits, e_max, points):
     """Fewest kept bvn cells reproducing ref, over the auto-margin scale.
 
     The pipeline lives only for this call, so no two hbar bases coexist.
     """
     p_max = math.sqrt(2.0 * spec.mass * e_max)
-    n_target = policy.box_length * P_PAD * p_max / (math.pi * spec.hbar)
+    n_target = length * P_PAD * p_max / (math.pi * spec.hbar)
     # even k, so the k*k grid has an even number of points
     k = 2 * max(1, round(math.sqrt(n_target) / 2))
-    grid = Grid1D(policy.x_min, policy.box_length, k * k)
-    pipe = Pipeline(spec, grid, "bvn", shape=(k, k), rcond=policy.rcond)
+    grid = Grid1D(x_min, length, k * k)
+    pipe = Pipeline(spec, grid, "bvn", shape=(k, k))
 
     def bvn_converges(scale):
         mask = select_cells(pipe.lattices, spec,
@@ -315,13 +304,14 @@ def _min_pruned_size(policy, spec, ref, digits, e_max, points):
 
 
 def efficiency_scan(spec: PotentialSpec, hbars: Sequence[float], digits: int,
-                    e_max: float, policy: EfficiencyPolicy) -> list:
+                    e_max: float, x_min: float, length: float) -> list:
     """Minimal grid and minimal pruned-basis sizes across hbar values.
 
-    For each hbar the analytic levels below e_max are the reference; the
-    scan reports one point per method with the basis size and the
-    size-per-level ratio. Exhausting the grid-size budget raises a budget
-    error carrying the points finished so far.
+    The box [x_min, x_min + length] stays fixed while hbar varies. For each
+    hbar the analytic levels below e_max are the reference; the scan
+    reports one point per method with the basis size and the size-per-level
+    ratio. Exhausting the grid-size budget raises a budget error carrying
+    the points finished so far.
     """
     points = []
     for hb in hbars:
@@ -332,7 +322,7 @@ def efficiency_scan(spec: PotentialSpec, hbars: Sequence[float], digits: int,
             raise ValueError(f"no levels below {e_max} at hbar={hb}")
 
         n = N_START
-        while not _fgh_converges(policy, sp, n, ref, digits, e_max):
+        while not _fgh_converges(x_min, length, sp, n, ref, digits, e_max):
             n *= 2
             if n > N_BUDGET:
                 raise BudgetExceededError(
@@ -342,12 +332,12 @@ def efficiency_scan(spec: PotentialSpec, hbars: Sequence[float], digits: int,
         while hi - lo > 2:
             mid = (lo + hi) // 2
             mid += mid % 2
-            if _fgh_converges(policy, sp, mid, ref, digits, e_max):
+            if _fgh_converges(x_min, length, sp, mid, ref, digits, e_max):
                 hi = mid
             else:
                 lo = mid
         points.append(EfficiencyPoint(hb, "fgh", hi, int(ref.size)))
 
-        kept = _min_pruned_size(policy, sp, ref, digits, e_max, points)
+        kept = _min_pruned_size(x_min, length, sp, ref, digits, e_max, points)
         points.append(EfficiencyPoint(hb, "bvn", kept, int(ref.size)))
     return points

@@ -17,6 +17,9 @@ from .errors import IllConditionedError, NotAvailableError
 from .fourier_grid import Grid1D
 from .potentials import PotentialSpec
 
+# relative eigenvalue floor of every metric that `positive_modes` inverts
+RCOND = 1e-12
+
 
 def balanced_factors(n: int) -> tuple:
     """Factor n = n_x * n_p with the sides as close to square as possible."""
@@ -139,21 +142,21 @@ def build_overlap(g: np.ndarray) -> np.ndarray:
     return 0.5 * (s + s.conj().T)
 
 
-def positive_modes(s: np.ndarray, rcond: float, what: str):
+def positive_modes(s: np.ndarray, what: str):
     """Kept eigenpairs (w, u) of a Hermitian metric and cond = max/min.
 
     The one rule for near-singular metrics: no positive direction, or an
-    eigenvalue below -rcond * lambda_max, raises; the modes at or below
-    rcond * lambda_max are dropped with the warning "<what>: dropping N".
+    eigenvalue below -RCOND * lambda_max, raises; the modes at or below
+    RCOND * lambda_max are dropped with the warning "<what>: dropping N".
     """
     w, u = np.linalg.eigh(s)
     if w[-1] <= 0:
         raise IllConditionedError("metric has no positive direction")
-    if w[0] < -rcond * w[-1]:
+    if w[0] < -RCOND * w[-1]:
         raise IllConditionedError(
             f"metric eigenvalue {w[0]:.3e} is negative beyond roundoff")
     cond = float(w[-1] / w[0]) if w[0] > 0 else float("inf")
-    keep = w > rcond * w[-1]
+    keep = w > RCOND * w[-1]
     if not keep.all():
         warnings.warn(
             f"{what}: dropping {int((~keep).sum())} modes below rcond "
@@ -162,9 +165,9 @@ def positive_modes(s: np.ndarray, rcond: float, what: str):
     return w, u, cond
 
 
-def invert_overlap(s: np.ndarray, rcond: float = 1e-12):
+def invert_overlap(s: np.ndarray):
     """(S_inv, cond): S inverted on the modes `positive_modes` keeps."""
-    w, u, cond = positive_modes(s, rcond, "overlap pseudo-inverted")
+    w, u, cond = positive_modes(s, "overlap pseudo-inverted")
     s_inv = (u / w) @ u.conj().T
     return 0.5 * (s_inv + s_inv.conj().T), cond
 
@@ -176,8 +179,7 @@ def build_bvn(g: np.ndarray, s_inv: np.ndarray) -> np.ndarray:
     return g @ s_inv
 
 
-def build_basis(lattice: VnLattice, grid: Grid1D,
-                rcond: float = 1e-12) -> BasisMatrices:
+def build_basis(lattice: VnLattice, grid: Grid1D) -> BasisMatrices:
     """Real (G, S, S_inv, B) bundle; mirror-closed cell subsets span as build_G.
 
     g at -p is the conjugate of g at +p, so a cell and its mirror become the
@@ -190,7 +192,7 @@ def build_basis(lattice: VnLattice, grid: Grid1D,
     g = np.where(m == pair, 1.0, math.sqrt(2.0)) * np.where(
         m <= pair, gc.real, gc.imag)
     s = build_overlap(g)
-    s_inv, cond = invert_overlap(s, rcond)
+    s_inv, cond = invert_overlap(s)
     return BasisMatrices(g, s, s_inv, build_bvn(g, s_inv), cond)
 
 

@@ -122,9 +122,8 @@ def test_c04_morse_pruned_basis_size_and_accuracy():
 def test_c05_efficiency_ratio_trend():
     """bvn ratio strictly decreasing over hbar, final < 1.5, fgh >= bvn."""
     t0 = time.perf_counter()
-    policy = pg.EfficiencyPolicy(x_min=-1.6, box_length=21.7)
     points = pg.efficiency_scan(pg.morse(), [1.0, 0.5, 0.25], digits=3,
-                                e_max=11.25, policy=policy)
+                                e_max=11.25, x_min=-1.6, length=21.7)
     bvn = [p.ratio for p in points if p.method == "bvn"]
     fgh = [p.ratio for p in points if p.method == "fgh"]
     decreasing = all(b > a for b, a in zip(bvn, bvn[1:]))

@@ -112,6 +112,13 @@ def test_shipped_configs_parse_and_roundtrip():
      "potential.depth"),
     (lambda t: t.replace("omega = 1", "omega ="),
      "potential.omega: not a number"),
+    # settings that are gone: a constant, the potential's dimension, a flag
+    (lambda t: t.replace("basis = pvn", "basis = pvn\nrcond = 1e-12"),
+     "unknown key 'rcond' in [solver]"),
+    (lambda t: t.replace("n = 16", "n = 16\nnx = 16"),
+     "unknown key 'nx' in [grid]"),
+    (lambda t: t.replace("basis = pvn", "basis = pvn\nlong_running = true"),
+     "unknown key 'long_running' in [solver]"),
 ])
 def test_parse_errors_name_the_field(mangle, needle):
     with pytest.raises(cli.ConfigError) as err:
@@ -163,7 +170,7 @@ def test_meta_echoes_the_serialized_config(tmp_path):
 
 @pytest.mark.parametrize("argv,echoed", [
     (["solve", "--seed", "5", "--long-running"],
-     {"output.seed": "5", "solver.long_running": "true"}),
+     {"output.seed": "5", "solve.long_running": "true"}),
     (["sweep", "--sizes", "36,64", "--index", "3", "--methods", "fgh,pvn"],
      {"sweep.sizes": "36,64", "sweep.index": "3",
       "sweep.methods": "fgh,pvn"}),
@@ -251,13 +258,6 @@ def test_missing_config_exits_2(tmp_path, capsys):
     assert "cannot read config" in capsys.readouterr().err
 
 
-def test_bad_lattice_size_exits_1(tmp_path, capsys):
-    cfg = _write(tmp_path, HARMONIC_CFG.replace("nx = 4", "nx = 3"))
-    assert cli.main(["solve", "--config", cfg, "--out",
-                     str(tmp_path / "x"), "--quiet"]) == 1
-    assert "error" in capsys.readouterr().err
-
-
 def test_long_running_gate(tmp_path, capsys):
     text = """\
 [potential]
@@ -267,8 +267,7 @@ mass = 96
 [grid]
 x_min = -10
 length = 20
-nx = 104
-ny = 104
+n = 104
 
 [solver]
 basis = fgh
@@ -293,8 +292,7 @@ mass = 96
 [grid]
 x_min = -8
 length = 16
-nx = 72
-ny = 72
+n = 72
 
 [lattice]
 nx = 8
@@ -326,8 +324,7 @@ mass = 30
 [grid]
 x_min = -6
 length = 12
-nx = 16
-ny = 16
+n = 16
 
 [lattice]
 nx = 4
@@ -343,6 +340,19 @@ basis = bvn
 [output]
 outdir = out
 """
+
+
+@pytest.mark.parametrize("kind,n_levels", [("triangle2d", 256),
+                                            ("harmonic", 16)])
+def test_potential_kind_sets_the_grid_dimension(tmp_path, kind, n_levels):
+    # one [grid] n: a 2-d kind solves on the 16 x 16 grid, a 1-d kind on 16
+    text = TRIANGLE_CFG.replace("kind = triangle2d", f"kind = {kind}")
+    cfg = _write(tmp_path, text.replace("basis = bvn", "basis = fgh"))
+    out = tmp_path / "o"
+    assert cli.main(["solve", "--config", cfg, "--out", str(out),
+                     "--quiet"]) == 0
+    assert f"n_levels = {n_levels}\n" in (out / "meta.txt").read_text()
+
 
 COULOMB_CFG = """\
 [potential]
@@ -361,6 +371,18 @@ e_cut = -0.2
 @pytest.mark.parametrize("text,argv,needle", [
     (HARMONIC_CFG.replace("[lattice]\nnx = 4\nnp = 4\n", ""), ["solve"],
      "needs a [lattice] section"),
+    # the library's own checks of the grid and the lattice, keys named
+    (HARMONIC_CFG.replace("nx = 4", "nx = 3"), ["solve"],
+     "lattice.nx = 3, lattice.np = 4: lattice size 3*4 must equal the grid "
+     "size 16"),
+    (HARMONIC_CFG.replace("n = 16", "n = 15"), ["solve"],
+     "grid.n = 15, grid.length = 10.026513098524001: N must be a positive "
+     "even integer"),
+    (HARMONIC_CFG.replace("n = 16", "n = 0"), ["solve"], "grid.n = 0"),
+    (TRIANGLE_CFG.replace("n = 16", "n = 72").replace("basis = bvn",
+                                                      "basis = fgh"),
+     ["solve", "--long-running"],
+     "solver.n_states: required by the matrix-free fgh solve of 5184 points"),
     (TRIANGLE_CFG.replace("basis = bvn", "basis = pvn"), ["solve"],
      "supports only 1-d grids"),
     (TRIANGLE_CFG.replace("basis = bvn", "basis = vn"), ["solve"],

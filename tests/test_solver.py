@@ -167,16 +167,14 @@ def test_pipeline_rejects_2d_vn_and_pvn():
 
 
 def test_efficiency_scan_needs_levels_below_cutoff():
-    policy = pg.EfficiencyPolicy(x_min=-1.6, box_length=21.7)
     with pytest.raises(ValueError):
-        pg.efficiency_scan(pg.morse(), [1.0], 3, 1e-6, policy)
+        pg.efficiency_scan(pg.morse(), [1.0], 3, 1e-6, -1.6, 21.7)
 
 
 def test_efficiency_scan_lattice_side_is_even():
     # sqrt(n_target) rounds to 9 at hbar=1.25; an odd side would give an
     # odd k*k grid, which Grid1D rejects
-    policy = pg.EfficiencyPolicy(x_min=-1.6, box_length=21.7)
-    points = pg.efficiency_scan(pg.morse(), [1.25], 4, 12.0, policy)
+    points = pg.efficiency_scan(pg.morse(), [1.25], 4, 12.0, -1.6, 21.7)
     assert [p.method for p in points] == ["fgh", "bvn"]
 
 

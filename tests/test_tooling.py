@@ -146,8 +146,7 @@ mass = 30
 [grid]
 x_min = -6
 length = 12
-nx = 16
-ny = 16
+n = 16
 
 [lattice]
 nx = 4
