@@ -14,7 +14,7 @@ from .fourier_grid import (FghOperator2D, Grid1D, Grid2D,
 from .potentials import (PotentialSpec, analytic_levels, coulomb1d, evaluate,
                          harmonic, morse, morse_frequency, tabulated,
                          triangle2d, triangle_alpha)
-from .pruner import PruneMask, PruneRule, cell_table, select_cells
+from .pruner import PruneMask, cell_table, select_cells
 from .semiclassics import (PhaseSpaceBox, ScalingRow, VolumeEstimate,
                            mc_phase_volume, minimal_box, phase_area_1d,
                            scaling_report, state_count_exact,

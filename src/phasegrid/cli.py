@@ -27,7 +27,7 @@ from .errors import (BelowWellBottomError, BudgetExceededError,
 from .fourier_grid import DENSE_2D_LIMIT, Grid1D, Grid2D, harmonic_square_grid
 from .potentials import (PARAMETERS, PotentialSpec, analytic_levels,
                          coulomb1d, harmonic, morse, triangle2d)
-from .pruner import PruneRule, cell_table, select_cells
+from .pruner import cell_table, select_cells
 from .semiclassics import scaling_report
 from .solver import Pipeline, efficiency_scan
 from .vn_basis import VnLattice
@@ -74,8 +74,7 @@ class LatticeConfig:
 @dataclass
 class PruneConfig:
     e_cut: float
-    margin: str = "auto"     # "auto" or a float literal
-    auto_scale: float = 1.0
+    auto_scale: float = 1.0  # scale of the per-cell gradient margin
 
 
 @dataclass
@@ -102,9 +101,13 @@ class RunConfig:
 
     def spec(self) -> PotentialSpec:
         pot = self.potential
-        params = {key: getattr(pot, key) for key in PARAMETERS[pot.kind]
+        values = {key: getattr(pot, key)
+                  for key in ("hbar", *PARAMETERS[pot.kind])
                   if getattr(pot, key) is not None}
-        return _MAKERS[pot.kind](hbar=pot.hbar, **params)
+        try:
+            return _MAKERS[pot.kind](**values)
+        except ValueError as exc:
+            raise _rejected("potential", values, exc) from None
 
     @property
     def hbar(self) -> float:  # read-only alias; perfbench/make_refs.py reads it
@@ -121,17 +124,22 @@ _MAKERS = {"harmonic": harmonic, "morse": morse, "triangle2d": triangle2d,
 _CONVERTERS = {str: (str, "a string"), int: (int, "an integer"),
                float: (float, "a number")}
 
+# (section, key, lowest value) of the numeric fields with a lower bound
+_MINIMA = (("solver", "n_states", 1), ("solver", "digits", 1),
+           ("prune", "auto_scale", 0), ("output", "seed", 0))
+
 
 def parse_config(text: str) -> RunConfig:
     """Parse the flat key = value format into a RunConfig.
 
-    Unknown sections or keys, missing required fields, and malformed values
-    all raise ConfigError naming the offending line or field.
+    Unknown or repeated sections or keys, missing required fields, and
+    malformed or out-of-range values all raise ConfigError naming the
+    offending line or field.
     """
     keys = {name: {f.name for f in fields(cls)}
             for name, cls in SECTION_CLASSES.items()}
     raw: dict = {name: {} for name in keys}
-    section = None
+    section, seen = None, set()
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -140,6 +148,9 @@ def parse_config(text: str) -> RunConfig:
             section = body[1:-1].strip()
             if section not in keys:
                 raise ConfigError(f"line {lineno}: unknown section [{section}]")
+            if section in seen:
+                raise ConfigError(f"line {lineno}: repeated section [{section}]")
+            seen.add(section)
             continue
         if "=" not in body:
             raise ConfigError(f"line {lineno}: expected 'key = value'")
@@ -148,6 +159,8 @@ def parse_config(text: str) -> RunConfig:
         key, value = (part.strip() for part in body.split("=", 1))
         if key not in keys[section]:
             raise ConfigError(f"line {lineno}: unknown key '{key}' in [{section}]")
+        if key in raw[section]:
+            raise ConfigError(f"line {lineno}: repeated key '{key}' in [{section}]")
         raw[section][key] = value
     cfg = RunConfig(**{f.name: _parse_section(f.name, SECTION_CLASSES[f.name],
                                               raw[f.name])
@@ -162,15 +175,13 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"potential.{key}: not a {kind} parameter")
         if text == "":  # optional only by omission: empty is not a number
             raise ConfigError(f"potential.{key}: not a number: ''")
-    if cfg.prune is not None and cfg.prune.margin != "auto":
-        _convert("prune.margin", float, cfg.prune.margin)
-    solver = cfg.solver
-    if solver.basis not in ("fgh", "pvn", "bvn", "vn"):
-        raise ConfigError(f"solver.basis: unknown basis '{solver.basis}'")
-    if solver.n_states is not None and solver.n_states < 1:
-        raise ConfigError(f"solver.n_states: must be >= 1, got {solver.n_states}")
-    if cfg.output.seed < 0:
-        raise ConfigError(f"output.seed: must be >= 0, got {cfg.output.seed}")
+    if cfg.solver.basis not in ("fgh", "pvn", "bvn", "vn"):
+        raise ConfigError(f"solver.basis: unknown basis '{cfg.solver.basis}'")
+    for section, key, low in _MINIMA:
+        value = getattr(getattr(cfg, section), key, None)  # prune is optional
+        if value is not None and value < low:
+            raise ConfigError(f"{section}.{key}: must be >= {low}, "
+                              f"got {_text(value)}")
     return cfg
 
 
@@ -208,15 +219,6 @@ def _config_items(cfg: RunConfig):
             value = getattr(part, f.name)
             if value is not None:
                 yield sec.name, f.name, _text(value)
-
-
-def serialize_config(cfg: RunConfig) -> str:
-    """Inverse of parse_config up to formatting; round-trips semantically."""
-    blocks: dict = {}
-    for section, key, text in _config_items(cfg):
-        blocks.setdefault(section, []).append(f"{key} = {text}")
-    return "\n\n".join(f"[{section}]\n" + "\n".join(lines)
-                       for section, lines in blocks.items()) + "\n"
 
 
 def _g(x) -> str:
@@ -277,19 +279,20 @@ def read_csv(path: str):
 # Command implementations
 
 
+def _rejected(section: str, values: dict, exc: Exception) -> ConfigError:
+    """'section.key = value, ...: message' for values the library refused."""
+    named = ", ".join(f"{section}.{key} = {_text(value)}"
+                      for key, value in values.items() if value is not None)
+    return ConfigError(f"{named}: {exc}")
+
+
 def _build_grid(g: GridConfig, dimension: int):
     """The [grid] axis, or the square n x n grid for a 2-d potential."""
     try:
         axis = Grid1D(g.x_min, g.length, g.n)
     except ValueError as exc:
-        raise ConfigError(f"grid.n = {g.n}, grid.length = {_g(g.length)}: "
-                          f"{exc}") from None
+        raise _rejected("grid", {"n": g.n, "length": g.length}, exc) from None
     return Grid2D(axis, axis) if dimension == 2 else axis
-
-
-def _prune_rule(prune: PruneConfig) -> PruneRule:
-    margin = prune.margin if prune.margin == "auto" else float(prune.margin)
-    return PruneRule(prune.e_cut, margin, auto_scale=prune.auto_scale)
 
 
 def cmd_solve(cfg: RunConfig, args, meta: dict) -> dict:
@@ -309,10 +312,11 @@ def cmd_solve(cfg: RunConfig, args, meta: dict) -> dict:
         if lat is None:
             raise ConfigError(f"basis '{basis}' needs a [lattice] section")
         try:
-            VnLattice.from_grid(grid.gx if two_d else grid, lat.nx, lat.np)
+            VnLattice.from_grid(grid.gx if two_d else grid, lat.nx, lat.np,
+                                hbar=spec.hbar, alpha=lat.alpha)
         except ValueError as exc:
-            raise ConfigError(f"lattice.nx = {lat.nx}, lattice.np = {lat.np}: "
-                              f"{exc}") from None
+            raise _rejected("lattice", {"nx": lat.nx, "np": lat.np,
+                                        "alpha": lat.alpha}, exc) from None
     if two_d and basis == "bvn" and cfg.prune is None:
         raise ConfigError("2-d bvn solve needs a [prune] section")
     pipe = Pipeline(spec, grid, basis, shape=lat and (lat.nx, lat.np),
@@ -320,7 +324,8 @@ def cmd_solve(cfg: RunConfig, args, meta: dict) -> dict:
     meta.update((key, _g(value)) for key, value in pipe.info.items())
     mask = None
     if basis == "bvn" and cfg.prune is not None:
-        mask = select_cells(pipe.lattices, spec, _prune_rule(cfg.prune))
+        mask = select_cells(pipe.lattices, spec, cfg.prune.e_cut,
+                            cfg.prune.auto_scale)
         if mask.n_kept == 0:
             raise ConfigError(
                 f"prune.e_cut = {_g(cfg.prune.e_cut)} keeps no phase-space cell")

@@ -2,36 +2,16 @@
 
 A cell is kept when the classical Hamiltonian at its center lies below the
 cutoff plus a margin. The margin absorbs the variation of H over a finite
-cell; "auto" estimates it per cell from the local gradient, so cells whose
-center sits just above the cutoff but whose cell still dips below it are
-retained.
+cell: it is estimated per cell from the local gradient, times a scale, so
+cells whose center sits just above the cutoff but whose cell still dips
+below it are retained. Scale 0 is the sharp cut H_cl <= e_cut.
 """
 
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
 from .potentials import PotentialSpec, evaluate
-from .vn_basis import VnLattice
-
-
-@dataclass(frozen=True)
-class PruneRule:
-    """Cutoff energy plus margin policy ('auto' or a fixed float >= 0)."""
-
-    e_cut: float
-    margin: Union[float, str] = "auto"
-    auto_scale: float = 1.0
-
-    def __post_init__(self):
-        if isinstance(self.margin, str):
-            if self.margin != "auto":
-                raise ValueError(f"unknown margin policy {self.margin!r}")
-        elif self.margin < 0:
-            raise ValueError("margin must be nonnegative")
-        if self.auto_scale < 0:
-            raise ValueError("auto_scale must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -53,21 +33,15 @@ class PruneMask:
         return np.flatnonzero(self.kept)
 
 
-def _as_lattices(lattices) -> tuple:
-    if isinstance(lattices, VnLattice):
-        return (lattices,)
-    return tuple(lattices)
-
-
-def cell_table(lattices, spec: PotentialSpec):
+def cell_table(lats: tuple, spec: PotentialSpec):
     """Centers and classical energies of every cell, flattened.
 
-    Returns (centers, h_cl): centers has one row per cell with columns
-    (x, p) per dimension, i.e. (x, px, y, py) in 2-D; the flat cell index
-    runs with the first dimension fastest, matching the Kronecker column
-    order of the basis matrices.
+    lats holds one VnLattice per dimension. Returns (centers, h_cl):
+    centers has one row per cell with columns (x, p) per dimension, i.e.
+    (x, px, y, py) in 2-D; the flat cell index runs with the first
+    dimension fastest, matching the Kronecker column order of the basis
+    matrices.
     """
-    lats = _as_lattices(lattices)
     if len(lats) != spec.dimension:
         raise ValueError(
             f"{len(lats)} lattice(s) for a {spec.dimension}-D potential")
@@ -79,8 +53,8 @@ def cell_table(lattices, spec: PotentialSpec):
     return centers, kin + evaluate(spec, centers[:, 0::2])
 
 
-def _auto_margins(lats, spec: PotentialSpec, centers: np.ndarray,
-                  scale: float) -> np.ndarray:
+def _gradient_margins(lats: tuple, spec: PotentialSpec,
+                      centers: np.ndarray) -> np.ndarray:
     """Per-cell linearized variation of H over half a cell in each direction.
 
     sum_d |dH/dx_d| a_d/2 + |dH/dp_d| dp_d/2, with the potential gradient
@@ -97,19 +71,20 @@ def _auto_margins(lats, spec: PotentialSpec, centers: np.ndarray,
         dv = (evaluate(spec, xp) - evaluate(spec, xm)) / (2.0 * h)
         margins += np.abs(dv) * (lat.a / 2.0)
         margins += np.abs(ps[:, d] / spec.mass) * (lat.dp / 2.0)
-    return scale * margins
+    return margins
 
 
-def select_cells(lattices, spec: PotentialSpec, rule: PruneRule) -> PruneMask:
-    """Keep cells whose center energy is within margin of the cutoff.
+def select_cells(lats: tuple, spec: PotentialSpec, e_cut: float,
+                 auto_scale: float = 1.0) -> PruneMask:
+    """Keep cells with h_cl <= e_cut + auto_scale * gradient margin.
 
-    With a fixed margin the kept set is monotone in e_cut; the auto margin
-    is independent of e_cut so monotonicity still holds.
+    The margin does not depend on e_cut, so the kept set is monotone in
+    e_cut, and in auto_scale.
     """
-    lats = _as_lattices(lattices)
+    if auto_scale < 0:
+        raise ValueError("auto_scale must be nonnegative")
     centers, h_cl = cell_table(lats, spec)
-    if isinstance(rule.margin, str):
-        margins = _auto_margins(lats, spec, centers, rule.auto_scale)
-    else:
-        margins = np.full(h_cl.shape, float(rule.margin))
-    return PruneMask(kept=h_cl <= rule.e_cut + margins)
+    bound = e_cut
+    if auto_scale > 0:  # 0 times the infinite margin beside a pole is nan
+        bound = e_cut + auto_scale * _gradient_margins(lats, spec, centers)
+    return PruneMask(kept=h_cl <= bound)

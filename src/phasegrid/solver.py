@@ -17,7 +17,7 @@ import numpy as np
 from .errors import BudgetExceededError, NotAvailableError
 from .fourier_grid import FghOperator2D, Grid1D, hamiltonian_fgh, solve_fgh
 from .potentials import PotentialSpec, analytic_levels
-from .pruner import PruneMask, PruneRule, select_cells
+from .pruner import PruneMask, select_cells
 from .spectra import Spectrum
 from .vn_basis import (VnLattice, balanced_factors, build_basis,
                        continuous_vn_matrices, positive_modes)
@@ -263,7 +263,7 @@ def _fgh_converges(x_min, length, spec, n, ref, digits, e_max):
 
 
 def _min_pruned_size(x_min, length, spec, ref, digits, e_max, points):
-    """Fewest kept bvn cells reproducing ref, over the auto-margin scale.
+    """Fewest kept bvn cells reproducing ref, over the margin scale.
 
     The pipeline lives only for this call, so no two hbar bases coexist.
     """
@@ -275,8 +275,7 @@ def _min_pruned_size(x_min, length, spec, ref, digits, e_max, points):
     pipe = Pipeline(spec, grid, "bvn", shape=(k, k))
 
     def bvn_converges(scale):
-        mask = select_cells(pipe.lattices, spec,
-                            PruneRule(e_max, "auto", auto_scale=scale))
+        mask = select_cells(pipe.lattices, spec, e_max, scale)
         if mask.n_kept < ref.size:
             return False, mask.n_kept
         out = pipe.solve(mask)

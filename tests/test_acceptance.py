@@ -106,7 +106,7 @@ def test_c04_morse_pruned_basis_size_and_accuracy():
     grid = pg.Grid1D(-1.6, 21.7, 100)
     lat = pg.VnLattice.from_grid(grid, 10, 10, alpha=0.5)
     bundle = pg.build_basis(lat, grid)
-    mask = pg.select_cells(lat, spec, pg.PruneRule(12.0, "auto"))
+    mask = pg.select_cells((lat,), spec, 12.0)
     prob = pg.assemble_bvn(pg.hamiltonian_fgh(grid, spec),
                            bundle.B, bundle.S_inv, mask)
     out = pg.solve_generalized(prob)
@@ -147,8 +147,7 @@ def test_c06_triangle_2d_pruned_vs_grid_reference():
     ref = ref[ref < e_cut]
     lat = pg.VnLattice.from_grid(gx, 8, 8)
     bundle = pg.build_basis(lat, gx)
-    mask = pg.select_cells((lat, lat), spec,
-                           pg.PruneRule(e_cut, "auto", auto_scale=1.5))
+    mask = pg.select_cells((lat, lat), spec, e_cut, 1.5)
     h_op = pg.hamiltonian_fgh(grid, spec)
     prob = pg.assemble_bvn_2d(h_op, bundle.B, bundle.B,
                               bundle.S_inv, bundle.S_inv, mask)

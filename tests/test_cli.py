@@ -57,7 +57,6 @@ alpha = 0.5
 
 [prune]
 e_cut = 12
-margin = auto
 auto_scale = 1.0
 
 [solver]
@@ -76,6 +75,23 @@ def _write(tmp_path, text, name="run.cfg"):
     return str(path)
 
 
+def _echo(cfg):
+    """The 'section.key = value' lines that meta.txt echoes for cfg."""
+    return [f"{sec}.{key} = {text}"
+            for sec, key, text in cli._config_items(cfg)]
+
+
+def _config_text(echo):
+    """[section] config text rebuilt from 'section.key = value' lines."""
+    blocks = {}
+    for line in echo:
+        name, value = line.split(" = ", 1)
+        section, key = name.split(".", 1)
+        blocks.setdefault(section, []).append(f"{key} = {value}\n")
+    return "".join(f"[{section}]\n" + "".join(lines)
+                   for section, lines in blocks.items())
+
+
 # ---------------------------------------------------------------------------
 # config grammar
 
@@ -83,8 +99,7 @@ def _write(tmp_path, text, name="run.cfg"):
 def test_roundtrip_inline_configs():
     for text in (HARMONIC_CFG, MORSE_CFG):
         cfg = cli.parse_config(text)
-        again = cli.parse_config(cli.serialize_config(cfg))
-        assert again == cfg
+        assert cli.parse_config(_config_text(_echo(cfg))) == cfg
 
 
 def test_shipped_configs_parse_and_roundtrip():
@@ -94,7 +109,7 @@ def test_shipped_configs_parse_and_roundtrip():
     for path in paths:
         with open(path) as fh:
             cfg = cli.parse_config(fh.read())
-        assert cli.parse_config(cli.serialize_config(cfg)) == cfg
+        assert cli.parse_config(_config_text(_echo(cfg))) == cfg
 
 
 @pytest.mark.parametrize("mangle,needle", [
@@ -119,6 +134,16 @@ def test_shipped_configs_parse_and_roundtrip():
      "unknown key 'nx' in [grid]"),
     (lambda t: t.replace("basis = pvn", "basis = pvn\nlong_running = true"),
      "unknown key 'long_running' in [solver]"),
+    (lambda t: t + "\n[prune]\ne_cut = 5\nmargin = auto\n",
+     "unknown key 'margin' in [prune]"),
+    # a repeated key or section would silently override the first one
+    (lambda t: t.replace("omega = 1", "omega = 1\nomega = 5"),
+     "line 5: repeated key 'omega' in [potential]"),
+    (lambda t: t + "\n[grid]\nn = 32\n", "line 23: repeated section [grid]"),
+    (lambda t: t.replace("basis = pvn", "basis = pvn\ndigits = 0"),
+     "solver.digits: must be >= 1, got 0"),
+    (lambda t: t + "\n[prune]\ne_cut = 5\nauto_scale = -1\n",
+     "prune.auto_scale: must be >= 0, got -1"),
 ])
 def test_parse_errors_name_the_field(mangle, needle):
     with pytest.raises(cli.ConfigError) as err:
@@ -155,17 +180,12 @@ def test_meta_echoes_the_serialized_config(tmp_path):
     out = str(tmp_path / "out")
     assert cli.main(["solve", "--config", path, "--out", out, "--quiet"]) == 0
     with open(path) as fh:
-        text = cli.serialize_config(cli.parse_config(fh.read()))
-    expected, section = [], None
-    for line in text.splitlines():
-        if line.startswith("["):
-            section = line[1:-1]
-        elif line:
-            expected.append(f"{section}.{line}")
+        cfg = cli.parse_config(fh.read())
     with open(os.path.join(out, "meta.txt")) as fh:
         echoed = [line for line in fh.read().splitlines()
                   if line.split(".", 1)[0] in cli.SECTION_CLASSES]
-    assert echoed == expected
+    assert echoed == _echo(cfg)
+    assert cli.parse_config(_config_text(echoed)) == cfg
 
 
 @pytest.mark.parametrize("argv,echoed", [
@@ -432,6 +452,17 @@ e_cut = -0.2
      "--seed: must be >= 0, got -1"),
     (MORSE_CFG.replace("seed = 0", "seed = -3"), ["scaling", "--energy", "8"],
      "output.seed: must be >= 0, got -3"),
+    # values the library rejects, named by their keys
+    (MORSE_CFG.replace("hbar = 1", "hbar = -1"), ["solve"],
+     "potential.hbar = -1, potential.depth = 12, potential.beta = 0.5, "
+     "potential.mass = 6: hbar must be positive"),
+    (MORSE_CFG.replace("mass = 6", "mass = -1"), ["efficiency"],
+     "potential.mass = -1: parameter 'mass' must be positive"),
+    (MORSE_CFG.replace("alpha = 0.5", "alpha = -1"), ["solve"],
+     "lattice.nx = 10, lattice.np = 10, lattice.alpha = -1: alpha must be "
+     "positive"),
+    (MORSE_CFG.replace("auto_scale = 1.0", "auto_scale = -1"), ["solve"],
+     "prune.auto_scale: must be >= 0, got -1"),
 ])
 def test_config_errors_exit_2(tmp_path, capsys, text, argv, needle):
     cfg = _write(tmp_path, text)

@@ -14,7 +14,7 @@ def _lattice_1d():
 def test_cell_table_matches_classical_hamiltonian():
     lat, _ = _lattice_1d()
     spec = pg.morse()
-    centers, h_cl = pg.cell_table(lat, spec)
+    centers, h_cl = pg.cell_table((lat,), spec)
     assert centers.shape == (100, 2)
     assert h_cl.shape == (100,)
     for i in (0, 37, 99):
@@ -26,14 +26,16 @@ def test_cell_table_matches_classical_hamiltonian():
     assert np.ptp(centers[:10, 1]) == 0.0
 
 
-def test_fixed_margin_is_a_sharp_threshold():
+def test_zero_scale_is_a_sharp_threshold():
     lat, _ = _lattice_1d()
-    spec = pg.morse()
-    _, h_cl = pg.cell_table(lat, spec)
-    for margin in (0.0, 3.0):
-        mask = pg.select_cells(lat, spec, pg.PruneRule(12.0, margin))
-        np.testing.assert_array_equal(mask.kept, h_cl <= 12.0 + margin)
-    assert pg.select_cells(lat, spec, pg.PruneRule(12.0, 0.0)).n_kept < 100
+    # a cell centered 5e-7 from the Coulomb pole, where the margin is inf
+    near = pg.VnLattice.from_grid(pg.Grid1D(5e-7 - 1.0, 8.0, 16), 4, 4)
+    for lats, spec, e_cut in (((lat,), pg.morse(), 12.0),
+                              ((near,), pg.coulomb1d(), -0.2)):
+        _, h_cl = pg.cell_table(lats, spec)
+        mask = pg.select_cells(lats, spec, e_cut, 0.0)
+        np.testing.assert_array_equal(mask.kept, h_cl <= e_cut)
+        assert 0 < mask.n_kept < mask.size
 
 
 def test_auto_margin_grows_monotonically():
@@ -41,22 +43,16 @@ def test_auto_margin_grows_monotonically():
     spec = pg.morse()
     kept_sets = []
     for scale in (0.0, 1.0, 2.0):
-        rule = pg.PruneRule(12.0, "auto", auto_scale=scale)
-        kept_sets.append(set(pg.select_cells(lat, spec, rule).indices))
+        mask = pg.select_cells((lat,), spec, 12.0, scale)
+        kept_sets.append(set(mask.indices))
     assert kept_sets[0] <= kept_sets[1] <= kept_sets[2]
     assert len(kept_sets[2]) > len(kept_sets[0])
-    # scale zero reduces to the bare threshold
-    bare = pg.select_cells(lat, spec, pg.PruneRule(12.0, 0.0))
-    assert kept_sets[0] == set(bare.indices)
 
 
-def test_rule_validation():
-    with pytest.raises(ValueError):
-        pg.PruneRule(1.0, "fancy")
-    with pytest.raises(ValueError):
-        pg.PruneRule(1.0, -0.5)
-    with pytest.raises(ValueError):
-        pg.PruneRule(1.0, "auto", auto_scale=-1.0)
+def test_negative_auto_scale_is_rejected():
+    lat, _ = _lattice_1d()
+    with pytest.raises(ValueError, match="auto_scale"):
+        pg.select_cells((lat,), pg.morse(), 1.0, -1.0)
 
 
 def test_2d_product_cells():
@@ -75,7 +71,7 @@ def test_2d_product_cells():
     x, px, y, py = centers[i]
     assert h_cl[i] == pytest.approx(
         (px**2 + py**2) / (2 * spec.mass) + pg.evaluate(spec, (x, y)))
-    mask = pg.select_cells((lat_x, lat_y), spec, pg.PruneRule(0.4, "auto"))
+    mask = pg.select_cells((lat_x, lat_y), spec, 0.4)
     assert 0 < mask.n_kept < 256
 
 
@@ -88,7 +84,7 @@ def test_pruning_fraction_shrinks_with_hbar():
         grid = pg.Grid1D(-1.6, 21.7, 100 if hb == 1.0 else 196)
         nx = 10 if hb == 1.0 else 14
         lat = pg.VnLattice.from_grid(grid, nx, nx, hbar=hb)
-        mask = pg.select_cells(lat, spec, pg.PruneRule(11.25, "auto"))
+        mask = pg.select_cells((lat,), spec, 11.25)
         fractions.append(mask.n_kept / mask.size)
     assert fractions[1] < fractions[0]
 
@@ -116,7 +112,7 @@ def test_masks_closed_under_mirror(spec):
         lats = (lat,) * spec.dimension
         _, h_cl = pg.cell_table(lats, spec)
         for e_cut in np.quantile(h_cl, [0.1, 0.3, 0.5], method="nearest"):
-            for margin in ("auto", 0.0, 0.25):
-                mask = pg.select_cells(lats, spec, pg.PruneRule(e_cut, margin))
+            for scale in (1.0, 0.0, 0.25):
+                mask = pg.select_cells(lats, spec, e_cut, scale)
                 assert 0 < mask.n_kept
-                assert _closed_under_mirror(mask, lats), (n_x, n_p, margin)
+                assert _closed_under_mirror(mask, lats), (n_x, n_p, scale)

@@ -68,7 +68,7 @@ def test_real_bundle_is_float64_and_biorthogonal():
 
 def test_pruned_morse_matches_complex_pipeline():
     grid, lat, spec, h = _morse_setup()
-    mask = pg.select_cells(lat, spec, pg.PruneRule(12.0, "auto"))
+    mask = pg.select_cells((lat,), spec, 12.0)
     real = pg.build_basis(lat, grid)
     b, s_inv = _complex_bundle(lat, grid)
     e_real = pg.solve_generalized(
@@ -82,7 +82,7 @@ def test_pruned_morse_matches_complex_pipeline():
 
 def test_pruned_triangle_2d_matches_complex_pipeline():
     gx, lat, spec, h_op = _triangle_setup()
-    mask = pg.select_cells((lat, lat), spec, pg.PruneRule(0.8, "auto"))
+    mask = pg.select_cells((lat, lat), spec, 0.8)
     assert 0 < mask.n_kept < mask.size
     real = pg.build_basis(lat, gx)
     b, s_inv = _complex_bundle(lat, gx)
@@ -149,7 +149,7 @@ def test_unpruned_bvn_2d_equals_fgh():
 def test_eigenvalues_only_matches_vectors_path(monkeypatch):
     grid, lat, spec, h = _morse_setup()
     basis = pg.build_basis(lat, grid)
-    mask = pg.select_cells(lat, spec, pg.PruneRule(12.0, "auto"))
+    mask = pg.select_cells((lat,), spec, 12.0)
     prob = pg.assemble_bvn(h, basis.B, basis.S_inv, mask)
     # COND_SWITCH = 1 forces the whitening route on the same pencil
     for switch in (1e8, 1.0):
@@ -214,7 +214,7 @@ def test_factorized_assembly_memory_scales_with_the_pencil():
     lat = pg.VnLattice.from_grid(gx, 4, 8)
     h_op = pg.hamiltonian_fgh(pg.Grid2D(gx, gx), spec)
     basis = pg.build_basis(lat, gx)
-    mask = pg.select_cells((lat, lat), spec, pg.PruneRule(0.5, "auto"))
+    mask = pg.select_cells((lat, lat), spec, 0.5)
     assert 0 < mask.n_kept < mask.size // 2
     tracemalloc.start()
     try:

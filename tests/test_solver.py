@@ -116,7 +116,7 @@ def test_pruned_bvn_keeps_low_levels():
     h = pg.hamiltonian_fgh(grid, spec)
     lat = pg.VnLattice.from_grid(grid, 10, 10, alpha=0.5)
     bundle = pg.build_basis(lat, grid)
-    mask = pg.select_cells(lat, spec, pg.PruneRule(12.0, "auto"))
+    mask = pg.select_cells((lat,), spec, 12.0)
     prob = pg.assemble_bvn(h, bundle.B, bundle.S_inv, mask)
     assert prob.size == mask.n_kept < 100
     out = pg.solve_generalized(prob)
