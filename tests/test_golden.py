@@ -6,6 +6,8 @@ last change to the program. A golden file may keep only some columns of the
 output (the 2-d `cells.csv` keeps `kept`); those columns are compared:
 energies within 1e-12 absolute, `kept` exactly, other floats within 1e-12
 relative, so that an ulp from a vectorized `exp` on another CPU passes.
+An optional `args.txt` holds further command-line arguments for the run
+(`scaling` needs `--energy`); it is not an output and is not compared.
 Regenerate a reference only for a change that is meant to alter outputs.
 """
 
@@ -20,6 +22,7 @@ ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 RUNS = sorted(os.listdir(GOLDEN))
 ENERGY_COLUMNS = ("energy", "abs_error")
+ARGS = "args.txt"
 
 
 def _same(column: str, want: str, got: str) -> bool:
@@ -38,10 +41,16 @@ def _same(column: str, want: str, got: str) -> bool:
 def test_shipped_config_matches_golden(tmp_path, run):
     command, config = run.split("-", 1)
     out = tmp_path / "out"
+    names = sorted(os.listdir(os.path.join(GOLDEN, run)))
+    extra = []
+    if ARGS in names:
+        names.remove(ARGS)
+        with open(os.path.join(GOLDEN, run, ARGS)) as fh:
+            extra = fh.read().split()
     assert cli.main([command, "--config",
                      os.path.join(ROOT, "configs", f"{config}.cfg"),
-                     "--out", str(out), "--quiet"]) == 0
-    for name in sorted(os.listdir(os.path.join(GOLDEN, run))):
+                     "--out", str(out), "--quiet", *extra]) == 0
+    for name in names:
         header, want = cli.read_csv(os.path.join(GOLDEN, run, name))
         got_header, got = cli.read_csv(str(out / name))
         assert set(header) <= set(got_header), name
