@@ -8,7 +8,7 @@ from .errors import (BelowWellBottomError, BudgetExceededError,
                      DegenerateEstimateError, IllConditionedError,
                      NotAvailableError, NumericFailureError,
                      SingularPointError, UnboundedOrbitError)
-from .fourier_grid import (FghOperator2D, Grid1D, Grid2D,
+from .fourier_grid import (FghOperator2D, Grid1D, axis_product,
                            harmonic_square_grid, hamiltonian_fgh,
                            kinetic_matrix, potential_matrix, solve_fgh)
 from .potentials import (PotentialSpec, analytic_levels, coulomb1d, evaluate,

@@ -24,7 +24,7 @@ from . import __version__
 from .errors import (BelowWellBottomError, BudgetExceededError,
                      DegenerateEstimateError, NotAvailableError,
                      UnboundedOrbitError)
-from .fourier_grid import DENSE_2D_LIMIT, Grid1D, Grid2D, harmonic_square_grid
+from .fourier_grid import DENSE_2D_LIMIT, Grid1D, harmonic_square_grid
 from .potentials import (PARAMETERS, PotentialSpec, analytic_levels,
                          coulomb1d, harmonic, morse, triangle2d)
 from .pruner import cell_table, select_cells
@@ -66,8 +66,7 @@ class GridConfig:
 
 @dataclass
 class LatticeConfig:
-    nx: int
-    np: int
+    nx: int                  # positions per axis; it must divide grid.n
     alpha: float | None = None
 
 
@@ -206,9 +205,12 @@ def _convert(name: str, annotation, text: str):
         annotation = args[0]
     convert, what = _CONVERTERS[annotation]
     try:
-        return convert(text)
+        value = convert(text)
     except ValueError:
         raise ConfigError(f"{name}: not {what}: '{text}'") from None
+    if annotation is float and not math.isfinite(value):
+        raise ConfigError(f"{name}: not a finite number: '{text}'")
+    return value
 
 
 def _config_items(cfg: RunConfig):
@@ -286,40 +288,41 @@ def _rejected(section: str, values: dict, exc: Exception) -> ConfigError:
     return ConfigError(f"{named}: {exc}")
 
 
-def _build_grid(g: GridConfig, dimension: int):
-    """The [grid] axis, or the square n x n grid for a 2-d potential."""
+def _build_grid(g: GridConfig, dimension: int) -> tuple:
+    """The grid's axes: the [grid] axis once per dimension of the potential."""
     try:
         axis = Grid1D(g.x_min, g.length, g.n)
     except ValueError as exc:
         raise _rejected("grid", {"n": g.n, "length": g.length}, exc) from None
-    return Grid2D(axis, axis) if dimension == 2 else axis
+    return (axis,) * dimension
 
 
 def cmd_solve(cfg: RunConfig, args, meta: dict) -> dict:
     """Run one basis pipeline end-to-end: eigenvalues (+cells)."""
     spec = cfg.spec()
-    grid = _build_grid(cfg.grid, spec.dimension)
-    basis, two_d, lat = cfg.solver.basis, spec.dimension == 2, cfg.lattice
-    if two_d and basis == "fgh" and grid.size > DENSE_2D_LIMIT:
+    axes = _build_grid(cfg.grid, spec.dimension)
+    basis, two_d, lat = cfg.solver.basis, len(axes) == 2, cfg.lattice
+    size = math.prod(g.N for g in axes)
+    if two_d and basis == "fgh" and size > DENSE_2D_LIMIT:
         if not args.long_running:
             raise ConfigError(
-                f"grid has {grid.size} points (> {DENSE_2D_LIMIT}); pass "
+                f"grid has {size} points (> {DENSE_2D_LIMIT}); pass "
                 "--long-running to enable the matrix-free Lanczos fgh solve")
         if cfg.solver.n_states is None:
             raise ConfigError("solver.n_states: required by the matrix-free "
-                              f"fgh solve of {grid.size} points")
+                              f"fgh solve of {size} points")
     if basis != "fgh":
         if lat is None:
             raise ConfigError(f"basis '{basis}' needs a [lattice] section")
         try:
-            VnLattice.from_grid(grid.gx if two_d else grid, lat.nx, lat.np,
-                                hbar=spec.hbar, alpha=lat.alpha)
+            VnLattice.from_grid(axes[0], lat.nx, hbar=spec.hbar,
+                                alpha=lat.alpha)
         except ValueError as exc:
-            raise _rejected("lattice", {"nx": lat.nx, "np": lat.np,
-                                        "alpha": lat.alpha}, exc) from None
+            raise _rejected("lattice", {"nx": lat.nx, "alpha": lat.alpha},
+                            exc) from None
     if two_d and basis == "bvn" and cfg.prune is None:
         raise ConfigError("2-d bvn solve needs a [prune] section")
-    pipe = Pipeline(spec, grid, basis, shape=lat and (lat.nx, lat.np),
+    pipe = Pipeline(spec, axes, basis, n_x=lat and lat.nx,
                     alpha=lat and lat.alpha)
     meta.update((key, _g(value)) for key, value in pipe.info.items())
     mask = None
@@ -372,7 +375,7 @@ def cmd_sweep(cfg: RunConfig, args, meta: dict) -> dict:
                                             spec.params["omega"], spec.hbar)
             else:
                 grid = Grid1D(cfg.grid.x_min, cfg.grid.length, size)
-            energies = Pipeline(spec, grid, method).solve().energies
+            energies = Pipeline(spec, (grid,), method).solve().energies
             if index < len(energies):
                 energy = float(energies[index])
                 rows.append((method, size, energy, abs(energy - target)))

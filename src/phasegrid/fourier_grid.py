@@ -4,6 +4,7 @@ Wavefunctions live on N evenly spaced points of a periodic box of length L.
 The underlying basis functions are periodic sinc (Dirichlet) functions; the
 potential is diagonal at the grid points and the kinetic matrix has the
 standard closed form for the symmetric wavenumber range j = -N/2+1 .. N/2.
+A grid in several dimensions is the tuple of its Grid1D axes.
 """
 
 import math
@@ -51,27 +52,18 @@ class Grid1D:
         return math.pi / self.dx
 
 
-@dataclass(frozen=True)
-class Grid2D:
-    """Tensor product of two 1-d grids.
+def axis_product(blocks) -> np.ndarray:
+    """Rows of the flat product of per-axis arrays, first axis fastest.
 
-    Flat ordering is row-major with x fastest: flat = iy * gx.N + ix, i.e.
-    vec.reshape(gy.N, gx.N)[iy, ix] recovers the (ix, iy) grid value.
+    blocks holds one array per axis whose rows are that axis's entries
+    (grid points, or (x, p) cell centers). Flat row k = i_0 + n_0 * (i_1 +
+    n_1 * ...) joins row i_d of every block d, so the 2-d grid's values sit
+    at vec.reshape(n_1, n_0)[i_1, i_0].
     """
-
-    gx: Grid1D
-    gy: Grid1D
-
-    @property
-    def size(self) -> int:
-        return self.gx.N * self.gy.N
-
-    @property
-    def points(self) -> np.ndarray:
-        """(size, 2) array of (x, y) pairs in flat ordering."""
-        x = np.tile(self.gx.points, self.gy.N)
-        y = np.repeat(self.gy.points, self.gx.N)
-        return np.column_stack([x, y])
+    blocks = [np.reshape(b, (len(b), -1)) for b in blocks]
+    sizes = [len(b) for b in blocks]
+    index = np.unravel_index(np.arange(math.prod(sizes)), sizes[::-1])[::-1]
+    return np.column_stack([b[i] for b, i in zip(blocks, index)])
 
 
 def kinetic_matrix(grid: Grid1D, mass: float, hbar: float = 1.0) -> np.ndarray:
@@ -105,12 +97,13 @@ def kinetic_matrix_fft_oracle(grid: Grid1D, mass: float, hbar: float = 1.0) -> n
     return t.real
 
 
-def potential_matrix(grid, spec: PotentialSpec) -> np.ndarray:
-    """Diagonal of the potential matrix, V(x_i) in grid ordering."""
-    ndim = 2 if isinstance(grid, Grid2D) else 1
+def potential_matrix(axes: tuple, spec: PotentialSpec) -> np.ndarray:
+    """Diagonal of the potential matrix, V at the `axis_product` points."""
+    ndim = len(axes)
     if spec.dimension != ndim:
         raise ValueError(f"{spec.kind} potential is not {ndim}-dimensional")
-    diag = np.asarray(evaluate(spec, grid.points), dtype=float)
+    points = axis_product([g.points for g in axes])
+    diag = np.asarray(evaluate(spec, points), dtype=float)
     if not np.all(np.isfinite(diag)):
         raise SingularPointError(
             "potential is singular on a grid point; offset the grid so no "
@@ -122,66 +115,63 @@ class FghOperator2D:
     """Matrix-free 2-d grid Hamiltonian using its Kronecker structure.
 
     Applies kron(Ty, Ix) + kron(Iy, Tx) + diag(v) to stacked column vectors
-    without forming the dense matrix. Reentrant: holds only immutable arrays.
+    without forming the dense matrix; v is in `axis_product` order, so the
+    grid is tx's axis by ty's. Reentrant: holds only immutable arrays.
     """
 
-    def __init__(self, grid: Grid2D, tx: np.ndarray, ty: np.ndarray, v_diag: np.ndarray):
-        self.grid = grid
+    def __init__(self, tx: np.ndarray, ty: np.ndarray, v_diag: np.ndarray):
         self.tx = tx
         self.ty = ty
         self.v_diag = v_diag
-        self._v2d = v_diag.reshape(grid.gy.N, grid.gx.N)
+        self._v2d = v_diag.reshape(len(ty), len(tx))
 
     @property
     def shape(self):
-        return (self.grid.size, self.grid.size)
+        return (self.v_diag.size, self.v_diag.size)
 
     def apply(self, m: np.ndarray) -> np.ndarray:
         """H @ m for m of shape (size,) or (size, k)."""
         single = m.ndim == 1
         cols = m[:, None] if single else m
-        ny, nx = self.grid.gy.N, self.grid.gx.N
-        arr = np.ascontiguousarray(cols.T).reshape(-1, ny, nx)
+        arr = np.ascontiguousarray(cols.T).reshape(-1, *self._v2d.shape)
         out = self.ty @ arr
         out += arr @ self.tx  # Tx symmetric
         out += self._v2d[None, :, :] * arr
-        flat = out.reshape(-1, self.grid.size).T
+        flat = out.reshape(-1, self.v_diag.size).T
         return flat[:, 0] if single else flat
 
     def to_dense(self) -> np.ndarray:
-        nx, ny = self.grid.gx.N, self.grid.gy.N
-        h = np.kron(self.ty, np.eye(nx)) + np.kron(np.eye(ny), self.tx)
+        h = (np.kron(self.ty, np.eye(len(self.tx)))
+             + np.kron(np.eye(len(self.ty)), self.tx))
         h[np.diag_indices_from(h)] += self.v_diag
         return h
 
 
-def hamiltonian_fgh(grid, spec: PotentialSpec):
-    """Grid Hamiltonian T + V.
+def hamiltonian_fgh(axes: tuple, spec: PotentialSpec):
+    """Grid Hamiltonian T + V on the grid whose axes are given.
 
-    A dense symmetric matrix on a 1-d grid; an FghOperator2D on a 2-d grid
-    (call its to_dense for the matrix).
+    A dense symmetric matrix on one axis; an FghOperator2D on two (call its
+    to_dense for the matrix).
     """
-    if isinstance(grid, Grid1D):
-        h = kinetic_matrix(grid, spec.mass, spec.hbar)
-        h[np.diag_indices_from(h)] += potential_matrix(grid, spec)
-        return h
-    tx = kinetic_matrix(grid.gx, spec.mass, spec.hbar)
-    ty = kinetic_matrix(grid.gy, spec.mass, spec.hbar)
-    return FghOperator2D(grid, tx, ty, potential_matrix(grid, spec))
+    ts = [kinetic_matrix(g, spec.mass, spec.hbar) for g in axes]
+    v = potential_matrix(axes, spec)
+    if len(ts) > 1:
+        return FghOperator2D(*ts, v)
+    h = ts[0]
+    h[np.diag_indices_from(h)] += v
+    return h
 
 
-def solve_fgh(grid, spec: PotentialSpec,
+def solve_fgh(axes: tuple, spec: PotentialSpec,
               n_states: int | None = None) -> Spectrum:
     """Eigenvalues (ascending) of the grid Hamiltonian.
 
-    Dense path everywhere; for 2-d grids above DENSE_2D_LIMIT points a
-    Lanczos solve on the matrix-free operator returns the lowest n_states.
+    Dense path everywhere, keeping the lowest n_states (all by default); for
+    2-d grids above DENSE_2D_LIMIT points a Lanczos solve on the matrix-free
+    operator returns the lowest n_states, which it requires.
     """
-    size = grid.N if isinstance(grid, Grid1D) else grid.size
-    if n_states is not None and n_states > size:
-        raise ValueError("n_states exceeds the basis size")
-    h = hamiltonian_fgh(grid, spec)
-    if isinstance(h, FghOperator2D) and size <= DENSE_2D_LIMIT:
+    h = hamiltonian_fgh(axes, spec)
+    if isinstance(h, FghOperator2D) and h.shape[0] <= DENSE_2D_LIMIT:
         h = h.to_dense()
     if isinstance(h, FghOperator2D):
         if n_states is None:

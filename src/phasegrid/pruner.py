@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fourier_grid import axis_product
 from .potentials import PotentialSpec, evaluate
 
 
@@ -39,16 +40,13 @@ def cell_table(lats: tuple, spec: PotentialSpec):
     lats holds one VnLattice per dimension. Returns (centers, h_cl):
     centers has one row per cell with columns (x, p) per dimension, i.e.
     (x, px, y, py) in 2-D; the flat cell index runs with the first
-    dimension fastest, matching the Kronecker column order of the basis
-    matrices.
+    dimension fastest (`axis_product`), matching the Kronecker column order
+    of the basis matrices.
     """
     if len(lats) != spec.dimension:
         raise ValueError(
             f"{len(lats)} lattice(s) for a {spec.dimension}-D potential")
-    sizes = [lat.size for lat in lats]
-    # per-axis cell index of every flat cell, first axis fastest
-    cell = np.unravel_index(np.arange(np.prod(sizes)), sizes[::-1])[::-1]
-    centers = np.column_stack([lat.centers[i] for lat, i in zip(lats, cell)])
+    centers = axis_product([lat.centers for lat in lats])
     kin = (centers[:, 1::2] ** 2).sum(axis=1) / (2.0 * spec.mass)
     return centers, kin + evaluate(spec, centers[:, 0::2])
 

@@ -145,33 +145,34 @@ class Pipeline:
 
     basis is "fgh" (the grid itself), "vn" (raw Gaussians, analytic
     integrals), "pvn" (periodized Gaussians) or "bvn" (their biorthogonal
-    partners). Every non-grid basis puts an n_x x n_p lattice (`shape`,
-    balanced factors of the axis size by default) on each grid axis; a 2-d
-    grid supports fgh and bvn only. The lattices, the real basis bundles,
-    the grid Hamiltonian and `info` (cond_s) are made here, so repeated
-    `solve` calls with different masks reuse them.
+    partners). The grid is the tuple of its Grid1D axes, one per dimension
+    of the potential. Every non-grid basis puts the lattice with n_x
+    positions (the smaller balanced factor of the axis size by default) on
+    each axis; a 2-d grid supports fgh and bvn only. The lattices, the real
+    basis bundles, the grid Hamiltonian and `info` (cond_s) are made here,
+    so repeated `solve` calls with different masks reuse them.
     """
 
-    def __init__(self, spec: PotentialSpec, grid, basis: str,
-                 shape: tuple | None = None, alpha: float | None = None):
-        axes = (grid,) if isinstance(grid, Grid1D) else (grid.gx, grid.gy)
+    def __init__(self, spec: PotentialSpec, axes: tuple, basis: str,
+                 n_x: int | None = None, alpha: float | None = None):
         if basis not in ("fgh", "vn", "pvn", "bvn"):
             raise ValueError(f"unknown basis {basis!r}")
         if len(axes) > 1 and basis in ("vn", "pvn"):
             raise NotAvailableError(f"basis '{basis}' supports only 1-d grids")
-        self.spec, self.grid, self.basis = spec, grid, basis
+        self.spec, self.axes, self.basis = spec, axes, basis
         self.lattices, self.bundles, self.info, self.h_grid = (), (), {}, None
         if basis == "fgh":
             return
-        n_x, n_p = shape or balanced_factors(axes[0].N)
-        self.lattices = tuple(VnLattice.from_grid(g, n_x, n_p, hbar=spec.hbar,
+        if n_x is None:
+            n_x = balanced_factors(axes[0].N)[0]
+        self.lattices = tuple(VnLattice.from_grid(g, n_x, hbar=spec.hbar,
                                                   alpha=alpha) for g in axes)
         if basis == "vn":
             return
         self.bundles = tuple(build_basis(lat, g)
                              for lat, g in zip(self.lattices, axes))
         self.info["cond_s"] = max(b.cond_S for b in self.bundles)
-        self.h_grid = hamiltonian_fgh(grid, spec)
+        self.h_grid = hamiltonian_fgh(axes, spec)
 
     def solve(self, mask: PruneMask | None = None,
               n_states: int | None = None) -> Spectrum:
@@ -180,7 +181,7 @@ class Pipeline:
         mask applies to bvn only; a 2-d bvn solve requires one.
         """
         if self.basis == "fgh":
-            return solve_fgh(self.grid, self.spec, n_states=n_states)
+            return solve_fgh(self.axes, self.spec, n_states=n_states)
         if self.basis == "vn":
             h, s = continuous_vn_matrices(self.lattices[0], self.spec)
             problem = GeneralizedProblem(h, s)
@@ -257,8 +258,7 @@ SCALE_TOL = 0.0625
 
 
 def _fgh_converges(x_min, length, spec, n, ref, digits, e_max):
-    grid = Grid1D(x_min, length, n)
-    out = Pipeline(spec, grid, "fgh").solve()
+    out = Pipeline(spec, (Grid1D(x_min, length, n),), "fgh").solve()
     return count_converged(out.energies, ref, digits, e_max) == ref.size
 
 
@@ -271,8 +271,7 @@ def _min_pruned_size(x_min, length, spec, ref, digits, e_max, points):
     n_target = length * P_PAD * p_max / (math.pi * spec.hbar)
     # even k, so the k*k grid has an even number of points
     k = 2 * max(1, round(math.sqrt(n_target) / 2))
-    grid = Grid1D(x_min, length, k * k)
-    pipe = Pipeline(spec, grid, "bvn", shape=(k, k))
+    pipe = Pipeline(spec, (Grid1D(x_min, length, k * k),), "bvn", n_x=k)
 
     def bvn_converges(scale):
         mask = select_cells(pipe.lattices, spec, e_max, scale)

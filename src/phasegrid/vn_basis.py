@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IllConditionedError, NotAvailableError
-from .fourier_grid import Grid1D
+from .fourier_grid import Grid1D, axis_product
 from .potentials import PotentialSpec
 
 # relative eigenvalue floor of every metric that `positive_modes` inverts
@@ -95,17 +95,16 @@ class VnLattice:
     @property
     def centers(self) -> np.ndarray:
         """(size, 2) array of (x_c, p_c), position index fastest."""
-        x = np.tile(self.centers_x, self.n_p)
-        p = np.repeat(self.centers_p, self.n_x)
-        return np.column_stack([x, p])
+        return axis_product([self.centers_x, self.centers_p])
 
     @classmethod
-    def from_grid(cls, grid: Grid1D, n_x: int, n_p: int, hbar: float = 1.0,
+    def from_grid(cls, grid: Grid1D, n_x: int, hbar: float = 1.0,
                   alpha: float | None = None) -> "VnLattice":
-        if n_x * n_p != grid.N:
-            raise ValueError(
-                f"lattice size {n_x}*{n_p} must equal the grid size {grid.N}")
-        return cls(grid.x_min, grid.L, n_x, n_p, hbar, alpha)
+        """The n_x x (N / n_x) lattice on the grid's box, a cell per point."""
+        if n_x <= 0 or grid.N % n_x:
+            raise ValueError(f"n_x = {n_x} is not a positive divisor of the "
+                             f"grid size {grid.N}")
+        return cls(grid.x_min, grid.L, n_x, grid.N // n_x, hbar, alpha)
 
 
 @dataclass(frozen=True)

@@ -28,9 +28,9 @@ def test_c01_pvn_spectrum_equals_fgh():
     worst = 0.0
     for n in (8, 16, 32):
         grid = pg.harmonic_square_grid(n)
-        h = pg.hamiltonian_fgh(grid, pg.harmonic())
+        h = pg.hamiltonian_fgh((grid,), pg.harmonic())
         fgh = np.linalg.eigvalsh(h)
-        lat = pg.VnLattice.from_grid(grid, *balanced_factors(n))
+        lat = pg.VnLattice.from_grid(grid, balanced_factors(n)[0])
         bundle = pg.build_basis(lat, grid)
         pvn = pg.solve_generalized(
             pg.assemble_pvn(h, bundle.G, bundle.S)).energies
@@ -44,8 +44,8 @@ def test_c01_pvn_spectrum_equals_fgh():
 def _n16_pieces():
     grid = pg.harmonic_square_grid(16)
     spec = pg.harmonic()
-    h = pg.hamiltonian_fgh(grid, spec)
-    lat = pg.VnLattice.from_grid(grid, 4, 4)
+    h = pg.hamiltonian_fgh((grid,), spec)
+    lat = pg.VnLattice.from_grid(grid, 4)
     bundle = pg.build_basis(lat, grid)
     return grid, spec, h, lat, bundle
 
@@ -88,7 +88,7 @@ def test_c03_morse_grid_all_bound_levels():
     """All 24 bound levels to 4 significant digits on the 100-point box."""
     t0 = time.perf_counter()
     spec = pg.morse()
-    out = pg.solve_fgh(pg.Grid1D(-1.6, 21.7, 100), spec)
+    out = pg.solve_fgh((pg.Grid1D(-1.6, 21.7, 100),), spec)
     ref = pg.analytic_levels(spec)
     n_ok = pg.count_converged(out.energies, ref, digits=4, e_max=12.0)
     worst = float(np.max(np.abs(out.energies[:24] - ref) / np.abs(ref)))
@@ -104,10 +104,10 @@ def test_c04_morse_pruned_basis_size_and_accuracy():
     t0 = time.perf_counter()
     spec = pg.morse()
     grid = pg.Grid1D(-1.6, 21.7, 100)
-    lat = pg.VnLattice.from_grid(grid, 10, 10, alpha=0.5)
+    lat = pg.VnLattice.from_grid(grid, 10, alpha=0.5)
     bundle = pg.build_basis(lat, grid)
     mask = pg.select_cells((lat,), spec, 12.0)
-    prob = pg.assemble_bvn(pg.hamiltonian_fgh(grid, spec),
+    prob = pg.assemble_bvn(pg.hamiltonian_fgh((grid,), spec),
                            bundle.B, bundle.S_inv, mask)
     out = pg.solve_generalized(prob)
     ref = pg.analytic_levels(spec)
@@ -141,11 +141,11 @@ def test_c06_triangle_2d_pruned_vs_grid_reference():
     t0 = time.perf_counter()
     spec = pg.triangle2d()
     gx = pg.Grid1D(-8.0, 16.0, 64)
-    grid = pg.Grid2D(gx, gx)
+    grid = (gx, gx)
     e_cut = 0.4
     ref = np.linalg.eigvalsh(pg.hamiltonian_fgh(grid, spec).to_dense())
     ref = ref[ref < e_cut]
-    lat = pg.VnLattice.from_grid(gx, 8, 8)
+    lat = pg.VnLattice.from_grid(gx, 8)
     bundle = pg.build_basis(lat, gx)
     mask = pg.select_cells((lat, lat), spec, e_cut, 1.5)
     h_op = pg.hamiltonian_fgh(grid, spec)
@@ -227,7 +227,7 @@ def test_c10_linear_algebra_identities():
     ]
     worst = 0.0
     for grid, nx, npp, alpha in setups:
-        lat = pg.VnLattice.from_grid(grid, nx, npp, alpha=alpha)
+        lat = pg.VnLattice.from_grid(grid, nx, alpha=alpha)
         b = pg.build_basis(lat, grid)
         eye = np.eye(lat.size)
         worst = max(worst,

@@ -27,7 +27,6 @@ n = 16
 
 [lattice]
 nx = 4
-np = 4
 
 [solver]
 basis = pvn
@@ -52,7 +51,6 @@ n = 100
 
 [lattice]
 nx = 10
-np = 10
 alpha = 0.5
 
 [prune]
@@ -139,11 +137,22 @@ def test_shipped_configs_parse_and_roundtrip():
     # a repeated key or section would silently override the first one
     (lambda t: t.replace("omega = 1", "omega = 1\nomega = 5"),
      "line 5: repeated key 'omega' in [potential]"),
-    (lambda t: t + "\n[grid]\nn = 32\n", "line 23: repeated section [grid]"),
+    (lambda t: t + "\n[grid]\nn = 32\n", "line 22: repeated section [grid]"),
     (lambda t: t.replace("basis = pvn", "basis = pvn\ndigits = 0"),
      "solver.digits: must be >= 1, got 0"),
     (lambda t: t + "\n[prune]\ne_cut = 5\nauto_scale = -1\n",
      "prune.auto_scale: must be >= 0, got -1"),
+    # a non-finite float is rejected where it is read, not deep in a solve
+    (lambda t: t + "\n[prune]\ne_cut = 5\nauto_scale = nan\n",
+     "prune.auto_scale: not a finite number: 'nan'"),
+    (lambda t: t.replace("length = 10.026513098524001", "length = inf"),
+     "grid.length: not a finite number: 'inf'"),
+    (lambda t: t.replace("x_min = -4.6999280149331257", "x_min = nan"),
+     "grid.x_min: not a finite number: 'nan'"),
+    (lambda t: t.replace("nx = 4", "nx = 4\nalpha = inf"),
+     "lattice.alpha: not a finite number: 'inf'"),
+    (lambda t: t.replace("hbar = 1", "hbar = inf"),
+     "potential.hbar: not a finite number: 'inf'"),
 ])
 def test_parse_errors_name_the_field(mangle, needle):
     with pytest.raises(cli.ConfigError) as err:
@@ -240,7 +249,7 @@ def test_solve_writes_deterministic_csv(tmp_path):
     # the periodized lattice spans the grid space: energies match the
     # direct grid diagonalization on the same box
     grid = pg.Grid1D(-4.6999280149331257, 10.026513098524001, 16)
-    ref = pg.solve_fgh(grid, pg.harmonic()).energies
+    ref = pg.solve_fgh((grid,), pg.harmonic()).energies
     np.testing.assert_allclose(energies, ref, rtol=1e-9, atol=1e-11)
 
 
@@ -260,6 +269,19 @@ def test_solve_bvn_writes_cells_and_meta(tmp_path):
     assert int(meta["n_kept"]) == kept
     assert int(meta["n_cells"]) == 100
     assert float(meta["cond_s"]) > 1.0
+
+
+@pytest.mark.parametrize("basis,n_levels", [("fgh", 100), ("pvn", 100),
+                                            ("bvn", 44)])
+def test_n_states_above_the_basis_size_truncates(tmp_path, basis, n_levels):
+    # every basis writes its lowest n_states levels, or all it has
+    text = MORSE_CFG.replace("basis = bvn", f"basis = {basis}\nn_states = 200")
+    out = tmp_path / "o"
+    assert cli.main(["solve", "--config", _write(tmp_path, text), "--out",
+                     str(out), "--quiet"]) == 0
+    _, rows = cli.read_csv(str(out / "eigenvalues.csv"))
+    assert len(rows) == n_levels
+    assert f"n_levels = {n_levels}\n" in (out / "meta.txt").read_text()
 
 
 def test_solve_prints_written_paths(tmp_path, capsys):
@@ -316,7 +338,6 @@ n = 72
 
 [lattice]
 nx = 8
-np = 9
 
 [prune]
 e_cut = 0.15
@@ -348,7 +369,6 @@ n = 16
 
 [lattice]
 nx = 4
-np = 4
 
 [prune]
 e_cut = 0.3
@@ -389,12 +409,14 @@ e_cut = -0.2
 
 
 @pytest.mark.parametrize("text,argv,needle", [
-    (HARMONIC_CFG.replace("[lattice]\nnx = 4\nnp = 4\n", ""), ["solve"],
+    (HARMONIC_CFG.replace("[lattice]\nnx = 4\n", ""), ["solve"],
      "needs a [lattice] section"),
     # the library's own checks of the grid and the lattice, keys named
     (HARMONIC_CFG.replace("nx = 4", "nx = 3"), ["solve"],
-     "lattice.nx = 3, lattice.np = 4: lattice size 3*4 must equal the grid "
-     "size 16"),
+     "lattice.nx = 3: n_x = 3 is not a positive divisor of the grid size 16"),
+    # the lattice's momentum count is grid.n / nx, not a setting
+    (HARMONIC_CFG.replace("nx = 4", "nx = 4\nnp = 4"), ["solve"],
+     "line 14: unknown key 'np' in [lattice]"),
     (HARMONIC_CFG.replace("n = 16", "n = 15"), ["solve"],
      "grid.n = 15, grid.length = 10.026513098524001: N must be a positive "
      "even integer"),
@@ -459,10 +481,12 @@ e_cut = -0.2
     (MORSE_CFG.replace("mass = 6", "mass = -1"), ["efficiency"],
      "potential.mass = -1: parameter 'mass' must be positive"),
     (MORSE_CFG.replace("alpha = 0.5", "alpha = -1"), ["solve"],
-     "lattice.nx = 10, lattice.np = 10, lattice.alpha = -1: alpha must be "
-     "positive"),
+     "lattice.nx = 10, lattice.alpha = -1: alpha must be positive"),
     (MORSE_CFG.replace("auto_scale = 1.0", "auto_scale = -1"), ["solve"],
      "prune.auto_scale: must be >= 0, got -1"),
+    # nan fails both bounds checks and used to run the sharp cut silently
+    (MORSE_CFG.replace("auto_scale = 1.0", "auto_scale = nan"), ["solve"],
+     "prune.auto_scale: not a finite number: 'nan'"),
 ])
 def test_config_errors_exit_2(tmp_path, capsys, text, argv, needle):
     cfg = _write(tmp_path, text)

@@ -56,7 +56,7 @@ def test_harmonic_square_grid_balances_the_box():
 
 def test_fgh_harmonic_levels():
     grid = pg.harmonic_square_grid(64)
-    out = pg.solve_fgh(grid, pg.harmonic())
+    out = pg.solve_fgh((grid,), pg.harmonic())
     np.testing.assert_allclose(out.energies[:20], np.arange(20) + 0.5,
                                atol=1e-9)
 
@@ -65,7 +65,7 @@ def test_fgh_error_drops_with_grid_size():
     spec = pg.harmonic()
     errs = []
     for n in (16, 36, 64):
-        out = pg.solve_fgh(pg.harmonic_square_grid(n), spec)
+        out = pg.solve_fgh((pg.harmonic_square_grid(n),), spec)
         errs.append(abs(out.energies[7] - 7.5))
     assert errs[0] > errs[1] > errs[2]
 
@@ -73,35 +73,43 @@ def test_fgh_error_drops_with_grid_size():
 def test_grid2d_flat_ordering():
     gx = pg.Grid1D(-1.0, 2.0, 4)
     gy = pg.Grid1D(-2.0, 4.0, 6)
-    grid = pg.Grid2D(gx, gy)
-    assert grid.size == 24
-    pts = grid.points
+    pts = pg.axis_product([gx.points, gy.points])
+    assert pts.shape == (24, 2)
     # x index runs fastest
     np.testing.assert_allclose(pts[:4, 0], gx.points)
     np.testing.assert_allclose(pts[:4, 1], gy.points[0])
     # (ix, iy) = (2, 3) sits at flat index iy * gx.N + ix
     np.testing.assert_allclose(pts[3 * 4 + 2], [gx.points[2], gy.points[3]])
+    # the potential diagonal follows the same order
+    spec = pg.triangle2d()
+    v = pg.potential_matrix((gx, gy), spec).reshape(gy.N, gx.N)
+    for ix, iy in ((0, 0), (2, 3), (3, 5)):
+        assert v[iy, ix] == pg.evaluate(spec, [gx.points[ix], gy.points[iy]])
 
 
-def test_operator2d_matches_dense():
+@pytest.mark.parametrize("ny", [8, 6])
+def test_operator2d_matches_dense(ny):
     gx = pg.Grid1D(-3.0, 6.0, 8)
-    grid = pg.Grid2D(gx, gx)
+    gy = pg.Grid1D(-3.0, 6.0, ny)
     spec = pg.triangle2d(mass=10.0)
     # the dense matrix built term by term, independently of to_dense
-    t = pg.kinetic_matrix(gx, spec.mass, spec.hbar)
-    eye = np.eye(gx.N)
-    h_dense = (np.kron(t, eye) + np.kron(eye, t)
-               + np.diag(pg.potential_matrix(grid, spec)))
-    h_op = pg.hamiltonian_fgh(grid, spec)
+    tx = pg.kinetic_matrix(gx, spec.mass, spec.hbar)
+    ty = pg.kinetic_matrix(gy, spec.mass, spec.hbar)
+    h_dense = (np.kron(ty, np.eye(gx.N)) + np.kron(np.eye(gy.N), tx)
+               + np.diag(pg.potential_matrix((gx, gy), spec)))
+    h_op = pg.hamiltonian_fgh((gx, gy), spec)
+    assert h_op.shape == (gx.N * ny, gx.N * ny)
     np.testing.assert_allclose(h_op.to_dense(), h_dense, atol=1e-12)
     rng = np.random.default_rng(5)
-    v = rng.standard_normal(grid.size)
+    v = rng.standard_normal(gx.N * ny)
     np.testing.assert_allclose(h_op.apply(v), h_dense @ v, atol=1e-10)
+    m = rng.standard_normal((gx.N * ny, 3))
+    np.testing.assert_allclose(h_op.apply(m), h_dense @ m, atol=1e-10)
 
 
 def test_matfree_eigsh_matches_dense():
     gx = pg.Grid1D(-4.0, 8.0, 10)
-    grid = pg.Grid2D(gx, gx)
+    grid = (gx, gx)
     spec = pg.triangle2d(mass=20.0)
     dense_vals = np.linalg.eigvalsh(
         pg.hamiltonian_fgh(grid, spec).to_dense())
@@ -115,7 +123,7 @@ def test_matfree_eigsh_matches_dense():
 
 def test_large_grid_uses_lanczos_and_needs_n_states():
     gx = pg.Grid1D(-8.0, 16.0, 72)
-    grid = pg.Grid2D(gx, gx)  # 5184 points, above the dense limit
+    grid = (gx, gx)  # 5184 points, above the dense limit
     spec = pg.triangle2d()
     with pytest.raises(ValueError):
         pg.solve_fgh(grid, spec)

@@ -22,17 +22,16 @@ def _complex_bundle(lat, grid):
 
 def _morse_setup():
     grid = pg.Grid1D(-1.6, 21.7, 100)
-    lat = pg.VnLattice.from_grid(grid, 10, 10, alpha=0.5)
+    lat = pg.VnLattice.from_grid(grid, 10, alpha=0.5)
     spec = pg.morse()
-    return grid, lat, spec, pg.hamiltonian_fgh(grid, spec)
+    return grid, lat, spec, pg.hamiltonian_fgh((grid,), spec)
 
 
-def _triangle_setup(n=16, n_x=4, n_p=4):
+def _triangle_setup(n=16, n_x=4):
     gx = pg.Grid1D(-6.0, 12.0, n)
-    grid = pg.Grid2D(gx, gx)
     spec = pg.triangle2d(mass=30.0)
-    lat = pg.VnLattice.from_grid(gx, n_x, n_p)
-    h_op = pg.hamiltonian_fgh(grid, spec)
+    lat = pg.VnLattice.from_grid(gx, n_x)
+    h_op = pg.hamiltonian_fgh((gx, gx), spec)
     return gx, lat, spec, h_op
 
 
@@ -53,7 +52,7 @@ def test_real_bundle_is_float64_and_biorthogonal():
     for grid, n_x, n_p in ((pg.harmonic_square_grid(16), 4, 4),
                            (pg.Grid1D(-3.0, 7.0, 72), 8, 9),
                            (pg.Grid1D(-3.0, 7.0, 72), 9, 8)):
-        lat = pg.VnLattice.from_grid(grid, n_x, n_p)
+        lat = pg.VnLattice.from_grid(grid, n_x)
         b = pg.build_basis(lat, grid)
         for m in (b.G, b.S, b.S_inv, b.B):
             assert m.dtype == np.float64
@@ -186,13 +185,13 @@ def test_factorized_assembly_matches_materialized_columns(axes, complex_b,
     grids, lats, bundles = [], [], []
     for n, n_x, n_p in axes:
         grids.append(pg.Grid1D(-6.0, 12.0, n))
-        lats.append(pg.VnLattice.from_grid(grids[-1], n_x, n_p))
+        lats.append(pg.VnLattice.from_grid(grids[-1], n_x))
         if complex_b:
             bundles.append(_complex_bundle(lats[-1], grids[-1]))
         else:
             real = pg.build_basis(lats[-1], grids[-1])
             bundles.append((real.B, real.S_inv))
-    h_op = pg.hamiltonian_fgh(pg.Grid2D(*grids), pg.triangle2d(mass=30.0))
+    h_op = pg.hamiltonian_fgh(tuple(grids), pg.triangle2d(mass=30.0))
     rng = np.random.default_rng(200 + seed)
     r = rng.random((lats[1].size, lats[0].size)) < rng.uniform(0.2, 0.6)
     r = r | r[:, lats[0].mirror]
@@ -211,8 +210,8 @@ def test_factorized_assembly_matches_materialized_columns(axes, complex_b,
 def test_factorized_assembly_memory_scales_with_the_pencil():
     gx = pg.Grid1D(-6.0, 12.0, 32)
     spec = pg.triangle2d(mass=30.0)
-    lat = pg.VnLattice.from_grid(gx, 4, 8)
-    h_op = pg.hamiltonian_fgh(pg.Grid2D(gx, gx), spec)
+    lat = pg.VnLattice.from_grid(gx, 4)
+    h_op = pg.hamiltonian_fgh((gx, gx), spec)
     basis = pg.build_basis(lat, gx)
     mask = pg.select_cells((lat, lat), spec, 0.5)
     assert 0 < mask.n_kept < mask.size // 2

@@ -50,8 +50,8 @@ def test_whitening_warns_for_every_dropped_mode():
 
 
 def test_empty_pencil_raises_before_lapack(capfd):
-    pipe = pg.Pipeline(pg.morse(), pg.Grid1D(-1.6, 21.7, 100), "bvn",
-                       shape=(10, 10))
+    pipe = pg.Pipeline(pg.morse(), (pg.Grid1D(-1.6, 21.7, 100),), "bvn",
+                       n_x=10)
     with pytest.raises(ValueError, match="empty pencil"):
         pipe.solve(pg.PruneMask(np.zeros(100, dtype=bool)))
     assert "DPOCON" not in capfd.readouterr().err
@@ -90,9 +90,9 @@ def test_count_converged_stops_at_first_miss():
 def test_pvn_reproduces_fgh_exactly():
     grid = pg.harmonic_square_grid(16)
     spec = pg.harmonic()
-    h = pg.hamiltonian_fgh(grid, spec)
+    h = pg.hamiltonian_fgh((grid,), spec)
     fgh = np.linalg.eigvalsh(h)
-    lat = pg.VnLattice.from_grid(grid, 4, 4)
+    lat = pg.VnLattice.from_grid(grid, 4)
     bundle = pg.build_basis(lat, grid)
     out = pg.solve_generalized(pg.assemble_pvn(h, bundle.G, bundle.S))
     np.testing.assert_allclose(out.energies, fgh, rtol=1e-10, atol=1e-12)
@@ -101,8 +101,8 @@ def test_pvn_reproduces_fgh_exactly():
 def test_unpruned_bvn_reproduces_fgh():
     grid = pg.Grid1D(-1.6, 21.7, 64)
     spec = pg.morse()
-    h = pg.hamiltonian_fgh(grid, spec)
-    lat = pg.VnLattice.from_grid(grid, 8, 8)
+    h = pg.hamiltonian_fgh((grid,), spec)
+    lat = pg.VnLattice.from_grid(grid, 8)
     bundle = pg.build_basis(lat, grid)
     prob = pg.assemble_bvn(h, bundle.B, bundle.S_inv, None)
     out = pg.solve_generalized(prob)
@@ -113,8 +113,8 @@ def test_unpruned_bvn_reproduces_fgh():
 def test_pruned_bvn_keeps_low_levels():
     grid = pg.Grid1D(-1.6, 21.7, 100)
     spec = pg.morse()
-    h = pg.hamiltonian_fgh(grid, spec)
-    lat = pg.VnLattice.from_grid(grid, 10, 10, alpha=0.5)
+    h = pg.hamiltonian_fgh((grid,), spec)
+    lat = pg.VnLattice.from_grid(grid, 10, alpha=0.5)
     bundle = pg.build_basis(lat, grid)
     mask = pg.select_cells((lat,), spec, 12.0)
     prob = pg.assemble_bvn(h, bundle.B, bundle.S_inv, mask)
@@ -126,11 +126,11 @@ def test_pruned_bvn_keeps_low_levels():
 
 def test_bvn_2d_full_mask_equals_dense_fgh():
     gx = pg.Grid1D(-6.0, 12.0, 12)
-    grid = pg.Grid2D(gx, gx)
+    grid = (gx, gx)
     spec = pg.triangle2d(mass=30.0)
     dense_vals = np.linalg.eigvalsh(
         pg.hamiltonian_fgh(grid, spec).to_dense())
-    lat = pg.VnLattice.from_grid(gx, 4, 3)
+    lat = pg.VnLattice.from_grid(gx, 4)
     bundle = pg.build_basis(lat, gx)
     h_op = pg.hamiltonian_fgh(grid, spec)
     mask = pg.PruneMask(kept=np.ones(144, dtype=bool))
@@ -143,9 +143,9 @@ def test_bvn_2d_full_mask_equals_dense_fgh():
 
 def test_bvn_2d_mask_length_checked():
     gx = pg.Grid1D(-6.0, 12.0, 8)
-    grid = pg.Grid2D(gx, gx)
+    grid = (gx, gx)
     spec = pg.triangle2d(mass=30.0)
-    lat = pg.VnLattice.from_grid(gx, 4, 2)
+    lat = pg.VnLattice.from_grid(gx, 4)
     bundle = pg.build_basis(lat, gx)
     h_op = pg.hamiltonian_fgh(grid, spec)
     bad = pg.PruneMask(kept=np.ones(63, dtype=bool))
@@ -157,13 +157,13 @@ def test_bvn_2d_mask_length_checked():
 def test_pipeline_rejects_2d_vn_and_pvn():
     # only fgh and bvn have a 2-d path; Pipeline is the one place that says so
     gx = pg.Grid1D(-6.0, 12.0, 8)
-    grid = pg.Grid2D(gx, gx)
+    grid = (gx, gx)
     spec = pg.triangle2d(mass=30.0)
     for basis in ("vn", "pvn"):
         with pytest.raises(NotAvailableError,
                            match=f"basis '{basis}' supports only 1-d grids"):
             pg.Pipeline(spec, grid, basis)
-    assert pg.Pipeline(spec, grid, "bvn", shape=(4, 2)).basis == "bvn"
+    assert pg.Pipeline(spec, grid, "bvn", n_x=4).basis == "bvn"
 
 
 def test_efficiency_scan_needs_levels_below_cutoff():

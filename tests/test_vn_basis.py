@@ -22,7 +22,7 @@ def test_balanced_factors():
 def test_lattice_cells_tile_one_planck_cell_each():
     grid = pg.Grid1D(-5.0, 10.0, 24)
     for n_x, n_p in ((6, 4), (4, 6), (12, 2)):
-        lat = pg.VnLattice.from_grid(grid, n_x, n_p, hbar=0.7)
+        lat = pg.VnLattice.from_grid(grid, n_x, hbar=0.7)
         assert lat.a * lat.dp == pytest.approx(2 * math.pi * 0.7)
         assert lat.size == 24
         assert lat.centers_x.size == n_x
@@ -31,12 +31,12 @@ def test_lattice_cells_tile_one_planck_cell_each():
         assert lat.centers_x.min() > -5.0 and lat.centers_x.max() < 5.0
         assert np.max(np.abs(lat.centers_p)) < math.pi * 0.7 / grid.dx
     with pytest.raises(ValueError):
-        pg.VnLattice.from_grid(grid, 5, 4)  # 20 != 24
+        pg.VnLattice.from_grid(grid, 5)  # 5 does not divide 24
 
 
 def test_centers_flat_ordering():
     grid = pg.Grid1D(0.0, 8.0, 8)
-    lat = pg.VnLattice.from_grid(grid, 4, 2)
+    lat = pg.VnLattice.from_grid(grid, 4)
     c = lat.centers
     # position index runs fastest
     np.testing.assert_allclose(c[:4, 0], lat.centers_x)
@@ -60,7 +60,7 @@ def test_gaussian_grid_norm():
     # pick a cell near the box center so edge truncation is negligible;
     # grid quadrature of a smooth Gaussian then converges superexponentially
     grid = pg.harmonic_square_grid(36)
-    lat = pg.VnLattice.from_grid(grid, 6, 6)
+    lat = pg.VnLattice.from_grid(grid, 6)
     m = 3 * 6 + 2
     assert abs(lat.centers[m, 0]) < lat.a  # really the central cell
     g = pg.build_G(lat, grid)[:, m]
@@ -70,7 +70,7 @@ def test_gaussian_grid_norm():
 
 def test_overlap_and_dual_identities():
     grid = pg.harmonic_square_grid(16)
-    lat = pg.VnLattice.from_grid(grid, 4, 4)
+    lat = pg.VnLattice.from_grid(grid, 4)
     bundle = pg.build_basis(lat, grid)
     n = lat.size
     assert np.max(np.abs(bundle.S - bundle.G.conj().T @ bundle.G)) == 0.0
@@ -83,7 +83,7 @@ def test_singular_overlap_is_pseudo_inverted_with_a_warning():
     # a duplicated Gaussian column makes the overlap exactly singular;
     # the cell-centered lattice itself stays benign
     grid = pg.harmonic_square_grid(64)
-    lat = pg.VnLattice.from_grid(grid, 8, 8)
+    lat = pg.VnLattice.from_grid(grid, 8)
     g = pg.build_G(lat, grid)
     s = pg.build_overlap(np.column_stack([g, g[:, 27]]))
     with pytest.warns(UserWarning, match="overlap pseudo-inverted: "
@@ -99,8 +99,8 @@ def test_singular_overlap_is_pseudo_inverted_with_a_warning():
 
 def test_alpha_override_changes_width_not_span():
     grid = pg.Grid1D(-6.0, 12.0, 16)
-    narrow = pg.VnLattice.from_grid(grid, 4, 4, alpha=2.0)
-    wide = pg.VnLattice.from_grid(grid, 4, 4, alpha=0.2)
+    narrow = pg.VnLattice.from_grid(grid, 4, alpha=2.0)
+    wide = pg.VnLattice.from_grid(grid, 4, alpha=0.2)
     g_n = np.abs(pg.build_G(narrow, grid)[:, 5])
     g_w = np.abs(pg.build_G(wide, grid)[:, 5])
     # same center, different spread
@@ -111,7 +111,7 @@ def test_alpha_override_changes_width_not_span():
 
 def test_continuous_matrices_harmonic_only():
     grid = pg.harmonic_square_grid(16)
-    lat = pg.VnLattice.from_grid(grid, 4, 4)
+    lat = pg.VnLattice.from_grid(grid, 4)
     h, s = pg.continuous_vn_matrices(lat, pg.harmonic())
     assert np.max(np.abs(h - h.conj().T)) < 1e-12
     assert np.max(np.abs(s - s.conj().T)) < 1e-12
@@ -127,7 +127,7 @@ def test_continuous_lattice_is_variational():
     # true level. The truncated continuous lattice is known to sit far
     # above, which is exactly why the periodized/dual route exists.
     grid = pg.harmonic_square_grid(36)
-    lat = pg.VnLattice.from_grid(grid, 6, 6)
+    lat = pg.VnLattice.from_grid(grid, 6)
     h, s = pg.continuous_vn_matrices(lat, pg.harmonic())
     out = pg.solve_generalized(pg.GeneralizedProblem(h, s))
     assert out.energies[0] >= 0.5 - 1e-9
