@@ -8,7 +8,7 @@ from .errors import (BelowWellBottomError, BudgetExceededError,
                      DegenerateEstimateError, IllConditionedError,
                      NotAvailableError, NumericFailureError,
                      SingularPointError, UnboundedOrbitError)
-from .fourier_grid import (FghOperator2D, Grid1D, axis_product,
+from .fourier_grid import (FghOperator, Grid1D, axis_product,
                            harmonic_square_grid, hamiltonian_fgh,
                            kinetic_matrix, potential_matrix, solve_fgh)
 from .potentials import (PotentialSpec, analytic_levels, coulomb1d, evaluate,
@@ -20,7 +20,7 @@ from .semiclassics import (PhaseSpaceBox, ScalingRow, VolumeEstimate,
                            scaling_report, state_count_exact,
                            state_count_limits, turning_points)
 from .solver import (EfficiencyPoint, GeneralizedProblem, Pipeline,
-                     assemble_bvn, assemble_bvn_2d, assemble_pvn,
+                     assemble_bvn, assemble_pvn,
                      count_converged, efficiency_scan, solve_generalized)
 from .spectra import Spectrum
 from .vn_basis import (BasisMatrices, VnLattice, build_basis, build_bvn,

@@ -311,6 +311,10 @@ def cmd_solve(cfg: RunConfig, args, meta: dict) -> dict:
         if cfg.solver.n_states is None:
             raise ConfigError("solver.n_states: required by the matrix-free "
                               f"fgh solve of {size} points")
+        if cfg.solver.n_states >= size:
+            raise ConfigError(f"solver.n_states = {cfg.solver.n_states}: must "
+                              f"be below the {size} points of the matrix-free "
+                              "fgh solve")
     if basis != "fgh":
         if lat is None:
             raise ConfigError(f"basis '{basis}' needs a [lattice] section")

@@ -4,7 +4,8 @@ Wavefunctions live on N evenly spaced points of a periodic box of length L.
 The underlying basis functions are periodic sinc (Dirichlet) functions; the
 potential is diagonal at the grid points and the kinetic matrix has the
 standard closed form for the symmetric wavenumber range j = -N/2+1 .. N/2.
-A grid in several dimensions is the tuple of its Grid1D axes.
+A grid in several dimensions is the tuple of its Grid1D axes; its Hamiltonian
+is one FghOperator, the per-axis kinetic matrices plus the potential diagonal.
 """
 
 import math
@@ -111,19 +112,18 @@ def potential_matrix(axes: tuple, spec: PotentialSpec) -> np.ndarray:
     return diag
 
 
-class FghOperator2D:
-    """Matrix-free 2-d grid Hamiltonian using its Kronecker structure.
+class FghOperator:
+    """Grid Hamiltonian sum_d T_d + diag(v) kept in its Kronecker structure.
 
-    Applies kron(Ty, Ix) + kron(Iy, Tx) + diag(v) to stacked column vectors
-    without forming the dense matrix; v is in `axis_product` order, so the
-    grid is tx's axis by ty's. Reentrant: holds only immutable arrays.
+    ts holds one kinetic matrix per axis and v_diag the potential at the
+    `axis_product` points, so T_d acts on the flat index's d-th digit, the
+    first axis fastest. `apply` never forms the dense matrix; `to_dense`
+    does. Reentrant: holds only immutable arrays.
     """
 
-    def __init__(self, tx: np.ndarray, ty: np.ndarray, v_diag: np.ndarray):
-        self.tx = tx
-        self.ty = ty
+    def __init__(self, ts: tuple, v_diag: np.ndarray):
+        self.ts = tuple(ts)
         self.v_diag = v_diag
-        self._v2d = v_diag.reshape(len(ty), len(tx))
 
     @property
     def shape(self):
@@ -133,47 +133,44 @@ class FghOperator2D:
         """H @ m for m of shape (size,) or (size, k)."""
         single = m.ndim == 1
         cols = m[:, None] if single else m
-        arr = np.ascontiguousarray(cols.T).reshape(-1, *self._v2d.shape)
-        out = self.ty @ arr
-        out += arr @ self.tx  # Tx symmetric
-        out += self._v2d[None, :, :] * arr
+        grid_shape = tuple(len(t) for t in reversed(self.ts))
+        arr = np.ascontiguousarray(cols.T).reshape(-1, *grid_shape)
+        out = self.v_diag.reshape(grid_shape) * arr
+        for d, t in enumerate(self.ts):  # each T_d symmetric
+            out += np.moveaxis(np.moveaxis(arr, -1 - d, -1) @ t, -1, -1 - d)
         flat = out.reshape(-1, self.v_diag.size).T
         return flat[:, 0] if single else flat
 
     def to_dense(self) -> np.ndarray:
-        h = (np.kron(self.ty, np.eye(len(self.tx)))
-             + np.kron(np.eye(len(self.ty)), self.tx))
+        sizes = [len(t) for t in self.ts]
+        h = np.zeros(self.shape)
+        for d, t in enumerate(self.ts):
+            slower, faster = math.prod(sizes[d + 1:]), math.prod(sizes[:d])
+            h += np.kron(np.kron(np.eye(slower), t), np.eye(faster))
         h[np.diag_indices_from(h)] += self.v_diag
         return h
 
 
-def hamiltonian_fgh(axes: tuple, spec: PotentialSpec):
-    """Grid Hamiltonian T + V on the grid whose axes are given.
+# the name perfbench/tracer.py wraps, kept only until ROADMAP item 10
+FghOperator2D = FghOperator
 
-    A dense symmetric matrix on one axis; an FghOperator2D on two (call its
-    to_dense for the matrix).
-    """
-    ts = [kinetic_matrix(g, spec.mass, spec.hbar) for g in axes]
-    v = potential_matrix(axes, spec)
-    if len(ts) > 1:
-        return FghOperator2D(*ts, v)
-    h = ts[0]
-    h[np.diag_indices_from(h)] += v
-    return h
+
+def hamiltonian_fgh(axes: tuple, spec: PotentialSpec) -> FghOperator:
+    """Grid Hamiltonian T + V on the grid whose axes are given, matrix-free."""
+    ts = tuple(kinetic_matrix(g, spec.mass, spec.hbar) for g in axes)
+    return FghOperator(ts, potential_matrix(axes, spec))
 
 
 def solve_fgh(axes: tuple, spec: PotentialSpec,
               n_states: int | None = None) -> Spectrum:
     """Eigenvalues (ascending) of the grid Hamiltonian.
 
-    Dense path everywhere, keeping the lowest n_states (all by default); for
-    2-d grids above DENSE_2D_LIMIT points a Lanczos solve on the matrix-free
-    operator returns the lowest n_states, which it requires.
+    Dense path on 1-d grids and 2-d grids up to DENSE_2D_LIMIT points,
+    keeping the lowest n_states (all by default); above it a Lanczos solve
+    on the matrix-free operator returns the lowest n_states, which it needs.
     """
     h = hamiltonian_fgh(axes, spec)
-    if isinstance(h, FghOperator2D) and h.shape[0] <= DENSE_2D_LIMIT:
-        h = h.to_dense()
-    if isinstance(h, FghOperator2D):
+    if len(axes) > 1 and h.shape[0] > DENSE_2D_LIMIT:
         if n_states is None:
             raise ValueError("matrix-free solve requires n_states")
         from scipy.sparse.linalg import LinearOperator, eigsh
@@ -187,7 +184,7 @@ def solve_fgh(axes: tuple, spec: PotentialSpec,
     import scipy.linalg  # deferred: the scaling path never needs it
 
     try:
-        vals = scipy.linalg.eigh(h, eigvals_only=True)
+        vals = scipy.linalg.eigh(h.to_dense(), eigvals_only=True)
     except scipy.linalg.LinAlgError as exc:
         raise NumericFailureError(f"dense eigensolve failed: {exc}") from exc
     return Spectrum(vals[:n_states])

@@ -3,9 +3,11 @@
 The grid Hamiltonian H is re-expressed in a Gaussian (pvN) or biorthogonal
 (bvN) basis as H' U = S' U E. Because the bases span the same space as the
 grid, the unpruned spectra coincide with the grid spectrum; pruning removes
-bvN columns and the eigenvalues below the cutoff survive. `Pipeline` runs
-the whole chain (grid, lattice, basis, pruned pencil, eigensolve) for every
-basis; the command line and the efficiency scan both go through it.
+bvN columns and the eigenvalues below the cutoff survive. One Kronecker
+assembly, `assemble_bvn`, serves every grid: a 1-d grid is the 2-d path
+with a one-point y axis. `Pipeline` runs the whole chain (grid, lattice,
+basis, pruned pencil, eigensolve) for every basis; the command line and
+the efficiency scan both go through it.
 """
 
 import math
@@ -15,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BudgetExceededError, NotAvailableError
-from .fourier_grid import FghOperator2D, Grid1D, hamiltonian_fgh, solve_fgh
+from .fourier_grid import FghOperator, Grid1D, hamiltonian_fgh, solve_fgh
 from .potentials import PotentialSpec, analytic_levels
 from .pruner import PruneMask, select_cells
 from .spectra import Spectrum
@@ -52,46 +54,37 @@ def assemble_pvn(h_grid: np.ndarray, g: np.ndarray,
     return GeneralizedProblem(g.conj().T @ (h_grid @ g), s)
 
 
-def assemble_bvn(h_grid: np.ndarray, b: np.ndarray, s_inv: np.ndarray,
+def assemble_bvn(h_op: FghOperator, bs: tuple, s_invs: tuple,
                  mask: PruneMask | None = None) -> GeneralizedProblem:
-    """Project onto (a kept subset of) the biorthogonal columns of B.
+    """Project onto the kept biorthogonal columns of a Kronecker basis.
 
-    The metric of the biorthogonal functions is S^-1, restricted to the
-    kept rows and columns.
-    """
-    if mask is None:
-        bk = b
-        s = s_inv
-    else:
-        idx = mask.indices
-        bk = b[:, idx]
-        s = s_inv[np.ix_(idx, idx)]
-    return GeneralizedProblem(bk.conj().T @ (h_grid @ bk), s)
-
-
-def assemble_bvn_2d(h_op: FghOperator2D, bx: np.ndarray, by: np.ndarray,
-                    sx_inv: np.ndarray, sy_inv: np.ndarray,
-                    mask: PruneMask) -> GeneralizedProblem:
-    """Two-dimensional pruned projection with a Kronecker-factored basis.
-
+    bs and s_invs hold each axis's B and S^-1; mask=None keeps every cell.
     Kept cell k = (cx, cy) is the column kron(By[:, cy], Bx[:, cx]), which is
     never formed. With W[x] = By^H (Ty + diag v[:, x]) By and Sy = By^H By,
     the rows of one cy = a take one GEMM over the grid x,
     H[rows] = Bx[:, cx_rows]^H (W[x, a, cy] Bx[:, cx] + Sy[a, cy] (Tx Bx)[:, cx]),
     and S[k, k'] = Sy_inv[cy, cy'] Sx_inv[cx, cx'], so memory stays
-    O(n_kept^2 + Ny^2 Nx). `solve_generalized` symmetrizes the pencil.
+    O(n_kept^2 + Ny^2 Nx). A 1-d grid gets a one-point y axis, By = Sy_inv
+    = [[1]] and Ty = [[0]], which reduces H to Bk^H (diag v + Tx) Bk and S
+    to Sx_inv[kept, kept]. `solve_generalized` symmetrizes the pencil.
     """
-    ncx = bx.shape[1]
-    idx = mask.indices
-    if mask.size != ncx * by.shape[1]:
+    ts = h_op.ts
+    if len(bs) == 1:
+        one = np.ones((1, 1))
+        bs, s_invs, ts = (*bs, one), (*s_invs, one), (*ts, np.zeros((1, 1)))
+    (bx, by), (sx_inv, sy_inv), (tx, ty) = bs, s_invs, ts
+    ncx, size = bx.shape[1], bx.shape[1] * by.shape[1]
+    if mask is not None and mask.size != size:
         raise ValueError("mask length does not match the product basis size")
+    idx = np.arange(size) if mask is None else mask.indices
     cx, cy = idx % ncx, idx // ncx
     v2d = h_op.v_diag.reshape(by.shape[0], bx.shape[0])
     w = np.tensordot(v2d, by.conj()[:, :, None] * by[:, None, :], axes=(0, 0))
-    w += by.conj().T @ h_op.ty @ by
+    w += by.conj().T @ ty @ by
     sy = by.conj().T @ by
-    bxk, tbxk = bx[:, cx], (h_op.tx @ bx)[:, cx]
-    h = np.empty((idx.size, idx.size), np.result_type(bx, by, h_op.tx))
+    ux, inv = np.unique(cx, return_inverse=True)  # Tx only on the kept columns
+    bxk, tbxk = bx[:, cx], (tx @ bx[:, ux])[:, inv]
+    h = np.empty((idx.size, idx.size), np.result_type(bx, by, tx))
     s = np.empty((idx.size, idx.size), np.result_type(sx_inv, sy_inv))
     for a in np.unique(cy):  # idx ascends: the rows of one cy are a block
         lo, hi = np.searchsorted(cy, [a, a + 1])
@@ -99,6 +92,10 @@ def assemble_bvn_2d(h_op: FghOperator2D, bx: np.ndarray, by: np.ndarray,
         h[lo:hi] = bxk[:, lo:hi].conj().T @ op
         s[lo:hi] = sx_inv[np.ix_(cx[lo:hi], cx)] * sy_inv[a, cy]
     return GeneralizedProblem(h, s)
+
+
+# the name perfbench/tracer.py wraps, kept only until ROADMAP item 10
+assemble_bvn_2d = assemble_bvn
 
 
 def solve_generalized(problem: GeneralizedProblem,
@@ -178,7 +175,7 @@ class Pipeline:
               n_states: int | None = None) -> Spectrum:
         """Lowest n_states levels (all by default) on the kept bvn cells.
 
-        mask applies to bvn only; a 2-d bvn solve requires one.
+        mask applies to bvn only; without one every cell is kept.
         """
         if self.basis == "fgh":
             return solve_fgh(self.axes, self.spec, n_states=n_states)
@@ -187,16 +184,11 @@ class Pipeline:
             problem = GeneralizedProblem(h, s)
         elif self.basis == "pvn":
             b = self.bundles[0]
-            problem = assemble_pvn(self.h_grid, b.G, b.S)
-        elif len(self.bundles) == 1:
-            b = self.bundles[0]
-            problem = assemble_bvn(self.h_grid, b.B, b.S_inv, mask)
-        elif mask is None:
-            raise ValueError("a 2-d bvn solve needs a prune mask")
+            problem = assemble_pvn(self.h_grid.to_dense(), b.G, b.S)
         else:
-            bx, by = self.bundles
-            problem = assemble_bvn_2d(self.h_grid, bx.B, by.B, bx.S_inv,
-                                      by.S_inv, mask)
+            problem = assemble_bvn(self.h_grid,
+                                   tuple(b.B for b in self.bundles),
+                                   tuple(b.S_inv for b in self.bundles), mask)
         return solve_generalized(problem, n_states=n_states)
 
 

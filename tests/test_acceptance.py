@@ -28,7 +28,7 @@ def test_c01_pvn_spectrum_equals_fgh():
     worst = 0.0
     for n in (8, 16, 32):
         grid = pg.harmonic_square_grid(n)
-        h = pg.hamiltonian_fgh((grid,), pg.harmonic())
+        h = pg.hamiltonian_fgh((grid,), pg.harmonic()).to_dense()
         fgh = np.linalg.eigvalsh(h)
         lat = pg.VnLattice.from_grid(grid, balanced_factors(n)[0])
         bundle = pg.build_basis(lat, grid)
@@ -44,7 +44,7 @@ def test_c01_pvn_spectrum_equals_fgh():
 def _n16_pieces():
     grid = pg.harmonic_square_grid(16)
     spec = pg.harmonic()
-    h = pg.hamiltonian_fgh((grid,), spec)
+    h = pg.hamiltonian_fgh((grid,), spec).to_dense()
     lat = pg.VnLattice.from_grid(grid, 4)
     bundle = pg.build_basis(lat, grid)
     return grid, spec, h, lat, bundle
@@ -108,7 +108,7 @@ def test_c04_morse_pruned_basis_size_and_accuracy():
     bundle = pg.build_basis(lat, grid)
     mask = pg.select_cells((lat,), spec, 12.0)
     prob = pg.assemble_bvn(pg.hamiltonian_fgh((grid,), spec),
-                           bundle.B, bundle.S_inv, mask)
+                           (bundle.B,), (bundle.S_inv,), mask)
     out = pg.solve_generalized(prob)
     ref = pg.analytic_levels(spec)
     n_ok = pg.count_converged(out.energies, ref, digits=4, e_max=12.0)
@@ -149,8 +149,8 @@ def test_c06_triangle_2d_pruned_vs_grid_reference():
     bundle = pg.build_basis(lat, gx)
     mask = pg.select_cells((lat, lat), spec, e_cut, 1.5)
     h_op = pg.hamiltonian_fgh(grid, spec)
-    prob = pg.assemble_bvn_2d(h_op, bundle.B, bundle.B,
-                              bundle.S_inv, bundle.S_inv, mask)
+    prob = pg.assemble_bvn(h_op, (bundle.B, bundle.B),
+                           (bundle.S_inv, bundle.S_inv), mask)
     out = pg.solve_generalized(prob)
     dev = float(np.max(np.abs(out.energies[:ref.size] - ref)))
     frac = mask.n_kept / mask.size

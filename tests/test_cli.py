@@ -425,6 +425,12 @@ e_cut = -0.2
                                                       "basis = fgh"),
      ["solve", "--long-running"],
      "solver.n_states: required by the matrix-free fgh solve of 5184 points"),
+    # Lanczos needs fewer states than grid points; refused before it starts
+    (TRIANGLE_CFG.replace("n = 16", "n = 72").replace(
+        "basis = bvn", "basis = fgh\nn_states = 6000"),
+     ["solve", "--long-running"],
+     "solver.n_states = 6000: must be below the 5184 points of the "
+     "matrix-free fgh solve"),
     (TRIANGLE_CFG.replace("basis = bvn", "basis = pvn"), ["solve"],
      "supports only 1-d grids"),
     (TRIANGLE_CFG.replace("basis = bvn", "basis = vn"), ["solve"],

@@ -107,6 +107,30 @@ def test_operator2d_matches_dense(ny):
     np.testing.assert_allclose(h_op.apply(m), h_dense @ m, atol=1e-10)
 
 
+@pytest.mark.parametrize("sizes", [(12,), (8, 6)])
+def test_operator_apply_equals_its_dense_matrix(sizes):
+    grids = tuple(pg.Grid1D(-3.0, 6.0, n) for n in sizes)
+    spec = pg.morse() if len(sizes) == 1 else pg.triangle2d(mass=10.0)
+    h_op = pg.hamiltonian_fgh(grids, spec)
+    dense = h_op.to_dense()
+    n = math.prod(sizes)
+    assert h_op.shape == dense.shape == (n, n)
+    rng = np.random.default_rng(11)
+    for m in (rng.standard_normal(n), rng.standard_normal((n, 4))):
+        out = h_op.apply(m)
+        assert out.shape == m.shape
+        assert np.max(np.abs(out - dense @ m)) < 1e-12 * np.abs(dense).max()
+
+
+def test_1d_dense_matrix_is_kinetic_plus_potential_diagonal():
+    # the 1-d matrix keeps its arithmetic: T, then the diagonal += v
+    grid = pg.Grid1D(-1.6, 21.7, 40)
+    spec = pg.morse()
+    h = pg.kinetic_matrix(grid, spec.mass, spec.hbar)
+    h[np.diag_indices_from(h)] += pg.potential_matrix((grid,), spec)
+    assert np.array_equal(pg.hamiltonian_fgh((grid,), spec).to_dense(), h)
+
+
 def test_matfree_eigsh_matches_dense():
     gx = pg.Grid1D(-4.0, 8.0, 10)
     grid = (gx, gx)

@@ -71,12 +71,14 @@ def test_pruned_morse_matches_complex_pipeline():
     real = pg.build_basis(lat, grid)
     b, s_inv = _complex_bundle(lat, grid)
     e_real = pg.solve_generalized(
-        pg.assemble_bvn(h, real.B, real.S_inv, mask)).energies
-    e_cplx = pg.solve_generalized(pg.assemble_bvn(h, b, s_inv, mask)).energies
+        pg.assemble_bvn(h, (real.B,), (real.S_inv,), mask)).energies
+    e_cplx = pg.solve_generalized(
+        pg.assemble_bvn(h, (b,), (s_inv,), mask)).energies
     np.testing.assert_allclose(e_real, e_cplx, rtol=0, atol=1e-10)
-    e_pvn = pg.solve_generalized(pg.assemble_pvn(h, real.G, real.S)).energies
-    np.testing.assert_allclose(e_pvn, np.linalg.eigvalsh(h), rtol=0,
-                               atol=1e-10)
+    e_pvn = pg.solve_generalized(
+        pg.assemble_pvn(h.to_dense(), real.G, real.S)).energies
+    np.testing.assert_allclose(e_pvn, np.linalg.eigvalsh(h.to_dense()),
+                               rtol=0, atol=1e-10)
 
 
 def test_pruned_triangle_2d_matches_complex_pipeline():
@@ -85,9 +87,9 @@ def test_pruned_triangle_2d_matches_complex_pipeline():
     assert 0 < mask.n_kept < mask.size
     real = pg.build_basis(lat, gx)
     b, s_inv = _complex_bundle(lat, gx)
-    prob_r = pg.assemble_bvn_2d(h_op, real.B, real.B, real.S_inv,
-                                real.S_inv, mask)
-    prob_c = pg.assemble_bvn_2d(h_op, b, b, s_inv, s_inv, mask)
+    prob_r = pg.assemble_bvn(h_op, (real.B, real.B), (real.S_inv, real.S_inv),
+                             mask)
+    prob_c = pg.assemble_bvn(h_op, (b, b), (s_inv, s_inv), mask)
     assert prob_r.h.dtype == np.float64 and prob_r.s.dtype == np.float64
     e_real = pg.solve_generalized(prob_r).energies
     e_cplx = pg.solve_generalized(prob_c).energies
@@ -110,13 +112,39 @@ def test_operator_apply_matches_dense_real_and_complex():
 @pytest.mark.parametrize("seed", range(6))
 def test_pruned_bvn_bounds_fgh_from_above_1d(seed):
     grid, lat, _, h = _morse_setup()
-    fgh = np.linalg.eigvalsh(h)
+    fgh = np.linalg.eigvalsh(h.to_dense())
     basis = pg.build_basis(lat, grid)
     rng = np.random.default_rng(seed)
     mask = _closed_mask_1d(lat, rng, rng.uniform(0.2, 0.8))
-    out = pg.solve_generalized(pg.assemble_bvn(h, basis.B, basis.S_inv, mask))
+    out = pg.solve_generalized(
+        pg.assemble_bvn(h, (basis.B,), (basis.S_inv,), mask))
     assert out.energies.size == mask.n_kept
     assert np.all(out.energies >= fgh[:mask.n_kept] - 1e-10)
+
+
+@pytest.mark.parametrize("seed", [None, 0, 1, 2])
+@pytest.mark.parametrize("complex_b", [False, True])
+def test_one_point_y_axis_reduces_to_the_1d_projection(seed, complex_b):
+    grid, lat, spec, h = _morse_setup()
+    if complex_b:
+        b, s_inv = _complex_bundle(lat, grid)
+    else:
+        real = pg.build_basis(lat, grid)
+        b, s_inv = real.B, real.S_inv
+    mask, idx = None, np.arange(lat.size)
+    if seed is not None:
+        rng = np.random.default_rng(300 + seed)
+        mask = _closed_mask_1d(lat, rng, rng.uniform(0.2, 0.8))
+        idx = mask.indices
+    prob = pg.assemble_bvn(h, (b,), (s_inv,), mask)
+    # the oracle: the kept columns around the dense grid Hamiltonian
+    bk = b[:, idx]
+    h_grid = (pg.kinetic_matrix(grid, spec.mass, spec.hbar)
+              + np.diag(pg.potential_matrix((grid,), spec)))
+    h_ref = bk.conj().T @ h_grid @ bk
+    assert np.iscomplexobj(prob.h) == complex_b
+    assert np.array_equal(prob.s, s_inv[np.ix_(idx, idx)])
+    assert np.max(np.abs(prob.h - h_ref)) < 1e-12 * np.abs(h_ref).max()
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -126,8 +154,8 @@ def test_pruned_bvn_bounds_fgh_from_above_2d(seed):
     basis = pg.build_basis(lat, gx)
     rng = np.random.default_rng(100 + seed)
     mask = _closed_mask_2d(lat, rng, rng.uniform(0.2, 0.6))
-    prob = pg.assemble_bvn_2d(h_op, basis.B, basis.B, basis.S_inv,
-                              basis.S_inv, mask)
+    prob = pg.assemble_bvn(h_op, (basis.B, basis.B),
+                           (basis.S_inv, basis.S_inv), mask)
     out = pg.solve_generalized(prob)
     assert out.energies.size == mask.n_kept
     assert np.all(out.energies >= fgh[:mask.n_kept] - 1e-10)
@@ -137,8 +165,8 @@ def test_unpruned_bvn_2d_equals_fgh():
     gx, lat, _, h_op = _triangle_setup()
     basis = pg.build_basis(lat, gx)
     mask = pg.PruneMask(kept=np.ones(lat.size**2, dtype=bool))
-    prob = pg.assemble_bvn_2d(h_op, basis.B, basis.B, basis.S_inv,
-                              basis.S_inv, mask)
+    prob = pg.assemble_bvn(h_op, (basis.B, basis.B),
+                           (basis.S_inv, basis.S_inv), mask)
     out = pg.solve_generalized(prob)
     np.testing.assert_allclose(out.energies,
                                np.linalg.eigvalsh(h_op.to_dense()),
@@ -149,7 +177,7 @@ def test_eigenvalues_only_matches_vectors_path(monkeypatch):
     grid, lat, spec, h = _morse_setup()
     basis = pg.build_basis(lat, grid)
     mask = pg.select_cells((lat,), spec, 12.0)
-    prob = pg.assemble_bvn(h, basis.B, basis.S_inv, mask)
+    prob = pg.assemble_bvn(h, (basis.B,), (basis.S_inv,), mask)
     # COND_SWITCH = 1 forces the whitening route on the same pencil
     for switch in (1e8, 1.0):
         monkeypatch.setattr(solver, "COND_SWITCH", switch)
@@ -198,7 +226,7 @@ def test_factorized_assembly_matches_materialized_columns(axes, complex_b,
     r = r | r[lats[1].mirror, :]
     mask = pg.PruneMask(kept=r.ravel())
     (bx, sx_inv), (by, sy_inv) = bundles
-    prob = pg.assemble_bvn_2d(h_op, bx, by, sx_inv, sy_inv, mask)
+    prob = pg.assemble_bvn(h_op, (bx, by), (sx_inv, sy_inv), mask)
     h_ref, s_ref = _materialized_assembly(h_op, bx, by, sx_inv, sy_inv, mask)
     assert prob.size == mask.n_kept
     assert np.iscomplexobj(prob.h) == complex_b
@@ -217,8 +245,8 @@ def test_factorized_assembly_memory_scales_with_the_pencil():
     assert 0 < mask.n_kept < mask.size // 2
     tracemalloc.start()
     try:
-        pg.assemble_bvn_2d(h_op, basis.B, basis.B, basis.S_inv, basis.S_inv,
-                           mask)
+        pg.assemble_bvn(h_op, (basis.B, basis.B), (basis.S_inv, basis.S_inv),
+                        mask)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -90,7 +90,7 @@ def test_count_converged_stops_at_first_miss():
 def test_pvn_reproduces_fgh_exactly():
     grid = pg.harmonic_square_grid(16)
     spec = pg.harmonic()
-    h = pg.hamiltonian_fgh((grid,), spec)
+    h = pg.hamiltonian_fgh((grid,), spec).to_dense()
     fgh = np.linalg.eigvalsh(h)
     lat = pg.VnLattice.from_grid(grid, 4)
     bundle = pg.build_basis(lat, grid)
@@ -104,9 +104,10 @@ def test_unpruned_bvn_reproduces_fgh():
     h = pg.hamiltonian_fgh((grid,), spec)
     lat = pg.VnLattice.from_grid(grid, 8)
     bundle = pg.build_basis(lat, grid)
-    prob = pg.assemble_bvn(h, bundle.B, bundle.S_inv, None)
+    prob = pg.assemble_bvn(h, (bundle.B,), (bundle.S_inv,), None)
     out = pg.solve_generalized(prob)
-    np.testing.assert_allclose(out.energies[:20], np.linalg.eigvalsh(h)[:20],
+    np.testing.assert_allclose(out.energies[:20],
+                               np.linalg.eigvalsh(h.to_dense())[:20],
                                rtol=1e-8, atol=1e-10)
 
 
@@ -117,7 +118,7 @@ def test_pruned_bvn_keeps_low_levels():
     lat = pg.VnLattice.from_grid(grid, 10, alpha=0.5)
     bundle = pg.build_basis(lat, grid)
     mask = pg.select_cells((lat,), spec, 12.0)
-    prob = pg.assemble_bvn(h, bundle.B, bundle.S_inv, mask)
+    prob = pg.assemble_bvn(h, (bundle.B,), (bundle.S_inv,), mask)
     assert prob.size == mask.n_kept < 100
     out = pg.solve_generalized(prob)
     ref = pg.analytic_levels(spec)
@@ -134,11 +135,21 @@ def test_bvn_2d_full_mask_equals_dense_fgh():
     bundle = pg.build_basis(lat, gx)
     h_op = pg.hamiltonian_fgh(grid, spec)
     mask = pg.PruneMask(kept=np.ones(144, dtype=bool))
-    prob = pg.assemble_bvn_2d(h_op, bundle.B, bundle.B,
-                              bundle.S_inv, bundle.S_inv, mask)
+    prob = pg.assemble_bvn(h_op, (bundle.B, bundle.B),
+                           (bundle.S_inv, bundle.S_inv), mask)
     out = pg.solve_generalized(prob)
     np.testing.assert_allclose(out.energies[:30], dense_vals[:30],
                                rtol=1e-8, atol=1e-9)
+
+
+def test_unmasked_2d_bvn_pipeline_equals_dense_fgh():
+    # without a mask the pipeline keeps every cell: the full basis
+    gx = pg.Grid1D(-6.0, 12.0, 16)
+    spec = pg.triangle2d(mass=30.0)
+    bvn = pg.Pipeline(spec, (gx, gx), "bvn").solve()
+    fgh = pg.Pipeline(spec, (gx, gx), "fgh").solve()
+    assert bvn.energies.size == fgh.energies.size == 256
+    np.testing.assert_allclose(bvn.energies, fgh.energies, rtol=0, atol=1e-10)
 
 
 def test_bvn_2d_mask_length_checked():
@@ -150,8 +161,8 @@ def test_bvn_2d_mask_length_checked():
     h_op = pg.hamiltonian_fgh(grid, spec)
     bad = pg.PruneMask(kept=np.ones(63, dtype=bool))
     with pytest.raises(ValueError):
-        pg.assemble_bvn_2d(h_op, bundle.B, bundle.B,
-                           bundle.S_inv, bundle.S_inv, bad)
+        pg.assemble_bvn(h_op, (bundle.B, bundle.B),
+                        (bundle.S_inv, bundle.S_inv), bad)
 
 
 def test_pipeline_rejects_2d_vn_and_pvn():
