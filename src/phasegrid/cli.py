@@ -324,8 +324,6 @@ def cmd_solve(cfg: RunConfig, args, meta: dict) -> dict:
         except ValueError as exc:
             raise _rejected("lattice", {"nx": lat.nx, "alpha": lat.alpha},
                             exc) from None
-    if two_d and basis == "bvn" and cfg.prune is None:
-        raise ConfigError("2-d bvn solve needs a [prune] section")
     pipe = Pipeline(spec, axes, basis, n_x=lat and lat.nx,
                     alpha=lat and lat.alpha)
     meta.update((key, _g(value)) for key, value in pipe.info.items())

@@ -181,11 +181,9 @@ def solve_fgh(axes: tuple, spec: PotentialSpec,
         except Exception as exc:  # ArpackNoConvergence and friends
             raise NumericFailureError(f"Lanczos eigensolve failed: {exc}") from exc
         return Spectrum(np.sort(vals))  # descending without eigenvectors
-    import scipy.linalg  # deferred: the scaling path never needs it
-
     try:
-        vals = scipy.linalg.eigh(h.to_dense(), eigvals_only=True)
-    except scipy.linalg.LinAlgError as exc:
+        vals = np.linalg.eigvalsh(h.to_dense())
+    except np.linalg.LinAlgError as exc:
         raise NumericFailureError(f"dense eigensolve failed: {exc}") from exc
     return Spectrum(vals[:n_states])
 

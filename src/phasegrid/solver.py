@@ -24,8 +24,11 @@ from .spectra import Spectrum
 from .vn_basis import (VnLattice, balanced_factors, build_basis,
                        continuous_vn_matrices, positive_modes)
 
-# solve_generalized whitens a metric whose LAPACK cond estimate exceeds this
+# solve_generalized whitens a metric whose estimated 1-norm condition number
+# exceeds this
 COND_SWITCH = 1e8
+# rows below which _lower_inverse hands a triangle to np.linalg.inv
+INV_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -33,7 +36,8 @@ class GeneralizedProblem:
     """Pencil (H, S) with S the basis overlap (metric).
 
     H and S need to be Hermitian only up to roundoff: `solve_generalized`
-    symmetrizes both, once.
+    takes the Hermitian part of H, and of S where it whitens; the Cholesky
+    factor reads the lower triangle of S.
     """
 
     h: np.ndarray
@@ -66,7 +70,7 @@ def assemble_bvn(h_op: FghOperator, bs: tuple, s_invs: tuple,
     and S[k, k'] = Sy_inv[cy, cy'] Sx_inv[cx, cx'], so memory stays
     O(n_kept^2 + Ny^2 Nx). A 1-d grid gets a one-point y axis, By = Sy_inv
     = [[1]] and Ty = [[0]], which reduces H to Bk^H (diag v + Tx) Bk and S
-    to Sx_inv[kept, kept]. `solve_generalized` symmetrizes the pencil.
+    to Sx_inv[kept, kept]. S is exactly symmetric, H only up to roundoff.
     """
     ts = h_op.ts
     if len(bs) == 1:
@@ -98,43 +102,113 @@ def assemble_bvn(h_op: FghOperator, bs: tuple, s_invs: tuple,
 assemble_bvn_2d = assemble_bvn
 
 
+def _lower_inverse(l: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Inverse of a lower-triangular matrix, by recursive 2 x 2 blocks.
+
+    With L = [[L11, 0], [L21, L22]], the inverse is [[X11, 0], [X21, X22]]
+    with Xii = Lii^-1 and X21 = -X22 L21 X11: two GEMMs per level, and
+    np.linalg.inv (LU) only on diagonal blocks below INV_BLOCK rows. Each
+    level writes into out (zero above the diagonal), so the only other
+    array alive is one GEMM result, a quarter of L.
+    """
+    if out is None:
+        out = np.zeros_like(l)
+    n = l.shape[0]
+    if n < INV_BLOCK:
+        out[...] = np.tril(np.linalg.inv(l))
+        return out
+    k = n // 2
+    _lower_inverse(l[:k, :k], out[:k, :k])
+    _lower_inverse(l[k:, k:], out[k:, k:])
+    t = out[k:, k:] @ l[k:, :k]
+    np.negative(t, out=t)
+    np.matmul(t, out[:k, :k], out=out[k:, :k])
+    return out
+
+
+def _inverse_norm1(l_inv: np.ndarray) -> float:
+    """Hager-Higham lower estimate of ||S^-1||_1, where S^-1 = L^-H L^-1.
+
+    The 1-norm estimator of Higham (ACM TOMS 14, 1988, 381-396): up to
+    five ascent steps, each applying the Hermitian S^-1 twice (four
+    mat-vecs with L^-1), then the alternating-sign test vector. Every
+    value it returns is ||S^-1 x||_1 for some ||x||_1 <= 1, so it never
+    exceeds the exact norm.
+    """
+    n = l_inv.shape[0]
+
+    def apply(v):
+        return l_inv.conj().T @ (l_inv @ v)
+
+    x = np.full(n, 1.0 / n)
+    est = 0.0
+    for _ in range(5):
+        y = apply(x)
+        norm = float(np.abs(y).sum())
+        if norm <= est:
+            break
+        est = norm
+        sign = np.where(y == 0, 1, y)
+        z = apply(sign / np.abs(sign))
+        j = int(np.argmax(np.abs(z)))
+        if abs(z[j]) <= np.vdot(z, x).real:  # x is a local maximum
+            break
+        x = np.zeros(n)
+        x[j] = 1.0
+    if n > 1:
+        alt = (1.0 + np.arange(n) / (n - 1)) * (-1.0) ** np.arange(n)
+        est = max(est, 2.0 * float(np.abs(apply(alt)).sum()) / (3.0 * n))
+    return est
+
+
 def solve_generalized(problem: GeneralizedProblem,
                       n_states: int | None = None,
                       want_vectors: bool = False) -> Spectrum:
     """Solve H U = S U E for a Hermitian pencil with positive metric.
 
-    A metric whose Cholesky factor exists and whose LAPACK condition
-    estimate stays within COND_SWITCH goes through the Cholesky-based
-    generalized solver. Otherwise the problem is solved in the subspace
-    that `positive_modes` keeps, whitened; each dropped direction is
-    warned about. Eigenvectors are computed only when want_vectors is set.
+    Both routes reduce the pencil to the standard problem of the Hermitian
+    part of A = C^H H C, with C^H S C = I. A metric whose Cholesky factor
+    S = L L^H exists and whose estimated 1-norm condition number stays
+    within COND_SWITCH takes C = L^-H. Otherwise C whitens the subspace
+    that `positive_modes` keeps; each dropped direction is warned about.
+    Eigenvectors U = C Y are computed only when want_vectors is set.
+    Beside the caller's H and S, eigenvalues alone keep at most 2.25
+    pencils' worth of arrays alive, numpy's LAPACK work copies aside.
     """
     if problem.size == 0:
         raise ValueError("empty pencil: no basis function to solve for")
-    import scipy.linalg  # deferred: the scaling path never needs it
-
-    # private Fortran-ordered copies, which LAPACK overwrites in place
-    h = 0.5 * np.add(problem.h, problem.h.conj().T, order="F")
-    s = 0.5 * np.add(problem.s, problem.s.conj().T, order="F")
-    try:
-        pocon = scipy.linalg.get_lapack_funcs("pocon", (s,))
-        s_norm = np.linalg.norm(s, 1)  # taken before the factor exists
-        rc, _ = pocon(scipy.linalg.cholesky(s), s_norm)  # ~ 1 / cond_1(S)
-    except scipy.linalg.LinAlgError:
-        rc = 0.0
-    if rc * COND_SWITCH >= 1.0:
-        white, a, b = None, h, s
-    else:
-        w, u, _ = positive_modes(s, "pencil metric whitened")
-        white = u / np.sqrt(w)
-        a, b = white.conj().T @ h @ white, None
-    out = scipy.linalg.eigh(a, b, eigvals_only=not want_vectors,
-                            overwrite_a=True, overwrite_b=True)
+    s_norm = np.linalg.norm(problem.s, 1)
+    try:  # reads the lower triangle only, no symmetrized copy needed
+        l = np.linalg.cholesky(problem.s)
+    except np.linalg.LinAlgError:
+        l = None
+    c = None
+    if l is not None:
+        l_inv = _lower_inverse(l)
+        del l
+        if s_norm * _inverse_norm1(l_inv) <= COND_SWITCH:
+            c = l_inv.conj().T
+        del l_inv
+    if c is None:
+        w, u, _ = positive_modes(0.5 * (problem.s + problem.s.conj().T),
+                                 "pencil metric whitened")
+        c = u / np.sqrt(w)
+        del w, u
+    k = c.shape[1]
+    a = c.conj().T @ problem.h
+    rows = -(-k // 4)  # C^H H becomes C^H H C in place, a quarter at a time
+    for lo in range(0, k, rows):
+        a[lo:lo + rows, :k] = a[lo:lo + rows] @ c
+    a = a[:, :k]
     if not want_vectors:
-        return Spectrum(out[:n_states])
-    vals, vecs = out
-    vecs = vecs if white is None else white @ vecs
-    return Spectrum(vals[:n_states], vecs[:, :n_states])
+        del c
+    a += a.conj().T  # the Hermitian part of C^H H C is C^H H_sym C
+    a *= 0.5
+    if not want_vectors:
+        return Spectrum(np.linalg.eigvalsh(a)[:n_states])
+    vals, vecs = np.linalg.eigh(a)
+    del a
+    return Spectrum(vals[:n_states], c @ vecs[:, :n_states])
 
 
 class Pipeline:

@@ -253,3 +253,27 @@ def test_factorized_assembly_memory_scales_with_the_pencil():
     # H and S themselves take 2 n_kept^2 doubles; a grid-by-kept array
     # (1024 x n_kept) and its operator copies would take several more
     assert peak < 4 * mask.n_kept**2 * 8
+
+
+@pytest.mark.parametrize("want_vectors,bound", [(False, 2.5), (True, 3.5)])
+def test_eigensolve_memory_beside_the_pencil(want_vectors, bound):
+    # beside the caller's H and S, eigenvalues alone keep at most 2.25
+    # pencils' worth of numpy arrays (measured: the factor and its inverse
+    # plus a quarter-pencil GEMM result), vectors 3.1; private copies of H
+    # and S next to a Cholesky factor would take 3 and 4
+    gx = pg.Grid1D(-6.0, 12.0, 32)
+    spec = pg.triangle2d(mass=30.0)
+    lat = pg.VnLattice.from_grid(gx, 4)
+    basis = pg.build_basis(lat, gx)
+    mask = pg.select_cells((lat, lat), spec, 0.5)
+    prob = pg.assemble_bvn(pg.hamiltonian_fgh((gx, gx), spec),
+                           (basis.B, basis.B), (basis.S_inv, basis.S_inv),
+                           mask)
+    pg.solve_generalized(prob)  # any first-call set-up is not counted
+    tracemalloc.start()
+    try:
+        pg.solve_generalized(prob, want_vectors=want_vectors)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound * prob.size**2 * 8

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import phasegrid as pg
+from phasegrid import solver, vn_basis
 from phasegrid.errors import IllConditionedError, NotAvailableError
 
 
@@ -19,13 +20,49 @@ def _random_pencil(n, cond, seed):
     return h, s, d
 
 
-def test_generalized_solver_both_branches():
+def test_generalized_solver_both_branches(monkeypatch):
     # the Cholesky route (well conditioned) and the whitening route
     # (ill conditioned, nothing discarded) must both return D
-    for cond, seed in ((1e2, 0), (1e10, 1)):
+    whitened = []
+
+    def positive_modes(s, what):
+        whitened.append(what)
+        return vn_basis.positive_modes(s, what)
+
+    monkeypatch.setattr(solver, "positive_modes", positive_modes)
+    for cond, seed, route in ((1e2, 0, []),
+                              (1e10, 1, ["pencil metric whitened"])):
+        whitened.clear()
         h, s, d = _random_pencil(12, cond, seed)
         out = pg.solve_generalized(pg.GeneralizedProblem(h, s))
         np.testing.assert_allclose(out.energies, d, rtol=1e-7, atol=1e-9)
+        assert whitened == route
+
+
+def _random_metric(n, dtype, seed):
+    """Hermitian positive definite S with 1-norm condition number ~1e4."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n))
+    if dtype is complex:
+        a = a + 1j * rng.standard_normal((n, n))
+    q, _ = np.linalg.qr(a)
+    return (q * np.geomspace(1.0, 1e-4, n)) @ q.conj().T
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("n", [1, 7, 130, 300])  # both sides of INV_BLOCK
+def test_lower_inverse_and_condition_estimate(n, dtype):
+    s = _random_metric(n, dtype, n)
+    l = np.linalg.cholesky(s)
+    l_inv = solver._lower_inverse(l)
+    assert l_inv.dtype == s.dtype
+    np.testing.assert_allclose(l_inv @ l, np.eye(n), rtol=0, atol=1e-12)
+    assert np.all(np.triu(l_inv, 1) == 0)
+    s_norm = np.linalg.norm(s, 1)
+    exact = s_norm * np.linalg.norm(np.linalg.inv(s), 1)
+    estimate = s_norm * solver._inverse_norm1(l_inv)
+    # a lower bound up to roundoff, and within the estimator's usual factor
+    assert exact / 3 <= estimate <= exact * (1 + 1e-12)
 
 
 def test_generalized_solver_rejects_indefinite_metric():

@@ -86,6 +86,23 @@ def test_scaling_runs_and_their_plot_load_no_scipy(tmp_path):
     assert (out / "m.svg").exists()
 
 
+def test_dense_solves_load_no_scipy(tmp_path):
+    # every dense eigensolve is numpy.linalg; only the matrix-free Lanczos
+    # solve of a large 2-d fgh grid imports scipy
+    runs = [["solve", "--config", f"configs/{name}.cfg"]
+            for name in ("harmonic_pvn", "morse_bvn", "triangle_desk")]
+    runs += [["sweep", "--config", "configs/harmonic_pvn.cfg"],
+             ["efficiency", "--config", "configs/morse_bvn.cfg", "--hbars",
+              "1,0.5"]]
+    runs = [argv + ["--out", str(tmp_path / str(i)), "--quiet"]
+            for i, argv in enumerate(runs)]
+    code = ("import sys; from phasegrid import cli\n"
+            f"for argv in {runs!r}:\n"
+            "    assert cli.main(argv) == 0, argv\n"
+            f"    print({_SCIPY_LOADED})")
+    assert _python(code, cwd=ROOT).splitlines() == ["[]"] * len(runs)
+
+
 def test_no_module_level_scipy_import():
     # scipy is imported inside the functions that need it, so importing
     # phasegrid (and every command that never solves) stays numpy-only
