@@ -20,8 +20,8 @@ from .semiclassics import (PhaseSpaceBox, ScalingRow, VolumeEstimate,
                            scaling_report, state_count_exact,
                            state_count_limits, turning_points)
 from .solver import (EfficiencyPoint, GeneralizedProblem, Pipeline,
-                     assemble_bvn, assemble_pvn,
-                     count_converged, efficiency_scan, solve_generalized)
+                     assemble_bvn, count_converged, efficiency_scan,
+                     solve_generalized)
 from .spectra import Spectrum
 from .vn_basis import (BasisMatrices, VnLattice, build_basis, build_bvn,
                        build_G, build_overlap, continuous_vn_matrices,

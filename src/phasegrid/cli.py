@@ -9,13 +9,12 @@ outputs are byte-identical across reruns.
 
 import argparse
 import csv
-import datetime
 import math
 import os
 import sys
 import tempfile
 import time
-from dataclasses import MISSING, astuple, dataclass, field, fields
+from dataclasses import MISSING, astuple, dataclass, field, fields, replace
 from typing import get_args
 
 import numpy as np
@@ -288,19 +287,22 @@ def _rejected(section: str, values: dict, exc: Exception) -> ConfigError:
     return ConfigError(f"{named}: {exc}")
 
 
-def _build_grid(g: GridConfig, dimension: int) -> tuple:
-    """The grid's axes: the [grid] axis once per dimension of the potential."""
+def _grid_axis(g: GridConfig, n: int | None = None) -> Grid1D:
+    """The [grid] axis, with n points in place of grid.n when given.
+
+    A value the library refuses names only the keys the axis read.
+    """
+    keys = {"n": g.n, "length": g.length} if n is None else {"length": g.length}
     try:
-        axis = Grid1D(g.x_min, g.length, g.n)
+        return Grid1D(g.x_min, g.length, g.n if n is None else n)
     except ValueError as exc:
-        raise _rejected("grid", {"n": g.n, "length": g.length}, exc) from None
-    return (axis,) * dimension
+        raise _rejected("grid", keys, exc) from None
 
 
 def cmd_solve(cfg: RunConfig, args, meta: dict) -> dict:
     """Run one basis pipeline end-to-end: eigenvalues (+cells)."""
     spec = cfg.spec()
-    axes = _build_grid(cfg.grid, spec.dimension)
+    axes = (_grid_axis(cfg.grid),) * spec.dimension
     basis, two_d, lat = cfg.solver.basis, len(axes) == 2, cfg.lattice
     size = math.prod(g.N for g in axes)
     if two_d and basis == "fgh" and size > DENSE_2D_LIMIT:
@@ -376,7 +378,7 @@ def cmd_sweep(cfg: RunConfig, args, meta: dict) -> dict:
                 grid = harmonic_square_grid(size, spec.params["mass"],
                                             spec.params["omega"], spec.hbar)
             else:
-                grid = Grid1D(cfg.grid.x_min, cfg.grid.length, size)
+                grid = _grid_axis(cfg.grid, size)
             energies = Pipeline(spec, (grid,), method).solve().energies
             if index < len(energies):
                 energy = float(energies[index])
@@ -393,10 +395,16 @@ def cmd_efficiency(cfg: RunConfig, args, meta: dict) -> dict:
         raise ConfigError("efficiency scan needs prune.e_cut as the level cutoff")
     if not args.hbars or not all(hb > 0 for hb in args.hbars):
         raise ConfigError(f"efficiency --hbars must be positive: {args.hbars}")
+    spec, e_cut = cfg.spec(), cfg.prune.e_cut
+    _grid_axis(cfg.grid, 2)  # the scan's box; it picks its own point counts
+    for hb in args.hbars:
+        ground = analytic_levels(replace(spec, hbar=hb), n_max=0)
+        if not np.any(ground < e_cut):
+            raise ConfigError(f"prune.e_cut = {_g(e_cut)}: no analytic level "
+                              f"lies below it at hbar = {_g(hb)}")
     try:
-        points = efficiency_scan(cfg.spec(), args.hbars, cfg.solver.digits,
-                                 cfg.prune.e_cut, cfg.grid.x_min,
-                                 cfg.grid.length)
+        points = efficiency_scan(spec, args.hbars, cfg.solver.digits, e_cut,
+                                 cfg.grid.x_min, cfg.grid.length)
     except BudgetExceededError as exc:
         points = exc.partial or []
         meta["budget_error"] = str(exc)
@@ -532,14 +540,11 @@ class _Frame:
         return _PLOT_H - _MARGIN_B - frac * (_PLOT_H - _MARGIN_T - _MARGIN_B)
 
 
-def _svg_document(body_lines, title: str, timestamp: bool) -> str:
+def _svg_document(body_lines, title: str) -> str:
     head = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_PLOT_W}" '
-            f'height="{_PLOT_H}" viewBox="0 0 {_PLOT_W} {_PLOT_H}">']
-    if timestamp:
-        stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
-        head.append(f"<!-- generated {stamp} -->")
-    head.append(f'<title>{title}</title>')
-    head.append(f'<rect width="{_PLOT_W}" height="{_PLOT_H}" fill="white"/>')
+            f'height="{_PLOT_H}" viewBox="0 0 {_PLOT_W} {_PLOT_H}">',
+            f'<title>{title}</title>',
+            f'<rect width="{_PLOT_W}" height="{_PLOT_H}" fill="white"/>']
     return "\n".join(head + body_lines + ["</svg>"]) + "\n"
 
 
@@ -591,7 +596,7 @@ def _polyline(frame: _Frame, xs, ys, color: str, label: str, slot: int):
     return lines
 
 
-def render_plot(kind: str, csv_path: str, timestamp: bool = True) -> str:
+def render_plot(kind: str, csv_path: str) -> str:
     """SVG text for one of the four plot kinds; validates the CSV schema."""
     if kind not in _REQUIRED_COLUMNS:
         raise ConfigError(f"unknown plot kind '{kind}'")
@@ -603,26 +608,25 @@ def render_plot(kind: str, csv_path: str, timestamp: bool = True) -> str:
     if not rows:
         raise ConfigError(f"{csv_path}: empty CSV")
     if kind == "cells":
-        return _render_cells(rows, timestamp)
+        return _render_cells(rows)
     if kind == "convergence":
         return _render_lines(rows, "method", "basis_size", "abs_error",
-                             "basis size", "absolute error", True, timestamp)
+                             "basis size", "absolute error", True)
     if kind == "efficiency":
         ok_rows = [r for r in rows if r.get("status", "ok") == "ok"]
         if not ok_rows:
             raise ConfigError(f"{csv_path}: no ok rows to plot")
         return _render_lines(ok_rows, "method", "hbar", "ratio",
-                             "hbar", "basis functions per state", False,
-                             timestamp)
+                             "hbar", "basis functions per state", False)
     series = [{"series": name, "D": r["D"], "volume": r[name]}
               for name in _REQUIRED_COLUMNS["scaling"][1:] for r in rows]
     return _render_lines(series, "series", "D", "volume", "dimension D",
-                         "phase-space volume", True, timestamp,
+                         "phase-space volume", True,
                          "volume scaling with dimension")
 
 
 def _render_lines(rows, series_key, x_key, y_key, x_label, y_label,
-                  log_y: bool, timestamp: bool, title=None) -> str:
+                  log_y: bool, title=None) -> str:
     series: dict = {}
     for row in rows:
         series.setdefault(row[series_key], []).append(row)
@@ -646,10 +650,10 @@ def _render_lines(rows, series_key, x_key, y_key, x_label, y_label,
     for slot, (name, xs, ys) in enumerate(plotted):
         color = _COLORS.get(name, _FALLBACK_COLORS[slot % len(_FALLBACK_COLORS)])
         body += _polyline(frame, xs, ys, color, name, slot)
-    return _svg_document(body, title or f"{y_label} vs {x_label}", timestamp)
+    return _svg_document(body, title or f"{y_label} vs {x_label}")
 
 
-def _render_cells(rows, timestamp: bool) -> str:
+def _render_cells(rows) -> str:
     xs = [float(r["x"]) for r in rows]
     ps = [float(r["p"]) for r in rows]
     kept = [int(r["kept"]) for r in rows]
@@ -667,7 +671,7 @@ def _render_cells(rows, timestamp: bool) -> str:
         body.append(f'<rect x="{x0:.2f}" y="{y0:.2f}" width="{w:.2f}" '
                     f'height="{h:.2f}" fill="{fill}"{opacity} '
                     'stroke="#555555" stroke-width="0.6"/>')
-    return _svg_document(body, "kept phase-space cells", timestamp)
+    return _svg_document(body, "kept phase-space cells")
 
 
 def _min_spacing(values) -> float:
@@ -678,9 +682,9 @@ def _min_spacing(values) -> float:
 
 
 def cmd_plot(csv_path: str, kind: str, out_path: str,
-             timestamp: bool = True, quiet: bool = False) -> None:
-    """Render one CSV into a standalone SVG file."""
-    svg = render_plot(kind, csv_path, timestamp=timestamp)
+             quiet: bool = False) -> None:
+    """Render one CSV into a standalone SVG file, byte-stable like a CSV."""
+    svg = render_plot(kind, csv_path)
     write_text_atomic(out_path, svg)
     if not quiet:
         print(f"wrote {out_path}")
@@ -762,8 +766,6 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=("convergence", "efficiency", "scaling",
                                  "cells"))
     p_plot.add_argument("--out", required=True, help="output SVG path")
-    p_plot.add_argument("--no-timestamp", action="store_true",
-                        help="omit the generator timestamp comment")
     p_plot.add_argument("--quiet", action="store_true")
     return parser
 
@@ -772,8 +774,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "plot":
-            cmd_plot(args.input, args.kind, args.out,
-                     timestamp=not args.no_timestamp, quiet=args.quiet)
+            cmd_plot(args.input, args.kind, args.out, quiet=args.quiet)
             return 0
         cfg = _load_config(args.config)
         if args.seed is not None:

@@ -4,10 +4,11 @@ The grid Hamiltonian H is re-expressed in a Gaussian (pvN) or biorthogonal
 (bvN) basis as H' U = S' U E. Because the bases span the same space as the
 grid, the unpruned spectra coincide with the grid spectrum; pruning removes
 bvN columns and the eigenvalues below the cutoff survive. One Kronecker
-assembly, `assemble_bvn`, serves every grid: a 1-d grid is the 2-d path
-with a one-point y axis. `Pipeline` runs the whole chain (grid, lattice,
-basis, pruned pencil, eigensolve) for every basis; the command line and
-the efficiency scan both go through it.
+assembly, `assemble_bvn`, serves both bases and every grid: pvN projects
+onto G with metric S, bvN onto B with metric S^-1, and a 1-d grid is the
+2-d path with a one-point y axis. `Pipeline` runs the whole chain (grid,
+lattice, basis, pruned pencil, eigensolve) for every basis; the command
+line and the efficiency scan both go through it.
 """
 
 import math
@@ -24,7 +25,7 @@ from .spectra import Spectrum
 from .vn_basis import (VnLattice, balanced_factors, build_basis,
                        continuous_vn_matrices, positive_modes)
 
-# solve_generalized whitens a metric whose estimated 1-norm condition number
+# solve_generalized whitens a metric whose 1-norm condition number bound
 # exceeds this
 COND_SWITCH = 1e8
 # rows below which _lower_inverse hands a triangle to np.linalg.inv
@@ -52,31 +53,26 @@ class GeneralizedProblem:
         return self.h.shape[0]
 
 
-def assemble_pvn(h_grid: np.ndarray, g: np.ndarray,
-                 s: np.ndarray) -> GeneralizedProblem:
-    """Project the grid Hamiltonian onto G, whose overlap S is the metric."""
-    return GeneralizedProblem(g.conj().T @ (h_grid @ g), s)
-
-
-def assemble_bvn(h_op: FghOperator, bs: tuple, s_invs: tuple,
+def assemble_bvn(h_op: FghOperator, cols: tuple, metrics: tuple,
                  mask: PruneMask | None = None) -> GeneralizedProblem:
-    """Project onto the kept biorthogonal columns of a Kronecker basis.
+    """Project onto the kept columns of a Kronecker basis.
 
-    bs and s_invs hold each axis's B and S^-1; mask=None keeps every cell.
+    cols and metrics hold each axis's grid columns B and their overlap
+    M = B^H B: (G, S) for pvn, (B, S^-1) for bvn. mask=None keeps every cell.
     Kept cell k = (cx, cy) is the column kron(By[:, cy], Bx[:, cx]), which is
     never formed. With W[x] = By^H (Ty + diag v[:, x]) By and Sy = By^H By,
     the rows of one cy = a take one GEMM over the grid x,
     H[rows] = Bx[:, cx_rows]^H (W[x, a, cy] Bx[:, cx] + Sy[a, cy] (Tx Bx)[:, cx]),
-    and S[k, k'] = Sy_inv[cy, cy'] Sx_inv[cx, cx'], so memory stays
-    O(n_kept^2 + Ny^2 Nx). A 1-d grid gets a one-point y axis, By = Sy_inv
+    and S[k, k'] = My[cy, cy'] Mx[cx, cx'], so memory stays
+    O(n_kept^2 + Ny^2 Nx). A 1-d grid gets a one-point y axis, By = My
     = [[1]] and Ty = [[0]], which reduces H to Bk^H (diag v + Tx) Bk and S
-    to Sx_inv[kept, kept]. S is exactly symmetric, H only up to roundoff.
+    to Mx[kept, kept]. S is exactly symmetric, H only up to roundoff.
     """
     ts = h_op.ts
-    if len(bs) == 1:
+    if len(cols) == 1:
         one = np.ones((1, 1))
-        bs, s_invs, ts = (*bs, one), (*s_invs, one), (*ts, np.zeros((1, 1)))
-    (bx, by), (sx_inv, sy_inv), (tx, ty) = bs, s_invs, ts
+        cols, metrics, ts = (*cols, one), (*metrics, one), (*ts, 0 * one)
+    (bx, by), (mx, my), (tx, ty) = cols, metrics, ts
     ncx, size = bx.shape[1], bx.shape[1] * by.shape[1]
     if mask is not None and mask.size != size:
         raise ValueError("mask length does not match the product basis size")
@@ -89,17 +85,17 @@ def assemble_bvn(h_op: FghOperator, bs: tuple, s_invs: tuple,
     ux, inv = np.unique(cx, return_inverse=True)  # Tx only on the kept columns
     bxk, tbxk = bx[:, cx], (tx @ bx[:, ux])[:, inv]
     h = np.empty((idx.size, idx.size), np.result_type(bx, by, tx))
-    s = np.empty((idx.size, idx.size), np.result_type(sx_inv, sy_inv))
+    s = np.empty((idx.size, idx.size), np.result_type(mx, my))
     for a in np.unique(cy):  # idx ascends: the rows of one cy are a block
         lo, hi = np.searchsorted(cy, [a, a + 1])
         op = w[:, a, cy] * bxk + sy[a, cy] * tbxk
         h[lo:hi] = bxk[:, lo:hi].conj().T @ op
-        s[lo:hi] = sx_inv[np.ix_(cx[lo:hi], cx)] * sy_inv[a, cy]
+        s[lo:hi] = mx[np.ix_(cx[lo:hi], cx)] * my[a, cy]
     return GeneralizedProblem(h, s)
 
 
-# the name perfbench/tracer.py wraps, kept only until ROADMAP item 10
-assemble_bvn_2d = assemble_bvn
+# the names perfbench/tracer.py wraps, kept only until ROADMAP item 10
+assemble_pvn = assemble_bvn_2d = assemble_bvn
 
 
 def _lower_inverse(l: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -126,39 +122,16 @@ def _lower_inverse(l: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def _inverse_norm1(l_inv: np.ndarray) -> float:
-    """Hager-Higham lower estimate of ||S^-1||_1, where S^-1 = L^-H L^-1.
+def _cond1_bound(s_norm: float, l_inv: np.ndarray) -> float:
+    """Upper bound s_norm ||L^-1||_1 ||L^-1||_inf on cond_1(S), where
+    S = L L^H and s_norm = ||S||_1.
 
-    The 1-norm estimator of Higham (ACM TOMS 14, 1988, 381-396): up to
-    five ascent steps, each applying the Hermitian S^-1 twice (four
-    mat-vecs with L^-1), then the alternating-sign test vector. Every
-    value it returns is ||S^-1 x||_1 for some ||x||_1 <= 1, so it never
-    exceeds the exact norm.
+    ||S^-1||_1 = ||L^-H L^-1||_1 <= ||L^-1||_inf ||L^-1||_1, and each factor
+    is at most sqrt(n) ||L^-1||_2, so the bound lies between cond_1(S) and
+    n ||S||_1 ||S^-1||_2 <= n cond_1(S).
     """
-    n = l_inv.shape[0]
-
-    def apply(v):
-        return l_inv.conj().T @ (l_inv @ v)
-
-    x = np.full(n, 1.0 / n)
-    est = 0.0
-    for _ in range(5):
-        y = apply(x)
-        norm = float(np.abs(y).sum())
-        if norm <= est:
-            break
-        est = norm
-        sign = np.where(y == 0, 1, y)
-        z = apply(sign / np.abs(sign))
-        j = int(np.argmax(np.abs(z)))
-        if abs(z[j]) <= np.vdot(z, x).real:  # x is a local maximum
-            break
-        x = np.zeros(n)
-        x[j] = 1.0
-    if n > 1:
-        alt = (1.0 + np.arange(n) / (n - 1)) * (-1.0) ** np.arange(n)
-        est = max(est, 2.0 * float(np.abs(apply(alt)).sum()) / (3.0 * n))
-    return est
+    mag = np.abs(l_inv)
+    return float(s_norm * mag.sum(0).max() * mag.sum(1).max())
 
 
 def solve_generalized(problem: GeneralizedProblem,
@@ -168,15 +141,19 @@ def solve_generalized(problem: GeneralizedProblem,
 
     Both routes reduce the pencil to the standard problem of the Hermitian
     part of A = C^H H C, with C^H S C = I. A metric whose Cholesky factor
-    S = L L^H exists and whose estimated 1-norm condition number stays
-    within COND_SWITCH takes C = L^-H. Otherwise C whitens the subspace
-    that `positive_modes` keeps; each dropped direction is warned about.
+    S = L L^H exists and whose `_cond1_bound` stays within COND_SWITCH takes
+    C = L^-H. Otherwise C whitens the subspace that `positive_modes` keeps;
+    each dropped direction is warned about. The bound is at most n times
+    the 1-norm condition number, never below it, so a misjudged metric is
+    whitened rather than factored.
     Eigenvectors U = C Y are computed only when want_vectors is set.
     Beside the caller's H and S, eigenvalues alone keep at most 2.25
     pencils' worth of arrays alive, numpy's LAPACK work copies aside.
     """
     if problem.size == 0:
         raise ValueError("empty pencil: no basis function to solve for")
+    # before L exists: its n x n temporary, freed after L, would fragment
+    # the heap and raise peak RSS
     s_norm = np.linalg.norm(problem.s, 1)
     try:  # reads the lower triangle only, no symmetrized copy needed
         l = np.linalg.cholesky(problem.s)
@@ -186,7 +163,7 @@ def solve_generalized(problem: GeneralizedProblem,
     if l is not None:
         l_inv = _lower_inverse(l)
         del l
-        if s_norm * _inverse_norm1(l_inv) <= COND_SWITCH:
+        if _cond1_bound(s_norm, l_inv) <= COND_SWITCH:
             c = l_inv.conj().T
         del l_inv
     if c is None:
@@ -219,16 +196,18 @@ class Pipeline:
     partners). The grid is the tuple of its Grid1D axes, one per dimension
     of the potential. Every non-grid basis puts the lattice with n_x
     positions (the smaller balanced factor of the axis size by default) on
-    each axis; a 2-d grid supports fgh and bvn only. The lattices, the real
-    basis bundles, the grid Hamiltonian and `info` (cond_s) are made here,
-    so repeated `solve` calls with different masks reuse them.
+    each axis; a 2-d grid supports every basis but vn. pvn and bvn are one
+    `assemble_bvn` projection of the grid Hamiltonian that differs only in
+    each axis's (columns, metric) pair: (G, S) or (B, S^-1). The lattices,
+    the real basis bundles, the grid Hamiltonian and `info` (cond_s) are
+    made here, so repeated `solve` calls with different masks reuse them.
     """
 
     def __init__(self, spec: PotentialSpec, axes: tuple, basis: str,
                  n_x: int | None = None, alpha: float | None = None):
         if basis not in ("fgh", "vn", "pvn", "bvn"):
             raise ValueError(f"unknown basis {basis!r}")
-        if len(axes) > 1 and basis in ("vn", "pvn"):
+        if len(axes) > 1 and basis == "vn":
             raise NotAvailableError(f"basis '{basis}' supports only 1-d grids")
         self.spec, self.axes, self.basis = spec, axes, basis
         self.lattices, self.bundles, self.info, self.h_grid = (), (), {}, None
@@ -247,22 +226,20 @@ class Pipeline:
 
     def solve(self, mask: PruneMask | None = None,
               n_states: int | None = None) -> Spectrum:
-        """Lowest n_states levels (all by default) on the kept bvn cells.
+        """Lowest n_states levels (all by default) on the kept cells.
 
-        mask applies to bvn only; without one every cell is kept.
+        mask applies to pvn and bvn; without one every cell is kept.
         """
         if self.basis == "fgh":
             return solve_fgh(self.axes, self.spec, n_states=n_states)
         if self.basis == "vn":
             h, s = continuous_vn_matrices(self.lattices[0], self.spec)
             problem = GeneralizedProblem(h, s)
-        elif self.basis == "pvn":
-            b = self.bundles[0]
-            problem = assemble_pvn(self.h_grid.to_dense(), b.G, b.S)
         else:
-            problem = assemble_bvn(self.h_grid,
-                                   tuple(b.B for b in self.bundles),
-                                   tuple(b.S_inv for b in self.bundles), mask)
+            pairs = [(b.G, b.S) if self.basis == "pvn" else (b.B, b.S_inv)
+                     for b in self.bundles]
+            cols, metrics = zip(*pairs)
+            problem = assemble_bvn(self.h_grid, cols, metrics, mask)
         return solve_generalized(problem, n_states=n_states)
 
 

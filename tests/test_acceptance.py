@@ -28,12 +28,12 @@ def test_c01_pvn_spectrum_equals_fgh():
     worst = 0.0
     for n in (8, 16, 32):
         grid = pg.harmonic_square_grid(n)
-        h = pg.hamiltonian_fgh((grid,), pg.harmonic()).to_dense()
-        fgh = np.linalg.eigvalsh(h)
+        h = pg.hamiltonian_fgh((grid,), pg.harmonic())
+        fgh = np.linalg.eigvalsh(h.to_dense())
         lat = pg.VnLattice.from_grid(grid, balanced_factors(n)[0])
         bundle = pg.build_basis(lat, grid)
         pvn = pg.solve_generalized(
-            pg.assemble_pvn(h, bundle.G, bundle.S)).energies
+            pg.assemble_bvn(h, (bundle.G,), (bundle.S,))).energies
         worst = max(worst, float(np.max(np.abs(pvn - fgh) / np.abs(fgh))))
     dt = time.perf_counter() - t0
     _report("C01 pvn == fgh spectrum",
@@ -44,7 +44,7 @@ def test_c01_pvn_spectrum_equals_fgh():
 def _n16_pieces():
     grid = pg.harmonic_square_grid(16)
     spec = pg.harmonic()
-    h = pg.hamiltonian_fgh((grid,), spec).to_dense()
+    h = pg.hamiltonian_fgh((grid,), spec)
     lat = pg.VnLattice.from_grid(grid, 4)
     bundle = pg.build_basis(lat, grid)
     return grid, spec, h, lat, bundle
@@ -59,8 +59,9 @@ def test_c02_baseline_gap_and_kinetic_ladder():
     vn_err = abs(vn.energies[7] - 7.5)
     t_mat = pg.kinetic_matrix(grid, 1.0)
     t_ref = np.linalg.eigvalsh(t_mat)
+    t_op = pg.FghOperator((t_mat,), np.zeros(grid.N))
     t_pvn = pg.solve_generalized(
-        pg.assemble_pvn(t_mat, bundle.G, bundle.S)).energies
+        pg.assemble_bvn(t_op, (bundle.G,), (bundle.S,))).energies
     scale = max(abs(t_ref[-1]), 1.0)
     ladder_dev = float(np.max(np.abs(t_pvn - t_ref))) / scale
     dt = time.perf_counter() - t0
@@ -77,7 +78,7 @@ def test_c02_tracked_level_error_below_1e5():
     """pvn |E7 - 7.5| <= 1e-5 at N=16: held red, floor is ~9.5e-5."""
     _, _, h, _, bundle = _n16_pieces()
     pvn = pg.solve_generalized(
-        pg.assemble_pvn(h, bundle.G, bundle.S)).energies
+        pg.assemble_bvn(h, (bundle.G,), (bundle.S,))).energies
     err = abs(pvn[7] - 7.5)
     print(f"[acceptance] C02 tracked-level 1e-5 clause: measured "
           f"|E7-7.5| = {err:.3e} vs required 1e-5", flush=True)

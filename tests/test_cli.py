@@ -394,6 +394,19 @@ def test_potential_kind_sets_the_grid_dimension(tmp_path, kind, n_levels):
     assert f"n_levels = {n_levels}\n" in (out / "meta.txt").read_text()
 
 
+def test_2d_pvn_solves_every_cell(tmp_path):
+    # pvn is the bvn projection with (G, S) per axis, in 2-d as in 1-d
+    cfg = _write(tmp_path, TRIANGLE_CFG.replace("basis = bvn", "basis = pvn"))
+    out = tmp_path / "o"
+    assert cli.main(["solve", "--config", cfg, "--out", str(out),
+                     "--quiet"]) == 0
+    _, rows = cli.read_csv(str(out / "eigenvalues.csv"))
+    grid = pg.Grid1D(-6.0, 12.0, 16)
+    fgh = pg.solve_fgh((grid, grid), pg.triangle2d(mass=30.0)).energies
+    np.testing.assert_allclose([float(r["energy"]) for r in rows], fgh,
+                               rtol=0, atol=1e-10)
+
+
 def test_2d_bvn_without_prune_solves_every_cell(tmp_path):
     # as in 1-d, no [prune] section keeps the whole basis: the grid's levels
     cfg = _write(tmp_path, TRIANGLE_CFG.replace(
@@ -446,8 +459,6 @@ e_cut = -0.2
      ["solve", "--long-running"],
      "solver.n_states = 6000: must be below the 5184 points of the "
      "matrix-free fgh solve"),
-    (TRIANGLE_CFG.replace("basis = bvn", "basis = pvn"), ["solve"],
-     "supports only 1-d grids"),
     (TRIANGLE_CFG.replace("basis = bvn", "basis = vn"), ["solve"],
      "supports only 1-d grids"),
     (HARMONIC_CFG, ["sweep", "--sizes", "16", "--methods", "fgh,dvr"],
@@ -462,6 +473,16 @@ e_cut = -0.2
     (TRIANGLE_CFG, ["scaling"], "turning points are defined per 1-D"),
     (COULOMB_CFG, ["sweep"], "no analytic levels for kind 'coulomb1d'"),
     (COULOMB_CFG, ["efficiency"], "no analytic levels for kind 'coulomb1d'"),
+    # only the keys the command reads: efficiency and a Morse sweep take
+    # the [grid] box but pick their own point counts
+    (MORSE_CFG.replace("length = 21.7", "length = -2"), ["efficiency"],
+     "grid.length = -2: box length L must be positive"),
+    (MORSE_CFG.replace("length = 21.7", "length = -2"),
+     ["sweep", "--sizes", "16"],
+     "grid.length = -2: box length L must be positive"),
+    (MORSE_CFG.replace("e_cut = 12", "e_cut = 0.1"), ["efficiency"],
+     "prune.e_cut = 0.10000000000000001: no analytic level lies below it "
+     "at hbar = 1"),
     (MORSE_CFG.replace("basis = bvn", "basis = vn"), ["solve"],
      "implemented for the harmonic potential only"),
     (COULOMB_CFG, ["scaling"],
@@ -601,6 +622,13 @@ def test_efficiency_grid_budget_keeps_finished_points(tmp_path, monkeypatch):
                    for line in fh)
 
 
+def test_efficiency_reads_no_grid_n(tmp_path):
+    # the scan sizes its own grids, so an odd grid.n is no error there
+    cfg = _write(tmp_path, MORSE_CFG.replace("n = 100", "n = 101"))
+    assert cli.main(["efficiency", "--config", cfg, "--out",
+                     str(tmp_path / "eff"), "--quiet", "--hbars", "1"]) == 0
+
+
 def test_efficiency_on_a_harmonic_config(tmp_path):
     text = HARMONIC_CFG.replace("x_min = -4.6999280149331257", "x_min = -6")
     text = text.replace("length = 10.026513098524001", "length = 12")
@@ -683,7 +711,7 @@ def test_plot_cells_svg(tmp_path):
     csv_path = _run_solve_and_plot(tmp_path, "cells")
     svg_path = str(tmp_path / "cells.svg")
     assert cli.main(["plot", csv_path, "--kind", "cells", "--out", svg_path,
-                     "--no-timestamp", "--quiet"]) == 0
+                     "--quiet"]) == 0
     text = open(svg_path).read()
     root = ET.fromstring(text)
     assert root.tag.endswith("svg")
@@ -694,19 +722,18 @@ def test_plot_cells_svg(tmp_path):
     assert filled == sum(int(r["kept"]) for r in rows)
 
 
-def test_plot_convergence_svg_and_timestamp(tmp_path):
+def test_plot_convergence_svg_is_byte_stable(tmp_path):
+    # like every CSV, the SVG of one input is the same bytes on each run
     csv_path = _run_solve_and_plot(tmp_path, "convergence")
-    a, b, c = (str(tmp_path / name) for name in ("a.svg", "b.svg", "c.svg"))
+    a, b = (str(tmp_path / name) for name in ("a.svg", "b.svg"))
     for target in (a, b):
         assert cli.main(["plot", csv_path, "--kind", "convergence",
-                         "--out", target, "--no-timestamp", "--quiet"]) == 0
+                         "--out", target, "--quiet"]) == 0
+    text = open(a).read()
     assert open(a, "rb").read() == open(b, "rb").read()
-    assert cli.main(["plot", csv_path, "--kind", "convergence",
-                     "--out", c, "--quiet"]) == 0
-    strip = lambda t: [ln for ln in t.splitlines() if "generated" not in ln]
-    assert strip(open(a).read()) == strip(open(c).read())
-    assert open(a).read().count("<polyline") == 2  # one per method
-    ET.fromstring(open(c).read())
+    assert "generated" not in text
+    assert text.count("<polyline") == 2  # one per method
+    ET.fromstring(text)
 
 
 def test_plot_rejects_wrong_schema(tmp_path, capsys):

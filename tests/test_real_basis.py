@@ -76,7 +76,7 @@ def test_pruned_morse_matches_complex_pipeline():
         pg.assemble_bvn(h, (b,), (s_inv,), mask)).energies
     np.testing.assert_allclose(e_real, e_cplx, rtol=0, atol=1e-10)
     e_pvn = pg.solve_generalized(
-        pg.assemble_pvn(h.to_dense(), real.G, real.S)).energies
+        pg.assemble_bvn(h, (real.G,), (real.S,))).energies
     np.testing.assert_allclose(e_pvn, np.linalg.eigvalsh(h.to_dense()),
                                rtol=0, atol=1e-10)
 

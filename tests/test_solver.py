@@ -1,11 +1,15 @@
 """Generalized eigensolver, convergence counting, pruned assembly."""
 
+import os
+
 import numpy as np
 import pytest
 
 import phasegrid as pg
-from phasegrid import solver, vn_basis
+from phasegrid import cli, solver, vn_basis
 from phasegrid.errors import IllConditionedError, NotAvailableError
+
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 
 def _random_pencil(n, cond, seed):
@@ -20,9 +24,8 @@ def _random_pencil(n, cond, seed):
     return h, s, d
 
 
-def test_generalized_solver_both_branches(monkeypatch):
-    # the Cholesky route (well conditioned) and the whitening route
-    # (ill conditioned, nothing discarded) must both return D
+def _record_whitening(monkeypatch) -> list:
+    """The `what` of every positive_modes call solve_generalized makes."""
     whitened = []
 
     def positive_modes(s, what):
@@ -30,6 +33,13 @@ def test_generalized_solver_both_branches(monkeypatch):
         return vn_basis.positive_modes(s, what)
 
     monkeypatch.setattr(solver, "positive_modes", positive_modes)
+    return whitened
+
+
+def test_generalized_solver_both_branches(monkeypatch):
+    # the Cholesky route (well conditioned) and the whitening route
+    # (ill conditioned, nothing discarded) must both return D
+    whitened = _record_whitening(monkeypatch)
     for cond, seed, route in ((1e2, 0, []),
                               (1e10, 1, ["pencil metric whitened"])):
         whitened.clear()
@@ -51,7 +61,7 @@ def _random_metric(n, dtype, seed):
 
 @pytest.mark.parametrize("dtype", [float, complex])
 @pytest.mark.parametrize("n", [1, 7, 130, 300])  # both sides of INV_BLOCK
-def test_lower_inverse_and_condition_estimate(n, dtype):
+def test_lower_inverse_and_condition_bound(n, dtype):
     s = _random_metric(n, dtype, n)
     l = np.linalg.cholesky(s)
     l_inv = solver._lower_inverse(l)
@@ -60,9 +70,22 @@ def test_lower_inverse_and_condition_estimate(n, dtype):
     assert np.all(np.triu(l_inv, 1) == 0)
     s_norm = np.linalg.norm(s, 1)
     exact = s_norm * np.linalg.norm(np.linalg.inv(s), 1)
-    estimate = s_norm * solver._inverse_norm1(l_inv)
-    # a lower bound up to roundoff, and within the estimator's usual factor
-    assert exact / 3 <= estimate <= exact * (1 + 1e-12)
+    bound = solver._cond1_bound(s_norm, l_inv)
+    # never below the condition number, at most n times it (up to roundoff)
+    assert exact * (1 - 1e-12) <= bound <= n * exact * (1 + 1e-12)
+
+
+def test_shipped_pencils_take_the_cholesky_route(tmp_path, monkeypatch):
+    # every shipped pencil's bound is far below COND_SWITCH: none is whitened
+    whitened = _record_whitening(monkeypatch)
+    runs = [["solve", name] for name in ("harmonic_pvn", "morse_bvn",
+                                          "triangle_desk")]
+    runs.append(["sweep", "harmonic_pvn"])
+    for i, (command, name) in enumerate(runs):
+        assert cli.main([command, "--config",
+                         os.path.join(CONFIGS, f"{name}.cfg"),
+                         "--out", str(tmp_path / str(i)), "--quiet"]) == 0
+    assert whitened == []
 
 
 def test_generalized_solver_rejects_indefinite_metric():
@@ -127,11 +150,11 @@ def test_count_converged_stops_at_first_miss():
 def test_pvn_reproduces_fgh_exactly():
     grid = pg.harmonic_square_grid(16)
     spec = pg.harmonic()
-    h = pg.hamiltonian_fgh((grid,), spec).to_dense()
-    fgh = np.linalg.eigvalsh(h)
+    h = pg.hamiltonian_fgh((grid,), spec)
+    fgh = np.linalg.eigvalsh(h.to_dense())
     lat = pg.VnLattice.from_grid(grid, 4)
     bundle = pg.build_basis(lat, grid)
-    out = pg.solve_generalized(pg.assemble_pvn(h, bundle.G, bundle.S))
+    out = pg.solve_generalized(pg.assemble_bvn(h, (bundle.G,), (bundle.S,)))
     np.testing.assert_allclose(out.energies, fgh, rtol=1e-10, atol=1e-12)
 
 
@@ -202,16 +225,16 @@ def test_bvn_2d_mask_length_checked():
                         (bundle.S_inv, bundle.S_inv), bad)
 
 
-def test_pipeline_rejects_2d_vn_and_pvn():
-    # only fgh and bvn have a 2-d path; Pipeline is the one place that says so
+def test_pipeline_rejects_2d_vn():
+    # vn's analytic integrals are 1-d; Pipeline is the one place that says so
     gx = pg.Grid1D(-6.0, 12.0, 8)
     grid = (gx, gx)
     spec = pg.triangle2d(mass=30.0)
-    for basis in ("vn", "pvn"):
-        with pytest.raises(NotAvailableError,
-                           match=f"basis '{basis}' supports only 1-d grids"):
-            pg.Pipeline(spec, grid, basis)
-    assert pg.Pipeline(spec, grid, "bvn", n_x=4).basis == "bvn"
+    with pytest.raises(NotAvailableError,
+                       match="basis 'vn' supports only 1-d grids"):
+        pg.Pipeline(spec, grid, "vn")
+    for basis in ("pvn", "bvn"):
+        assert pg.Pipeline(spec, grid, basis, n_x=4).basis == basis
 
 
 def test_efficiency_scan_needs_levels_below_cutoff():
