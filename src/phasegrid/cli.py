@@ -28,7 +28,7 @@ from .potentials import (PARAMETERS, PotentialSpec, analytic_levels,
                          coulomb1d, harmonic, morse, triangle2d)
 from .pruner import cell_table, select_cells
 from .semiclassics import scaling_report
-from .solver import Pipeline, efficiency_scan
+from .solver import BASES, Pipeline, efficiency_scan
 from .vn_basis import VnLattice
 
 
@@ -173,7 +173,7 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"potential.{key}: not a {kind} parameter")
         if text == "":  # optional only by omission: empty is not a number
             raise ConfigError(f"potential.{key}: not a number: ''")
-    if cfg.solver.basis not in ("fgh", "pvn", "bvn", "vn"):
+    if cfg.solver.basis not in BASES:
         raise ConfigError(f"solver.basis: unknown basis '{cfg.solver.basis}'")
     for section, key, low in _MINIMA:
         value = getattr(getattr(cfg, section), key, None)  # prune is optional

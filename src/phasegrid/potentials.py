@@ -7,9 +7,7 @@ import numpy as np
 
 from .errors import NotAvailableError, SingularPointError
 
-KINDS = ("harmonic", "morse", "triangle2d", "coulomb1d", "tabulated")
-
-# The parameters each kind takes; PotentialSpec requires all of them.
+# Each kind and the parameters it takes; PotentialSpec requires all of them.
 PARAMETERS = {
     "harmonic": ("mass", "omega"),
     "morse": ("depth", "beta", "mass"),
@@ -34,7 +32,7 @@ class PotentialSpec:
     table: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in PARAMETERS:
             raise ValueError(f"unknown potential kind {self.kind!r}")
         for name in PARAMETERS[self.kind]:
             if name not in self.params:

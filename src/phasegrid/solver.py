@@ -30,6 +30,8 @@ from .vn_basis import (VnLattice, balanced_factors, build_basis,
 COND_SWITCH = 1e8
 # rows below which _lower_inverse hands a triangle to np.linalg.inv
 INV_BLOCK = 128
+# the bases a Pipeline solves in
+BASES = ("fgh", "vn", "pvn", "bvn")
 
 
 @dataclass(frozen=True)
@@ -205,7 +207,7 @@ class Pipeline:
 
     def __init__(self, spec: PotentialSpec, axes: tuple, basis: str,
                  n_x: int | None = None, alpha: float | None = None):
-        if basis not in ("fgh", "vn", "pvn", "bvn"):
+        if basis not in BASES:
             raise ValueError(f"unknown basis {basis!r}")
         if len(axes) > 1 and basis == "vn":
             raise NotAvailableError(f"basis '{basis}' supports only 1-d grids")
@@ -289,59 +291,35 @@ class EfficiencyPoint:
         return self.basis_size / self.n_levels
 
 
-# Fixed search recipe, so scans are reproducible. Grid sizes double from
-# N_START until the levels converge (above N_BUDGET the scan gives up), then
-# bisect to the smallest even size. The pruned scan runs on its own square
-# k x k lattice whose grid momentum range covers the classical p at e_max
-# with P_PAD headroom, and bisects the margin scale down to SCALE_TOL.
+# Fixed search recipe, so scans are reproducible. `_smallest` runs both
+# searches. Grid sizes double from N_START until the levels converge (past
+# N_BUDGET the scan gives up), then bisect to the smallest even size. The
+# pruned scan runs on its own square k x k lattice whose grid momentum range
+# covers the classical p at e_max with P_PAD headroom; its margin scale
+# doubles from 1 up to SCALE_MAX, then bisects down to SCALE_TOL.
 N_START = 16
 N_BUDGET = 4096
 P_PAD = 1.25
+SCALE_MAX = 16.0
 SCALE_TOL = 0.0625
 
 
-def _fgh_converges(x_min, length, spec, n, ref, digits, e_max):
-    out = Pipeline(spec, (Grid1D(x_min, length, n),), "fgh").solve()
-    return count_converged(out.energies, ref, digits, e_max) == ref.size
+def _smallest(passes, lo, hi, limit, step):
+    """Smallest multiple of step in (lo, limit] at which passes holds.
 
-
-def _min_pruned_size(x_min, length, spec, ref, digits, e_max, points):
-    """Fewest kept bvn cells reproducing ref, over the margin scale.
-
-    The pipeline lives only for this call, so no two hbar bases coexist.
+    passes must be monotone (false up to some value, true above it) and
+    false at lo. hi doubles until passes(hi) holds, raising
+    BudgetExceededError once it would exceed limit; then (lo, hi] is
+    bisected on multiples of step until hi - lo <= step.
     """
-    p_max = math.sqrt(2.0 * spec.mass * e_max)
-    n_target = length * P_PAD * p_max / (math.pi * spec.hbar)
-    # even k, so the k*k grid has an even number of points
-    k = 2 * max(1, round(math.sqrt(n_target) / 2))
-    pipe = Pipeline(spec, (Grid1D(x_min, length, k * k),), "bvn", n_x=k)
-
-    def bvn_converges(scale):
-        mask = select_cells(pipe.lattices, spec, e_max, scale)
-        if mask.n_kept < ref.size:
-            return False, mask.n_kept
-        out = pipe.solve(mask)
-        ok = count_converged(out.energies, ref, digits, e_max) == ref.size
-        return ok, mask.n_kept
-
-    s_lo, s_hi = 0.0, 1.0
-    ok, kept = bvn_converges(s_hi)
-    tries = 0
-    while not ok:
-        tries += 1
-        if tries > 4:
-            raise BudgetExceededError(
-                f"margin search failed at hbar={spec.hbar}", partial=points)
-        s_lo, s_hi = s_hi, 2.0 * s_hi
-        ok, kept = bvn_converges(s_hi)
-    while s_hi - s_lo > SCALE_TOL:
-        mid = 0.5 * (s_lo + s_hi)
-        ok_mid, kept_mid = bvn_converges(mid)
-        if ok_mid:
-            s_hi, kept = mid, kept_mid
-        else:
-            s_lo = mid
-    return kept
+    while not passes(hi):
+        lo, hi = hi, 2 * hi
+        if hi > limit:
+            raise BudgetExceededError(f"nothing passes up to {limit}")
+    while hi - lo > step:
+        mid = step * math.ceil((lo + hi) / (2 * step))
+        lo, hi = (lo, mid) if passes(mid) else (mid, hi)
+    return hi
 
 
 def efficiency_scan(spec: PotentialSpec, hbars: Sequence[float], digits: int,
@@ -351,7 +329,7 @@ def efficiency_scan(spec: PotentialSpec, hbars: Sequence[float], digits: int,
     The box [x_min, x_min + length] stays fixed while hbar varies. For each
     hbar the analytic levels below e_max are the reference; the scan
     reports one point per method with the basis size and the size-per-level
-    ratio. Exhausting the grid-size budget raises a budget error carrying
+    ratio. A search that runs past its limit raises a budget error carrying
     the points finished so far.
     """
     points = []
@@ -362,23 +340,38 @@ def efficiency_scan(spec: PotentialSpec, hbars: Sequence[float], digits: int,
         if ref.size == 0:
             raise ValueError(f"no levels below {e_max} at hbar={hb}")
 
-        n = N_START
-        while not _fgh_converges(x_min, length, sp, n, ref, digits, e_max):
-            n *= 2
-            if n > N_BUDGET:
-                raise BudgetExceededError(
-                    f"grid budget {N_BUDGET} exceeded at hbar={hb}",
-                    partial=points)
-        lo, hi = n // 2, n
-        while hi - lo > 2:
-            mid = (lo + hi) // 2
-            mid += mid % 2
-            if _fgh_converges(x_min, length, sp, mid, ref, digits, e_max):
-                hi = mid
-            else:
-                lo = mid
-        points.append(EfficiencyPoint(hb, "fgh", hi, int(ref.size)))
+        def converges(pipe, mask=None):
+            out = pipe.solve(mask)
+            return count_converged(out.energies, ref, digits, e_max) == ref.size
 
-        kept = _min_pruned_size(x_min, length, sp, ref, digits, e_max, points)
-        points.append(EfficiencyPoint(hb, "bvn", kept, int(ref.size)))
+        def grid_passes(n):
+            return converges(Pipeline(sp, (Grid1D(x_min, length, n),), "fgh"))
+
+        try:
+            n = _smallest(grid_passes, N_START // 2, N_START, N_BUDGET, 2)
+        except BudgetExceededError:
+            raise BudgetExceededError(
+                f"grid budget {N_BUDGET} exceeded at hbar={hb}",
+                partial=points) from None
+        points.append(EfficiencyPoint(hb, "fgh", n, int(ref.size)))
+
+        p_max = math.sqrt(2.0 * sp.mass * e_max)
+        n_target = length * P_PAD * p_max / (math.pi * hb)
+        # even k, so the k*k grid has an even number of points
+        k = 2 * max(1, round(math.sqrt(n_target) / 2))
+        pipe = Pipeline(sp, (Grid1D(x_min, length, k * k),), "bvn", n_x=k)
+        kept = {}  # scale -> kept cells
+
+        def margin_passes(scale):
+            mask = select_cells(pipe.lattices, sp, e_max, scale)
+            kept[scale] = mask.n_kept
+            return mask.n_kept >= ref.size and converges(pipe, mask)
+
+        try:
+            scale = _smallest(margin_passes, 0.0, 1.0, SCALE_MAX, SCALE_TOL)
+        except BudgetExceededError:
+            raise BudgetExceededError(
+                f"margin search failed at hbar={hb}", partial=points) from None
+        points.append(EfficiencyPoint(hb, "bvn", kept[scale], int(ref.size)))
+        del pipe  # no two hbar bases coexist
     return points

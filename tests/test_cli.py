@@ -622,6 +622,33 @@ def test_efficiency_grid_budget_keeps_finished_points(tmp_path, monkeypatch):
                    for line in fh)
 
 
+def test_efficiency_margin_budget_keeps_finished_points(tmp_path, monkeypatch):
+    # a selector that keeps no cell never passes: the margin scale doubles
+    # to its limit 16, and the finished fgh point of hbar=1 is kept
+    scales = []
+
+    def select_cells(lats, spec, e_cut, auto_scale=1.0):
+        scales.append(auto_scale)
+        mask = pg.select_cells(lats, spec, e_cut, auto_scale)
+        return pg.PruneMask(np.zeros(mask.size, bool))
+
+    monkeypatch.setattr("phasegrid.solver.select_cells", select_cells)
+    cfg = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                       "morse_bvn.cfg")
+    out = str(tmp_path / "eff")
+    assert cli.main(["efficiency", "--config", cfg, "--out", out, "--quiet",
+                     "--hbars", "1,0.5"]) == 0
+    assert scales == [1, 2, 4, 8, 16]
+    _, rows = cli.read_csv(os.path.join(out, "efficiency.csv"))
+    got = [(r["hbar"], r["method"], r["basis_size"], r["n_converged"],
+            r["ratio"], r["status"]) for r in rows]
+    assert got == [("1", "fgh", "94", "24", "3.9166666666666665", "ok")] + [
+        (hb, m, "", "", "", "budget_exceeded")
+        for hb, m in (("1", "bvn"), ("0.5", "fgh"), ("0.5", "bvn"))]
+    with open(os.path.join(out, "meta.txt")) as fh:
+        assert "budget_error = margin search failed at hbar=1.0\n" in list(fh)
+
+
 def test_efficiency_reads_no_grid_n(tmp_path):
     # the scan sizes its own grids, so an odd grid.n is no error there
     cfg = _write(tmp_path, MORSE_CFG.replace("n = 100", "n = 101"))

@@ -7,7 +7,8 @@ import pytest
 
 import phasegrid as pg
 from phasegrid import cli, solver, vn_basis
-from phasegrid.errors import IllConditionedError, NotAvailableError
+from phasegrid.errors import (BudgetExceededError, IllConditionedError,
+                              NotAvailableError)
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -252,3 +253,46 @@ def test_efficiency_scan_lattice_side_is_even():
 def test_efficiency_point_ratio():
     pt = pg.EfficiencyPoint(hbar=1.0, method="bvn", basis_size=28, n_levels=18)
     assert pt.ratio == pytest.approx(28 / 18)
+
+
+def test_efficiency_scan_probe_sequence(monkeypatch):
+    # the grid sizes double from 16 and bisect to 94; the margin scale
+    # bisects down from 1, each scale's mask solved only when it keeps
+    # at least the 24 reference levels' worth of cells
+    probes = []
+
+    def solve_fgh(axes, spec, n_states=None):
+        probes.append(("fgh", axes[0].N))
+        return pg.solve_fgh(axes, spec, n_states=n_states)
+
+    def select_cells(lats, spec, e_cut, auto_scale=1.0):
+        mask = pg.select_cells(lats, spec, e_cut, auto_scale)
+        probes.append(("scale", auto_scale, mask.n_kept))
+        return mask
+
+    monkeypatch.setattr(solver, "solve_fgh", solve_fgh)
+    monkeypatch.setattr(solver, "select_cells", select_cells)
+    solver.efficiency_scan(pg.morse(), [1.0], 4, 12.0, -1.6, 21.7)
+    assert probes == (
+        [("fgh", n) for n in (16, 32, 64, 128, 96, 80, 88, 92, 94)]
+        + [("scale", s, kept) for s, kept in
+           ((1.0, 44), (0.5, 40), (0.75, 40), (0.875, 40), (0.9375, 44))])
+
+
+@pytest.mark.parametrize("lo, hi, limit, step",
+                         [(8, 16, 4096, 2), (0.0, 1.0, 16.0, 0.0625)])
+def test_smallest_is_the_brute_force_threshold(lo, hi, limit, step):
+    # the scan's two lattices: even grid sizes and dyadic margin scales
+    values = [lo + step * i for i in range(1, round((limit - lo) / step) + 1)]
+    for t in values + [v - step / 2 for v in values]:
+        probed = []
+
+        def passes(v):
+            probed.append(v)
+            return v >= t
+
+        got = solver._smallest(passes, lo, hi, limit, step)
+        assert got == min(v for v in values if v >= t)
+        assert max(probed) <= limit
+    with pytest.raises(BudgetExceededError):
+        solver._smallest(lambda v: v > limit, lo, hi, limit, step)
