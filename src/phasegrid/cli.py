@@ -605,18 +605,31 @@ def render_plot(kind: str, csv_path: str) -> str:
         if column not in header:
             raise ConfigError(f"{csv_path}: missing column '{column}' "
                               f"for kind '{kind}'")
-    if not rows:
-        raise ConfigError(f"{csv_path}: empty CSV")
+    plotted = []
+    for i, row in enumerate(rows, 1):
+        if row.get("status", "ok") != "ok":  # an efficiency search over budget
+            continue
+        for column in _REQUIRED_COLUMNS[kind]:
+            if column == "method":
+                continue
+            if column not in row:
+                raise ConfigError(f"{csv_path}: row {i} has no '{column}'")
+            try:
+                row[column] = float(row[column])
+            except ValueError:
+                raise ConfigError(f"{csv_path}: row {i}, column '{column}': "
+                                  f"not a number: '{row[column]}'") from None
+        plotted.append(row)
+    if not plotted:
+        raise ConfigError(f"{csv_path}: no rows to plot")
+    rows = plotted
     if kind == "cells":
         return _render_cells(rows)
     if kind == "convergence":
         return _render_lines(rows, "method", "basis_size", "abs_error",
                              "basis size", "absolute error", True)
     if kind == "efficiency":
-        ok_rows = [r for r in rows if r.get("status", "ok") == "ok"]
-        if not ok_rows:
-            raise ConfigError(f"{csv_path}: no ok rows to plot")
-        return _render_lines(ok_rows, "method", "hbar", "ratio",
+        return _render_lines(rows, "method", "hbar", "ratio",
                              "hbar", "basis functions per state", False)
     series = [{"series": name, "D": r["D"], "volume": r[name]}
               for name in _REQUIRED_COLUMNS["scaling"][1:] for r in rows]
@@ -634,13 +647,10 @@ def _render_lines(rows, series_key, x_key, y_key, x_label, y_label,
     all_x, all_y = [], []
     plotted = []
     for name, group in series.items():
-        xs = [float(r[x_key]) for r in group]
-        ys = [float(r[y_key]) for r in group]
-        if log_y:
-            ys = [math.log10(max(y, floor)) for y in ys]
-        order = np.argsort(xs)
-        xs = [xs[i] for i in order]
-        ys = [ys[i] for i in order]
+        group.sort(key=lambda r: r[x_key])
+        xs = [r[x_key] for r in group]
+        ys = [math.log10(max(r[y_key], floor)) if log_y else r[y_key]
+              for r in group]
         plotted.append((name, xs, ys))
         all_x += xs
         all_y += ys
@@ -654,14 +664,13 @@ def _render_lines(rows, series_key, x_key, y_key, x_label, y_label,
 
 
 def _render_cells(rows) -> str:
-    xs = [float(r["x"]) for r in rows]
-    ps = [float(r["p"]) for r in rows]
-    kept = [int(r["kept"]) for r in rows]
+    xs = [r["x"] for r in rows]
+    ps = [r["p"] for r in rows]
     a = _min_spacing(xs)
     dp = _min_spacing(ps)
     frame = _Frame((min(xs) - a, max(xs) + a), (min(ps) - dp, max(ps) + dp))
     body = _axes(frame, "x", "p")
-    for x, p, keep in zip(xs, ps, kept):
+    for x, p, keep in zip(xs, ps, (r["kept"] for r in rows)):
         x0 = frame.px(x - a / 2)
         y0 = frame.py(p + dp / 2)
         w = frame.px(x + a / 2) - x0
@@ -763,8 +772,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_plot = sub.add_parser("plot", help="render a CSV as SVG")
     p_plot.add_argument("input", help="input CSV file")
     p_plot.add_argument("--kind", required=True,
-                        choices=("convergence", "efficiency", "scaling",
-                                 "cells"))
+                        choices=tuple(_REQUIRED_COLUMNS))
     p_plot.add_argument("--out", required=True, help="output SVG path")
     p_plot.add_argument("--quiet", action="store_true")
     return parser

@@ -23,13 +23,8 @@ from .potentials import PotentialSpec, analytic_levels
 from .pruner import PruneMask, select_cells
 from .spectra import Spectrum
 from .vn_basis import (VnLattice, balanced_factors, build_basis,
-                       continuous_vn_matrices, positive_modes)
+                       continuous_vn_matrices, metric_root)
 
-# solve_generalized whitens a metric whose 1-norm condition number bound
-# exceeds this
-COND_SWITCH = 1e8
-# rows below which _lower_inverse hands a triangle to np.linalg.inv
-INV_BLOCK = 128
 # the bases a Pipeline solves in
 BASES = ("fgh", "vn", "pvn", "bvn")
 
@@ -39,8 +34,7 @@ class GeneralizedProblem:
     """Pencil (H, S) with S the basis overlap (metric).
 
     H and S need to be Hermitian only up to roundoff: `solve_generalized`
-    takes the Hermitian part of H, and of S where it whitens; the Cholesky
-    factor reads the lower triangle of S.
+    takes the Hermitian part of H, and `metric_root` that of S as needed.
     """
 
     h: np.ndarray
@@ -100,79 +94,21 @@ def assemble_bvn(h_op: FghOperator, cols: tuple, metrics: tuple,
 assemble_pvn = assemble_bvn_2d = assemble_bvn
 
 
-def _lower_inverse(l: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Inverse of a lower-triangular matrix, by recursive 2 x 2 blocks.
-
-    With L = [[L11, 0], [L21, L22]], the inverse is [[X11, 0], [X21, X22]]
-    with Xii = Lii^-1 and X21 = -X22 L21 X11: two GEMMs per level, and
-    np.linalg.inv (LU) only on diagonal blocks below INV_BLOCK rows. Each
-    level writes into out (zero above the diagonal), so the only other
-    array alive is one GEMM result, a quarter of L.
-    """
-    if out is None:
-        out = np.zeros_like(l)
-    n = l.shape[0]
-    if n < INV_BLOCK:
-        out[...] = np.tril(np.linalg.inv(l))
-        return out
-    k = n // 2
-    _lower_inverse(l[:k, :k], out[:k, :k])
-    _lower_inverse(l[k:, k:], out[k:, k:])
-    t = out[k:, k:] @ l[k:, :k]
-    np.negative(t, out=t)
-    np.matmul(t, out[:k, :k], out=out[k:, :k])
-    return out
-
-
-def _cond1_bound(s_norm: float, l_inv: np.ndarray) -> float:
-    """Upper bound s_norm ||L^-1||_1 ||L^-1||_inf on cond_1(S), where
-    S = L L^H and s_norm = ||S||_1.
-
-    ||S^-1||_1 = ||L^-H L^-1||_1 <= ||L^-1||_inf ||L^-1||_1, and each factor
-    is at most sqrt(n) ||L^-1||_2, so the bound lies between cond_1(S) and
-    n ||S||_1 ||S^-1||_2 <= n cond_1(S).
-    """
-    mag = np.abs(l_inv)
-    return float(s_norm * mag.sum(0).max() * mag.sum(1).max())
-
-
 def solve_generalized(problem: GeneralizedProblem,
                       n_states: int | None = None,
                       want_vectors: bool = False) -> Spectrum:
     """Solve H U = S U E for a Hermitian pencil with positive metric.
 
-    Both routes reduce the pencil to the standard problem of the Hermitian
-    part of A = C^H H C, with C^H S C = I. A metric whose Cholesky factor
-    S = L L^H exists and whose `_cond1_bound` stays within COND_SWITCH takes
-    C = L^-H. Otherwise C whitens the subspace that `positive_modes` keeps;
-    each dropped direction is warned about. The bound is at most n times
-    the 1-norm condition number, never below it, so a misjudged metric is
-    whitened rather than factored.
+    `metric_root` gives C with C^H S C = I (Cholesky, or whitening of a
+    near-singular S with a warning per dropped direction), and the pencil
+    becomes the standard problem of the Hermitian part of A = C^H H C.
     Eigenvectors U = C Y are computed only when want_vectors is set.
     Beside the caller's H and S, eigenvalues alone keep at most 2.25
     pencils' worth of arrays alive, numpy's LAPACK work copies aside.
     """
     if problem.size == 0:
         raise ValueError("empty pencil: no basis function to solve for")
-    # before L exists: its n x n temporary, freed after L, would fragment
-    # the heap and raise peak RSS
-    s_norm = np.linalg.norm(problem.s, 1)
-    try:  # reads the lower triangle only, no symmetrized copy needed
-        l = np.linalg.cholesky(problem.s)
-    except np.linalg.LinAlgError:
-        l = None
-    c = None
-    if l is not None:
-        l_inv = _lower_inverse(l)
-        del l
-        if _cond1_bound(s_norm, l_inv) <= COND_SWITCH:
-            c = l_inv.conj().T
-        del l_inv
-    if c is None:
-        w, u, _ = positive_modes(0.5 * (problem.s + problem.s.conj().T),
-                                 "pencil metric whitened")
-        c = u / np.sqrt(w)
-        del w, u
+    c, _ = metric_root(problem.s, "pencil metric whitened")
     k = c.shape[1]
     a = c.conj().T @ problem.h
     rows = -(-k // 4)  # C^H H becomes C^H H C in place, a quarter at a time
@@ -201,8 +137,9 @@ class Pipeline:
     each axis; a 2-d grid supports every basis but vn. pvn and bvn are one
     `assemble_bvn` projection of the grid Hamiltonian that differs only in
     each axis's (columns, metric) pair: (G, S) or (B, S^-1). The lattices,
-    the real basis bundles, the grid Hamiltonian and `info` (cond_s) are
-    made here, so repeated `solve` calls with different masks reuse them.
+    the real basis bundles, the grid Hamiltonian and `info` are made here,
+    so repeated `solve` calls with different masks reuse them. info's
+    cond_s is the largest axis overlap's `metric_root` bound on cond_1(S).
     """
 
     def __init__(self, spec: PotentialSpec, axes: tuple, basis: str,

@@ -19,6 +19,10 @@ from .potentials import PotentialSpec
 
 # relative eigenvalue floor of every metric that `positive_modes` inverts
 RCOND = 1e-12
+# metric_root whitens a metric whose 1-norm condition number bound exceeds this
+COND_SWITCH = 1e8
+# rows below which _lower_inverse hands a triangle to np.linalg.inv
+INV_BLOCK = 128
 
 
 def balanced_factors(n: int) -> tuple:
@@ -115,7 +119,7 @@ class BasisMatrices:
     S: np.ndarray
     S_inv: np.ndarray
     B: np.ndarray
-    cond_S: float
+    cond_S: float  # the `metric_root` bound on cond_1(S)
 
 
 def build_G(lattice: VnLattice, grid: Grid1D) -> np.ndarray:
@@ -142,11 +146,12 @@ def build_overlap(g: np.ndarray) -> np.ndarray:
 
 
 def positive_modes(s: np.ndarray, what: str):
-    """Kept eigenpairs (w, u) of a Hermitian metric and cond = max/min.
+    """Kept eigenpairs (w, u) of a Hermitian metric: the whitening rule.
 
-    The one rule for near-singular metrics: no positive direction, or an
-    eigenvalue below -RCOND * lambda_max, raises; the modes at or below
-    RCOND * lambda_max are dropped with the warning "<what>: dropping N".
+    No positive direction, or an eigenvalue below -RCOND * lambda_max,
+    raises; the modes at or below RCOND * lambda_max are dropped with the
+    warning "<what>: dropping N" at the line that called `invert_overlap`
+    or `solve_generalized`.
     """
     w, u = np.linalg.eigh(s)
     if w[-1] <= 0:
@@ -154,21 +159,80 @@ def positive_modes(s: np.ndarray, what: str):
     if w[0] < -RCOND * w[-1]:
         raise IllConditionedError(
             f"metric eigenvalue {w[0]:.3e} is negative beyond roundoff")
-    cond = float(w[-1] / w[0]) if w[0] > 0 else float("inf")
     keep = w > RCOND * w[-1]
     if not keep.all():
         warnings.warn(
             f"{what}: dropping {int((~keep).sum())} modes below rcond "
-            f"(cond ~ {cond:.3e})", stacklevel=3)
+            f"(cond ~ {w[-1] / w[0] if w[0] > 0 else np.inf:.3e})",
+            stacklevel=4)
         w, u = w[keep], u[:, keep]
-    return w, u, cond
+    return w, u
+
+
+def _lower_inverse(l: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Inverse of a lower-triangular matrix, by recursive 2 x 2 blocks.
+
+    With L = [[L11, 0], [L21, L22]], the inverse is [[X11, 0], [X21, X22]]
+    with Xii = Lii^-1 and X21 = -X22 L21 X11: two GEMMs per level, and
+    np.linalg.inv (LU) only on diagonal blocks below INV_BLOCK rows. Each
+    level writes into out (zero above the diagonal), so the only other
+    array alive is one GEMM result, a quarter of L.
+    """
+    if out is None:
+        out = np.zeros_like(l)
+    n = l.shape[0]
+    if n < INV_BLOCK:
+        out[...] = np.tril(np.linalg.inv(l))
+        return out
+    k = n // 2
+    _lower_inverse(l[:k, :k], out[:k, :k])
+    _lower_inverse(l[k:, k:], out[k:, k:])
+    t = out[k:, k:] @ l[k:, :k]
+    np.negative(t, out=t)
+    np.matmul(t, out[:k, :k], out=out[k:, :k])
+    return out
+
+
+def _cond1_bound(s_norm: float, l_inv: np.ndarray) -> float:
+    """Upper bound s_norm ||L^-1||_1 ||L^-1||_inf on cond_1(S), where
+    S = L L^H and s_norm = ||S||_1.
+
+    ||S^-1||_1 = ||L^-H L^-1||_1 <= ||L^-1||_inf ||L^-1||_1, and each factor
+    is at most sqrt(n) ||L^-1||_2, so the bound lies between cond_1(S) and
+    n ||S||_1 ||S^-1||_2 <= n cond_1(S).
+    """
+    mag = np.abs(l_inv)
+    return float(s_norm * mag.sum(0).max() * mag.sum(1).max())
+
+
+def metric_root(s: np.ndarray, what: str):
+    """(C, cond) with C^H S C = I: the one inverse of a positive metric S.
+
+    cond is the `_cond1_bound` of the Cholesky factor S = L L^H (only the
+    lower triangle is read), inf without one, so cond_1(S) <= cond <=
+    n cond_1(S). Up to COND_SWITCH, C = L^-H; above it C = U W^-1/2 whitens
+    the modes of the Hermitian part of S that `positive_modes` keeps.
+    """
+    # before L exists: its n x n temporary, freed after L, would fragment
+    # the heap and raise peak RSS
+    s_norm = np.linalg.norm(s, 1)
+    try:  # L dies as soon as its inverse exists
+        l_inv = _lower_inverse(np.linalg.cholesky(s))
+    except np.linalg.LinAlgError:
+        l_inv = None
+    cond = float("inf") if l_inv is None else _cond1_bound(s_norm, l_inv)
+    if cond <= COND_SWITCH:
+        return l_inv.conj().T, cond
+    del l_inv
+    w, u = positive_modes(0.5 * (s + s.conj().T), what)
+    return u / np.sqrt(w), cond
 
 
 def invert_overlap(s: np.ndarray):
-    """(S_inv, cond): S inverted on the modes `positive_modes` keeps."""
-    w, u, cond = positive_modes(s, "overlap pseudo-inverted")
-    s_inv = (u / w) @ u.conj().T
-    return 0.5 * (s_inv + s_inv.conj().T), cond
+    """(S_inv, cond): S^-1 = C C^H with C from `metric_root`, exactly
+    symmetric for a real S (numpy forms C C^T as one symmetric product)."""
+    c, cond = metric_root(s, "overlap pseudo-inverted")
+    return c @ c.conj().T, cond
 
 
 def build_bvn(g: np.ndarray, s_inv: np.ndarray) -> np.ndarray:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import phasegrid as pg
-from phasegrid import solver
+from phasegrid import vn_basis
 
 
 def _complex_bundle(lat, grid):
@@ -180,7 +180,7 @@ def test_eigenvalues_only_matches_vectors_path(monkeypatch):
     prob = pg.assemble_bvn(h, (basis.B,), (basis.S_inv,), mask)
     # COND_SWITCH = 1 forces the whitening route on the same pencil
     for switch in (1e8, 1.0):
-        monkeypatch.setattr(solver, "COND_SWITCH", switch)
+        monkeypatch.setattr(vn_basis, "COND_SWITCH", switch)
         only = pg.solve_generalized(prob)
         full = pg.solve_generalized(prob, want_vectors=True)
         assert only.eigenvectors is None

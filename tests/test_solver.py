@@ -26,14 +26,15 @@ def _random_pencil(n, cond, seed):
 
 
 def _record_whitening(monkeypatch) -> list:
-    """The `what` of every positive_modes call solve_generalized makes."""
+    """The `what` of every whitened metric: overlaps and pencils alike."""
     whitened = []
+    original = vn_basis.positive_modes
 
     def positive_modes(s, what):
         whitened.append(what)
-        return vn_basis.positive_modes(s, what)
+        return original(s, what)
 
-    monkeypatch.setattr(solver, "positive_modes", positive_modes)
+    monkeypatch.setattr(vn_basis, "positive_modes", positive_modes)
     return whitened
 
 
@@ -65,19 +66,20 @@ def _random_metric(n, dtype, seed):
 def test_lower_inverse_and_condition_bound(n, dtype):
     s = _random_metric(n, dtype, n)
     l = np.linalg.cholesky(s)
-    l_inv = solver._lower_inverse(l)
+    l_inv = vn_basis._lower_inverse(l)
     assert l_inv.dtype == s.dtype
     np.testing.assert_allclose(l_inv @ l, np.eye(n), rtol=0, atol=1e-12)
     assert np.all(np.triu(l_inv, 1) == 0)
     s_norm = np.linalg.norm(s, 1)
     exact = s_norm * np.linalg.norm(np.linalg.inv(s), 1)
-    bound = solver._cond1_bound(s_norm, l_inv)
+    bound = vn_basis._cond1_bound(s_norm, l_inv)
     # never below the condition number, at most n times it (up to roundoff)
     assert exact * (1 - 1e-12) <= bound <= n * exact * (1 + 1e-12)
 
 
 def test_shipped_pencils_take_the_cholesky_route(tmp_path, monkeypatch):
-    # every shipped pencil's bound is far below COND_SWITCH: none is whitened
+    # every shipped overlap's and pencil's bound is far below COND_SWITCH:
+    # none is whitened
     whitened = _record_whitening(monkeypatch)
     runs = [["solve", name] for name in ("harmonic_pvn", "morse_bvn",
                                           "triangle_desk")]
@@ -104,8 +106,9 @@ def test_whitening_warns_for_every_dropped_mode():
     d = np.sort(rng.uniform(-3.0, 5.0, 7))
     prob = pg.GeneralizedProblem(a @ np.diag(d) @ a.T, a @ a.T)
     with pytest.warns(UserWarning, match="pencil metric whitened: "
-                      "dropping 1 modes"):
+                      "dropping 1 modes") as caught:
         out = pg.solve_generalized(prob)
+    assert [w.filename for w in caught] == [__file__]  # the solver's caller
     assert out.energies.shape == (7,) and np.all(np.isfinite(out.energies))
     np.testing.assert_allclose(out.energies, d, rtol=0, atol=1e-9)
 

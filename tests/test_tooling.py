@@ -155,6 +155,22 @@ def test_no_module_level_scipy_import():
     assert not found, found
 
 
+def test_one_module_owns_the_metric_rule():
+    # only vn_basis factors a metric or sets its thresholds, so the overlap
+    # inverse and the pencil eigensolve cannot drift apart
+    found = []
+    for path in sorted((ROOT / "src" / "phasegrid").glob("*.py")):
+        if path.name == "vn_basis.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr == "cholesky":
+                found.append(f"{path.name}:{node.lineno} cholesky")
+            elif (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+                  and node.id in ("COND_SWITCH", "RCOND", "INV_BLOCK")):
+                found.append(f"{path.name}:{node.lineno} {node.id}")
+    assert not found, found
+
+
 def test_orbit_areas_leave_out_scipy_integrate():
     # every 1-d kind has closed-form turning points and orbit area, tables
     # included, so no scipy module is loaded at all

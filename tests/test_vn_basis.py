@@ -1,13 +1,27 @@
 """Phase-space lattices, overlap matrices, and the biorthogonal dual set."""
 
 import math
+import os
 
 import numpy as np
 import pytest
 
 import phasegrid as pg
+from phasegrid import cli, vn_basis
 from phasegrid.errors import IllConditionedError, NotAvailableError
 from phasegrid.vn_basis import balanced_factors
+
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+SHIPPED = ("harmonic_pvn", "morse_bvn", "triangle_desk", "triangle_full")
+
+
+def _axis_overlap(name):
+    """The overlap S of a shipped config's axis (every axis is the same)."""
+    cfg = cli._load_config(os.path.join(CONFIGS, f"{name}.cfg"))
+    grid = cli._grid_axis(cfg.grid)
+    lat = pg.VnLattice.from_grid(grid, cfg.lattice.nx, hbar=cfg.spec().hbar,
+                                 alpha=cfg.lattice.alpha)
+    return pg.build_basis(lat, grid).S
 
 
 def test_balanced_factors():
@@ -87,14 +101,47 @@ def test_singular_overlap_is_pseudo_inverted_with_a_warning():
     g = pg.build_G(lat, grid)
     s = pg.build_overlap(np.column_stack([g, g[:, 27]]))
     with pytest.warns(UserWarning, match="overlap pseudo-inverted: "
-                      "dropping 1 modes"):
+                      "dropping 1 modes") as caught:
         s_inv, cond = pg.invert_overlap(s)
+    # attributed to the caller of invert_overlap (build_basis in a Pipeline)
+    assert [w.filename for w in caught] == [__file__]
     assert np.all(np.isfinite(s_inv)) and cond > 1e12
     # S S_inv S = S on the kept span
     np.testing.assert_allclose(s @ s_inv @ s, s, atol=1e-8)
     with pytest.raises(IllConditionedError, match="negative beyond roundoff"):
         pg.invert_overlap(s - 0.01 * np.eye(s.shape[0]))
     assert pg.build_basis(lat, grid).cond_S < 1e4
+
+
+@pytest.mark.parametrize("switch", [1e8, 1.0])  # Cholesky, then whitening
+@pytest.mark.parametrize("name", SHIPPED)
+def test_invert_overlap_matches_the_eigh_formula(name, switch, monkeypatch):
+    monkeypatch.setattr(vn_basis, "COND_SWITCH", switch)
+    s = _axis_overlap(name)
+    w, u = np.linalg.eigh(s)
+    oracle = (u / w) @ u.T  # S^-1 on the eigenbasis, the eigh formula
+    s_inv, cond = pg.invert_overlap(s)
+    assert 1.0 < cond < 1e4
+    np.testing.assert_allclose(s_inv, oracle, rtol=0,
+                               atol=1e-13 * np.abs(oracle).max())
+    # exactly, so the bvn pencil metric assemble_bvn builds from it is too
+    assert np.array_equal(s_inv, s_inv.T)
+
+
+@pytest.mark.parametrize("name", ["morse_bvn", "triangle_desk"])
+def test_meta_cond_s_is_the_axis_cond1_bound(name, tmp_path):
+    out = tmp_path / "out"
+    assert cli.main(["solve", "--config", os.path.join(CONFIGS, f"{name}.cfg"),
+                     "--out", str(out), "--quiet"]) == 0
+    meta = dict(line.split(" = ", 1)
+                for line in (out / "meta.txt").read_text().splitlines())
+    s = _axis_overlap(name)
+    l_inv = vn_basis._lower_inverse(np.linalg.cholesky(s))
+    s_norm = np.linalg.norm(s, 1)
+    bound = vn_basis._cond1_bound(s_norm, l_inv)
+    exact = s_norm * np.linalg.norm(np.linalg.inv(s), 1)
+    assert float(meta["cond_s"]) == bound
+    assert exact <= bound <= s.shape[0] * exact
 
 
 def test_alpha_override_changes_width_not_span():
