@@ -77,11 +77,13 @@ def kinetic_matrix(grid: Grid1D, mass: float, hbar: float = 1.0) -> np.ndarray:
         raise ValueError("mass must be positive")
     n = grid.N
     k = grid.k_max
-    d = np.subtract.outer(np.arange(n), np.arange(n))
+    d = np.arange(n - 1, -n, -1)  # T_ij depends on d = i - j alone
     with np.errstate(divide="ignore", invalid="ignore"):
         off = (2.0 * k**2 / n**2) * ((-1.0) ** d) / np.sin(math.pi * d / n) ** 2
-    t = np.where(d == 0, (k**2 / 3.0) * (1.0 + 2.0 / n**2), off)
-    return (hbar**2 / (2.0 * mass)) * t
+    t = (hbar**2 / (2.0 * mass)) * np.where(
+        d == 0, (k**2 / 3.0) * (1.0 + 2.0 / n**2), off)
+    # window s holds d = n-1-s .. -s, so the reversed windows are T's rows
+    return np.lib.stride_tricks.sliding_window_view(t, n)[::-1].copy()
 
 
 def kinetic_matrix_fft_oracle(grid: Grid1D, mass: float, hbar: float = 1.0) -> np.ndarray:

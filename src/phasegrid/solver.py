@@ -229,29 +229,39 @@ class EfficiencyPoint:
 
 
 # Fixed search recipe, so scans are reproducible. `_smallest` runs both
-# searches. Grid sizes double from N_START until the levels converge (past
-# N_BUDGET the scan gives up), then bisect to the smallest even size. The
-# pruned scan runs on its own square k x k lattice whose grid momentum range
-# covers the classical p at e_max with P_PAD headroom; its margin scale
-# doubles from 1 up to SCALE_MAX, then bisects down to SCALE_TOL.
-N_START = 16
+# searches. The grid size starts at the phase-space estimate n_target =
+# length * 2 P_PAD p_max / h, halves or doubles (past N_BUDGET the scan
+# gives up) and bisects to the smallest even size that converges. The
+# pruned scan runs on its own square k x k lattice, k^2 ~ n_target, whose
+# grid momentum range covers the classical p at e_max with P_PAD headroom;
+# its margin scale starts at 1, stays at most SCALE_MAX and bisects to
+# SCALE_TOL.
 N_BUDGET = 4096
 P_PAD = 1.25
 SCALE_MAX = 16.0
 SCALE_TOL = 0.0625
 
 
-def _smallest(passes, lo, hi, limit, step):
-    """Smallest multiple of step in (lo, limit] at which passes holds.
+def _smallest(passes, start, limit, step):
+    """Smallest multiple of step in (0, limit] at which passes holds.
 
     passes must be monotone (false up to some value, true above it) and
-    false at lo. hi doubles until passes(hi) holds, raising
-    BudgetExceededError once it would exceed limit; then (lo, hi] is
-    bisected on multiples of step until hi - lo <= step.
+    limit a multiple of step. hi starts at start, rounded down onto the
+    lattice and capped at limit. It halves while passes(hi) holds, or else
+    doubles (capped at limit) until it does, raising BudgetExceededError
+    once limit has failed; then (lo, hi] is bisected until hi - lo <= step.
     """
-    while not passes(hi):
-        lo, hi = hi, 2 * hi
-        if hi > limit:
+    hi = min(step * max(1, math.floor(start / step)), limit)
+    if passes(hi):
+        lo = step * (hi // (2 * step))
+        while lo > 0 and passes(lo):
+            hi, lo = lo, step * (lo // (2 * step))
+    else:
+        while hi < limit:
+            lo, hi = hi, min(2 * hi, limit)
+            if passes(hi):
+                break
+        else:
             raise BudgetExceededError(f"nothing passes up to {limit}")
     while hi - lo > step:
         mid = step * math.ceil((lo + hi) / (2 * step))
@@ -284,16 +294,16 @@ def efficiency_scan(spec: PotentialSpec, hbars: Sequence[float], digits: int,
         def grid_passes(n):
             return converges(Pipeline(sp, (Grid1D(x_min, length, n),), "fgh"))
 
+        p_max = math.sqrt(2.0 * sp.mass * e_max)
+        n_target = length * P_PAD * p_max / (math.pi * hb)
         try:
-            n = _smallest(grid_passes, N_START // 2, N_START, N_BUDGET, 2)
+            n = _smallest(grid_passes, n_target, N_BUDGET, 2)
         except BudgetExceededError:
             raise BudgetExceededError(
                 f"grid budget {N_BUDGET} exceeded at hbar={hb}",
                 partial=points) from None
         points.append(EfficiencyPoint(hb, "fgh", n, int(ref.size)))
 
-        p_max = math.sqrt(2.0 * sp.mass * e_max)
-        n_target = length * P_PAD * p_max / (math.pi * hb)
         # even k, so the k*k grid has an even number of points
         k = 2 * max(1, round(math.sqrt(n_target) / 2))
         pipe = Pipeline(sp, (Grid1D(x_min, length, k * k),), "bvn", n_x=k)
@@ -305,7 +315,7 @@ def efficiency_scan(spec: PotentialSpec, hbars: Sequence[float], digits: int,
             return mask.n_kept >= ref.size and converges(pipe, mask)
 
         try:
-            scale = _smallest(margin_passes, 0.0, 1.0, SCALE_MAX, SCALE_TOL)
+            scale = _smallest(margin_passes, 1.0, SCALE_MAX, SCALE_TOL)
         except BudgetExceededError:
             raise BudgetExceededError(
                 f"margin search failed at hbar={hb}", partial=points) from None

@@ -248,12 +248,16 @@ def build_basis(lattice: VnLattice, grid: Grid1D) -> BasisMatrices:
     g at -p is the conjugate of g at +p, so a cell and its mirror become the
     unitary pair sqrt(2) Re g, sqrt(2) Im g of the lower-index partner g (a
     p = 0 cell keeps Re g). G^dag B = I and B^dag B = S^-1 still hold.
+    Entries of G below sqrt(tiny) in magnitude are zeroed first: a product
+    of two is subnormal and slows the BLAS, and S moves by far less than
+    its rounding (at most N sqrt(tiny) max|G|).
     """
     m = np.arange(lattice.size)
     pair = lattice.mirror
     gc = build_G(lattice, grid)[:, np.minimum(m, pair)]
     g = np.where(m == pair, 1.0, math.sqrt(2.0)) * np.where(
         m <= pair, gc.real, gc.imag)
+    g[np.abs(g) < math.sqrt(np.finfo(float).tiny)] = 0.0
     s = build_overlap(g)
     s_inv, cond = invert_overlap(s)
     return BasisMatrices(g, s, s_inv, build_bvn(g, s_inv), cond)

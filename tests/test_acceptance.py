@@ -254,3 +254,23 @@ def test_c10_linear_algebra_identities():
             worst <= 1e-8 and cong <= 1e-9 and dt < 10.0,
             f"identity residual {worst:.2e} (tol 1e-8), congruence rel dev "
             f"{cong:.2e} (tol 1e-9), {dt:.2f} s (budget 10 s)")
+
+
+def test_c11_efficiency_classical_limit():
+    """C05 down to hbar = 1/16: (bvn ratio - 1) shrinks about as sqrt(hbar)."""
+    t0 = time.perf_counter()
+    hbars = [1.0, 0.5, 0.25, 0.125, 0.0625]
+    points = pg.efficiency_scan(pg.morse(), hbars, digits=3, e_max=11.25,
+                                x_min=-1.6, length=21.7)
+    bvn = [p.ratio for p in points if p.method == "bvn"]
+    factors = [(b - 1.0) / (a - 1.0) for a, b in zip(bvn, bvn[1:])]
+    decreasing = all(b < a for a, b in zip(bvn, bvn[1:]))
+    # measured: final ratio 1.132, factors 0.64-0.73 around sqrt(1/2) = 0.707
+    in_window = all(0.6 <= f <= 0.8 for f in factors)
+    dt = time.perf_counter() - t0
+    _report("C11 efficiency classical limit",
+            decreasing and bvn[-1] < 1.15 and in_window and dt < 60.0,
+            f"bvn ratios {[round(r, 3) for r in bvn]} (strictly decreasing, "
+            f"final < 1.15), (ratio - 1) factors "
+            f"{[round(f, 3) for f in factors]} (window [0.6, 0.8]), "
+            f"{dt:.1f} s (budget 60 s)")

@@ -34,6 +34,28 @@ def test_kinetic_closed_form_matches_fft_oracle(n):
     assert np.ptp(np.diag(t)) < 1e-12
 
 
+def _kinetic_outer_difference(grid, mass, hbar):
+    # the closed form evaluated on all N^2 differences d = i - j
+    n, k = grid.N, grid.k_max
+    d = np.subtract.outer(np.arange(n), np.arange(n))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        off = (2.0 * k**2 / n**2) * ((-1.0) ** d) / np.sin(math.pi * d / n) ** 2
+    t = np.where(d == 0, (k**2 / 3.0) * (1.0 + 2.0 / n**2), off)
+    return (hbar**2 / (2.0 * mass)) * t
+
+
+@pytest.mark.parametrize("n", [2, 16, 94, 338, 1600])
+def test_kinetic_rows_equal_the_outer_difference_form(n):
+    for mass, hbar in ((6.0, 1.0), (1.7, 0.0625)):
+        grid = pg.Grid1D(-1.6, 21.7, n)
+        t = pg.kinetic_matrix(grid, mass, hbar)
+        assert np.array_equal(t, _kinetic_outer_difference(grid, mass, hbar))
+        assert t.flags.writeable and t.flags.c_contiguous
+        assert np.array_equal(t, t.T)
+        # Toeplitz: every diagonal is constant
+        assert np.array_equal(t[1:, 1:], t[:-1, :-1])
+
+
 def test_kinetic_spectrum_is_quadratic_ladder():
     grid = pg.Grid1D(-4.0, 8.0, 16)
     t = pg.kinetic_matrix(grid, mass=1.0, hbar=1.0)

@@ -1,5 +1,6 @@
 """Generalized eigensolver, convergence counting, pruned assembly."""
 
+import bisect
 import os
 
 import numpy as np
@@ -259,43 +260,55 @@ def test_efficiency_point_ratio():
 
 
 def test_efficiency_scan_probe_sequence(monkeypatch):
-    # the grid sizes double from 16 and bisect to 94; the margin scale
-    # bisects down from 1, each scale's mask solved only when it keeps
-    # at least the 24 reference levels' worth of cells
+    # at hbar=1 the grid search starts at the phase-space estimate 102,
+    # halves to 50 and bisects to 94; the margin scale halves from 1 and
+    # bisects, each scale's mask solved only when it keeps at least the 24
+    # reference levels' worth of cells
     probes = []
 
     def solve_fgh(axes, spec, n_states=None):
-        probes.append(("fgh", axes[0].N))
+        probes.append(("fgh", spec.hbar, axes[0].N))
         return pg.solve_fgh(axes, spec, n_states=n_states)
 
     def select_cells(lats, spec, e_cut, auto_scale=1.0):
         mask = pg.select_cells(lats, spec, e_cut, auto_scale)
-        probes.append(("scale", auto_scale, mask.n_kept))
+        probes.append(("scale", spec.hbar, auto_scale, mask.n_kept))
         return mask
 
     monkeypatch.setattr(solver, "solve_fgh", solve_fgh)
     monkeypatch.setattr(solver, "select_cells", select_cells)
-    solver.efficiency_scan(pg.morse(), [1.0], 4, 12.0, -1.6, 21.7)
-    assert probes == (
-        [("fgh", n) for n in (16, 32, 64, 128, 96, 80, 88, 92, 94)]
-        + [("scale", s, kept) for s, kept in
+    solver.efficiency_scan(pg.morse(), [1.0, 0.5, 0.25], 4, 12.0, -1.6, 21.7)
+    assert [p[1:] for p in probes if p[1] == 1.0] == (
+        [(1.0, n) for n in (102, 50, 76, 90, 96, 94, 92)]
+        + [(1.0, s, kept) for s, kept in
            ((1.0, 44), (0.5, 40), (0.75, 40), (0.875, 40), (0.9375, 44))])
+    kinds = [p[0] for p in probes]
+    assert (kinds.count("fgh"), kinds.count("scale")) == (23, 15)
 
 
-@pytest.mark.parametrize("lo, hi, limit, step",
-                         [(8, 16, 4096, 2), (0.0, 1.0, 16.0, 0.0625)])
-def test_smallest_is_the_brute_force_threshold(lo, hi, limit, step):
-    # the scan's two lattices: even grid sizes and dyadic margin scales
-    values = [lo + step * i for i in range(1, round((limit - lo) / step) + 1)]
-    for t in values + [v - step / 2 for v in values]:
-        probed = []
+@pytest.mark.parametrize("limit, step",
+                         [(4096, 2), (100, 2), (16.0, 0.0625)])
+def test_smallest_is_the_brute_force_threshold(limit, step):
+    # the scan's two lattices (even grid sizes to 4096, dyadic margin scales
+    # to 16) and a limit that is no power-of-two multiple of a start; the
+    # search may start anywhere, on or off the lattice, past the limit too
+    values = [step * i for i in range(1, round(limit / step) + 1)]
+    for t in values + [v - step / 2 for v in values] + [limit + step]:
+        want = values[bisect.bisect_left(values, t)] if t <= limit else None
+        starts = {step / 2, t - step, t - step / 2, t, t + step, limit,
+                  2 * limit}
+        for start in sorted(s for s in starts if s > 0):
+            probed = []
 
-        def passes(v):
-            probed.append(v)
-            return v >= t
+            def passes(v):
+                probed.append(v)
+                return v >= t
 
-        got = solver._smallest(passes, lo, hi, limit, step)
-        assert got == min(v for v in values if v >= t)
-        assert max(probed) <= limit
-    with pytest.raises(BudgetExceededError):
-        solver._smallest(lambda v: v > limit, lo, hi, limit, step)
+            if t > limit:
+                with pytest.raises(BudgetExceededError):
+                    solver._smallest(passes, start, limit, step)
+            else:
+                assert solver._smallest(passes, start, limit, step) == want
+            assert len(set(probed)) == len(probed)  # never probes twice
+            assert all(0 < v <= limit and (v / step).is_integer()
+                       for v in probed)

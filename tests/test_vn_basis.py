@@ -93,6 +93,26 @@ def test_overlap_and_dual_identities():
     assert bundle.cond_S >= 1.0
 
 
+def test_underflowed_gaussian_tails_are_flushed():
+    # the efficiency scan's hbar = 1/4 lattice: 20 x 20 cells on 400 points
+    grid = pg.Grid1D(-1.6, 21.7, 400)
+    lat = pg.VnLattice.from_grid(grid, 20, hbar=0.25)
+    bundle = pg.build_basis(lat, grid)
+    floor = math.sqrt(np.finfo(float).tiny)  # products below it underflow
+    mag = np.abs(bundle.G)
+    assert not np.any((mag > 0) & (mag < floor))
+    # the unflushed real G, by build_basis's mirror-pair recipe
+    m = np.arange(lat.size)
+    pair = lat.mirror
+    gc = pg.build_G(lat, grid)[:, np.minimum(m, pair)]
+    g = np.where(m == pair, 1.0, math.sqrt(2.0)) * np.where(
+        m <= pair, gc.real, gc.imag)
+    assert np.mean((g != 0) & (np.abs(g) < floor)) > 0.1  # tails to flush
+    assert np.array_equal(bundle.G, np.where(np.abs(g) < floor, 0.0, g))
+    np.testing.assert_allclose(bundle.S, pg.build_overlap(g), rtol=0,
+                               atol=1e-170)
+
+
 def test_singular_overlap_is_pseudo_inverted_with_a_warning():
     # a duplicated Gaussian column makes the overlap exactly singular;
     # the cell-centered lattice itself stays benign
