@@ -9,6 +9,7 @@ binomial(g + D, D).
 """
 
 import math
+import os
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -20,7 +21,10 @@ from .errors import (BelowWellBottomError, DegenerateEstimateError,
                      NotAvailableError, UnboundedOrbitError)
 from .potentials import PotentialSpec
 
+# MC_CHUNK fixes the order of the seeded stream (x, then p, per chunk);
+# MC_BLOCK is the number of sample rows one worker draws and counts at once
 MC_CHUNK = 1 << 18
+MC_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -160,10 +164,12 @@ def mc_phase_volume(spec: PotentialSpec, ndim: int, energy: float,
     Uniform samples over the ndim-th power of the box (default: the minimal
     box), counted against the separable classical Hamiltonian
     sum_d p_d^2/2m + V(x_d). The estimate is box volume * hit fraction with
-    the binomial standard error; at a fixed seed it is monotone
-    nondecreasing in energy because the accepted set only grows. A
-    diagnostic chunk checks that hits do not pile up against the box
-    faces, which would mean the box truncates the shell.
+    the binomial standard error; at a fixed seed and a fixed `box` the hit
+    count is nondecreasing in energy because the accepted set only grows
+    (the default box itself moves with the energy). A diagnostic chunk
+    checks that hits do not pile up against the box faces, which would
+    mean the box truncates the shell. The result depends on the seed, ndim,
+    n_samples and the box, not on the number of cores that count it.
     """
     if ndim < 1:
         raise ValueError("ndim must be >= 1")
@@ -174,57 +180,92 @@ def mc_phase_volume(spec: PotentialSpec, ndim: int, energy: float,
             f"kind {spec.kind!r} is not a 1-d degree of freedom to sample")
     if box is None:
         box = minimal_box(spec, energy)
-    rng = np.random.default_rng(seed)
-    # one buffer pair, refilled chunk by chunk
-    shape = (min(MC_CHUNK, n_samples), ndim)
-    bufs = (np.empty(shape), np.empty(shape))
-    hits = 0
-    done = 0
-    while done < n_samples:
-        n = min(MC_CHUNK, n_samples - done)
-        hits += _kernels.mc_count_hits(*_draw(rng, box, n, bufs), spec,
-                                       energy)
-        done += n
+    # chunk c0 of the serial order draws its x values, then its p values
+    chunks = [(2 * ndim * c0, min(MC_CHUNK, n_samples - c0))
+              for c0 in range(0, n_samples, MC_CHUNK)]
+    hits = _walk(seed, box, ndim, chunks, lambda xs, ps:
+                 _kernels.mc_count_hits(xs, ps, spec, energy))
     frac = hits / n_samples
     if hits == 0:
         raise DegenerateEstimateError(
             "no sample fell inside the energy shell; enlarge n_samples or "
             "shrink the box")
-    _boundary_diagnostic(spec, energy, box, rng, bufs,
-                         min(len(bufs[0]), 200_000))
+    _boundary_diagnostic(spec, energy, box, seed, ndim, n_samples)
     volume = box.volume(ndim)
     value = volume * frac
     err = volume * math.sqrt(frac * (1.0 - frac) / n_samples)
     return VolumeEstimate(value=value, std_error=err)
 
 
-def _draw(rng, box, n, bufs):
-    """n uniform points of the D-th power of the box, as (xs, ps).
+def _walk(seed, box, ndim, chunks, count, block=MC_BLOCK):
+    """Sum of count(xs, ps) over blocks of at most `block` sample rows.
 
-    Written into the first n rows of the (m, D) buffer pair `bufs`, m >= n.
-    The values and the generator state match rng.uniform(lo, hi,
-    size=(n, D)) for x, then for p.
+    chunks: (stream offset, rows) pairs. A chunk of n rows takes its x
+    values, then its p values, from the stream of default_rng(seed) at that
+    offset, as rng.uniform(x_lo, x_hi, (n, D)) and then
+    rng.uniform(-p_max, p_max, (n, D)) would. Each float64 costs one PCG64
+    step, so a block resets its worker's generator to the seeded state and
+    advances it to the block's own rows: the blocks run on one thread per
+    available core and draw the same numbers however many cores there are.
+    Worker w of k takes blocks w, w + k, ..., with its own generator and
+    buffers. count gets the (m, D) arrays of one block and returns
+    integers, so the sum does not depend on which worker counts which block.
     """
-    out = bufs[0][:n], bufs[1][:n]
-    for a, lo, hi in zip(out, (box.x_lo, -box.p_max), (box.x_hi, box.p_max)):
-        rng.random(out=a)
-        a *= hi - lo  # Generator.uniform computes lo + (hi - lo) * u
-        a += lo
-    return out
+    blocks = [(start + i * ndim, start + (n + i) * ndim, min(block, n - i))
+              for start, n in chunks for i in range(0, n, block)]
+    rows = max(m for _, _, m in blocks)
+    faces = ((box.x_lo, box.x_hi), (-box.p_max, box.p_max))
+
+    def work(w):
+        rng = np.random.default_rng(seed)
+        bits, seeded = rng.bit_generator, rng.bit_generator.state
+        bufs = np.empty((rows, ndim)), np.empty((rows, ndim))
+        total = 0
+        for off_x, off_p, m in blocks[w::workers]:
+            out = bufs[0][:m], bufs[1][:m]
+            for a, offset, (lo, hi) in zip(out, (off_x, off_p), faces):
+                bits.state = seeded
+                bits.advance(offset)
+                rng.random(out=a)
+                a *= hi - lo  # Generator.uniform computes lo + (hi - lo) * u
+                a += lo
+            total += count(*out)
+        return total
+
+    # the cores this process may run on (sched_getaffinity is Linux-only)
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    workers = min(cores, len(blocks))
+    if workers == 1:
+        return work(0)
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(workers) as pool:
+        done = [pool.submit(work, w) for w in range(workers)]
+    return sum(f.result() for f in done)  # re-raises a worker's error
 
 
-def _boundary_diagnostic(spec, energy, box, rng, bufs, n):
-    """Warn when over 0.1% of the hits in n new draws touch the box faces."""
-    xs, ps = _draw(rng, box, n, bufs)
-    inside = _kernels.shell_mask(xs, ps, spec, energy)
-    n_in = int(np.count_nonzero(inside))
-    if n_in == 0:
-        return
+def _boundary_diagnostic(spec, energy, box, seed, ndim, n_samples):
+    """Warn when over 0.1% of the hits in one more chunk touch the faces.
+
+    The chunk follows the n_samples draws in the stream and holds
+    min(MC_CHUNK, n_samples, 200_000) rows.
+    """
     eps_x = 1e-3 * (box.x_hi - box.x_lo)
     eps_p = 1e-3 * (2.0 * box.p_max)
-    near = ((xs < box.x_lo + eps_x) | (xs > box.x_hi - eps_x)
-            | (np.abs(ps) > box.p_max - eps_p)).any(axis=1)
-    frac = np.count_nonzero(near & inside) / n_in
+
+    def count(xs, ps):
+        inside = _kernels.shell_mask(xs, ps, spec, energy)
+        near = ((xs < box.x_lo + eps_x) | (xs > box.x_hi - eps_x)
+                | (np.abs(ps) > box.p_max - eps_p)).any(axis=1)
+        return np.array([np.count_nonzero(inside),
+                         np.count_nonzero(near & inside)])
+
+    rows = min(MC_CHUNK, n_samples, 200_000)
+    n_in, n_near = _walk(seed, box, ndim, [(2 * ndim * n_samples, rows)],
+                         count)
+    if n_in == 0:
+        return
+    frac = n_near / n_in
     if frac > 1e-3:
         warnings.warn(
             f"{100.0 * frac:.2f}% of the accepted samples touch the box "

@@ -2,15 +2,18 @@
 
 import itertools
 import math
+import os
+import threading
 import warnings
 
 import numpy as np
 import pytest
 
 import phasegrid as pg
+from phasegrid import _kernels
 from phasegrid.errors import (DegenerateEstimateError, NotAvailableError,
                               UnboundedOrbitError)
-from phasegrid.semiclassics import MC_CHUNK, _draw
+from phasegrid.semiclassics import MC_BLOCK, MC_CHUNK, _walk
 
 
 def test_turning_points_harmonic():
@@ -136,24 +139,101 @@ def test_mc_volume_separable_2d():
     assert abs(est.value - exact) < 4 * est.std_error
 
 
-def test_buffered_draw_matches_uniform():
-    # chunked draws into one buffer pair replay rng.uniform, x then p, bit
-    # for bit, through the short last chunk
-    box = pg.PhaseSpaceBox(-1.3, 2.9, 3.7)
-    n_samples = MC_CHUNK + 7
+def _assert_serial_blocks(blocks, serial, block):
+    """blocks, put back in order, are the serial chunks cut every `block` rows."""
+    want = {}
+    for xs, ps in serial:
+        for i in range(0, len(xs), block):
+            want[xs[i].tobytes()] = xs[i:i + block], ps[i:i + block]
+    assert len(blocks) == len(want)
+    for xs, ps in blocks:
+        wx, wp = want.pop(xs[0].tobytes())
+        assert np.array_equal(xs, wx) and np.array_equal(ps, wp)
+
+
+def test_walker_replays_serial_uniform_draws(monkeypatch):
+    # every block is its rows of the serial draws: rng.uniform for x, then
+    # for p, chunk by chunk through the short last chunk, bit for bit, and
+    # the diagnostic chunk follows at stream offset 2 D n_samples
+    assert type(np.random.default_rng(17).bit_generator) is np.random.PCG64
+    spec, box = pg.harmonic(), pg.PhaseSpaceBox(-1.3, 2.9, 3.7)
+    n_samples, n_diag = MC_CHUNK + 7, 200_000
+    seen = []
+    shell_mask = _kernels.shell_mask
+
+    def spy(xs, ps, *args):
+        seen.append((xs.copy(), ps.copy()))
+        return shell_mask(xs, ps, *args)
+
+    monkeypatch.setattr(_kernels, "shell_mask", spy)
     for ndim in (1, 2, 3):
-        mine, ref = np.random.default_rng(17), np.random.default_rng(17)
-        bufs = (np.empty((MC_CHUNK, ndim)), np.empty((MC_CHUNK, ndim)))
-        done = 0
-        while done < n_samples:
-            n = min(MC_CHUNK, n_samples - done)
-            xs, ps = _draw(mine, box, n, bufs)
-            assert np.array_equal(
-                xs, ref.uniform(box.x_lo, box.x_hi, size=(n, ndim)))
-            assert np.array_equal(
-                ps, ref.uniform(-box.p_max, box.p_max, size=(n, ndim)))
-            done += n
-        assert mine.bit_generator.state == ref.bit_generator.state
+        ref = np.random.default_rng(17)
+        serial = [(ref.uniform(box.x_lo, box.x_hi, size=(n, ndim)),
+                   ref.uniform(-box.p_max, box.p_max, size=(n, ndim)))
+                  for n in (MC_CHUNK, 7, n_diag)]
+        # the walker alone, with block edges (every 10007 rows) that miss
+        # the chunk edges
+        seen.clear()
+        chunks = [(0, MC_CHUNK), (2 * ndim * MC_CHUNK, 7),
+                  (2 * ndim * n_samples, n_diag)]
+        assert _walk(17, box, ndim, chunks,
+                     lambda xs, ps: len(spy(xs, ps, spec, 8.0)),
+                     10_007) == n_samples + n_diag
+        _assert_serial_blocks(seen, serial, 10_007)
+        # mc_phase_volume's own chunks, its boundary diagnostic included
+        seen.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            pg.mc_phase_volume(spec, ndim, 8.0, n_samples, seed=17, box=box)
+        _assert_serial_blocks(seen, serial, MC_BLOCK)
+
+
+def _cpus(monkeypatch, k):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)))
+
+
+@pytest.mark.parametrize("n_samples",
+                         [1, MC_BLOCK - 1, MC_BLOCK + 1, MC_CHUNK + 7])
+def test_mc_volume_does_not_depend_on_the_core_count(monkeypatch, n_samples):
+    # the box cuts the E = 8 shell, so the larger runs warn about its faces
+    spec, box = pg.harmonic(), pg.PhaseSpaceBox(-3.0, 3.0, 3.0)
+    seen = []
+    for cpus in (1, 2, 3):
+        _cpus(monkeypatch, cpus)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            est = pg.mc_phase_volume(spec, 2, 8.0, n_samples, seed=5, box=box)
+        seen.append((est.value, est.std_error,
+                     [str(w.message) for w in caught]))
+    assert seen[0] == seen[1] == seen[2]
+    assert bool(seen[0][2]) == (n_samples > 1)
+
+
+def test_worker_error_reaches_the_caller(monkeypatch):
+    # the box reaches 2e-5 past the table: samples of 2 of the 9 blocks
+    # leave it, so a worker that swallowed its error would quietly undercount
+    xs = np.linspace(-2.0, 2.0, 41)
+    spec = pg.tabulated(xs, 0.5 * xs**2)
+    box = pg.PhaseSpaceBox(-2.0, 2.00002, 2.0)
+    before = threading.active_count()
+    for cpus in (1, 2, 3):
+        _cpus(monkeypatch, cpus)
+        with pytest.raises(ValueError, match="outside its table range"):
+            pg.mc_phase_volume(spec, 2, 1.0, MC_CHUNK + 7, seed=3, box=box)
+        assert threading.active_count() == before
+
+
+def test_fixed_box_hit_count_grows_with_energy():
+    # at a fixed seed and box the accepted set only grows with E (the
+    # default minimal box would move with E)
+    spec, n = pg.morse(), 40_000
+    box = pg.minimal_box(spec, 11.0)
+    hits = []
+    for e in np.linspace(2.0, 11.0, 19):
+        est = pg.mc_phase_volume(spec, 2, e, n, seed=4, box=box)
+        hits.append(round(est.value / box.volume(2) * n))
+    assert all(b >= a for a, b in zip(hits, hits[1:]))
+    assert hits[0] < hits[-1]
 
 
 def test_mc_volume_degenerate_when_nothing_hits():

@@ -171,6 +171,27 @@ def test_one_module_owns_the_metric_rule():
     assert not found, found
 
 
+def test_one_module_owns_the_threads():
+    # only semiclassics runs threads, and it imports concurrent.futures
+    # inside the Monte Carlo walk, so importing the CLI does not load it
+    found = []
+    for path in sorted((ROOT / "src" / "phasegrid").glob("*.py")):
+        if path.name == "semiclassics.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] in ("threading", "concurrent")]
+    assert not found, found
+    assert _python("import sys, phasegrid.cli; "
+                   "print('concurrent.futures' in sys.modules)") == "False"
+
+
 def test_orbit_areas_leave_out_scipy_integrate():
     # every 1-d kind has closed-form turning points and orbit area, tables
     # included, so no scipy module is loaded at all
