@@ -29,40 +29,47 @@ from .vn_basis import (VnLattice, balanced_factors, build_basis,
 BASES = ("fgh", "vn", "pvn", "bvn")
 
 
-@dataclass(frozen=True)
 class GeneralizedProblem:
-    """Pencil (H, S) with S the basis overlap (metric).
+    """Pencil (H, S) with S the basis overlap (metric), built when needed.
 
-    H and S need to be Hermitian only up to roundoff: `solve_generalized`
-    takes the Hermitian part of H, and `metric_root` that of S as needed.
+    `h()` returns an H that its caller owns and may overwrite; `s()` returns
+    S, to be read only. GeneralizedProblem(h, s) holds two dense arrays and
+    never lets them be written: `h()` copies H and `s()` is S itself.
+    `GeneralizedProblem.deferred(size, build_h, build_s)` holds two
+    functions that build new arrays, so the eigensolve can make S, factor it
+    and free it before H exists; `assemble_bvn` returns one. H and S need to
+    be Hermitian only up to roundoff: `solve_generalized` takes the
+    Hermitian part of H, and `metric_root` that of S as needed.
     """
 
-    h: np.ndarray
-    s: np.ndarray
-
-    def __post_init__(self):
-        if self.h.shape != self.s.shape or self.h.shape[0] != self.h.shape[1]:
+    def __init__(self, h: np.ndarray, s: np.ndarray):
+        if h.shape != s.shape or h.shape[0] != h.shape[1]:
             raise ValueError("H and S must be square and congruent")
+        self.size, self.h, self.s = h.shape[0], h.copy, lambda: s
 
-    @property
-    def size(self) -> int:
-        return self.h.shape[0]
+    @classmethod
+    def deferred(cls, size: int, build_h, build_s) -> "GeneralizedProblem":
+        problem = cls.__new__(cls)
+        problem.size, problem.h, problem.s = size, build_h, build_s
+        return problem
 
 
 def assemble_bvn(h_op: FghOperator, cols: tuple, metrics: tuple,
                  mask: PruneMask | None = None) -> GeneralizedProblem:
-    """Project onto the kept columns of a Kronecker basis.
+    """Projection onto the kept columns of a Kronecker basis, built lazily.
 
     cols and metrics hold each axis's grid columns B and their overlap
     M = B^H B: (G, S) for pvn, (B, S^-1) for bvn. mask=None keeps every cell.
+    The mask is checked here; H and S are built only when the returned
+    problem's `h()` and `s()` are called, each time anew.
     Kept cell k = (cx, cy) is the column kron(By[:, cy], Bx[:, cx]), which is
     never formed. With W[x] = By^H (Ty + diag v[:, x]) By and Sy = By^H By,
-    the rows of one cy = a take one GEMM over the grid x,
+    the rows of one cy = a take row a of every W[x] and one GEMM over x,
     H[rows] = Bx[:, cx_rows]^H (W[x, a, cy] Bx[:, cx] + Sy[a, cy] (Tx Bx)[:, cx]),
-    and S[k, k'] = My[cy, cy'] Mx[cx, cx'], so memory stays
-    O(n_kept^2 + Ny^2 Nx). A 1-d grid gets a one-point y axis, By = My
-    = [[1]] and Ty = [[0]], which reduces H to Bk^H (diag v + Tx) Bk and S
-    to Mx[kept, kept]. S is exactly symmetric, H only up to roundoff.
+    and S[k, k'] = My[cy, cy'] Mx[cx, cx'], so beside H or S only
+    O(Nx n_kept) numbers are alive. A 1-d grid gets a one-point y axis,
+    By = My = [[1]] and Ty = [[0]], which reduces H to Bk^H (diag v + Tx) Bk
+    and S to Mx[kept, kept]. S is exactly symmetric, H only up to roundoff.
     """
     ts = h_op.ts
     if len(cols) == 1:
@@ -73,25 +80,64 @@ def assemble_bvn(h_op: FghOperator, cols: tuple, metrics: tuple,
     if mask is not None and mask.size != size:
         raise ValueError("mask length does not match the product basis size")
     idx = np.arange(size) if mask is None else mask.indices
-    cx, cy = idx % ncx, idx // ncx
-    v2d = h_op.v_diag.reshape(by.shape[0], bx.shape[0])
-    w = np.tensordot(v2d, by.conj()[:, :, None] * by[:, None, :], axes=(0, 0))
-    w += by.conj().T @ ty @ by
-    sy = by.conj().T @ by
-    ux, inv = np.unique(cx, return_inverse=True)  # Tx only on the kept columns
-    bxk, tbxk = bx[:, cx], (tx @ bx[:, ux])[:, inv]
-    h = np.empty((idx.size, idx.size), np.result_type(bx, by, tx))
-    s = np.empty((idx.size, idx.size), np.result_type(mx, my))
-    for a in np.unique(cy):  # idx ascends: the rows of one cy are a block
-        lo, hi = np.searchsorted(cy, [a, a + 1])
-        op = w[:, a, cy] * bxk + sy[a, cy] * tbxk
-        h[lo:hi] = bxk[:, lo:hi].conj().T @ op
-        s[lo:hi] = mx[np.ix_(cx[lo:hi], cx)] * my[a, cy]
-    return GeneralizedProblem(h, s)
+    n, (cx, cy) = idx.size, (idx % ncx, idx // ncx)
+    # idx ascends: the rows of one cy are a block
+    starts = np.flatnonzero(np.diff(cy, prepend=-1))
+    blocks = tuple(zip(starts, np.append(starts[1:], n)))
+
+    def build_s():
+        s = np.empty((n, n), np.result_type(mx, my))
+        for lo, hi in blocks:
+            s[lo:hi] = mx[np.ix_(cx[lo:hi], cx)] * my[cy[lo], cy]
+        return s
+
+    def build_h():
+        v_xy, byc = h_op.v_diag.reshape(by.shape[0], bx.shape[0]).T, by.conj()
+        tyy, sy = byc.T @ ty @ by, byc.T @ by
+        ux, inv = np.unique(cx, return_inverse=True)  # Tx only where kept
+        bxk, tbxk = bx[:, cx], (tx @ bx[:, ux])[:, inv]
+        h = np.empty((n, n), np.result_type(bx, by, tx))
+        for lo, hi in blocks:
+            a = cy[lo]
+            w = v_xy @ (byc[:, a, None] * by)  # row a of every W[x]
+            w += tyy[a]
+            op = w[:, cy] * bxk
+            op += sy[a, cy] * tbxk
+            np.matmul(bxk[:, lo:hi].conj().T, op, out=h[lo:hi])
+        return h
+
+    return GeneralizedProblem.deferred(n, build_h, build_s)
 
 
 # the names perfbench/tracer.py wraps, kept only until ROADMAP item 10
 assemble_pvn = assemble_bvn_2d = assemble_bvn
+
+
+def _congruence(h: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The Hermitian part of C^H H C, written over H: a view of its corner.
+
+    C^H H takes column blocks (block j needs only H[:, j]), then (C^H H) C
+    row blocks, each a quarter of H, and the Hermitian part is taken one
+    pair of mirrored blocks at a time: no other n x n array is made.
+    """
+    h = h.astype(np.result_type(h, c), copy=False)  # a real H, complex S
+    n, k = c.shape
+    step = -(-n // 4)
+    ch = c.conj().T
+    for lo in range(0, n, step):
+        h[:k, lo:lo + step] = ch @ h[:, lo:lo + step]
+    for lo in range(0, k, step):
+        h[lo:lo + step, :k] = h[lo:lo + step] @ c
+    a = h[:k, :k]
+    for i in range(0, k, step):
+        for j in range(i, k, step):
+            upper = a[i:i + step, j:j + step]
+            lower = a[j:j + step, i:i + step]
+            sym = upper + lower.conj().T
+            sym *= 0.5
+            lower[...] = sym.conj().T
+            upper[...] = sym
+    return a
 
 
 def solve_generalized(problem: GeneralizedProblem,
@@ -99,27 +145,20 @@ def solve_generalized(problem: GeneralizedProblem,
                       want_vectors: bool = False) -> Spectrum:
     """Solve H U = S U E for a Hermitian pencil with positive metric.
 
-    `metric_root` gives C with C^H S C = I (Cholesky, or whitening of a
-    near-singular S with a warning per dropped direction), and the pencil
-    becomes the standard problem of the Hermitian part of A = C^H H C.
-    Eigenvectors U = C Y are computed only when want_vectors is set.
-    Beside the caller's H and S, eigenvalues alone keep at most 2.25
-    pencils' worth of arrays alive, numpy's LAPACK work copies aside.
+    The pencil is built in the order the solve reads it. `metric_root` of
+    `problem.s()` gives C with C^H S C = I (Cholesky, or whitening of a
+    near-singular S with a warning per dropped direction), and a built S
+    dies with that call. Only then is `problem.h()` made, and `_congruence`
+    turns it in its own memory into the Hermitian part of C^H H C, the
+    standard problem. Eigenvectors U = C Y are computed only when
+    want_vectors is set. The caller's arrays are never written.
     """
     if problem.size == 0:
         raise ValueError("empty pencil: no basis function to solve for")
-    c, _ = metric_root(problem.s, "pencil metric whitened")
-    k = c.shape[1]
-    a = c.conj().T @ problem.h
-    rows = -(-k // 4)  # C^H H becomes C^H H C in place, a quarter at a time
-    for lo in range(0, k, rows):
-        a[lo:lo + rows, :k] = a[lo:lo + rows] @ c
-    a = a[:, :k]
+    c, _ = metric_root(problem.s(), "pencil metric whitened")
+    a = _congruence(problem.h(), c)
     if not want_vectors:
         del c
-    a += a.conj().T  # the Hermitian part of C^H H C is C^H H_sym C
-    a *= 0.5
-    if not want_vectors:
         return Spectrum(np.linalg.eigvalsh(a)[:n_states])
     vals, vecs = np.linalg.eigh(a)
     del a

@@ -169,28 +169,28 @@ def positive_modes(s: np.ndarray, what: str):
     return w, u
 
 
-def _lower_inverse(l: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Inverse of a lower-triangular matrix, by recursive 2 x 2 blocks.
+def _lower_inverse(l: np.ndarray) -> np.ndarray:
+    """Inverse of a lower-triangular matrix, by recursive 2 x 2 blocks, in
+    l's own memory (its upper triangle must be zero, as np.linalg.cholesky
+    leaves it); returns l.
 
     With L = [[L11, 0], [L21, L22]], the inverse is [[X11, 0], [X21, X22]]
     with Xii = Lii^-1 and X21 = -X22 L21 X11: two GEMMs per level, and
     np.linalg.inv (LU) only on diagonal blocks below INV_BLOCK rows. Each
-    level writes into out (zero above the diagonal), so the only other
-    array alive is one GEMM result, a quarter of L.
+    level overwrites its own blocks, so the only other array alive is one
+    GEMM result, a quarter of L.
     """
-    if out is None:
-        out = np.zeros_like(l)
     n = l.shape[0]
     if n < INV_BLOCK:
-        out[...] = np.tril(np.linalg.inv(l))
-        return out
+        l[...] = np.tril(np.linalg.inv(l))
+        return l
     k = n // 2
-    _lower_inverse(l[:k, :k], out[:k, :k])
-    _lower_inverse(l[k:, k:], out[k:, k:])
-    t = out[k:, k:] @ l[k:, :k]
+    _lower_inverse(l[:k, :k])
+    _lower_inverse(l[k:, k:])
+    t = l[k:, k:] @ l[k:, :k]
     np.negative(t, out=t)
-    np.matmul(t, out[:k, :k], out=out[k:, :k])
-    return out
+    np.matmul(t, l[:k, :k], out=l[k:, :k])
+    return l
 
 
 def _cond1_bound(s_norm: float, l_inv: np.ndarray) -> float:
@@ -199,10 +199,19 @@ def _cond1_bound(s_norm: float, l_inv: np.ndarray) -> float:
 
     ||S^-1||_1 = ||L^-H L^-1||_1 <= ||L^-1||_inf ||L^-1||_1, and each factor
     is at most sqrt(n) ||L^-1||_2, so the bound lies between cond_1(S) and
-    n ||S||_1 ||S^-1||_2 <= n cond_1(S).
+    n ||S||_1 ||S^-1||_2 <= n cond_1(S). |L^-1| is taken INV_BLOCK rows at
+    a time; row 0 of each block's buffer carries the column sums so far, so
+    they add up in row order, as one sum over axis 0 would.
     """
-    mag = np.abs(l_inv)
-    return float(s_norm * mag.sum(0).max() * mag.sum(1).max())
+    n = l_inv.shape[0]
+    buf = np.zeros((min(n, INV_BLOCK) + 1, n))
+    row_max = 0.0
+    for lo in range(0, n, INV_BLOCK):
+        rows = l_inv[lo:lo + INV_BLOCK]
+        mag = np.abs(rows, out=buf[1:1 + rows.shape[0]])
+        row_max = max(row_max, mag.sum(1).max())
+        buf[0] = buf[:1 + mag.shape[0]].sum(0)
+    return float(s_norm * buf[0].max() * row_max)
 
 
 def metric_root(s: np.ndarray, what: str):
@@ -216,7 +225,7 @@ def metric_root(s: np.ndarray, what: str):
     # before L exists: its n x n temporary, freed after L, would fragment
     # the heap and raise peak RSS
     s_norm = np.linalg.norm(s, 1)
-    try:  # L dies as soon as its inverse exists
+    try:  # L^-1 overwrites L
         l_inv = _lower_inverse(np.linalg.cholesky(s))
     except np.linalg.LinAlgError:
         l_inv = None

@@ -62,12 +62,36 @@ def _random_metric(n, dtype, seed):
     return (q * np.geomspace(1.0, 1e-4, n)) @ q.conj().T
 
 
+def _lower_inverse_out_of_place(l, out=None):
+    """The recursion of `vn_basis._lower_inverse`, writing a new array."""
+    if out is None:
+        out = np.zeros_like(l)
+    n = l.shape[0]
+    if n < vn_basis.INV_BLOCK:
+        out[...] = np.tril(np.linalg.inv(l))
+        return out
+    k = n // 2
+    _lower_inverse_out_of_place(l[:k, :k], out[:k, :k])
+    _lower_inverse_out_of_place(l[k:, k:], out[k:, k:])
+    t = out[k:, k:] @ l[k:, :k]
+    np.negative(t, out=t)
+    np.matmul(t, out[:k, :k], out=out[k:, :k])
+    return out
+
+
 @pytest.mark.parametrize("dtype", [float, complex])
-@pytest.mark.parametrize("n", [1, 7, 130, 300])  # both sides of INV_BLOCK
+@pytest.mark.parametrize("n", [1, 7, 130, 300, 515])  # both sides of INV_BLOCK
 def test_lower_inverse_and_condition_bound(n, dtype):
     s = _random_metric(n, dtype, n)
     l = np.linalg.cholesky(s)
-    l_inv = vn_basis._lower_inverse(l)
+    ref = _lower_inverse_out_of_place(l)
+    l_inv = vn_basis._lower_inverse(l.copy())
+    # in L's own memory, and summed INV_BLOCK rows at a time, the inverse
+    # and the bound keep the bits of the out-of-place code
+    assert np.array_equal(l_inv, ref)
+    mag = np.abs(ref)
+    assert (vn_basis._cond1_bound(3.0, l_inv)
+            == float(3.0 * mag.sum(0).max() * mag.sum(1).max()))
     assert l_inv.dtype == s.dtype
     np.testing.assert_allclose(l_inv @ l, np.eye(n), rtol=0, atol=1e-12)
     assert np.all(np.triu(l_inv, 1) == 0)
@@ -112,6 +136,46 @@ def test_whitening_warns_for_every_dropped_mode():
     assert [w.filename for w in caught] == [__file__]  # the solver's caller
     assert out.energies.shape == (7,) and np.all(np.isfinite(out.energies))
     np.testing.assert_allclose(out.energies, d, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("want_vectors", [False, True])
+@pytest.mark.parametrize("switch", [1e8, 1.0])  # Cholesky, whitening
+def test_solve_reads_the_callers_pencil_and_repeats(switch, want_vectors,
+                                                    monkeypatch):
+    monkeypatch.setattr(vn_basis, "COND_SWITCH", switch)
+    h, s, d = _random_pencil(9, 1e3, 7)
+    h_in, s_in = h.copy(), s.copy()
+    prob = pg.GeneralizedProblem(h, s)
+    first = pg.solve_generalized(prob, want_vectors=want_vectors)
+    assert np.array_equal(h, h_in) and np.array_equal(s, s_in)
+    again = pg.solve_generalized(prob, want_vectors=want_vectors)
+    assert np.array_equal(first.energies, again.energies)
+    np.testing.assert_allclose(first.energies, d, rtol=1e-9, atol=1e-9)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_whitened_pencil_reduction_matches_the_dense_formula(dtype):
+    # S of rank 23 < n = 30 keeps k = 23 modes, and n is no multiple of 4,
+    # so the column, row and mirrored blocks of the in-place reduction are
+    # all uneven; it must equal the Hermitian part of C^H H C, also for a
+    # real H in a complex metric
+    rng = np.random.default_rng(11)
+    n, k = 30, 23
+    a, h = rng.standard_normal((n, k)), rng.standard_normal((n, n))
+    if dtype is complex:
+        a = a + 1j * rng.standard_normal((n, k))
+    s = a @ a.conj().T
+    with pytest.warns(UserWarning, match="dropping 7 modes"):
+        c, _ = vn_basis.metric_root(s, "pencil metric whitened")
+    assert c.shape == (n, k)
+    dense = c.conj().T @ h @ c
+    dense = 0.5 * (dense + dense.conj().T)
+    np.testing.assert_allclose(solver._congruence(h.copy(), c), dense,
+                               rtol=0, atol=1e-12)
+    with pytest.warns(UserWarning, match="dropping 7 modes"):
+        out = pg.solve_generalized(pg.GeneralizedProblem(h, s))
+    np.testing.assert_allclose(out.energies, np.linalg.eigvalsh(dense),
+                               rtol=0, atol=1e-12)
 
 
 def test_empty_pencil_raises_before_lapack(capfd):

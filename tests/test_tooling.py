@@ -131,6 +131,25 @@ def test_dense_solves_load_no_scipy(tmp_path):
     assert _python(code, cwd=ROOT).splitlines() == ["[]"] * len(runs)
 
 
+_MA_LOADED = ("sorted(m for m in sys.modules "
+              "if m.split('.')[:2] == ['numpy', 'ma'])")
+
+
+def test_bvn_solve_and_efficiency_load_no_numpy_ma(tmp_path):
+    # np.unique with no return_* flag imports numpy.ma (about 15 ms), so
+    # the pruned assembly walks its kept cells without it
+    runs = [["solve", "--config", "configs/triangle_desk.cfg"],
+            ["efficiency", "--config", "configs/morse_bvn.cfg", "--hbars",
+             "1"]]
+    runs = [argv + ["--out", str(tmp_path / str(i)), "--quiet"]
+            for i, argv in enumerate(runs)]
+    code = ("import sys; from phasegrid import cli\n"
+            f"for argv in {runs!r}:\n"
+            "    assert cli.main(argv) == 0, argv\n"
+            f"    print({_MA_LOADED})")
+    assert _python(code, cwd=ROOT).splitlines() == ["[]"] * len(runs)
+
+
 def test_no_module_level_scipy_import():
     # scipy is imported inside the functions that need it, so importing
     # phasegrid (and every command that never solves) stays numpy-only
