@@ -266,14 +266,14 @@ def write_csv(path: str, header, rows) -> None:
 
 def read_csv(path: str):
     """Returns (header list, list of row dicts keyed by column name)."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ConfigError(f"{path}: empty CSV") from None
-        rows = [dict(zip(header, row)) for row in reader if row]
-    return header, rows
+    try:
+        with open(path, newline="") as fh:
+            header, *rows = csv.reader(fh)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read CSV {path}: {exc}") from None
+    except ValueError:  # nothing to unpack
+        raise ConfigError(f"{path}: empty CSV") from None
+    return header, [dict(zip(header, row)) for row in rows if row]
 
 
 # ---------------------------------------------------------------------------
@@ -321,8 +321,7 @@ def cmd_solve(cfg: RunConfig, args, meta: dict) -> dict:
         if lat is None:
             raise ConfigError(f"basis '{basis}' needs a [lattice] section")
         try:
-            VnLattice.from_grid(axes[0], lat.nx, hbar=spec.hbar,
-                                alpha=lat.alpha)
+            VnLattice(axes[0], lat.nx, spec.hbar, lat.alpha)
         except ValueError as exc:
             raise _rejected("lattice", {"nx": lat.nx, "alpha": lat.alpha},
                             exc) from None
@@ -716,7 +715,7 @@ def _load_config(path: str) -> RunConfig:
     try:
         with open(path) as fh:
             return parse_config(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
 
 
@@ -794,7 +793,7 @@ def main(argv=None) -> int:
     except (ConfigError, NotAvailableError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:  # OSError: a write
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -38,8 +38,8 @@ class GeneralizedProblem:
     `GeneralizedProblem.deferred(size, build_h, build_s)` holds two
     functions that build new arrays, so the eigensolve can make S, factor it
     and free it before H exists; `assemble_bvn` returns one. H and S need to
-    be Hermitian only up to roundoff: `solve_generalized` takes the
-    Hermitian part of H, and `metric_root` that of S as needed.
+    be Hermitian only up to roundoff: nothing symmetrizes them, and
+    LAPACK reads one triangle of S and of C^H H C.
     """
 
     def __init__(self, h: np.ndarray, s: np.ndarray):
@@ -114,11 +114,11 @@ assemble_pvn = assemble_bvn_2d = assemble_bvn
 
 
 def _congruence(h: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """The Hermitian part of C^H H C, written over H: a view of its corner.
+    """C^H H C, written over H: a view of its corner.
 
     C^H H takes column blocks (block j needs only H[:, j]), then (C^H H) C
-    row blocks, each a quarter of H, and the Hermitian part is taken one
-    pair of mirrored blocks at a time: no other n x n array is made.
+    row blocks, each a quarter of H: no other n x n array is made. The
+    corner is Hermitian only up to roundoff; eigh reads its lower triangle.
     """
     h = h.astype(np.result_type(h, c), copy=False)  # a real H, complex S
     n, k = c.shape
@@ -128,16 +128,7 @@ def _congruence(h: np.ndarray, c: np.ndarray) -> np.ndarray:
         h[:k, lo:lo + step] = ch @ h[:, lo:lo + step]
     for lo in range(0, k, step):
         h[lo:lo + step, :k] = h[lo:lo + step] @ c
-    a = h[:k, :k]
-    for i in range(0, k, step):
-        for j in range(i, k, step):
-            upper = a[i:i + step, j:j + step]
-            lower = a[j:j + step, i:i + step]
-            sym = upper + lower.conj().T
-            sym *= 0.5
-            lower[...] = sym.conj().T
-            upper[...] = sym
-    return a
+    return h[:k, :k]
 
 
 def solve_generalized(problem: GeneralizedProblem,
@@ -149,9 +140,10 @@ def solve_generalized(problem: GeneralizedProblem,
     `problem.s()` gives C with C^H S C = I (Cholesky, or whitening of a
     near-singular S with a warning per dropped direction), and a built S
     dies with that call. Only then is `problem.h()` made, and `_congruence`
-    turns it in its own memory into the Hermitian part of C^H H C, the
-    standard problem. Eigenvectors U = C Y are computed only when
-    want_vectors is set. The caller's arrays are never written.
+    turns it in its own memory into C^H H C, the standard problem, whose
+    lower triangle LAPACK reads. Eigenvectors U = C Y are
+    computed only when want_vectors is set. The caller's arrays are never
+    written.
     """
     if problem.size == 0:
         raise ValueError("empty pencil: no basis function to solve for")
@@ -193,12 +185,11 @@ class Pipeline:
             return
         if n_x is None:
             n_x = balanced_factors(axes[0].N)[0]
-        self.lattices = tuple(VnLattice.from_grid(g, n_x, hbar=spec.hbar,
-                                                  alpha=alpha) for g in axes)
+        self.lattices = tuple(VnLattice(g, n_x, spec.hbar, alpha)
+                              for g in axes)
         if basis == "vn":
             return
-        self.bundles = tuple(build_basis(lat, g)
-                             for lat, g in zip(self.lattices, axes))
+        self.bundles = tuple(build_basis(lat) for lat in self.lattices)
         self.info["cond_s"] = max(b.cond_S for b in self.bundles)
         self.h_grid = hamiltonian_fgh(axes, spec)
 

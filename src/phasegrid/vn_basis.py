@@ -37,45 +37,48 @@ def balanced_factors(n: int) -> tuple:
 
 @dataclass(frozen=True)
 class VnLattice:
-    """Rectangular lattice of phase-space cells with Gaussian centers.
+    """Phase-space cells with Gaussian centers, one per point of a grid axis.
 
-    Cell m corresponds to position index n = m % n_x and momentum index
-    l = m // n_x (position index fastest). Centers sit at cell midpoints;
-    p_l = dp * (l - (n_p-1)/2) makes rows l and n_p-1-l exact negatives in
-    floating point (see `mirror`). The width alpha defaults to
-    dp/(2*a*hbar), which matches the Gaussian aspect ratio to the unit cell.
+    n_x positions (dividing the N points) by n_p = N / n_x momenta; cell m
+    has position index n = m % n_x and momentum index l = m // n_x. Centers
+    sit at cell midpoints; p_l = dp * (l - (n_p-1)/2) makes rows l and
+    n_p-1-l exact negatives in floating point (see `mirror`). The width
+    alpha defaults to dp/(2*a*hbar), the unit cell's aspect ratio.
     """
 
-    x_min: float
-    L: float
+    axis: Grid1D
     n_x: int
-    n_p: int
     hbar: float = 1.0
     alpha: float | None = None
 
     def __post_init__(self):
-        if self.n_x <= 0 or self.n_p <= 0:
-            raise ValueError("lattice dimensions must be positive")
-        if self.L <= 0 or self.hbar <= 0:
-            raise ValueError("L and hbar must be positive")
+        if self.n_x <= 0 or self.axis.N % self.n_x:
+            raise ValueError(f"n_x = {self.n_x} is not a positive divisor of "
+                             f"the grid size {self.axis.N}")
+        if self.hbar <= 0:
+            raise ValueError("hbar must be positive")
         if self.alpha is None:
             object.__setattr__(self, "alpha", self.dp / (2.0 * self.a * self.hbar))
         elif not self.alpha > 0:
             raise ValueError("alpha must be positive")
 
     @property
+    def n_p(self) -> int:
+        return self.axis.N // self.n_x
+
+    @property
     def size(self) -> int:
-        return self.n_x * self.n_p
+        return self.axis.N
 
     @property
     def a(self) -> float:
         """Position spacing."""
-        return self.L / self.n_x
+        return self.axis.L / self.n_x
 
     @property
     def p_half(self) -> float:
         """Momentum half-extent of the covered rectangle."""
-        return math.pi * self.hbar * self.size / self.L
+        return math.pi * self.hbar * self.size / self.axis.L
 
     @property
     def dp(self) -> float:
@@ -84,7 +87,7 @@ class VnLattice:
 
     @property
     def centers_x(self) -> np.ndarray:
-        return self.x_min + self.a * (np.arange(self.n_x) + 0.5)
+        return self.axis.x_min + self.a * (np.arange(self.n_x) + 0.5)
 
     @property
     def centers_p(self) -> np.ndarray:
@@ -101,15 +104,6 @@ class VnLattice:
         """(size, 2) array of (x_c, p_c), position index fastest."""
         return axis_product([self.centers_x, self.centers_p])
 
-    @classmethod
-    def from_grid(cls, grid: Grid1D, n_x: int, hbar: float = 1.0,
-                  alpha: float | None = None) -> "VnLattice":
-        """The n_x x (N / n_x) lattice on the grid's box, a cell per point."""
-        if n_x <= 0 or grid.N % n_x:
-            raise ValueError(f"n_x = {n_x} is not a positive divisor of the "
-                             f"grid size {grid.N}")
-        return cls(grid.x_min, grid.L, n_x, grid.N // n_x, hbar, alpha)
-
 
 @dataclass(frozen=True)
 class BasisMatrices:
@@ -122,16 +116,14 @@ class BasisMatrices:
     cond_S: float  # the `metric_root` bound on cond_1(S)
 
 
-def build_G(lattice: VnLattice, grid: Grid1D) -> np.ndarray:
-    """N x N complex matrix G[i, m] = g_m(x_i) over the grid points.
+def build_G(lattice: VnLattice) -> np.ndarray:
+    """N x N complex matrix G[i, m] = g_m(x_i) over the lattice's grid points.
 
     g_m(x) = (2a/pi)^(1/4) exp(-a (x-x_c)^2 - i p_c (x-x_c)/hbar) is the
     continuous-normalized Gaussian of cell m; the momentum phase sign is
     fixed by convention and only conjugates the basis globally.
     """
-    if lattice.size != grid.N:
-        raise ValueError("lattice size must equal the grid size")
-    x = grid.points[:, None]
+    x = lattice.axis.points[:, None]
     xc = lattice.centers[:, 0][None, :]
     pc = lattice.centers[:, 1][None, :]
     return ((2.0 * lattice.alpha / math.pi) ** 0.25
@@ -140,9 +132,9 @@ def build_G(lattice: VnLattice, grid: Grid1D) -> np.ndarray:
 
 
 def build_overlap(g: np.ndarray) -> np.ndarray:
-    """Overlap S = G^dag G of the periodized Gaussians (exact on the grid)."""
-    s = g.conj().T @ g
-    return 0.5 * (s + s.conj().T)
+    """Overlap S = G^dag G of the periodized Gaussians (exact on the grid),
+    exactly symmetric for a real G (numpy forms G^T G as one product)."""
+    return g.conj().T @ g
 
 
 def positive_modes(s: np.ndarray, what: str):
@@ -220,7 +212,7 @@ def metric_root(s: np.ndarray, what: str):
     cond is the `_cond1_bound` of the Cholesky factor S = L L^H (only the
     lower triangle is read), inf without one, so cond_1(S) <= cond <=
     n cond_1(S). Up to COND_SWITCH, C = L^-H; above it C = U W^-1/2 whitens
-    the modes of the Hermitian part of S that `positive_modes` keeps.
+    the modes of S that `positive_modes` keeps.
     """
     # before L exists: its n x n temporary, freed after L, would fragment
     # the heap and raise peak RSS
@@ -233,7 +225,7 @@ def metric_root(s: np.ndarray, what: str):
     if cond <= COND_SWITCH:
         return l_inv.conj().T, cond
     del l_inv
-    w, u = positive_modes(0.5 * (s + s.conj().T), what)
+    w, u = positive_modes(s, what)
     return u / np.sqrt(w), cond
 
 
@@ -251,7 +243,7 @@ def build_bvn(g: np.ndarray, s_inv: np.ndarray) -> np.ndarray:
     return g @ s_inv
 
 
-def build_basis(lattice: VnLattice, grid: Grid1D) -> BasisMatrices:
+def build_basis(lattice: VnLattice) -> BasisMatrices:
     """Real (G, S, S_inv, B) bundle; mirror-closed cell subsets span as build_G.
 
     g at -p is the conjugate of g at +p, so a cell and its mirror become the
@@ -263,7 +255,7 @@ def build_basis(lattice: VnLattice, grid: Grid1D) -> BasisMatrices:
     """
     m = np.arange(lattice.size)
     pair = lattice.mirror
-    gc = build_G(lattice, grid)[:, np.minimum(m, pair)]
+    gc = build_G(lattice)[:, np.minimum(m, pair)]
     g = np.where(m == pair, 1.0, math.sqrt(2.0)) * np.where(
         m <= pair, gc.real, gc.imag)
     g[np.abs(g) < math.sqrt(np.finfo(float).tiny)] = 0.0
@@ -277,7 +269,7 @@ def continuous_vn_matrices(lattice: VnLattice, spec: PotentialSpec):
 
     Closed-form integrals over the infinite line; only the harmonic potential
     is supported. This is the baseline the periodized basis is compared
-    against.
+    against. h and s are Hermitian up to roundoff; nothing symmetrizes them.
     """
     if spec.kind != "harmonic":
         raise NotAvailableError(
@@ -304,4 +296,4 @@ def continuous_vn_matrices(lattice: VnLattice, spec: PotentialSpec):
                 + 2j * hbar * alpha * (p2 * em1 - p1 * em2) + p1 * p2)
     x_sq = s * ex2
     h = p_sq / (2.0 * mass) + 0.5 * mass * omega**2 * x_sq
-    return 0.5 * (h + h.conj().T), 0.5 * (s + s.conj().T)
+    return h, s

@@ -30,8 +30,8 @@ def test_c01_pvn_spectrum_equals_fgh():
         grid = pg.harmonic_square_grid(n)
         h = pg.hamiltonian_fgh((grid,), pg.harmonic())
         fgh = np.linalg.eigvalsh(h.to_dense())
-        lat = pg.VnLattice.from_grid(grid, balanced_factors(n)[0])
-        bundle = pg.build_basis(lat, grid)
+        lat = pg.VnLattice(grid, balanced_factors(n)[0])
+        bundle = pg.build_basis(lat)
         pvn = pg.solve_generalized(
             pg.assemble_bvn(h, (bundle.G,), (bundle.S,))).energies
         worst = max(worst, float(np.max(np.abs(pvn - fgh) / np.abs(fgh))))
@@ -45,8 +45,8 @@ def _n16_pieces():
     grid = pg.harmonic_square_grid(16)
     spec = pg.harmonic()
     h = pg.hamiltonian_fgh((grid,), spec)
-    lat = pg.VnLattice.from_grid(grid, 4)
-    bundle = pg.build_basis(lat, grid)
+    lat = pg.VnLattice(grid, 4)
+    bundle = pg.build_basis(lat)
     return grid, spec, h, lat, bundle
 
 
@@ -105,8 +105,8 @@ def test_c04_morse_pruned_basis_size_and_accuracy():
     t0 = time.perf_counter()
     spec = pg.morse()
     grid = pg.Grid1D(-1.6, 21.7, 100)
-    lat = pg.VnLattice.from_grid(grid, 10, alpha=0.5)
-    bundle = pg.build_basis(lat, grid)
+    lat = pg.VnLattice(grid, 10, alpha=0.5)
+    bundle = pg.build_basis(lat)
     mask = pg.select_cells((lat,), spec, 12.0)
     prob = pg.assemble_bvn(pg.hamiltonian_fgh((grid,), spec),
                            (bundle.B,), (bundle.S_inv,), mask)
@@ -146,8 +146,8 @@ def test_c06_triangle_2d_pruned_vs_grid_reference():
     e_cut = 0.4
     ref = np.linalg.eigvalsh(pg.hamiltonian_fgh(grid, spec).to_dense())
     ref = ref[ref < e_cut]
-    lat = pg.VnLattice.from_grid(gx, 8)
-    bundle = pg.build_basis(lat, gx)
+    lat = pg.VnLattice(gx, 8)
+    bundle = pg.build_basis(lat)
     mask = pg.select_cells((lat, lat), spec, e_cut, 1.5)
     h_op = pg.hamiltonian_fgh(grid, spec)
     prob = pg.assemble_bvn(h_op, (bundle.B, bundle.B),
@@ -228,8 +228,8 @@ def test_c10_linear_algebra_identities():
     ]
     worst = 0.0
     for grid, nx, npp, alpha in setups:
-        lat = pg.VnLattice.from_grid(grid, nx, alpha=alpha)
-        b = pg.build_basis(lat, grid)
+        lat = pg.VnLattice(grid, nx, alpha=alpha)
+        b = pg.build_basis(lat)
         eye = np.eye(lat.size)
         worst = max(worst,
                     float(np.max(np.abs(b.G.conj().T @ b.B - eye))),

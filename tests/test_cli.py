@@ -299,6 +299,37 @@ def test_missing_config_exits_2(tmp_path, capsys):
     assert "cannot read config" in capsys.readouterr().err
 
 
+def _unreadable(tmp_path, name, kind):
+    """A missing file, or one whose bytes are not UTF-8."""
+    path = tmp_path / name
+    if kind == "binary":
+        path.write_bytes(b"\xf6\xff\x00")
+    return str(path)
+
+
+@pytest.mark.parametrize("kind", ["missing", "binary"])
+def test_unreadable_inputs_exit_2(tmp_path, capsys, kind):
+    cfg = _unreadable(tmp_path, "run.cfg", kind)
+    assert cli.main(["solve", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read config") and cfg in err
+    table = _unreadable(tmp_path, "t.csv", kind)
+    assert cli.main(["plot", table, "--kind", "scaling", "--out",
+                     str(tmp_path / "p.svg")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read CSV") and table in err
+
+
+def test_unwritable_out_exits_1(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = str(blocker / "sub")  # a directory under a regular file
+    assert cli.main(["solve", "--config", _write(tmp_path, HARMONIC_CFG),
+                     "--out", out, "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and out in err
+
+
 def test_long_running_gate(tmp_path, capsys):
     text = """\
 [potential]

@@ -8,7 +8,7 @@ import phasegrid as pg
 
 def _lattice_1d():
     grid = pg.Grid1D(-1.6, 21.7, 100)
-    return pg.VnLattice.from_grid(grid, 10), grid
+    return pg.VnLattice(grid, 10), grid
 
 
 def test_cell_table_matches_classical_hamiltonian():
@@ -29,7 +29,7 @@ def test_cell_table_matches_classical_hamiltonian():
 def test_zero_scale_is_a_sharp_threshold():
     lat, _ = _lattice_1d()
     # a cell centered 5e-7 from the Coulomb pole, where the margin is inf
-    near = pg.VnLattice.from_grid(pg.Grid1D(5e-7 - 1.0, 8.0, 16), 4)
+    near = pg.VnLattice(pg.Grid1D(5e-7 - 1.0, 8.0, 16), 4)
     for lats, spec, e_cut in (((lat,), pg.morse(), 12.0),
                               ((near,), pg.coulomb1d(), -0.2)):
         _, h_cl = pg.cell_table(lats, spec)
@@ -57,8 +57,8 @@ def test_negative_auto_scale_is_rejected():
 
 def test_2d_product_cells():
     gx = pg.Grid1D(-6.0, 12.0, 16)
-    lat_x = pg.VnLattice.from_grid(gx, 4)
-    lat_y = pg.VnLattice.from_grid(gx, 4)
+    lat_x = pg.VnLattice(gx, 4)
+    lat_y = pg.VnLattice(gx, 4)
     spec = pg.triangle2d(mass=96.0)
     centers, h_cl = pg.cell_table((lat_x, lat_y), spec)
     assert centers.shape == (256, 4)
@@ -83,7 +83,7 @@ def test_pruning_fraction_shrinks_with_hbar():
         spec = pg.morse(hbar=hb)
         grid = pg.Grid1D(-1.6, 21.7, 100 if hb == 1.0 else 196)
         nx = 10 if hb == 1.0 else 14
-        lat = pg.VnLattice.from_grid(grid, nx, hbar=hb)
+        lat = pg.VnLattice(grid, nx, hbar=hb)
         mask = pg.select_cells((lat,), spec, 11.25)
         fractions.append(mask.n_kept / mask.size)
     assert fractions[1] < fractions[0]
@@ -108,7 +108,7 @@ def test_masks_closed_under_mirror(spec):
     x_min = 0.3 if spec.kind == "coulomb1d" else -7.3  # V = inf for x < 0
     for n_x, n_p in ((10, 10), (8, 9), (9, 8), (4, 5)):
         grid = pg.Grid1D(x_min, 15.1, n_x * n_p)
-        lat = pg.VnLattice.from_grid(grid, n_x, hbar=0.7)
+        lat = pg.VnLattice(grid, n_x, hbar=0.7)
         lats = (lat,) * spec.dimension
         _, h_cl = pg.cell_table(lats, spec)
         for e_cut in np.quantile(h_cl, [0.1, 0.3, 0.5], method="nearest"):

@@ -15,14 +15,14 @@ from phasegrid import vn_basis
 
 
 def _complex_bundle(lat, grid):
-    g = pg.build_G(lat, grid)
+    g = pg.build_G(lat)
     s_inv, _ = pg.invert_overlap(pg.build_overlap(g))
     return pg.build_bvn(g, s_inv), s_inv
 
 
 def _morse_setup():
     grid = pg.Grid1D(-1.6, 21.7, 100)
-    lat = pg.VnLattice.from_grid(grid, 10, alpha=0.5)
+    lat = pg.VnLattice(grid, 10, alpha=0.5)
     spec = pg.morse()
     return grid, lat, spec, pg.hamiltonian_fgh((grid,), spec)
 
@@ -30,7 +30,7 @@ def _morse_setup():
 def _triangle_setup(n=16, n_x=4):
     gx = pg.Grid1D(-6.0, 12.0, n)
     spec = pg.triangle2d(mass=30.0)
-    lat = pg.VnLattice.from_grid(gx, n_x)
+    lat = pg.VnLattice(gx, n_x)
     h_op = pg.hamiltonian_fgh((gx, gx), spec)
     return gx, lat, spec, h_op
 
@@ -52,15 +52,15 @@ def test_real_bundle_is_float64_and_biorthogonal():
     for grid, n_x, n_p in ((pg.harmonic_square_grid(16), 4, 4),
                            (pg.Grid1D(-3.0, 7.0, 72), 8, 9),
                            (pg.Grid1D(-3.0, 7.0, 72), 9, 8)):
-        lat = pg.VnLattice.from_grid(grid, n_x)
-        b = pg.build_basis(lat, grid)
+        lat = pg.VnLattice(grid, n_x)
+        b = pg.build_basis(lat)
         for m in (b.G, b.S, b.S_inv, b.B):
             assert m.dtype == np.float64
         eye = np.eye(lat.size)
         assert np.max(np.abs(b.G.T @ b.B - eye)) < 1e-10
         assert np.max(np.abs(b.B.T @ b.B - b.S_inv)) < 1e-10
         # the real columns are a unitary recombination of the complex ones
-        g = pg.build_G(lat, grid)
+        g = pg.build_G(lat)
         proj = g @ np.linalg.lstsq(g, b.G, rcond=None)[0]
         assert np.max(np.abs(proj - b.G)) < 1e-10
 
@@ -68,7 +68,7 @@ def test_real_bundle_is_float64_and_biorthogonal():
 def test_pruned_morse_matches_complex_pipeline():
     grid, lat, spec, h = _morse_setup()
     mask = pg.select_cells((lat,), spec, 12.0)
-    real = pg.build_basis(lat, grid)
+    real = pg.build_basis(lat)
     b, s_inv = _complex_bundle(lat, grid)
     e_real = pg.solve_generalized(
         pg.assemble_bvn(h, (real.B,), (real.S_inv,), mask)).energies
@@ -85,7 +85,7 @@ def test_pruned_triangle_2d_matches_complex_pipeline():
     gx, lat, spec, h_op = _triangle_setup()
     mask = pg.select_cells((lat, lat), spec, 0.8)
     assert 0 < mask.n_kept < mask.size
-    real = pg.build_basis(lat, gx)
+    real = pg.build_basis(lat)
     b, s_inv = _complex_bundle(lat, gx)
     prob_r = pg.assemble_bvn(h_op, (real.B, real.B), (real.S_inv, real.S_inv),
                              mask)
@@ -113,7 +113,7 @@ def test_operator_apply_matches_dense_real_and_complex():
 def test_pruned_bvn_bounds_fgh_from_above_1d(seed):
     grid, lat, _, h = _morse_setup()
     fgh = np.linalg.eigvalsh(h.to_dense())
-    basis = pg.build_basis(lat, grid)
+    basis = pg.build_basis(lat)
     rng = np.random.default_rng(seed)
     mask = _closed_mask_1d(lat, rng, rng.uniform(0.2, 0.8))
     out = pg.solve_generalized(
@@ -129,7 +129,7 @@ def test_one_point_y_axis_reduces_to_the_1d_projection(seed, complex_b):
     if complex_b:
         b, s_inv = _complex_bundle(lat, grid)
     else:
-        real = pg.build_basis(lat, grid)
+        real = pg.build_basis(lat)
         b, s_inv = real.B, real.S_inv
     mask, idx = None, np.arange(lat.size)
     if seed is not None:
@@ -152,7 +152,7 @@ def test_one_point_y_axis_reduces_to_the_1d_projection(seed, complex_b):
 def test_pruned_bvn_bounds_fgh_from_above_2d(seed):
     gx, lat, _, h_op = _triangle_setup()
     fgh = np.linalg.eigvalsh(h_op.to_dense())
-    basis = pg.build_basis(lat, gx)
+    basis = pg.build_basis(lat)
     rng = np.random.default_rng(100 + seed)
     mask = _closed_mask_2d(lat, rng, rng.uniform(0.2, 0.6))
     prob = pg.assemble_bvn(h_op, (basis.B, basis.B),
@@ -164,7 +164,7 @@ def test_pruned_bvn_bounds_fgh_from_above_2d(seed):
 
 def test_unpruned_bvn_2d_equals_fgh():
     gx, lat, _, h_op = _triangle_setup()
-    basis = pg.build_basis(lat, gx)
+    basis = pg.build_basis(lat)
     mask = pg.PruneMask(kept=np.ones(lat.size**2, dtype=bool))
     prob = pg.assemble_bvn(h_op, (basis.B, basis.B),
                            (basis.S_inv, basis.S_inv), mask)
@@ -176,7 +176,7 @@ def test_unpruned_bvn_2d_equals_fgh():
 
 def test_eigenvalues_only_matches_vectors_path(monkeypatch):
     grid, lat, spec, h = _morse_setup()
-    basis = pg.build_basis(lat, grid)
+    basis = pg.build_basis(lat)
     mask = pg.select_cells((lat,), spec, 12.0)
     prob = pg.assemble_bvn(h, (basis.B,), (basis.S_inv,), mask)
     # COND_SWITCH = 1 forces the whitening route on the same pencil
@@ -214,11 +214,11 @@ def test_factorized_assembly_matches_materialized_columns(axes, complex_b,
     grids, lats, bundles = [], [], []
     for n, n_x, n_p in axes:
         grids.append(pg.Grid1D(-6.0, 12.0, n))
-        lats.append(pg.VnLattice.from_grid(grids[-1], n_x))
+        lats.append(pg.VnLattice(grids[-1], n_x))
         if complex_b:
             bundles.append(_complex_bundle(lats[-1], grids[-1]))
         else:
-            real = pg.build_basis(lats[-1], grids[-1])
+            real = pg.build_basis(lats[-1])
             bundles.append((real.B, real.S_inv))
     h_op = pg.hamiltonian_fgh(tuple(grids), pg.triangle2d(mass=30.0))
     rng = np.random.default_rng(200 + seed)
@@ -247,9 +247,9 @@ def test_whole_solve_memory_scales_with_the_pencil(want_vectors, bound):
     # grid-by-kept array (1024 x n_kept) alone would take 2.9
     gx = pg.Grid1D(-6.0, 12.0, 32)
     spec = pg.triangle2d(mass=30.0)
-    lat = pg.VnLattice.from_grid(gx, 4)
+    lat = pg.VnLattice(gx, 4)
     h_op = pg.hamiltonian_fgh((gx, gx), spec)
-    basis = pg.build_basis(lat, gx)
+    basis = pg.build_basis(lat)
     mask = pg.select_cells((lat, lat), spec, 0.5)
     assert 0 < mask.n_kept < mask.size // 2
     parts = (h_op, (basis.B, basis.B), (basis.S_inv, basis.S_inv), mask)

@@ -232,10 +232,10 @@ def test_pseudo_inverse_warning_keeps_the_tracer_text():
     # needle-thin Gaussians: the four momenta of one x center sample to
     # nearly the same grid vector, so S has rank ~4 of 16
     grid = pg.Grid1D(-4.0, 8.0, 16)
-    lat = pg.VnLattice.from_grid(grid, 4, alpha=100.0)
+    lat = pg.VnLattice(grid, 4, alpha=100.0)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        pg.build_basis(lat, grid)
+        pg.build_basis(lat)
     assert any(text in str(w.message) for w in caught), caught
 
 

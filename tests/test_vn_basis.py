@@ -19,9 +19,9 @@ def _axis_overlap(name):
     """The overlap S of a shipped config's axis (every axis is the same)."""
     cfg = cli._load_config(os.path.join(CONFIGS, f"{name}.cfg"))
     grid = cli._grid_axis(cfg.grid)
-    lat = pg.VnLattice.from_grid(grid, cfg.lattice.nx, hbar=cfg.spec().hbar,
-                                 alpha=cfg.lattice.alpha)
-    return pg.build_basis(lat, grid).S
+    lat = pg.VnLattice(grid, cfg.lattice.nx, hbar=cfg.spec().hbar,
+                       alpha=cfg.lattice.alpha)
+    return pg.build_basis(lat).S
 
 
 def test_balanced_factors():
@@ -36,7 +36,7 @@ def test_balanced_factors():
 def test_lattice_cells_tile_one_planck_cell_each():
     grid = pg.Grid1D(-5.0, 10.0, 24)
     for n_x, n_p in ((6, 4), (4, 6), (12, 2)):
-        lat = pg.VnLattice.from_grid(grid, n_x, hbar=0.7)
+        lat = pg.VnLattice(grid, n_x, hbar=0.7)
         assert lat.a * lat.dp == pytest.approx(2 * math.pi * 0.7)
         assert lat.size == 24
         assert lat.centers_x.size == n_x
@@ -45,12 +45,12 @@ def test_lattice_cells_tile_one_planck_cell_each():
         assert lat.centers_x.min() > -5.0 and lat.centers_x.max() < 5.0
         assert np.max(np.abs(lat.centers_p)) < math.pi * 0.7 / grid.dx
     with pytest.raises(ValueError):
-        pg.VnLattice.from_grid(grid, 5)  # 5 does not divide 24
+        pg.VnLattice(grid, 5)  # 5 does not divide 24
 
 
 def test_centers_flat_ordering():
     grid = pg.Grid1D(0.0, 8.0, 8)
-    lat = pg.VnLattice.from_grid(grid, 4)
+    lat = pg.VnLattice(grid, 4)
     c = lat.centers
     # position index runs fastest
     np.testing.assert_allclose(c[:4, 0], lat.centers_x)
@@ -59,10 +59,14 @@ def test_centers_flat_ordering():
 
 
 def test_mirror_pairs_cells_at_exactly_opposite_momentum():
-    for n_x in (1, 3, 6, 10):
+    for n_x in (1, 2, 3, 6, 10):
         for n_p in range(1, 21):
+            if n_x * n_p % 2:  # no grid has an odd number of points
+                continue
             for length, hbar in ((10.0, 1.0), (21.7, 0.3), (7.3, 0.125)):
-                lat = pg.VnLattice(-1.0, length, n_x, n_p, hbar=hbar)
+                axis = pg.Grid1D(-1.0, length, n_x * n_p)
+                lat = pg.VnLattice(axis, n_x, hbar=hbar)
+                assert lat.n_p == n_p
                 c = lat.centers
                 mir = lat.mirror
                 np.testing.assert_array_equal(mir[mir], np.arange(lat.size))
@@ -74,18 +78,18 @@ def test_gaussian_grid_norm():
     # pick a cell near the box center so edge truncation is negligible;
     # grid quadrature of a smooth Gaussian then converges superexponentially
     grid = pg.harmonic_square_grid(36)
-    lat = pg.VnLattice.from_grid(grid, 6)
+    lat = pg.VnLattice(grid, 6)
     m = 3 * 6 + 2
     assert abs(lat.centers[m, 0]) < lat.a  # really the central cell
-    g = pg.build_G(lat, grid)[:, m]
+    g = pg.build_G(lat)[:, m]
     norm = np.sum(np.abs(g) ** 2) * grid.dx
     assert norm == pytest.approx(1.0, abs=1e-6)
 
 
 def test_overlap_and_dual_identities():
     grid = pg.harmonic_square_grid(16)
-    lat = pg.VnLattice.from_grid(grid, 4)
-    bundle = pg.build_basis(lat, grid)
+    lat = pg.VnLattice(grid, 4)
+    bundle = pg.build_basis(lat)
     n = lat.size
     assert np.max(np.abs(bundle.S - bundle.G.conj().T @ bundle.G)) == 0.0
     assert np.max(np.abs(bundle.G.conj().T @ bundle.B - np.eye(n))) < 1e-10
@@ -96,15 +100,15 @@ def test_overlap_and_dual_identities():
 def test_underflowed_gaussian_tails_are_flushed():
     # the efficiency scan's hbar = 1/4 lattice: 20 x 20 cells on 400 points
     grid = pg.Grid1D(-1.6, 21.7, 400)
-    lat = pg.VnLattice.from_grid(grid, 20, hbar=0.25)
-    bundle = pg.build_basis(lat, grid)
+    lat = pg.VnLattice(grid, 20, hbar=0.25)
+    bundle = pg.build_basis(lat)
     floor = math.sqrt(np.finfo(float).tiny)  # products below it underflow
     mag = np.abs(bundle.G)
     assert not np.any((mag > 0) & (mag < floor))
     # the unflushed real G, by build_basis's mirror-pair recipe
     m = np.arange(lat.size)
     pair = lat.mirror
-    gc = pg.build_G(lat, grid)[:, np.minimum(m, pair)]
+    gc = pg.build_G(lat)[:, np.minimum(m, pair)]
     g = np.where(m == pair, 1.0, math.sqrt(2.0)) * np.where(
         m <= pair, gc.real, gc.imag)
     assert np.mean((g != 0) & (np.abs(g) < floor)) > 0.1  # tails to flush
@@ -117,8 +121,8 @@ def test_singular_overlap_is_pseudo_inverted_with_a_warning():
     # a duplicated Gaussian column makes the overlap exactly singular;
     # the cell-centered lattice itself stays benign
     grid = pg.harmonic_square_grid(64)
-    lat = pg.VnLattice.from_grid(grid, 8)
-    g = pg.build_G(lat, grid)
+    lat = pg.VnLattice(grid, 8)
+    g = pg.build_G(lat)
     s = pg.build_overlap(np.column_stack([g, g[:, 27]]))
     with pytest.warns(UserWarning, match="overlap pseudo-inverted: "
                       "dropping 1 modes") as caught:
@@ -130,7 +134,7 @@ def test_singular_overlap_is_pseudo_inverted_with_a_warning():
     np.testing.assert_allclose(s @ s_inv @ s, s, atol=1e-8)
     with pytest.raises(IllConditionedError, match="negative beyond roundoff"):
         pg.invert_overlap(s - 0.01 * np.eye(s.shape[0]))
-    assert pg.build_basis(lat, grid).cond_S < 1e4
+    assert pg.build_basis(lat).cond_S < 1e4
 
 
 @pytest.mark.parametrize("switch", [1e8, 1.0])  # Cholesky, then whitening
@@ -166,10 +170,10 @@ def test_meta_cond_s_is_the_axis_cond1_bound(name, tmp_path):
 
 def test_alpha_override_changes_width_not_span():
     grid = pg.Grid1D(-6.0, 12.0, 16)
-    narrow = pg.VnLattice.from_grid(grid, 4, alpha=2.0)
-    wide = pg.VnLattice.from_grid(grid, 4, alpha=0.2)
-    g_n = np.abs(pg.build_G(narrow, grid)[:, 5])
-    g_w = np.abs(pg.build_G(wide, grid)[:, 5])
+    narrow = pg.VnLattice(grid, 4, alpha=2.0)
+    wide = pg.VnLattice(grid, 4, alpha=0.2)
+    g_n = np.abs(pg.build_G(narrow)[:, 5])
+    g_w = np.abs(pg.build_G(wide)[:, 5])
     # same center, different spread
     spread = lambda g: np.sqrt(np.sum(g**2 * grid.points**2) / np.sum(g**2))
     assert spread(g_w) > spread(g_n)
@@ -178,7 +182,7 @@ def test_alpha_override_changes_width_not_span():
 
 def test_continuous_matrices_harmonic_only():
     grid = pg.harmonic_square_grid(16)
-    lat = pg.VnLattice.from_grid(grid, 4)
+    lat = pg.VnLattice(grid, 4)
     h, s = pg.continuous_vn_matrices(lat, pg.harmonic())
     assert np.max(np.abs(h - h.conj().T)) < 1e-12
     assert np.max(np.abs(s - s.conj().T)) < 1e-12
@@ -194,7 +198,7 @@ def test_continuous_lattice_is_variational():
     # true level. The truncated continuous lattice is known to sit far
     # above, which is exactly why the periodized/dual route exists.
     grid = pg.harmonic_square_grid(36)
-    lat = pg.VnLattice.from_grid(grid, 6)
+    lat = pg.VnLattice(grid, 6)
     h, s = pg.continuous_vn_matrices(lat, pg.harmonic())
     out = pg.solve_generalized(pg.GeneralizedProblem(h, s))
     assert out.energies[0] >= 0.5 - 1e-9
