@@ -86,20 +86,6 @@ def kinetic_matrix(grid: Grid1D, mass: float, hbar: float = 1.0) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(t, n)[::-1].copy()
 
 
-def kinetic_matrix_fft_oracle(grid: Grid1D, mass: float, hbar: float = 1.0) -> np.ndarray:
-    """Kinetic matrix assembled from plane-wave modes (independent check).
-
-    Builds T = Phi diag(hbar^2 k_j^2 / 2m) Phi^dagger over the modes
-    k_j = 2*pi*j/L, j = -N/2+1 .. N/2, and drops the vanishing imaginary part.
-    """
-    n = grid.N
-    js = np.arange(-n // 2 + 1, n // 2 + 1)
-    k = 2.0 * math.pi * js / grid.L
-    phi = np.exp(2j * math.pi * np.multiply.outer(np.arange(n), js) / n) / math.sqrt(n)
-    t = (phi * (hbar**2 * k**2 / (2.0 * mass))) @ phi.conj().T
-    return t.real
-
-
 def potential_matrix(axes: tuple, spec: PotentialSpec) -> np.ndarray:
     """Diagonal of the potential matrix, V at the `axis_product` points."""
     ndim = len(axes)

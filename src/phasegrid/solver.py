@@ -22,7 +22,8 @@ from .fourier_grid import FghOperator, Grid1D, hamiltonian_fgh, solve_fgh
 from .potentials import PotentialSpec, analytic_levels
 from .pruner import PruneMask, select_cells
 from .spectra import Spectrum
-from .vn_basis import (VnLattice, balanced_factors, build_basis,
+from . import vn_basis
+from .vn_basis import (INV_BLOCK, VnLattice, balanced_factors, build_basis,
                        continuous_vn_matrices, metric_root)
 
 # the bases a Pipeline solves in
@@ -32,20 +33,20 @@ BASES = ("fgh", "vn", "pvn", "bvn")
 class GeneralizedProblem:
     """Pencil (H, S) with S the basis overlap (metric), built when needed.
 
-    `h()` returns an H that its caller owns and may overwrite; `s()` returns
-    S, to be read only. GeneralizedProblem(h, s) holds two dense arrays and
-    never lets them be written: `h()` copies H and `s()` is S itself.
+    `h()` and `s()` each return a new array that their caller owns and may
+    overwrite. GeneralizedProblem(h, s) holds two dense arrays and never
+    lets them be written: `h()` and `s()` copy them.
     `GeneralizedProblem.deferred(size, build_h, build_s)` holds two
     functions that build new arrays, so the eigensolve can make S, factor it
-    and free it before H exists; `assemble_bvn` returns one. H and S need to
-    be Hermitian only up to roundoff: nothing symmetrizes them, and
-    LAPACK reads one triangle of S and of C^H H C.
+    in its own memory and free it before H exists; `assemble_bvn` returns
+    one. H and S need to be Hermitian only up to roundoff: nothing
+    symmetrizes them, and LAPACK reads one triangle of S and of C^H H C.
     """
 
     def __init__(self, h: np.ndarray, s: np.ndarray):
         if h.shape != s.shape or h.shape[0] != h.shape[1]:
             raise ValueError("H and S must be square and congruent")
-        self.size, self.h, self.s = h.shape[0], h.copy, lambda: s
+        self.size, self.h, self.s = h.shape[0], h.copy, s.copy
 
     @classmethod
     def deferred(cls, size: int, build_h, build_s) -> "GeneralizedProblem":
@@ -114,21 +115,21 @@ assemble_pvn = assemble_bvn_2d = assemble_bvn
 
 
 def _congruence(h: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """C^H H C, written over H: a view of its corner.
+    """The lower triangle of X H X^H, X = C^H lower triangular, over H.
 
-    C^H H takes column blocks (block j needs only H[:, j]), then (C^H H) C
-    row blocks, each a quarter of H: no other n x n array is made. The
-    corner is Hermitian only up to roundoff; eigh reads its lower triangle.
+    Row blocks of Y = X H come bottom up, X[r, :hi] H[:hi], reading rows of
+    H not yet written, then A[r, :hi] = Y[r, :hi] X[:hi, :hi]^H: INV_BLOCK
+    rows per GEMM, X's zero half skipped, no other n x n array made.
     """
     h = h.astype(np.result_type(h, c), copy=False)  # a real H, complex S
-    n, k = c.shape
-    step = -(-n // 4)
-    ch = c.conj().T
-    for lo in range(0, n, step):
-        h[:k, lo:lo + step] = ch @ h[:, lo:lo + step]
-    for lo in range(0, k, step):
-        h[lo:lo + step, :k] = h[lo:lo + step] @ c
-    return h[:k, :k]
+    n, x = h.shape[0], c.conj().T
+    for hi in range(n, 0, -INV_BLOCK):
+        lo = max(hi - INV_BLOCK, 0)
+        h[lo:hi] = x[lo:hi, :hi] @ h[:hi]
+    for lo in range(0, n, INV_BLOCK):
+        hi = min(lo + INV_BLOCK, n)
+        h[lo:hi, :hi] = h[lo:hi, :hi] @ c[:hi, :hi]
+    return h
 
 
 def solve_generalized(problem: GeneralizedProblem,
@@ -136,19 +137,20 @@ def solve_generalized(problem: GeneralizedProblem,
                       want_vectors: bool = False) -> Spectrum:
     """Solve H U = S U E for a Hermitian pencil with positive metric.
 
-    The pencil is built in the order the solve reads it. `metric_root` of
-    `problem.s()` gives C with C^H S C = I (Cholesky, or whitening of a
-    near-singular S with a warning per dropped direction), and a built S
-    dies with that call. Only then is `problem.h()` made, and `_congruence`
-    turns it in its own memory into C^H H C, the standard problem, whose
-    lower triangle LAPACK reads. Eigenvectors U = C Y are
-    computed only when want_vectors is set. The caller's arrays are never
-    written.
+    The pencil is built in the order the solve reads it. `metric_root`
+    makes S with `problem.s` and overwrites it with C, C^H S C = I
+    (Cholesky, or whitening of a near-singular S with a warning per dropped
+    direction). Only then is `problem.h()` made, and `_congruence` turns it
+    in its own memory into C^H H C, whose lower triangle LAPACK reads; a
+    whitening root (n x k, not triangular) takes the plain product.
+    Eigenvectors U = C Y are computed only when want_vectors is set. The
+    caller's arrays are never written.
     """
     if problem.size == 0:
         raise ValueError("empty pencil: no basis function to solve for")
-    c, _ = metric_root(problem.s(), "pencil metric whitened")
-    a = _congruence(problem.h(), c)
+    c, cond = metric_root(problem.s, "pencil metric whitened")
+    a = (_congruence(problem.h(), c) if cond <= vn_basis.COND_SWITCH
+         else c.conj().T @ (problem.h() @ c))  # the whitening root
     if not want_vectors:
         del c
         return Spectrum(np.linalg.eigvalsh(a)[:n_states])
@@ -189,7 +191,9 @@ class Pipeline:
                               for g in axes)
         if basis == "vn":
             return
-        self.bundles = tuple(build_basis(lat) for lat in self.lattices)
+        # equal lattices (a 2-d grid's same axis twice) share one bundle
+        built = {lat: build_basis(lat) for lat in dict.fromkeys(self.lattices)}
+        self.bundles = tuple(built[lat] for lat in self.lattices)
         self.info["cond_s"] = max(b.cond_S for b in self.bundles)
         self.h_grid = hamiltonian_fgh(axes, spec)
 
@@ -337,12 +341,15 @@ def efficiency_scan(spec: PotentialSpec, hbars: Sequence[float], digits: int,
         # even k, so the k*k grid has an even number of points
         k = 2 * max(1, round(math.sqrt(n_target) / 2))
         pipe = Pipeline(sp, (Grid1D(x_min, length, k * k),), "bvn", n_x=k)
-        kept = {}  # scale -> kept cells
+        kept, judged = {}, {}  # scale -> kept cells; kept set -> converges
 
         def margin_passes(scale):
             mask = select_cells(pipe.lattices, sp, e_max, scale)
             kept[scale] = mask.n_kept
-            return mask.n_kept >= ref.size and converges(pipe, mask)
+            key = mask.indices.tobytes()  # nested sets: scales share masks
+            if mask.n_kept >= ref.size and key not in judged:
+                judged[key] = converges(pipe, mask)
+            return judged.get(key, False)
 
         try:
             scale = _smallest(margin_passes, 1.0, SCALE_MAX, SCALE_TOL)

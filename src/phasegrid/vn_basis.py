@@ -21,7 +21,7 @@ from .potentials import PotentialSpec
 RCOND = 1e-12
 # metric_root whitens a metric whose 1-norm condition number bound exceeds this
 COND_SWITCH = 1e8
-# rows below which _lower_inverse hands a triangle to np.linalg.inv
+# _cholesky_inverse's LAPACK block bound, and every metric GEMM's row block
 INV_BLOCK = 128
 
 
@@ -161,28 +161,33 @@ def positive_modes(s: np.ndarray, what: str):
     return w, u
 
 
-def _lower_inverse(l: np.ndarray) -> np.ndarray:
-    """Inverse of a lower-triangular matrix, by recursive 2 x 2 blocks, in
-    l's own memory (its upper triangle must be zero, as np.linalg.cholesky
-    leaves it); returns l.
+def _cholesky_inverse(a: np.ndarray) -> np.ndarray:
+    """L^-1 of S = L L^H written over a = S, of which only the lower
+    triangle is read; returns a, zero above the diagonal.
 
-    With L = [[L11, 0], [L21, L22]], the inverse is [[X11, 0], [X21, X22]]
-    with Xii = Lii^-1 and X21 = -X22 L21 X11: two GEMMs per level, and
-    np.linalg.inv (LU) only on diagonal blocks below INV_BLOCK rows. Each
-    level overwrites its own blocks, so the only other array alive is one
-    GEMM result, a quarter of L.
+    With S = [[S11, .], [S21, S22]], X11 = L11^-1 comes first, then
+    L21 = S21 X11^H, S22 - L21 L21^H (on its lower block triangle), its
+    inverse factor X22 and X21 = -X22 L21 X11. LAPACK sees only diagonal
+    blocks below INV_BLOCK rows; every other step is a GEMM on INV_BLOCK
+    rows that writes back into a, so no second n x n array is made. A
+    non-positive S raises LinAlgError and leaves a partly overwritten.
     """
-    n = l.shape[0]
+    n = a.shape[0]
     if n < INV_BLOCK:
-        l[...] = np.tril(np.linalg.inv(l))
-        return l
+        a[...] = np.tril(np.linalg.inv(np.linalg.cholesky(a)))
+        return a
     k = n // 2
-    _lower_inverse(l[:k, :k])
-    _lower_inverse(l[k:, k:])
-    t = l[k:, k:] @ l[k:, :k]
-    np.negative(t, out=t)
-    np.matmul(t, l[:k, :k], out=l[k:, :k])
-    return l
+    x11 = _cholesky_inverse(a[:k, :k])
+    for lo in range(k, n, INV_BLOCK):  # L21 over S21, then S22 - L21 L21^H
+        hi = min(lo + INV_BLOCK, n)
+        a[lo:hi, :k] = a[lo:hi, :k] @ x11.conj().T
+        a[lo:hi, k:hi] -= a[lo:hi, :k] @ a[k:hi, :k].conj().T
+    _cholesky_inverse(a[k:, k:])
+    a[:k, k:] = 0
+    for hi in range(n, k, -INV_BLOCK):  # X21 over L21, bottom up
+        lo = max(hi - INV_BLOCK, k)
+        a[lo:hi, :k] = -(a[lo:hi, k:hi] @ a[k:hi, :k] @ x11)
+    return a
 
 
 def _cond1_bound(s_norm: float, l_inv: np.ndarray) -> float:
@@ -206,33 +211,35 @@ def _cond1_bound(s_norm: float, l_inv: np.ndarray) -> float:
     return float(s_norm * buf[0].max() * row_max)
 
 
-def metric_root(s: np.ndarray, what: str):
+def metric_root(make_s, what: str):
     """(C, cond) with C^H S C = I: the one inverse of a positive metric S.
 
-    cond is the `_cond1_bound` of the Cholesky factor S = L L^H (only the
-    lower triangle is read), inf without one, so cond_1(S) <= cond <=
-    n cond_1(S). Up to COND_SWITCH, C = L^-H; above it C = U W^-1/2 whitens
-    the modes of S that `positive_modes` keeps.
+    make_s() returns a new S that metric_root may overwrite. cond is the
+    `_cond1_bound` of the Cholesky factor S = L L^H (only the lower triangle
+    is read), inf without one, so cond_1(S) <= cond <= n cond_1(S). Up to
+    COND_SWITCH, C = L^-H, upper triangular, in S's own memory; above it
+    C = U W^-1/2 whitens the modes of a second S that `positive_modes` keeps.
     """
-    # before L exists: its n x n temporary, freed after L, would fragment
-    # the heap and raise peak RSS
-    s_norm = np.linalg.norm(s, 1)
-    try:  # L^-1 overwrites L
-        l_inv = _lower_inverse(np.linalg.cholesky(s))
+    s = make_s()  # ||S||_1 is summed by columns before L^-1 overwrites S
+    s = s.astype(np.result_type(s, 1.0), copy=False)  # integers in floats
+    s_norm = max(np.abs(s[:, lo:lo + INV_BLOCK]).sum(0).max()
+                 for lo in range(0, s.shape[0], INV_BLOCK))
+    try:
+        l_inv = _cholesky_inverse(s)
     except np.linalg.LinAlgError:
         l_inv = None
     cond = float("inf") if l_inv is None else _cond1_bound(s_norm, l_inv)
     if cond <= COND_SWITCH:
         return l_inv.conj().T, cond
-    del l_inv
-    w, u = positive_modes(s, what)
+    del s, l_inv
+    w, u = positive_modes(make_s(), what)
     return u / np.sqrt(w), cond
 
 
 def invert_overlap(s: np.ndarray):
-    """(S_inv, cond): S^-1 = C C^H with C from `metric_root`, exactly
-    symmetric for a real S (numpy forms C C^T as one symmetric product)."""
-    c, cond = metric_root(s, "overlap pseudo-inverted")
+    """(S_inv, cond): S^-1 = C C^H with C from `metric_root` of a copy of S,
+    exactly symmetric for a real S (numpy forms C C^T as one product)."""
+    c, cond = metric_root(s.copy, "overlap pseudo-inverted")
     return c @ c.conj().T, cond
 
 

@@ -240,10 +240,11 @@ def test_factorized_assembly_matches_materialized_columns(axes, complex_b,
 @pytest.mark.parametrize("want_vectors,bound", [(False, 2.6), (True, 3.25)])
 def test_whole_solve_memory_scales_with_the_pencil(want_vectors, bound):
     # assembly included, the solve keeps 2.49 pencils' worth of numpy arrays
-    # at its peak, vectors 3.01 (measured): S beside its Cholesky factor,
-    # inverted in place, then the metric root C beside H, reduced in place,
-    # and the grid-x-by-kept assembly rows. Building H and S together and
-    # holding both through the eigensolve took 4.26 and 5.07, and one
+    # at its peak, vectors 3.01 (measured): S, factored and inverted in its
+    # own memory into the metric root C, beside H, reduced in place, and the
+    # grid-x-by-kept assembly rows (numpy.linalg's private copies are not
+    # traced; the harness's peak RSS sees them). Building H and S together
+    # and holding both through the eigensolve took 4.26 and 5.07, and one
     # grid-by-kept array (1024 x n_kept) alone would take 2.9
     gx = pg.Grid1D(-6.0, 12.0, 32)
     spec = pg.triangle2d(mass=30.0)

@@ -62,44 +62,48 @@ def _random_metric(n, dtype, seed):
     return (q * np.geomspace(1.0, 1e-4, n)) @ q.conj().T
 
 
-def _lower_inverse_out_of_place(l, out=None):
-    """The recursion of `vn_basis._lower_inverse`, writing a new array."""
-    if out is None:
-        out = np.zeros_like(l)
-    n = l.shape[0]
-    if n < vn_basis.INV_BLOCK:
-        out[...] = np.tril(np.linalg.inv(l))
-        return out
-    k = n // 2
-    _lower_inverse_out_of_place(l[:k, :k], out[:k, :k])
-    _lower_inverse_out_of_place(l[k:, k:], out[k:, k:])
-    t = out[k:, k:] @ l[k:, :k]
-    np.negative(t, out=t)
-    np.matmul(t, out[:k, :k], out=out[k:, :k])
-    return out
-
-
 @pytest.mark.parametrize("dtype", [float, complex])
-@pytest.mark.parametrize("n", [1, 7, 130, 300, 515])  # both sides of INV_BLOCK
-def test_lower_inverse_and_condition_bound(n, dtype):
+@pytest.mark.parametrize("n", [1, 127, 128, 129, 300, 977])  # about INV_BLOCK
+def test_cholesky_inverse_and_condition_bound(n, dtype):
     s = _random_metric(n, dtype, n)
-    l = np.linalg.cholesky(s)
-    ref = _lower_inverse_out_of_place(l)
-    l_inv = vn_basis._lower_inverse(l.copy())
-    # in L's own memory, and summed INV_BLOCK rows at a time, the inverse
-    # and the bound keep the bits of the out-of-place code
-    assert np.array_equal(l_inv, ref)
-    mag = np.abs(ref)
+    exact_inv = np.linalg.inv(np.linalg.cholesky(s))
+    cond = np.linalg.cond(s, 1)
+    a = s.copy()
+    a[np.triu_indices(n, 1)] = np.nan  # only the lower triangle is read
+    l_inv = vn_basis._cholesky_inverse(a)
+    assert l_inv is a and l_inv.dtype == s.dtype  # in S's own memory
+    assert np.all(np.triu(l_inv, 1) == 0)
+    np.testing.assert_allclose(l_inv, exact_inv, rtol=0,
+                               atol=1e-12 * cond * np.abs(exact_inv).max())
+    mag = np.abs(l_inv)
     assert (vn_basis._cond1_bound(3.0, l_inv)
             == float(3.0 * mag.sum(0).max() * mag.sum(1).max()))
-    assert l_inv.dtype == s.dtype
-    np.testing.assert_allclose(l_inv @ l, np.eye(n), rtol=0, atol=1e-12)
-    assert np.all(np.triu(l_inv, 1) == 0)
     s_norm = np.linalg.norm(s, 1)
     exact = s_norm * np.linalg.norm(np.linalg.inv(s), 1)
     bound = vn_basis._cond1_bound(s_norm, l_inv)
     # never below the condition number, at most n times it (up to roundoff)
     assert exact * (1 - 1e-12) <= bound <= n * exact * (1 + 1e-12)
+    c, root_cond = vn_basis.metric_root(s.copy, "pencil metric whitened")
+    assert root_cond == bound and np.array_equal(c, l_inv.conj().T)
+
+
+def test_metric_root_calls_lapack_only_on_small_blocks(monkeypatch):
+    # a desk-size metric (976 kept cells) is factored and inverted by GEMMs;
+    # LAPACK's Cholesky and inverse see only diagonal blocks below INV_BLOCK
+    rows = []
+    for name in ("cholesky", "inv", "eigh"):
+        original = getattr(np.linalg, name)
+
+        def record(m, *args, _original=original, **kwargs):
+            rows.append(m.shape[0])
+            return _original(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, record)
+    s = _random_metric(976, float, 3)
+    c, cond = vn_basis.metric_root(s.copy, "pencil metric whitened")
+    assert cond < vn_basis.COND_SWITCH and c.shape == s.shape
+    # 976 halves to eight 122-row leaves, each one Cholesky and one inverse
+    assert rows == [122] * 16 and max(rows) < vn_basis.INV_BLOCK
 
 
 def test_shipped_pencils_take_the_cholesky_route(tmp_path, monkeypatch):
@@ -154,25 +158,38 @@ def test_solve_reads_the_callers_pencil_and_repeats(switch, want_vectors,
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
-def test_whitened_pencil_reduction_matches_the_dense_formula(dtype):
-    # S of rank 23 < n = 30 keeps k = 23 modes, and n is no multiple of 4,
-    # so the column and row blocks of the in-place reduction are uneven;
-    # the lower triangle that eigvalsh reads must equal that of C^H H C,
+@pytest.mark.parametrize("n", [1, 127, 300])
+def test_congruence_lower_triangle_is_the_dense_formula(n, dtype):
+    # with the triangular Cholesky root, n on either side of INV_BLOCK and no
+    # multiple of it, the lower triangle written over H is that of C^H H C,
     # also for a real H in a complex metric
+    rng = np.random.default_rng(n)
+    h = rng.standard_normal((n, n))
+    c, _ = vn_basis.metric_root(_random_metric(n, dtype, n + 1).copy, "")
+    dense = c.conj().T @ h @ c
+    a = solver._congruence(h.copy(), c)
+    np.testing.assert_allclose(np.tril(a), np.tril(dense), rtol=0,
+                               atol=1e-12 * np.abs(dense).max())
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_whitened_pencil_matches_the_eigh_formula(dtype):
+    # S of rank 23 < n = 30 keeps k = 23 modes; the whitening fallback
+    # leaves the caller's H and S unwritten and its levels are those of
+    # C^H H C with C = U W^-1/2 on the kept eigenpairs of S
     rng = np.random.default_rng(11)
     n, k = 30, 23
     a, h = rng.standard_normal((n, k)), rng.standard_normal((n, n))
     if dtype is complex:
         a = a + 1j * rng.standard_normal((n, k))
     s = a @ a.conj().T
-    with pytest.warns(UserWarning, match="dropping 7 modes"):
-        c, _ = vn_basis.metric_root(s, "pencil metric whitened")
-    assert c.shape == (n, k)
+    h_in, s_in = h.copy(), s.copy()
+    w, u = np.linalg.eigh(s)
+    c = u[:, -k:] / np.sqrt(w[-k:])
     dense = c.conj().T @ h @ c
-    np.testing.assert_allclose(np.tril(solver._congruence(h.copy(), c)),
-                               np.tril(dense), rtol=0, atol=1e-12)
     with pytest.warns(UserWarning, match="dropping 7 modes"):
         out = pg.solve_generalized(pg.GeneralizedProblem(h, s))
+    assert np.array_equal(h, h_in) and np.array_equal(s, s_in)
     np.testing.assert_allclose(out.energies, np.linalg.eigvalsh(dense),
                                rtol=0, atol=1e-12)
 
@@ -183,6 +200,18 @@ def test_empty_pencil_raises_before_lapack(capfd):
     with pytest.raises(ValueError, match="empty pencil"):
         pipe.solve(pg.PruneMask(np.zeros(100, dtype=bool)))
     assert "DPOCON" not in capfd.readouterr().err
+
+
+@pytest.mark.parametrize("switch", [1e8, 1.0])  # Cholesky, whitening
+def test_integer_pencil_is_solved_in_floats(switch, monkeypatch):
+    # S is factored in its own memory, which must not truncate to integers
+    monkeypatch.setattr(vn_basis, "COND_SWITCH", switch)
+    h, s = np.diag([1, 2, 3]), np.array([[2, 1, 0], [1, 2, 0], [0, 0, 1]])
+    out = pg.solve_generalized(pg.GeneralizedProblem(h, s))
+    np.testing.assert_allclose(out.energies, [1 - 3**-0.5, 1 + 3**-0.5, 3],
+                               rtol=1e-14)
+    s_inv, _ = pg.invert_overlap(s)
+    np.testing.assert_allclose(s_inv @ s, np.eye(3), atol=1e-15)
 
 
 def test_problem_shape_validation():
@@ -326,7 +355,7 @@ def test_efficiency_scan_probe_sequence(monkeypatch):
     # at hbar=1 the grid search starts at the phase-space estimate 102,
     # halves to 50 and bisects to 94; the margin scale halves from 1 and
     # bisects, each scale's mask solved only when it keeps at least the 24
-    # reference levels' worth of cells
+    # reference levels' worth of cells and no earlier scale kept the same
     probes = []
 
     def solve_fgh(axes, spec, n_states=None):
@@ -338,15 +367,24 @@ def test_efficiency_scan_probe_sequence(monkeypatch):
         probes.append(("scale", spec.hbar, auto_scale, mask.n_kept))
         return mask
 
+    def solve_generalized(problem, n_states=None, want_vectors=False):
+        probes.append(("pencil", problem.size))
+        return pg.solve_generalized(problem, n_states, want_vectors)
+
     monkeypatch.setattr(solver, "solve_fgh", solve_fgh)
     monkeypatch.setattr(solver, "select_cells", select_cells)
+    monkeypatch.setattr(solver, "solve_generalized", solve_generalized)
     solver.efficiency_scan(pg.morse(), [1.0, 0.5, 0.25], 4, 12.0, -1.6, 21.7)
-    assert [p[1:] for p in probes if p[1] == 1.0] == (
+    assert [p[1:] for p in probes if p[0] != "pencil" and p[1] == 1.0] == (
         [(1.0, n) for n in (102, 50, 76, 90, 96, 94, 92)]
         + [(1.0, s, kept) for s, kept in
            ((1.0, 44), (0.5, 40), (0.75, 40), (0.875, 40), (0.9375, 44))])
     kinds = [p[0] for p in probes]
     assert (kinds.count("fgh"), kinds.count("scale")) == (23, 15)
+    # a kept set is solved once: at hbar=1 the scales 0.75 and 0.875 reuse
+    # the 40 cells of 0.5 and 0.9375 the 44 of 1, at hbar=1/2 one more repeats
+    assert kinds.count("pencil") == 11
+    assert [p[1] for p in probes if p[0] == "pencil"][:2] == [44, 40]
 
 
 @pytest.mark.parametrize("limit, step",

@@ -160,11 +160,14 @@ def test_meta_cond_s_is_the_axis_cond1_bound(name, tmp_path):
     meta = dict(line.split(" = ", 1)
                 for line in (out / "meta.txt").read_text().splitlines())
     s = _axis_overlap(name)
-    l_inv = vn_basis._lower_inverse(np.linalg.cholesky(s))
-    s_norm = np.linalg.norm(s, 1)
-    bound = vn_basis._cond1_bound(s_norm, l_inv)
-    exact = s_norm * np.linalg.norm(np.linalg.inv(s), 1)
+    _, bound = pg.invert_overlap(s)
     assert float(meta["cond_s"]) == bound
+    # the closed form ||S||_1 ||L^-1||_1 ||L^-1||_inf, to its last digits
+    l_inv = np.abs(np.linalg.inv(np.linalg.cholesky(s)))
+    s_norm = np.linalg.norm(s, 1)
+    assert bound == pytest.approx(
+        s_norm * l_inv.sum(0).max() * l_inv.sum(1).max(), rel=1e-12)
+    exact = s_norm * np.linalg.norm(np.linalg.inv(s), 1)
     assert exact <= bound <= s.shape[0] * exact
 
 
