@@ -23,9 +23,8 @@ from .solver import (EfficiencyPoint, GeneralizedProblem, Pipeline,
                      assemble_bvn, count_converged, efficiency_scan,
                      solve_generalized)
 from .spectra import Spectrum
-from .vn_basis import (BasisMatrices, VnLattice, build_basis, build_bvn,
-                       build_G, build_overlap, continuous_vn_matrices,
-                       invert_overlap)
+from .vn_basis import (VnLattice, build_basis, build_G, build_overlap,
+                       continuous_vn_matrices)
 
 __version__ = "0.1.0"
 

@@ -130,11 +130,19 @@ class FghOperator:
         return flat[:, 0] if single else flat
 
     def to_dense(self) -> np.ndarray:
+        """The matrix, one new array: each T_d is added where every other
+        digit of row and column agrees, through a strided view of h."""
         sizes = [len(t) for t in self.ts]
         h = np.zeros(self.shape)
+        row, col = h.strides
         for d, t in enumerate(self.ts):
             slower, faster = math.prod(sizes[d + 1:]), math.prod(sizes[:d])
-            h += np.kron(np.kron(np.eye(slower), t), np.eye(faster))
+            n = len(t)
+            # (slower digits, faster digits, row digit d, column digit d)
+            np.lib.stride_tricks.as_strided(
+                h, (slower, faster, n, n),
+                (faster * n * (row + col), row + col, faster * row,
+                 faster * col))[...] += t
         h[np.diag_indices_from(h)] += self.v_diag
         return h
 

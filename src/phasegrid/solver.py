@@ -169,10 +169,11 @@ class Pipeline:
     positions (the smaller balanced factor of the axis size by default) on
     each axis; a 2-d grid supports every basis but vn. pvn and bvn are one
     `assemble_bvn` projection of the grid Hamiltonian that differs only in
-    each axis's (columns, metric) pair: (G, S) or (B, S^-1). The lattices,
-    the real basis bundles, the grid Hamiltonian and `info` are made here,
-    so repeated `solve` calls with different masks reuse them. info's
-    cond_s is the largest axis overlap's `metric_root` bound on cond_1(S).
+    each axis's (columns, metric) pair: (G, S) or (B, S^-1), which
+    `build_basis` returns for the basis. The lattices, those pairs, the grid
+    Hamiltonian and `info` are made here, so repeated `solve` calls with
+    different masks reuse them. info's cond_s is the largest axis overlap's
+    `metric_root` bound on cond_1(S).
     """
 
     def __init__(self, spec: PotentialSpec, axes: tuple, basis: str,
@@ -182,7 +183,7 @@ class Pipeline:
         if len(axes) > 1 and basis == "vn":
             raise NotAvailableError(f"basis '{basis}' supports only 1-d grids")
         self.spec, self.axes, self.basis = spec, axes, basis
-        self.lattices, self.bundles, self.info, self.h_grid = (), (), {}, None
+        self.lattices, self.pairs, self.info, self.h_grid = (), (), {}, None
         if basis == "fgh":
             return
         if n_x is None:
@@ -191,10 +192,11 @@ class Pipeline:
                               for g in axes)
         if basis == "vn":
             return
-        # equal lattices (a 2-d grid's same axis twice) share one bundle
-        built = {lat: build_basis(lat) for lat in dict.fromkeys(self.lattices)}
-        self.bundles = tuple(built[lat] for lat in self.lattices)
-        self.info["cond_s"] = max(b.cond_S for b in self.bundles)
+        # equal lattices (a 2-d grid's same axis twice) share one pair
+        built = {lat: build_basis(lat, basis)
+                 for lat in dict.fromkeys(self.lattices)}
+        self.pairs = tuple(built[lat][:2] for lat in self.lattices)
+        self.info["cond_s"] = max(cond for _, _, cond in built.values())
         self.h_grid = hamiltonian_fgh(axes, spec)
 
     def solve(self, mask: PruneMask | None = None,
@@ -209,9 +211,7 @@ class Pipeline:
             h, s = continuous_vn_matrices(self.lattices[0], self.spec)
             problem = GeneralizedProblem(h, s)
         else:
-            pairs = [(b.G, b.S) if self.basis == "pvn" else (b.B, b.S_inv)
-                     for b in self.bundles]
-            cols, metrics = zip(*pairs)
+            cols, metrics = zip(*self.pairs)
             problem = assemble_bvn(self.h_grid, cols, metrics, mask)
         return solve_generalized(problem, n_states=n_states)
 

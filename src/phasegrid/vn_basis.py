@@ -21,7 +21,8 @@ from .potentials import PotentialSpec
 RCOND = 1e-12
 # metric_root whitens a metric whose 1-norm condition number bound exceeds this
 COND_SWITCH = 1e8
-# _cholesky_inverse's LAPACK block bound, and every metric GEMM's row block
+# _cholesky_inverse's LAPACK block bound, every metric GEMM's row block and
+# the Gaussian pairs build_basis evaluates at once
 INV_BLOCK = 128
 
 
@@ -105,27 +106,18 @@ class VnLattice:
         return axis_product([self.centers_x, self.centers_p])
 
 
-@dataclass(frozen=True)
-class BasisMatrices:
-    """Sampled basis G, overlap S = G^dag G, its inverse and B = G S^-1."""
-
-    G: np.ndarray
-    S: np.ndarray
-    S_inv: np.ndarray
-    B: np.ndarray
-    cond_S: float  # the `metric_root` bound on cond_1(S)
-
-
-def build_G(lattice: VnLattice) -> np.ndarray:
-    """N x N complex matrix G[i, m] = g_m(x_i) over the lattice's grid points.
+def build_G(lattice: VnLattice, cells=slice(None)) -> np.ndarray:
+    """Complex matrix G[i, j] = g_m(x_i) over the lattice's grid points, one
+    column per cell m of `cells` (every cell by default).
 
     g_m(x) = (2a/pi)^(1/4) exp(-a (x-x_c)^2 - i p_c (x-x_c)/hbar) is the
     continuous-normalized Gaussian of cell m; the momentum phase sign is
     fixed by convention and only conjugates the basis globally.
     """
+    c = lattice.centers[cells]
     x = lattice.axis.points[:, None]
-    xc = lattice.centers[:, 0][None, :]
-    pc = lattice.centers[:, 1][None, :]
+    xc = c[:, 0][None, :]
+    pc = c[:, 1][None, :]
     return ((2.0 * lattice.alpha / math.pi) ** 0.25
             * np.exp(-lattice.alpha * (x - xc) ** 2
                      - 1j * pc * (x - xc) / lattice.hbar))
@@ -142,8 +134,8 @@ def positive_modes(s: np.ndarray, what: str):
 
     No positive direction, or an eigenvalue below -RCOND * lambda_max,
     raises; the modes at or below RCOND * lambda_max are dropped with the
-    warning "<what>: dropping N" at the line that called `invert_overlap`
-    or `solve_generalized`.
+    warning "<what>: dropping N" at the line that called `build_basis` or
+    `solve_generalized`.
     """
     w, u = np.linalg.eigh(s)
     if w[-1] <= 0:
@@ -236,39 +228,51 @@ def metric_root(make_s, what: str):
     return u / np.sqrt(w), cond
 
 
-def invert_overlap(s: np.ndarray):
-    """(S_inv, cond): S^-1 = C C^H with C from `metric_root` of a copy of S,
-    exactly symmetric for a real S (numpy forms C C^T as one product)."""
-    c, cond = metric_root(s.copy, "overlap pseudo-inverted")
-    return c @ c.conj().T, cond
-
-
-def build_bvn(g: np.ndarray, s_inv: np.ndarray) -> np.ndarray:
-    """Grid-sampled biorthogonal functions B = G S^-1 (so G^dag B = I)."""
-    if g.shape[1] != s_inv.shape[0]:
-        raise ValueError("G and S_inv shapes disagree")
-    return g @ s_inv
-
-
-def build_basis(lattice: VnLattice) -> BasisMatrices:
-    """Real (G, S, S_inv, B) bundle; mirror-closed cell subsets span as build_G.
+def _real_columns(lattice: VnLattice) -> np.ndarray:
+    """The real G whose mirror-closed cell subsets span as `build_G`'s.
 
     g at -p is the conjugate of g at +p, so a cell and its mirror become the
     unitary pair sqrt(2) Re g, sqrt(2) Im g of the lower-index partner g (a
-    p = 0 cell keeps Re g). G^dag B = I and B^dag B = S^-1 still hold.
-    Entries of G below sqrt(tiny) in magnitude are zeroed first: a product
-    of two is subnormal and slows the BLAS, and S moves by far less than
-    its rounding (at most N sqrt(tiny) max|G|).
+    p = 0 cell keeps Re g). One complex Gaussian per pair is evaluated,
+    INV_BLOCK pairs at a time, into the columns of one column-major N x N
+    array (the layout every product with G reads). Entries below
+    sqrt(tiny) in magnitude are zeroed: a product of two is subnormal and
+    slows the BLAS, and S moves by far less than its rounding (at most
+    N sqrt(tiny) max|G|).
     """
-    m = np.arange(lattice.size)
     pair = lattice.mirror
-    gc = build_G(lattice)[:, np.minimum(m, pair)]
-    g = np.where(m == pair, 1.0, math.sqrt(2.0)) * np.where(
-        m <= pair, gc.real, gc.imag)
+    lower = np.flatnonzero(np.arange(lattice.size) <= pair)
+    g = np.empty((lattice.axis.N, lattice.size), order="F")
+    for lo in range(0, lower.size, INV_BLOCK):
+        cells = lower[lo:lo + INV_BLOCK]
+        twin = pair[cells] != cells
+        gc = build_G(lattice, cells)
+        g[:, cells] = np.where(twin, math.sqrt(2.0), 1.0) * gc.real
+        g[:, pair[cells][twin]] = math.sqrt(2.0) * gc.imag[:, twin]
     g[np.abs(g) < math.sqrt(np.finfo(float).tiny)] = 0.0
-    s = build_overlap(g)
-    s_inv, cond = invert_overlap(s)
-    return BasisMatrices(g, s, s_inv, build_bvn(g, s_inv), cond)
+    return g
+
+
+def build_basis(lattice: VnLattice, basis: str):
+    """The real pair a basis projects with, and the `metric_root` bound on
+    cond_1(S): (G, S, cond) for "pvn", (B, S^-1, cond) for "bvn".
+
+    G comes from `_real_columns` and S = G^T G. For bvn, S is factored in
+    its own memory into C, S^-1 = C C^T (exactly symmetric: numpy forms it
+    as one product) and B = G S^-1, so G^T B = I and B^T B = S^-1; G is
+    dropped once B exists. Neither path holds more than three N x N arrays.
+    """
+    if basis not in ("pvn", "bvn"):
+        raise ValueError(f"basis {basis!r} has no grid columns")
+    g = _real_columns(lattice)
+    if basis == "pvn":
+        s = build_overlap(g)
+        return g, s, metric_root(s.copy, "overlap pseudo-inverted")[1]
+    c, cond = metric_root(lambda: build_overlap(g),
+                          "overlap pseudo-inverted")
+    s_inv = c @ c.conj().T
+    del c
+    return g @ s_inv, s_inv, cond
 
 
 def continuous_vn_matrices(lattice: VnLattice, spec: PotentialSpec):

@@ -31,9 +31,8 @@ def test_c01_pvn_spectrum_equals_fgh():
         h = pg.hamiltonian_fgh((grid,), pg.harmonic())
         fgh = np.linalg.eigvalsh(h.to_dense())
         lat = pg.VnLattice(grid, balanced_factors(n)[0])
-        bundle = pg.build_basis(lat)
-        pvn = pg.solve_generalized(
-            pg.assemble_bvn(h, (bundle.G,), (bundle.S,))).energies
+        g, s, _ = pg.build_basis(lat, "pvn")
+        pvn = pg.solve_generalized(pg.assemble_bvn(h, (g,), (s,))).energies
         worst = max(worst, float(np.max(np.abs(pvn - fgh) / np.abs(fgh))))
     dt = time.perf_counter() - t0
     _report("C01 pvn == fgh spectrum",
@@ -46,14 +45,14 @@ def _n16_pieces():
     spec = pg.harmonic()
     h = pg.hamiltonian_fgh((grid,), spec)
     lat = pg.VnLattice(grid, 4)
-    bundle = pg.build_basis(lat)
-    return grid, spec, h, lat, bundle
+    pair = pg.build_basis(lat, "pvn")[:2]
+    return grid, spec, h, lat, pair
 
 
 def test_c02_baseline_gap_and_kinetic_ladder():
     """vn baseline err >= 1e-2 at the tracked level; kinetic ladder to 1e-8."""
     t0 = time.perf_counter()
-    grid, spec, h, lat, bundle = _n16_pieces()
+    grid, spec, h, lat, (g, s) = _n16_pieces()
     h_vn, s_vn = pg.continuous_vn_matrices(lat, spec)
     vn = pg.solve_generalized(pg.GeneralizedProblem(h_vn, s_vn))
     vn_err = abs(vn.energies[7] - 7.5)
@@ -61,7 +60,7 @@ def test_c02_baseline_gap_and_kinetic_ladder():
     t_ref = np.linalg.eigvalsh(t_mat)
     t_op = pg.FghOperator((t_mat,), np.zeros(grid.N))
     t_pvn = pg.solve_generalized(
-        pg.assemble_bvn(t_op, (bundle.G,), (bundle.S,))).energies
+        pg.assemble_bvn(t_op, (g,), (s,))).energies
     scale = max(abs(t_ref[-1]), 1.0)
     ladder_dev = float(np.max(np.abs(t_pvn - t_ref))) / scale
     dt = time.perf_counter() - t0
@@ -76,9 +75,8 @@ def test_c02_baseline_gap_and_kinetic_ladder():
                           "1e-5 is not reachable at this grid size")
 def test_c02_tracked_level_error_below_1e5():
     """pvn |E7 - 7.5| <= 1e-5 at N=16: held red, floor is ~9.5e-5."""
-    _, _, h, _, bundle = _n16_pieces()
-    pvn = pg.solve_generalized(
-        pg.assemble_bvn(h, (bundle.G,), (bundle.S,))).energies
+    _, _, h, _, (g, s) = _n16_pieces()
+    pvn = pg.solve_generalized(pg.assemble_bvn(h, (g,), (s,))).energies
     err = abs(pvn[7] - 7.5)
     print(f"[acceptance] C02 tracked-level 1e-5 clause: measured "
           f"|E7-7.5| = {err:.3e} vs required 1e-5", flush=True)
@@ -106,10 +104,10 @@ def test_c04_morse_pruned_basis_size_and_accuracy():
     spec = pg.morse()
     grid = pg.Grid1D(-1.6, 21.7, 100)
     lat = pg.VnLattice(grid, 10, alpha=0.5)
-    bundle = pg.build_basis(lat)
+    b, s_inv, _ = pg.build_basis(lat, "bvn")
     mask = pg.select_cells((lat,), spec, 12.0)
     prob = pg.assemble_bvn(pg.hamiltonian_fgh((grid,), spec),
-                           (bundle.B,), (bundle.S_inv,), mask)
+                           (b,), (s_inv,), mask)
     out = pg.solve_generalized(prob)
     ref = pg.analytic_levels(spec)
     n_ok = pg.count_converged(out.energies, ref, digits=4, e_max=12.0)
@@ -147,11 +145,10 @@ def test_c06_triangle_2d_pruned_vs_grid_reference():
     ref = np.linalg.eigvalsh(pg.hamiltonian_fgh(grid, spec).to_dense())
     ref = ref[ref < e_cut]
     lat = pg.VnLattice(gx, 8)
-    bundle = pg.build_basis(lat)
+    b, s_inv, _ = pg.build_basis(lat, "bvn")
     mask = pg.select_cells((lat, lat), spec, e_cut, 1.5)
     h_op = pg.hamiltonian_fgh(grid, spec)
-    prob = pg.assemble_bvn(h_op, (bundle.B, bundle.B),
-                           (bundle.S_inv, bundle.S_inv), mask)
+    prob = pg.assemble_bvn(h_op, (b, b), (s_inv, s_inv), mask)
     out = pg.solve_generalized(prob)
     dev = float(np.max(np.abs(out.energies[:ref.size] - ref)))
     frac = mask.n_kept / mask.size
@@ -229,12 +226,13 @@ def test_c10_linear_algebra_identities():
     worst = 0.0
     for grid, nx, npp, alpha in setups:
         lat = pg.VnLattice(grid, nx, alpha=alpha)
-        b = pg.build_basis(lat)
+        g, s, _ = pg.build_basis(lat, "pvn")
+        b, s_inv, _ = pg.build_basis(lat, "bvn")
         eye = np.eye(lat.size)
         worst = max(worst,
-                    float(np.max(np.abs(b.G.conj().T @ b.B - eye))),
-                    float(np.max(np.abs(b.B.conj().T @ b.B - b.S_inv))),
-                    float(np.max(np.abs(b.S - b.G.conj().T @ b.G))))
+                    float(np.max(np.abs(g.conj().T @ b - eye))),
+                    float(np.max(np.abs(b.conj().T @ b - s_inv))),
+                    float(np.max(np.abs(s - g.conj().T @ g))))
     rng = np.random.default_rng(42)
     n = 12
     a = rng.standard_normal((n, n))

@@ -1,7 +1,7 @@
 """Real cos/sin basis of mirrored cells: equivalence and Ritz-bound properties.
 
 build_basis pairs each cell with its mirror (same x, opposite p) into a real
-basis with the same span as the complex Gaussians. The complex bundle is
+basis with the same span as the complex Gaussians. The complex bvn pair is
 rebuilt here from its parts to check that nothing observable changed.
 """
 
@@ -16,8 +16,10 @@ from phasegrid import vn_basis
 
 def _complex_bundle(lat, grid):
     g = pg.build_G(lat)
-    s_inv, _ = pg.invert_overlap(pg.build_overlap(g))
-    return pg.build_bvn(g, s_inv), s_inv
+    c, _ = vn_basis.metric_root(lambda: pg.build_overlap(g),
+                                "overlap pseudo-inverted")
+    s_inv = c @ c.conj().T
+    return g @ s_inv, s_inv
 
 
 def _morse_setup():
@@ -53,30 +55,32 @@ def test_real_bundle_is_float64_and_biorthogonal():
                            (pg.Grid1D(-3.0, 7.0, 72), 8, 9),
                            (pg.Grid1D(-3.0, 7.0, 72), 9, 8)):
         lat = pg.VnLattice(grid, n_x)
-        b = pg.build_basis(lat)
-        for m in (b.G, b.S, b.S_inv, b.B):
+        g_real, s, _ = pg.build_basis(lat, "pvn")
+        b, s_inv, _ = pg.build_basis(lat, "bvn")
+        for m in (g_real, s, s_inv, b):
             assert m.dtype == np.float64
         eye = np.eye(lat.size)
-        assert np.max(np.abs(b.G.T @ b.B - eye)) < 1e-10
-        assert np.max(np.abs(b.B.T @ b.B - b.S_inv)) < 1e-10
+        assert np.max(np.abs(g_real.T @ b - eye)) < 1e-10
+        assert np.max(np.abs(b.T @ b - s_inv)) < 1e-10
         # the real columns are a unitary recombination of the complex ones
         g = pg.build_G(lat)
-        proj = g @ np.linalg.lstsq(g, b.G, rcond=None)[0]
-        assert np.max(np.abs(proj - b.G)) < 1e-10
+        proj = g @ np.linalg.lstsq(g, g_real, rcond=None)[0]
+        assert np.max(np.abs(proj - g_real)) < 1e-10
 
 
 def test_pruned_morse_matches_complex_pipeline():
     grid, lat, spec, h = _morse_setup()
     mask = pg.select_cells((lat,), spec, 12.0)
-    real = pg.build_basis(lat)
+    real_b, real_s_inv, _ = pg.build_basis(lat, "bvn")
     b, s_inv = _complex_bundle(lat, grid)
     e_real = pg.solve_generalized(
-        pg.assemble_bvn(h, (real.B,), (real.S_inv,), mask)).energies
+        pg.assemble_bvn(h, (real_b,), (real_s_inv,), mask)).energies
     e_cplx = pg.solve_generalized(
         pg.assemble_bvn(h, (b,), (s_inv,), mask)).energies
     np.testing.assert_allclose(e_real, e_cplx, rtol=0, atol=1e-10)
+    real_g, real_s, _ = pg.build_basis(lat, "pvn")
     e_pvn = pg.solve_generalized(
-        pg.assemble_bvn(h, (real.G,), (real.S,))).energies
+        pg.assemble_bvn(h, (real_g,), (real_s,))).energies
     np.testing.assert_allclose(e_pvn, np.linalg.eigvalsh(h.to_dense()),
                                rtol=0, atol=1e-10)
 
@@ -85,9 +89,9 @@ def test_pruned_triangle_2d_matches_complex_pipeline():
     gx, lat, spec, h_op = _triangle_setup()
     mask = pg.select_cells((lat, lat), spec, 0.8)
     assert 0 < mask.n_kept < mask.size
-    real = pg.build_basis(lat)
+    real_b, real_s_inv, _ = pg.build_basis(lat, "bvn")
     b, s_inv = _complex_bundle(lat, gx)
-    prob_r = pg.assemble_bvn(h_op, (real.B, real.B), (real.S_inv, real.S_inv),
+    prob_r = pg.assemble_bvn(h_op, (real_b, real_b), (real_s_inv, real_s_inv),
                              mask)
     prob_c = pg.assemble_bvn(h_op, (b, b), (s_inv, s_inv), mask)
     assert prob_r.h().dtype == np.float64 and prob_r.s().dtype == np.float64
@@ -113,11 +117,10 @@ def test_operator_apply_matches_dense_real_and_complex():
 def test_pruned_bvn_bounds_fgh_from_above_1d(seed):
     grid, lat, _, h = _morse_setup()
     fgh = np.linalg.eigvalsh(h.to_dense())
-    basis = pg.build_basis(lat)
+    b, s_inv, _ = pg.build_basis(lat, "bvn")
     rng = np.random.default_rng(seed)
     mask = _closed_mask_1d(lat, rng, rng.uniform(0.2, 0.8))
-    out = pg.solve_generalized(
-        pg.assemble_bvn(h, (basis.B,), (basis.S_inv,), mask))
+    out = pg.solve_generalized(pg.assemble_bvn(h, (b,), (s_inv,), mask))
     assert out.energies.size == mask.n_kept
     assert np.all(out.energies >= fgh[:mask.n_kept] - 1e-10)
 
@@ -129,8 +132,7 @@ def test_one_point_y_axis_reduces_to_the_1d_projection(seed, complex_b):
     if complex_b:
         b, s_inv = _complex_bundle(lat, grid)
     else:
-        real = pg.build_basis(lat)
-        b, s_inv = real.B, real.S_inv
+        b, s_inv, _ = pg.build_basis(lat, "bvn")
     mask, idx = None, np.arange(lat.size)
     if seed is not None:
         rng = np.random.default_rng(300 + seed)
@@ -152,11 +154,10 @@ def test_one_point_y_axis_reduces_to_the_1d_projection(seed, complex_b):
 def test_pruned_bvn_bounds_fgh_from_above_2d(seed):
     gx, lat, _, h_op = _triangle_setup()
     fgh = np.linalg.eigvalsh(h_op.to_dense())
-    basis = pg.build_basis(lat)
+    b, s_inv, _ = pg.build_basis(lat, "bvn")
     rng = np.random.default_rng(100 + seed)
     mask = _closed_mask_2d(lat, rng, rng.uniform(0.2, 0.6))
-    prob = pg.assemble_bvn(h_op, (basis.B, basis.B),
-                           (basis.S_inv, basis.S_inv), mask)
+    prob = pg.assemble_bvn(h_op, (b, b), (s_inv, s_inv), mask)
     out = pg.solve_generalized(prob)
     assert out.energies.size == mask.n_kept
     assert np.all(out.energies >= fgh[:mask.n_kept] - 1e-10)
@@ -164,10 +165,9 @@ def test_pruned_bvn_bounds_fgh_from_above_2d(seed):
 
 def test_unpruned_bvn_2d_equals_fgh():
     gx, lat, _, h_op = _triangle_setup()
-    basis = pg.build_basis(lat)
+    b, s_inv, _ = pg.build_basis(lat, "bvn")
     mask = pg.PruneMask(kept=np.ones(lat.size**2, dtype=bool))
-    prob = pg.assemble_bvn(h_op, (basis.B, basis.B),
-                           (basis.S_inv, basis.S_inv), mask)
+    prob = pg.assemble_bvn(h_op, (b, b), (s_inv, s_inv), mask)
     out = pg.solve_generalized(prob)
     np.testing.assert_allclose(out.energies,
                                np.linalg.eigvalsh(h_op.to_dense()),
@@ -176,9 +176,9 @@ def test_unpruned_bvn_2d_equals_fgh():
 
 def test_eigenvalues_only_matches_vectors_path(monkeypatch):
     grid, lat, spec, h = _morse_setup()
-    basis = pg.build_basis(lat)
+    b, s_inv, _ = pg.build_basis(lat, "bvn")
     mask = pg.select_cells((lat,), spec, 12.0)
-    prob = pg.assemble_bvn(h, (basis.B,), (basis.S_inv,), mask)
+    prob = pg.assemble_bvn(h, (b,), (s_inv,), mask)
     # COND_SWITCH = 1 forces the whitening route on the same pencil
     for switch in (1e8, 1.0):
         monkeypatch.setattr(vn_basis, "COND_SWITCH", switch)
@@ -218,8 +218,7 @@ def test_factorized_assembly_matches_materialized_columns(axes, complex_b,
         if complex_b:
             bundles.append(_complex_bundle(lats[-1], grids[-1]))
         else:
-            real = pg.build_basis(lats[-1])
-            bundles.append((real.B, real.S_inv))
+            bundles.append(pg.build_basis(lats[-1], "bvn")[:2])
     h_op = pg.hamiltonian_fgh(tuple(grids), pg.triangle2d(mass=30.0))
     rng = np.random.default_rng(200 + seed)
     r = rng.random((lats[1].size, lats[0].size)) < rng.uniform(0.2, 0.6)
@@ -250,10 +249,10 @@ def test_whole_solve_memory_scales_with_the_pencil(want_vectors, bound):
     spec = pg.triangle2d(mass=30.0)
     lat = pg.VnLattice(gx, 4)
     h_op = pg.hamiltonian_fgh((gx, gx), spec)
-    basis = pg.build_basis(lat)
+    b, s_inv, _ = pg.build_basis(lat, "bvn")
     mask = pg.select_cells((lat, lat), spec, 0.5)
     assert 0 < mask.n_kept < mask.size // 2
-    parts = (h_op, (basis.B, basis.B), (basis.S_inv, basis.S_inv), mask)
+    parts = (h_op, (b, b), (s_inv, s_inv), mask)
     pg.solve_generalized(pg.assemble_bvn(*parts))  # first-call set-up
     tracemalloc.start()
     try:
@@ -263,3 +262,26 @@ def test_whole_solve_memory_scales_with_the_pencil(want_vectors, bound):
     finally:
         tracemalloc.stop()
     assert peak < bound * mask.n_kept**2 * 8
+
+
+def _traced_peak(f):
+    """tracemalloc's peak over f(), after one untraced first call."""
+    f()
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("basis,bound", [("bvn", 3.25), ("pvn", 3.5)])
+def test_build_basis_memory_holds_three_axis_matrices(basis, bound):
+    # the efficiency scan's hbar = 1/4 lattice, n = 400: G, S and S's root
+    # for pvn (3.37 n^2 measured, with the condition bound's row buffer), G,
+    # S^-1 and B for bvn (3.00), each G column block built and dropped
+    # before S exists. The complex G, its mirror gather and the real
+    # bundle of all four matrices took 6.0 in both
+    lat = pg.VnLattice(pg.Grid1D(-1.6, 21.7, 400), 20, hbar=0.25)
+    peak = _traced_peak(lambda: pg.build_basis(lat, basis))
+    assert peak < bound * lat.size**2 * 8, peak / (lat.size**2 * 8)

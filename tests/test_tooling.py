@@ -190,6 +190,20 @@ def test_one_module_owns_the_metric_rule():
     assert not found, found
 
 
+def test_no_module_densifies_through_kronecker_products():
+    # a grid operator is densified by writing each axis's matrix into one
+    # array (FghOperator.to_dense), never by Kronecker products with
+    # identities, which hold several grid-sized arrays at once
+    found = []
+    for path in sorted((ROOT / "src" / "phasegrid").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            func = node.func if isinstance(node, ast.Call) else None
+            if (isinstance(func, ast.Attribute) and func.attr == "kron"
+                    or isinstance(func, ast.Name) and func.id == "kron"):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
+
+
 def test_one_module_owns_the_threads():
     # only semiclassics runs threads, and it imports concurrent.futures
     # inside the Monte Carlo walk, so importing the CLI does not load it
@@ -235,7 +249,7 @@ def test_pseudo_inverse_warning_keeps_the_tracer_text():
     lat = pg.VnLattice(grid, 4, alpha=100.0)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        pg.build_basis(lat)
+        pg.build_basis(lat, "bvn")
     assert any(text in str(w.message) for w in caught), caught
 
 

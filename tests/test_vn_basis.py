@@ -15,13 +15,34 @@ CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 SHIPPED = ("harmonic_pvn", "morse_bvn", "triangle_desk", "triangle_full")
 
 
-def _axis_overlap(name):
-    """The overlap S of a shipped config's axis (every axis is the same)."""
+def _axis_basis(name, basis):
+    """build_basis of a shipped config's axis (every axis is the same)."""
     cfg = cli._load_config(os.path.join(CONFIGS, f"{name}.cfg"))
     grid = cli._grid_axis(cfg.grid)
     lat = pg.VnLattice(grid, cfg.lattice.nx, hbar=cfg.spec().hbar,
                        alpha=cfg.lattice.alpha)
-    return pg.build_basis(lat).S
+    return pg.build_basis(lat, basis)
+
+
+def _axis_overlap(name):
+    """The overlap S of a shipped config's axis."""
+    return _axis_basis(name, "pvn")[1]
+
+
+def _reference_basis(lat):
+    """(G, S, S^-1, B, cond) by the one-bundle recipe build_basis replaced:
+    the full complex G gathered by mirror pair, S^-1 = C C^T from a copy of
+    S, then B = G S^-1."""
+    m = np.arange(lat.size)
+    pair = lat.mirror
+    gc = pg.build_G(lat)[:, np.minimum(m, pair)]
+    g = np.where(m == pair, 1.0, math.sqrt(2.0)) * np.where(
+        m <= pair, gc.real, gc.imag)
+    g[np.abs(g) < math.sqrt(np.finfo(float).tiny)] = 0.0
+    s = pg.build_overlap(g)
+    c, cond = vn_basis.metric_root(s.copy, "overlap pseudo-inverted")
+    s_inv = c @ c.conj().T
+    return g, s, s_inv, g @ s_inv, cond
 
 
 def test_balanced_factors():
@@ -89,21 +110,38 @@ def test_gaussian_grid_norm():
 def test_overlap_and_dual_identities():
     grid = pg.harmonic_square_grid(16)
     lat = pg.VnLattice(grid, 4)
-    bundle = pg.build_basis(lat)
+    g, s, cond = pg.build_basis(lat, "pvn")
+    b, s_inv, cond_b = pg.build_basis(lat, "bvn")
     n = lat.size
-    assert np.max(np.abs(bundle.S - bundle.G.conj().T @ bundle.G)) == 0.0
-    assert np.max(np.abs(bundle.G.conj().T @ bundle.B - np.eye(n))) < 1e-10
-    assert np.max(np.abs(bundle.B.conj().T @ bundle.B - bundle.S_inv)) < 1e-10
-    assert bundle.cond_S >= 1.0
+    assert np.max(np.abs(s - g.conj().T @ g)) == 0.0
+    assert np.max(np.abs(g.conj().T @ b - np.eye(n))) < 1e-10
+    assert np.max(np.abs(b.conj().T @ b - s_inv)) < 1e-10
+    assert cond == cond_b >= 1.0
+    with pytest.raises(ValueError, match="no grid columns"):
+        pg.build_basis(lat, "fgh")
+
+
+@pytest.mark.parametrize("n,n_x,hbar", [(100, 10, 1.0), (400, 20, 0.25),
+                                        (72, 8, 1.0), (72, 9, 1.0)])
+def test_build_basis_is_bit_identical_to_the_bundle_recipe(n, n_x, hbar):
+    # n = 100 and 400 are not multiples of the INV_BLOCK = 128 pairs built
+    # at once; 72 = 8 x 9 has a p = 0 row of cells that are their own mirror
+    lat = pg.VnLattice(pg.Grid1D(-1.6, 21.7, n), n_x, hbar=hbar)
+    g, s, s_inv, b, cond = _reference_basis(lat)
+    got_g, got_s, got_cond = pg.build_basis(lat, "pvn")
+    got_b, got_s_inv, got_cond_b = pg.build_basis(lat, "bvn")
+    assert np.array_equal(got_g, g) and np.array_equal(got_s, s)
+    assert np.array_equal(got_b, b) and np.array_equal(got_s_inv, s_inv)
+    assert got_cond == got_cond_b == cond
 
 
 def test_underflowed_gaussian_tails_are_flushed():
     # the efficiency scan's hbar = 1/4 lattice: 20 x 20 cells on 400 points
     grid = pg.Grid1D(-1.6, 21.7, 400)
     lat = pg.VnLattice(grid, 20, hbar=0.25)
-    bundle = pg.build_basis(lat)
+    g_real, s, _ = pg.build_basis(lat, "pvn")
     floor = math.sqrt(np.finfo(float).tiny)  # products below it underflow
-    mag = np.abs(bundle.G)
+    mag = np.abs(g_real)
     assert not np.any((mag > 0) & (mag < floor))
     # the unflushed real G, by build_basis's mirror-pair recipe
     m = np.arange(lat.size)
@@ -112,29 +150,30 @@ def test_underflowed_gaussian_tails_are_flushed():
     g = np.where(m == pair, 1.0, math.sqrt(2.0)) * np.where(
         m <= pair, gc.real, gc.imag)
     assert np.mean((g != 0) & (np.abs(g) < floor)) > 0.1  # tails to flush
-    assert np.array_equal(bundle.G, np.where(np.abs(g) < floor, 0.0, g))
-    np.testing.assert_allclose(bundle.S, pg.build_overlap(g), rtol=0,
+    assert np.array_equal(g_real, np.where(np.abs(g) < floor, 0.0, g))
+    np.testing.assert_allclose(s, pg.build_overlap(g), rtol=0,
                                atol=1e-170)
 
 
 def test_singular_overlap_is_pseudo_inverted_with_a_warning():
-    # a duplicated Gaussian column makes the overlap exactly singular;
-    # the cell-centered lattice itself stays benign
-    grid = pg.harmonic_square_grid(64)
-    lat = pg.VnLattice(grid, 8)
-    g = pg.build_G(lat)
-    s = pg.build_overlap(np.column_stack([g, g[:, 27]]))
+    # needle-thin Gaussians: the four momenta of one x center sample to
+    # nearly the same grid vector, so S has rank 4 of 16; the
+    # cell-centered lattice of natural width stays benign
+    lat = pg.VnLattice(pg.Grid1D(-4.0, 8.0, 16), 4, alpha=100.0)
     with pytest.warns(UserWarning, match="overlap pseudo-inverted: "
-                      "dropping 1 modes") as caught:
-        s_inv, cond = pg.invert_overlap(s)
-    # attributed to the caller of invert_overlap (build_basis in a Pipeline)
-    assert [w.filename for w in caught] == [__file__]
+                      "dropping 12 modes") as caught:
+        _, s, _ = pg.build_basis(lat, "pvn")  # its cond whitens S too
+        _, s_inv, cond = pg.build_basis(lat, "bvn")
+    # attributed to the caller of build_basis (Pipeline in a solve)
+    assert [w.filename for w in caught] == [__file__] * 2
     assert np.all(np.isfinite(s_inv)) and cond > 1e12
     # S S_inv S = S on the kept span
     np.testing.assert_allclose(s @ s_inv @ s, s, atol=1e-8)
     with pytest.raises(IllConditionedError, match="negative beyond roundoff"):
-        pg.invert_overlap(s - 0.01 * np.eye(s.shape[0]))
-    assert pg.build_basis(lat).cond_S < 1e4
+        vn_basis.metric_root(lambda: s - 0.01 * np.eye(s.shape[0]),
+                             "overlap pseudo-inverted")
+    benign = pg.VnLattice(pg.harmonic_square_grid(64), 8)
+    assert pg.build_basis(benign, "bvn")[2] < 1e4
 
 
 @pytest.mark.parametrize("switch", [1e8, 1.0])  # Cholesky, then whitening
@@ -144,7 +183,7 @@ def test_invert_overlap_matches_the_eigh_formula(name, switch, monkeypatch):
     s = _axis_overlap(name)
     w, u = np.linalg.eigh(s)
     oracle = (u / w) @ u.T  # S^-1 on the eigenbasis, the eigh formula
-    s_inv, cond = pg.invert_overlap(s)
+    _, s_inv, cond = _axis_basis(name, "bvn")
     assert 1.0 < cond < 1e4
     np.testing.assert_allclose(s_inv, oracle, rtol=0,
                                atol=1e-13 * np.abs(oracle).max())
@@ -159,9 +198,8 @@ def test_meta_cond_s_is_the_axis_cond1_bound(name, tmp_path):
                      "--out", str(out), "--quiet"]) == 0
     meta = dict(line.split(" = ", 1)
                 for line in (out / "meta.txt").read_text().splitlines())
-    s = _axis_overlap(name)
-    _, bound = pg.invert_overlap(s)
-    assert float(meta["cond_s"]) == bound
+    _, s, bound = _axis_basis(name, "pvn")
+    assert float(meta["cond_s"]) == bound == _axis_basis(name, "bvn")[2]
     # the closed form ||S||_1 ||L^-1||_1 ||L^-1||_inf, to its last digits
     l_inv = np.abs(np.linalg.inv(np.linalg.cholesky(s)))
     s_norm = np.linalg.norm(s, 1)
