@@ -22,9 +22,8 @@ from .fourier_grid import FghOperator, Grid1D, hamiltonian_fgh, solve_fgh
 from .potentials import PotentialSpec, analytic_levels
 from .pruner import PruneMask, select_cells
 from .spectra import Spectrum
-from . import vn_basis
-from .vn_basis import (INV_BLOCK, VnLattice, balanced_factors, build_basis,
-                       continuous_vn_matrices, metric_root)
+from .vn_basis import (VnLattice, balanced_factors, build_basis,
+                       congruence, continuous_vn_matrices, metric_root)
 
 # the bases a Pipeline solves in
 BASES = ("fgh", "vn", "pvn", "bvn")
@@ -114,43 +113,21 @@ def assemble_bvn(h_op: FghOperator, cols: tuple, metrics: tuple,
 assemble_pvn = assemble_bvn_2d = assemble_bvn
 
 
-def _congruence(h: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """The lower triangle of X H X^H, X = C^H lower triangular, over H.
-
-    Row blocks of Y = X H come bottom up, X[r, :hi] H[:hi], reading rows of
-    H not yet written, then A[r, :hi] = Y[r, :hi] X[:hi, :hi]^H: INV_BLOCK
-    rows per GEMM, X's zero half skipped, no other n x n array made.
-    """
-    h = h.astype(np.result_type(h, c), copy=False)  # a real H, complex S
-    n, x = h.shape[0], c.conj().T
-    for hi in range(n, 0, -INV_BLOCK):
-        lo = max(hi - INV_BLOCK, 0)
-        h[lo:hi] = x[lo:hi, :hi] @ h[:hi]
-    for lo in range(0, n, INV_BLOCK):
-        hi = min(lo + INV_BLOCK, n)
-        h[lo:hi, :hi] = h[lo:hi, :hi] @ c[:hi, :hi]
-    return h
-
-
 def solve_generalized(problem: GeneralizedProblem,
                       n_states: int | None = None,
                       want_vectors: bool = False) -> Spectrum:
     """Solve H U = S U E for a Hermitian pencil with positive metric.
 
-    The pencil is built in the order the solve reads it. `metric_root`
-    makes S with `problem.s` and overwrites it with C, C^H S C = I
-    (Cholesky, or whitening of a near-singular S with a warning per dropped
-    direction). Only then is `problem.h()` made, and `_congruence` turns it
-    in its own memory into C^H H C, whose lower triangle LAPACK reads; a
-    whitening root (n x k, not triangular) takes the plain product.
-    Eigenvectors U = C Y are computed only when want_vectors is set. The
-    caller's arrays are never written.
+    The pencil is built in the order the solve reads it: `metric_root`
+    makes S with `problem.s` and turns it into C, C^H S C = I; only then is
+    `problem.h()` made, and `congruence` reduces it to C^H H C, whose lower
+    triangle LAPACK reads. Eigenvectors U = C Y are computed only when
+    want_vectors is set. The caller's arrays are never written.
     """
     if problem.size == 0:
         raise ValueError("empty pencil: no basis function to solve for")
     c, cond = metric_root(problem.s, "pencil metric whitened")
-    a = (_congruence(problem.h(), c) if cond <= vn_basis.COND_SWITCH
-         else c.conj().T @ (problem.h() @ c))  # the whitening root
+    a = congruence(problem.h(), c, cond)
     if not want_vectors:
         del c
         return Spectrum(np.linalg.eigvalsh(a)[:n_states])
@@ -173,7 +150,7 @@ class Pipeline:
     `build_basis` returns for the basis. The lattices, those pairs, the grid
     Hamiltonian and `info` are made here, so repeated `solve` calls with
     different masks reuse them. info's cond_s is the largest axis overlap's
-    `metric_root` bound on cond_1(S).
+    `build_basis` bound on cond_1(S).
     """
 
     def __init__(self, spec: PotentialSpec, axes: tuple, basis: str,

@@ -182,17 +182,25 @@ def _cholesky_inverse(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _cond1_bound(s_norm: float, l_inv: np.ndarray) -> float:
-    """Upper bound s_norm ||L^-1||_1 ||L^-1||_inf on cond_1(S), where
-    S = L L^H and s_norm = ||S||_1.
+def _factor(s: np.ndarray):
+    """(L^-1, cond) of a positive metric S = L L^H, L^-1 written over s
+    (the factor reads its lower triangle); (None, inf) without a factor.
 
-    ||S^-1||_1 = ||L^-H L^-1||_1 <= ||L^-1||_inf ||L^-1||_1, and each factor
-    is at most sqrt(n) ||L^-1||_2, so the bound lies between cond_1(S) and
-    n ||S||_1 ||S^-1||_2 <= n cond_1(S). |L^-1| is taken INV_BLOCK rows at
-    a time; row 0 of each block's buffer carries the column sums so far, so
-    they add up in row order, as one sum over axis 0 would.
+    cond = ||S||_1 ||L^-1||_1 ||L^-1||_inf >= ||S||_1 ||L^-H L^-1||_1, and
+    each L^-1 norm is at most sqrt(n) ||L^-1||_2, so cond_1(S) <= cond <=
+    n cond_1(S). ||S||_1 is summed by column blocks before L^-1 overwrites
+    S, |L^-1| INV_BLOCK rows at a time; row 0 of each block's buffer carries
+    the column sums so far, so they add up in row order, as one sum over
+    axis 0 would.
     """
-    n = l_inv.shape[0]
+    s = s.astype(np.result_type(s, 1.0), copy=False)  # integers in floats
+    n = s.shape[0]
+    s_norm = max(np.abs(s[:, lo:lo + INV_BLOCK]).sum(0).max()
+                 for lo in range(0, n, INV_BLOCK))
+    try:
+        l_inv = _cholesky_inverse(s)
+    except np.linalg.LinAlgError:
+        return None, float("inf")
     buf = np.zeros((min(n, INV_BLOCK) + 1, n))
     row_max = 0.0
     for lo in range(0, n, INV_BLOCK):
@@ -200,32 +208,45 @@ def _cond1_bound(s_norm: float, l_inv: np.ndarray) -> float:
         mag = np.abs(rows, out=buf[1:1 + rows.shape[0]])
         row_max = max(row_max, mag.sum(1).max())
         buf[0] = buf[:1 + mag.shape[0]].sum(0)
-    return float(s_norm * buf[0].max() * row_max)
+    return l_inv, float(s_norm * buf[0].max() * row_max)
 
 
 def metric_root(make_s, what: str):
     """(C, cond) with C^H S C = I: the one inverse of a positive metric S.
 
-    make_s() returns a new S that metric_root may overwrite. cond is the
-    `_cond1_bound` of the Cholesky factor S = L L^H (only the lower triangle
-    is read), inf without one, so cond_1(S) <= cond <= n cond_1(S). Up to
-    COND_SWITCH, C = L^-H, upper triangular, in S's own memory; above it
-    C = U W^-1/2 whitens the modes of a second S that `positive_modes` keeps.
+    make_s() returns a new S that metric_root may overwrite; cond is its
+    `_factor` bound. Up to COND_SWITCH, C = L^-H, upper triangular, in S's
+    own memory; above it C = U W^-1/2 whitens the modes of a second S that
+    `positive_modes` keeps.
     """
-    s = make_s()  # ||S||_1 is summed by columns before L^-1 overwrites S
-    s = s.astype(np.result_type(s, 1.0), copy=False)  # integers in floats
-    s_norm = max(np.abs(s[:, lo:lo + INV_BLOCK]).sum(0).max()
-                 for lo in range(0, s.shape[0], INV_BLOCK))
-    try:
-        l_inv = _cholesky_inverse(s)
-    except np.linalg.LinAlgError:
-        l_inv = None
-    cond = float("inf") if l_inv is None else _cond1_bound(s_norm, l_inv)
+    l_inv, cond = _factor(make_s())
     if cond <= COND_SWITCH:
         return l_inv.conj().T, cond
-    del s, l_inv
+    del l_inv
     w, u = positive_modes(make_s(), what)
     return u / np.sqrt(w), cond
+
+
+def congruence(h: np.ndarray, c: np.ndarray, cond: float) -> np.ndarray:
+    """C^H H C for the root C and bound cond that `metric_root` returned.
+
+    A whitening root (n x k) takes the plain product. Up to COND_SWITCH,
+    X = C^H is lower triangular and the lower triangle of X H X^H is written
+    over H: row blocks of Y = X H come bottom up, X[r, :hi] H[:hi], reading
+    rows of H not yet written, then A[r, :hi] = Y[r, :hi] X[:hi, :hi]^H:
+    INV_BLOCK rows per GEMM, X's zero half skipped, no other n x n array.
+    """
+    if not cond <= COND_SWITCH:  # metric_root's test: a NaN bound whitens
+        return c.conj().T @ (h @ c)
+    h = h.astype(np.result_type(h, c), copy=False)  # a real H, complex S
+    n, x = h.shape[0], c.conj().T
+    for hi in range(n, 0, -INV_BLOCK):
+        lo = max(hi - INV_BLOCK, 0)
+        h[lo:hi] = x[lo:hi, :hi] @ h[:hi]
+    for lo in range(0, n, INV_BLOCK):
+        hi = min(lo + INV_BLOCK, n)
+        h[lo:hi, :hi] = h[lo:hi, :hi] @ c[:hi, :hi]
+    return h
 
 
 def _real_columns(lattice: VnLattice) -> np.ndarray:
@@ -254,20 +275,21 @@ def _real_columns(lattice: VnLattice) -> np.ndarray:
 
 
 def build_basis(lattice: VnLattice, basis: str):
-    """The real pair a basis projects with, and the `metric_root` bound on
+    """The real pair a basis projects with, and the `_factor` bound on
     cond_1(S): (G, S, cond) for "pvn", (B, S^-1, cond) for "bvn".
 
-    G comes from `_real_columns` and S = G^T G. For bvn, S is factored in
-    its own memory into C, S^-1 = C C^T (exactly symmetric: numpy forms it
-    as one product) and B = G S^-1, so G^T B = I and B^T B = S^-1; G is
-    dropped once B exists. Neither path holds more than three N x N arrays.
+    G comes from `_real_columns` and S = G^T G; pvn factors a copy of S for
+    the bound alone and never whitens. For bvn, `metric_root` turns S in its
+    own memory into C, S^-1 = C C^T (exactly symmetric: numpy forms it as
+    one product) and B = G S^-1, so G^T B = I and B^T B = S^-1; G is dropped
+    once B exists. Neither path holds more than three N x N arrays.
     """
     if basis not in ("pvn", "bvn"):
         raise ValueError(f"basis {basis!r} has no grid columns")
     g = _real_columns(lattice)
     if basis == "pvn":
         s = build_overlap(g)
-        return g, s, metric_root(s.copy, "overlap pseudo-inverted")[1]
+        return g, s, _factor(s.copy())[1]
     c, cond = metric_root(lambda: build_overlap(g),
                           "overlap pseudo-inverted")
     s_inv = c @ c.conj().T

@@ -76,11 +76,11 @@ def test_cholesky_inverse_and_condition_bound(n, dtype):
     np.testing.assert_allclose(l_inv, exact_inv, rtol=0,
                                atol=1e-12 * cond * np.abs(exact_inv).max())
     mag = np.abs(l_inv)
-    assert (vn_basis._cond1_bound(3.0, l_inv)
-            == float(3.0 * mag.sum(0).max() * mag.sum(1).max()))
-    s_norm = np.linalg.norm(s, 1)
-    exact = s_norm * np.linalg.norm(np.linalg.inv(s), 1)
-    bound = vn_basis._cond1_bound(s_norm, l_inv)
+    factor, bound = vn_basis._factor(s.copy())
+    assert np.array_equal(factor, l_inv)
+    assert bound == float(np.abs(s).sum(0).max()
+                          * mag.sum(0).max() * mag.sum(1).max())
+    exact = np.linalg.norm(s, 1) * np.linalg.norm(np.linalg.inv(s), 1)
     # never below the condition number, at most n times it (up to roundoff)
     assert exact * (1 - 1e-12) <= bound <= n * exact * (1 + 1e-12)
     c, root_cond = vn_basis.metric_root(s.copy, "pencil metric whitened")
@@ -165,10 +165,18 @@ def test_congruence_lower_triangle_is_the_dense_formula(n, dtype):
     # also for a real H in a complex metric
     rng = np.random.default_rng(n)
     h = rng.standard_normal((n, n))
-    c, _ = vn_basis.metric_root(_random_metric(n, dtype, n + 1).copy, "")
+    c, cond = vn_basis.metric_root(_random_metric(n, dtype, n + 1).copy, "")
     dense = c.conj().T @ h @ c
-    a = solver._congruence(h.copy(), c)
+    a = vn_basis.congruence(h.copy(), c, cond)
     np.testing.assert_allclose(np.tril(a), np.tril(dense), rtol=0,
+                               atol=1e-12 * np.abs(dense).max())
+    # a bound above COND_SWITCH comes with a whitening root, n x k and not
+    # triangular, which is reduced whole
+    w, u = np.linalg.eigh(_random_metric(n, dtype, n + 2))
+    c = u[:, n // 2:] / np.sqrt(w[n // 2:])
+    dense = c.conj().T @ h @ c
+    a = vn_basis.congruence(h.copy(), c, np.inf)
+    np.testing.assert_allclose(a, dense, rtol=0,
                                atol=1e-12 * np.abs(dense).max())
 
 

@@ -175,18 +175,24 @@ def test_no_module_level_scipy_import():
 
 
 def test_one_module_owns_the_metric_rule():
-    # only vn_basis factors a metric or sets its thresholds, so the overlap
-    # inverse and the pencil eigensolve cannot drift apart
+    # only vn_basis factors a metric or sets, reads or imports its thresholds,
+    # so the overlap inverse and the pencil eigensolve cannot drift apart
+    rule = ("COND_SWITCH", "RCOND", "INV_BLOCK")
     found = []
     for path in sorted((ROOT / "src" / "phasegrid").glob("*.py")):
         if path.name == "vn_basis.py":
             continue
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Attribute) and node.attr == "cholesky":
-                found.append(f"{path.name}:{node.lineno} cholesky")
-            elif (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
-                  and node.id in ("COND_SWITCH", "RCOND", "INV_BLOCK")):
-                found.append(f"{path.name}:{node.lineno} {node.id}")
+            if isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name in rule or name == "cholesky"]
     assert not found, found
 
 

@@ -2,6 +2,7 @@
 
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -162,10 +163,10 @@ def test_singular_overlap_is_pseudo_inverted_with_a_warning():
     lat = pg.VnLattice(pg.Grid1D(-4.0, 8.0, 16), 4, alpha=100.0)
     with pytest.warns(UserWarning, match="overlap pseudo-inverted: "
                       "dropping 12 modes") as caught:
-        _, s, _ = pg.build_basis(lat, "pvn")  # its cond whitens S too
+        _, s, _ = pg.build_basis(lat, "pvn")
         _, s_inv, cond = pg.build_basis(lat, "bvn")
     # attributed to the caller of build_basis (Pipeline in a solve)
-    assert [w.filename for w in caught] == [__file__] * 2
+    assert [w.filename for w in caught] == [__file__]
     assert np.all(np.isfinite(s_inv)) and cond > 1e12
     # S S_inv S = S on the kept span
     np.testing.assert_allclose(s @ s_inv @ s, s, atol=1e-8)
@@ -174,6 +175,29 @@ def test_singular_overlap_is_pseudo_inverted_with_a_warning():
                              "overlap pseudo-inverted")
     benign = pg.VnLattice(pg.harmonic_square_grid(64), 8)
     assert pg.build_basis(benign, "bvn")[2] < 1e4
+
+
+def test_pvn_bound_never_whitens(monkeypatch):
+    # pvn projects with G and S and needs only the bound on cond_1(S): the
+    # needle-thin overlap that bvn pseudo-inverts is neither whitened nor
+    # warned about, and its bound is the bvn pair's
+    lat = pg.VnLattice(pg.Grid1D(-4.0, 8.0, 16), 4, alpha=100.0)
+    calls = []
+    for module, name in ((np.linalg, "eigh"), (vn_basis, "positive_modes")):
+        original = getattr(module, name)
+
+        def record(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, record)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cond = pg.build_basis(lat, "pvn")[2]
+    assert calls == []
+    with pytest.warns(UserWarning, match="dropping 12 modes"):
+        assert pg.build_basis(lat, "bvn")[2] == cond
+    assert calls == ["positive_modes", "eigh"]  # the recorders see bvn's
 
 
 @pytest.mark.parametrize("switch", [1e8, 1.0])  # Cholesky, then whitening
