@@ -8,13 +8,16 @@ from .potentials import evaluate
 def shell_mask(xs, ps, spec, energy):
     """Mask of samples with sum_d p_d^2/2m + V(x_d) <= energy.
 
-    xs, ps: (n, D) arrays of pre-drawn coordinates and momenta, left
-    unchanged. The potential is evaluated once on the whole array; both
-    sums are bit-identical to np.sum(..., axis=1).
+    xs, ps: (n, D) float arrays of pre-drawn coordinates and momenta, which
+    the kernel consumes: ps is left holding p^2 and xs holding V(x), so no
+    (n, D) temporary is made. Both sums are bit-identical to
+    np.sum(..., axis=1) of p * p and V(x).
     """
-    kin = _row_sum(ps * ps)
+    np.multiply(ps, ps, out=ps)
+    kin = _row_sum(ps)
     kin /= 2.0 * spec.mass
-    kin += _row_sum(evaluate(spec, xs).reshape(xs.shape))
+    evaluate(spec, xs, out=xs)
+    kin += _row_sum(xs)
     return kin <= energy
 
 
@@ -34,6 +37,6 @@ def _row_sum(a):
 
 
 def mc_count_hits(xs, ps, spec, energy):
-    """Number of samples inside the separable energy shell."""
+    """Number of samples inside the separable energy shell; consumes xs, ps."""
     return int(np.count_nonzero(shell_mask(xs, ps, spec, energy)))
 

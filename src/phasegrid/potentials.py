@@ -87,17 +87,16 @@ def triangle_alpha(theta):
     return ((1.0 - np.cos(3.0 * theta)) / 4.0) ** 2 + 0.05
 
 
-def _eval_1d(spec: PotentialSpec, x):
-    x = np.asarray(x, dtype=float)
+def _eval_1d(spec: PotentialSpec, x, out):
     p = spec.params
-    # harmonic and Morse fill one output in place, the same operations in
-    # the same order as the written formula; x itself is never written
+    # harmonic and Morse fill `out` in place, the same operations in the
+    # same order as the written formula, so out may be x itself
     if spec.kind == "harmonic":
-        out = np.square(x, out=np.empty_like(x))
+        np.square(x, out=out)
         out *= 0.5 * p["mass"] * p["omega"] ** 2
         return out
     if spec.kind == "morse":
-        out = np.multiply(x, -p["beta"], out=np.empty_like(x))
+        np.multiply(x, -p["beta"], out=out)
         with np.errstate(over="ignore"):
             np.exp(out, out=out)
         np.subtract(1.0, out, out=out)
@@ -108,12 +107,15 @@ def _eval_1d(spec: PotentialSpec, x):
         if np.any(x == 0.0):
             raise SingularPointError(
                 "coulomb1d potential is singular at x=0; offset the grid")
-        return np.where(x > 0.0, -p["charge"] / np.where(x == 0.0, 1.0, x), np.inf)
+        out[...] = np.where(x > 0.0, -p["charge"] / np.where(x == 0.0, 1.0, x),
+                            np.inf)
+        return out
     if spec.kind == "tabulated":
         tab = spec.table
         if np.any(x < tab[0, 0]) or np.any(x > tab[-1, 0]):
             raise ValueError("tabulated potential evaluated outside its table range")
-        return np.interp(x, tab[:, 0], tab[:, 1])
+        out[...] = np.interp(x, tab[:, 0], tab[:, 1])
+        return out
     raise NotAvailableError(f"no 1-d evaluation for kind {spec.kind!r}")
 
 
@@ -125,11 +127,12 @@ def _eval_triangle(x, y):
     return (1.0 - np.exp(-triangle_alpha(theta) * r2)) ** 2
 
 
-def evaluate(spec: PotentialSpec, x):
+def evaluate(spec: PotentialSpec, x, out=None):
     """Potential energy at coordinate vector x (scalars broadcast in 1-d).
 
     For triangle2d, x is Cartesian (x, y) or an (..., 2) array; internally
-    converted to polar.
+    converted to polar. For a 1-d kind, `out` is a float array of x's shape
+    that receives V(x) and may be x itself.
     """
     if spec.kind == "triangle2d":
         arr = np.asarray(x, dtype=float)
@@ -138,9 +141,11 @@ def evaluate(spec: PotentialSpec, x):
         out = _eval_triangle(arr[..., 0], arr[..., 1])
         return float(out) if out.ndim == 0 else out
     arr = np.asarray(x, dtype=float)
+    if out is None:
+        out = np.empty_like(arr)
     if arr.ndim >= 1 and arr.shape[-1] == 1:
-        arr = arr[..., 0]
-    out = _eval_1d(spec, arr)
+        arr, out = arr[..., 0], out[..., 0]
+    out = _eval_1d(spec, arr, out)
     return float(out) if np.ndim(out) == 0 else out
 
 

@@ -22,9 +22,11 @@ from .errors import (BelowWellBottomError, DegenerateEstimateError,
 from .potentials import PotentialSpec
 
 # MC_CHUNK fixes the order of the seeded stream (x, then p, per chunk);
-# MC_BLOCK is the number of sample rows one worker draws and counts at once
+# MC_BLOCK is the number of sample rows one worker draws and counts at once,
+# in the two buffers the hit kernel consumes; smaller blocks cost GIL
+# handoffs between the workers, larger ones resident memory
 MC_CHUNK = 1 << 18
-MC_BLOCK = 1 << 15
+MC_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -208,8 +210,9 @@ def _walk(seed, box, ndim, chunks, count, block=MC_BLOCK):
     advances it to the block's own rows: the blocks run on one thread per
     available core and draw the same numbers however many cores there are.
     Worker w of k takes blocks w, w + k, ..., with its own generator and
-    buffers. count gets the (m, D) arrays of one block and returns
-    integers, so the sum does not depend on which worker counts which block.
+    buffers. count gets the (m, D) arrays of one block, which it may
+    overwrite, and returns integers, so the sum does not depend on which
+    worker counts which block.
     """
     blocks = [(start + i * ndim, start + (n + i) * ndim, min(block, n - i))
               for start, n in chunks for i in range(0, n, block)]
@@ -253,10 +256,10 @@ def _boundary_diagnostic(spec, energy, box, seed, ndim, n_samples):
     eps_x = 1e-3 * (box.x_hi - box.x_lo)
     eps_p = 1e-3 * (2.0 * box.p_max)
 
-    def count(xs, ps):
-        inside = _kernels.shell_mask(xs, ps, spec, energy)
+    def count(xs, ps):  # the faces first: the kernel consumes xs and ps
         near = ((xs < box.x_lo + eps_x) | (xs > box.x_hi - eps_x)
                 | (np.abs(ps) > box.p_max - eps_p)).any(axis=1)
+        inside = _kernels.shell_mask(xs, ps, spec, energy)
         return np.array([np.count_nonzero(inside),
                          np.count_nonzero(near & inside)])
 

@@ -87,8 +87,9 @@ def assemble_bvn(h_op: FghOperator, cols: tuple, metrics: tuple,
 
     def build_s():
         s = np.empty((n, n), np.result_type(mx, my))
+        mxk, myk = mx[:, cx], my[:, cy]
         for lo, hi in blocks:
-            s[lo:hi] = mx[np.ix_(cx[lo:hi], cx)] * my[cy[lo], cy]
+            np.multiply(mxk[cx[lo:hi]], myk[cy[lo]], out=s[lo:hi])
         return s
 
     def build_h():

@@ -1,6 +1,7 @@
 """Numpy kernels against plain-Python oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 
@@ -12,12 +13,11 @@ def test_mc_hits_against_python_loop():
     rng = np.random.default_rng(3)
     xs = rng.uniform(-1.0, 1.0, size=(500, 1))
     ps = rng.uniform(-2.0, 2.0, size=(500, 1))
-    got = _kernels.mc_count_hits(xs, ps, pg.harmonic(), 1.3)
-    expect = 0
+    expect = 0  # counted first: the kernel consumes xs and ps
     for x, p in zip(xs[:, 0], ps[:, 0]):
         if p * p / 2.0 + 0.5 * x * x <= 1.3:
             expect += 1
-    assert got == expect
+    assert _kernels.mc_count_hits(xs, ps, pg.harmonic(), 1.3) == expect
 
 
 def test_shell_mask_matches_summed_formula():
@@ -32,15 +32,31 @@ def test_shell_mask_matches_summed_formula():
             ps = rng.uniform(-6.0, 6.0, size=(4000, d))
             total = (np.sum(ps**2, axis=1) / (2.0 * spec.mass)
                      + sum(pg.evaluate(spec, xs[:, k]) for k in range(d)))
-            x0, p0 = xs.copy(), ps.copy()
             # at a sample's own total, and one ulp below it, a sum that
             # differs from the formula in the last bit flips that sample
             for i in range(0, 4000, 400):
                 for energy in (total[i], np.nextafter(total[i], -np.inf)):
-                    got = _kernels.shell_mask(xs, ps, spec, energy)
+                    got = _kernels.shell_mask(xs.copy(), ps.copy(), spec,
+                                              energy)
                     assert np.array_equal(got, total <= energy), (spec.kind,
                                                                   d, i)
-            assert np.array_equal(xs, x0) and np.array_equal(ps, p0)
+
+
+def test_shell_mask_makes_no_block_sized_temporary():
+    # the kernel squares p and evaluates V(x) in the arrays it is given,
+    # so beside them it holds two row sums and the mask
+    m, d = 20_000, 3
+    rng = np.random.default_rng(9)
+    for spec in (pg.harmonic(mass=2.0, omega=1.5), pg.morse()):
+        xs = rng.uniform(-1.0, 4.0, size=(m, d))
+        ps = rng.uniform(-6.0, 6.0, size=(m, d))
+        tracemalloc.start()
+        try:
+            _kernels.shell_mask(xs, ps, spec, 5.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < m * d * 8, (spec.kind, peak)
 
 
 def test_row_sum_matches_np_sum():

@@ -1,5 +1,6 @@
 """Phase-space volumes, state counting, and the scaling table."""
 
+import functools
 import itertools
 import math
 import os
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import phasegrid as pg
-from phasegrid import _kernels
+from phasegrid import _kernels, semiclassics
 from phasegrid.errors import (DegenerateEstimateError, NotAvailableError,
                               UnboundedOrbitError)
 from phasegrid.semiclassics import MC_BLOCK, MC_CHUNK, _walk
@@ -209,8 +210,26 @@ def test_mc_volume_does_not_depend_on_the_core_count(monkeypatch, n_samples):
     assert bool(seen[0][2]) == (n_samples > 1)
 
 
+def test_mc_volume_does_not_depend_on_the_block_size(monkeypatch):
+    # blocks of 1 << 14 and 1 << 15 rows cut the same stream at different
+    # edges; the estimates, the face diagnostic's included, are identical
+    spec, walk = pg.morse(), semiclassics._walk
+    for ndim in (1, 2, 3):
+        seen = []
+        for block in (1 << 14, 1 << 15):
+            monkeypatch.setattr(semiclassics, "_walk",
+                                functools.partial(walk, block=block))
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                est = pg.mc_phase_volume(spec, ndim, 11.25, MC_CHUNK + 7,
+                                         seed=ndim)
+            seen.append((est.value, est.std_error,
+                         [str(w.message) for w in caught]))
+        assert seen[0] == seen[1], ndim
+
+
 def test_worker_error_reaches_the_caller(monkeypatch):
-    # the box reaches 2e-5 past the table: samples of 2 of the 9 blocks
+    # the box reaches 2e-5 past the table: samples of 2 of the 17 blocks
     # leave it, so a worker that swallowed its error would quietly undercount
     xs = np.linspace(-2.0, 2.0, 41)
     spec = pg.tabulated(xs, 0.5 * xs**2)

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import json
+import math
 import os
 import pathlib
 import re
@@ -13,6 +14,8 @@ import sys
 import warnings
 
 import pytest
+
+from phasegrid.semiclassics import MC_BLOCK
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
@@ -330,7 +333,8 @@ def test_traced_layers_see_the_scaling_run(tmp_path):
                                        "8", "--dims", "1,2", "--samples",
                                        "20000"])
     assert layers["semiclassics.mc_samples"] == 40000
-    assert layers["kernels.mc_hits_calls"] == 2
+    # one kernel call per block of the main walk, for each of the two D
+    assert layers["kernels.mc_hits_calls"] == 2 * math.ceil(20000 / MC_BLOCK)
     assert layers["kernels.mc_bytes_computed"] == 960000
 
 
