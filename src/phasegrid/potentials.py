@@ -107,8 +107,7 @@ def _eval_1d(spec: PotentialSpec, x, out):
         if np.any(x == 0.0):
             raise SingularPointError(
                 "coulomb1d potential is singular at x=0; offset the grid")
-        out[...] = np.where(x > 0.0, -p["charge"] / np.where(x == 0.0, 1.0, x),
-                            np.inf)
+        out[...] = np.where(x > 0.0, -p["charge"] / x, np.inf)
         return out
     if spec.kind == "tabulated":
         tab = spec.table

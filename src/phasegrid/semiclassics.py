@@ -54,9 +54,9 @@ class VolumeEstimate:
 def turning_points(spec: PotentialSpec, energy: float):
     """Classical turning points (x_left, x_right) of the 1-D motion at energy.
 
-    Closed forms for the analytic potentials, bracketed root search for
-    tabulated ones. Energies at or above the dissociation/ionization
-    threshold have no bounded orbit.
+    Closed forms for the analytic potentials, and for tabulated ones the
+    zeros of the linearly interpolated V - E. Energies at or above the
+    dissociation/ionization threshold have no bounded orbit.
     """
     if spec.dimension != 1:
         raise NotAvailableError(
@@ -136,26 +136,32 @@ def phase_area_1d(spec: PotentialSpec, energy: float) -> float:
     return 2.0 * math.sqrt(2.0 * m) * (2.0 / 3.0) * float(np.sum(seg))
 
 
-def minimal_box(spec: PotentialSpec, energy: float) -> PhaseSpaceBox:
-    """Smallest box containing the 1-D orbit at `energy`.
+def minimal_box(spec: PotentialSpec, energy: float,
+                ndim: int = 1) -> PhaseSpaceBox:
+    """Smallest box whose ndim-th power holds the D-fold energy shell.
 
-    In the D-fold direct sum each degree of freedom can carry the full
-    energy while the others sit at the potential minimum, so the D-th power
-    of this box is the smallest axis-aligned box containing that shell.
+    The shell is sum_d p_d^2/2m + V(x_d) <= energy. One degree of freedom
+    reaches farthest when the other D - 1 sit at the well bottom V_min, so
+    the box spans the 1-D orbit at energy - (D - 1) V_min in x and
+    |p| <= sqrt(2m (energy - D V_min)); each face touches the shell. With
+    V_min = 0 (harmonic, Morse) it is the same box at every D.
     """
-    xl, xr = turning_points(spec, energy)
+    if ndim < 1:
+        raise ValueError("ndim must be >= 1")
+    if spec.kind == "coulomb1d":
+        raise NotAvailableError(
+            f"momentum extent diverges for kind {spec.kind!r}")
+    v_min = (float(np.min(spec.table[:, 1])) if spec.kind == "tabulated"
+             else 0.0)
+    # turning_points also rejects a kind that is not 1-d, and an energy at
+    # or below the shell's bottom D V_min or with no bounded orbit
+    xl, xr = turning_points(spec, energy - (ndim - 1) * v_min)
     if not xl < xr:  # a Morse energy near 1e-300 rounds both points to 0
         raise BelowWellBottomError(
             f"energy {energy} is too close to the well bottom: both turning "
             "points round to the same x")
-    if spec.kind in ("harmonic", "morse"):
-        v_min = 0.0
-    elif spec.kind == "tabulated":
-        v_min = float(np.min(spec.table[:, 1]))
-    else:
-        raise NotAvailableError(
-            f"momentum extent diverges for kind {spec.kind!r}")
-    return PhaseSpaceBox(xl, xr, math.sqrt(2.0 * spec.mass * (energy - v_min)))
+    return PhaseSpaceBox(
+        xl, xr, math.sqrt(2.0 * spec.mass * (energy - ndim * v_min)))
 
 
 def mc_phase_volume(spec: PotentialSpec, ndim: int, energy: float,
@@ -163,59 +169,61 @@ def mc_phase_volume(spec: PotentialSpec, ndim: int, energy: float,
                     box: PhaseSpaceBox | None = None) -> VolumeEstimate:
     """Monte Carlo estimate of the phase-space volume below `energy`.
 
-    Uniform samples over the ndim-th power of the box (default: the minimal
-    box), counted against the separable classical Hamiltonian
-    sum_d p_d^2/2m + V(x_d). The estimate is box volume * hit fraction with
-    the binomial standard error; at a fixed seed and a fixed `box` the hit
-    count is nondecreasing in energy because the accepted set only grows
-    (the default box itself moves with the energy). A diagnostic chunk
-    checks that hits do not pile up against the box faces, which would
-    mean the box truncates the shell. The result depends on the seed, ndim,
-    n_samples and the box, not on the number of cores that count it.
+    Uniform samples over the ndim-th power of the box (default:
+    `minimal_box(spec, energy, ndim)`), counted against the separable
+    classical Hamiltonian sum_d p_d^2/2m + V(x_d). The estimate is box
+    volume * hit fraction with the binomial standard error; at a fixed seed
+    and a fixed `box` the hit count is nondecreasing in energy because the
+    accepted set only grows (the default box itself moves with the energy).
+    A box that does not contain the minimal one truncates the shell and
+    warns. Where `minimal_box` raises, so does this, with a box or without.
+    The result depends on the seed, ndim, n_samples and the box, not on the
+    number of cores that count it.
     """
-    if ndim < 1:
-        raise ValueError("ndim must be >= 1")
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    if spec.dimension != 1:
-        raise NotAvailableError(
-            f"kind {spec.kind!r} is not a 1-d degree of freedom to sample")
+    shell = minimal_box(spec, energy, ndim)
     if box is None:
-        box = minimal_box(spec, energy)
-    # chunk c0 of the serial order draws its x values, then its p values
-    chunks = [(2 * ndim * c0, min(MC_CHUNK, n_samples - c0))
-              for c0 in range(0, n_samples, MC_CHUNK)]
-    hits = _walk(seed, box, ndim, chunks, lambda xs, ps:
+        box = shell
+    elif not (box.x_lo <= shell.x_lo and shell.x_hi <= box.x_hi
+              and shell.p_max <= box.p_max):
+        warnings.warn(
+            "the box truncates the energy shell, which spans x in "
+            f"[{shell.x_lo:.6g}, {shell.x_hi:.6g}] and |p| <= "
+            f"{shell.p_max:.6g}", stacklevel=2)
+    hits = _walk(seed, box, ndim, n_samples, lambda xs, ps:
                  _kernels.mc_count_hits(xs, ps, spec, energy))
-    frac = hits / n_samples
     if hits == 0:
         raise DegenerateEstimateError(
             "no sample fell inside the energy shell; enlarge n_samples or "
             "shrink the box")
-    _boundary_diagnostic(spec, energy, box, seed, ndim, n_samples)
+    frac = hits / n_samples
     volume = box.volume(ndim)
     value = volume * frac
     err = volume * math.sqrt(frac * (1.0 - frac) / n_samples)
     return VolumeEstimate(value=value, std_error=err)
 
 
-def _walk(seed, box, ndim, chunks, count, block=MC_BLOCK):
+def _walk(seed, box, ndim, n_samples, count, block=MC_BLOCK):
     """Sum of count(xs, ps) over blocks of at most `block` sample rows.
 
-    chunks: (stream offset, rows) pairs. A chunk of n rows takes its x
-    values, then its p values, from the stream of default_rng(seed) at that
-    offset, as rng.uniform(x_lo, x_hi, (n, D)) and then
-    rng.uniform(-p_max, p_max, (n, D)) would. Each float64 costs one PCG64
-    step, so a block resets its worker's generator to the seeded state and
-    advances it to the block's own rows: the blocks run on one thread per
-    available core and draw the same numbers however many cores there are.
-    Worker w of k takes blocks w, w + k, ..., with its own generator and
-    buffers. count gets the (m, D) arrays of one block, which it may
-    overwrite, and returns integers, so the sum does not depend on which
-    worker counts which block.
+    The n_samples rows come in chunks of MC_CHUNK rows. Chunk c0 of n rows
+    takes its x values, then its p values, from the stream of
+    default_rng(seed) at offset 2 D c0, as rng.uniform(x_lo, x_hi, (n, D))
+    and then rng.uniform(-p_max, p_max, (n, D)) would. Each float64 costs
+    one PCG64 step, so a block resets its worker's generator to the seeded
+    state and advances it to the block's own rows: the blocks run on one
+    thread per available core and draw the same numbers however many cores
+    there are. Worker w of k takes blocks w, w + k, ..., with its own
+    generator and buffers. count gets the (m, D) arrays of one block, which
+    it may overwrite, and returns integers, so the sum does not depend on
+    which worker counts which block.
     """
-    blocks = [(start + i * ndim, start + (n + i) * ndim, min(block, n - i))
-              for start, n in chunks for i in range(0, n, block)]
+    blocks = []
+    for c0 in range(0, n_samples, MC_CHUNK):
+        n = min(MC_CHUNK, n_samples - c0)
+        blocks += [(ndim * (2 * c0 + i), ndim * (2 * c0 + n + i),
+                    min(block, n - i)) for i in range(0, n, block)]
     rows = max(m for _, _, m in blocks)
     faces = ((box.x_lo, box.x_hi), (-box.p_max, box.p_max))
 
@@ -245,34 +253,6 @@ def _walk(seed, box, ndim, chunks, count, block=MC_BLOCK):
     with ThreadPoolExecutor(workers) as pool:
         done = [pool.submit(work, w) for w in range(workers)]
     return sum(f.result() for f in done)  # re-raises a worker's error
-
-
-def _boundary_diagnostic(spec, energy, box, seed, ndim, n_samples):
-    """Warn when over 0.1% of the hits in one more chunk touch the faces.
-
-    The chunk follows the n_samples draws in the stream and holds
-    min(MC_CHUNK, n_samples, 200_000) rows.
-    """
-    eps_x = 1e-3 * (box.x_hi - box.x_lo)
-    eps_p = 1e-3 * (2.0 * box.p_max)
-
-    def count(xs, ps):  # the faces first: the kernel consumes xs and ps
-        near = ((xs < box.x_lo + eps_x) | (xs > box.x_hi - eps_x)
-                | (np.abs(ps) > box.p_max - eps_p)).any(axis=1)
-        inside = _kernels.shell_mask(xs, ps, spec, energy)
-        return np.array([np.count_nonzero(inside),
-                         np.count_nonzero(near & inside)])
-
-    rows = min(MC_CHUNK, n_samples, 200_000)
-    n_in, n_near = _walk(seed, box, ndim, [(2 * ndim * n_samples, rows)],
-                         count)
-    if n_in == 0:
-        return
-    frac = n_near / n_in
-    if frac > 1e-3:
-        warnings.warn(
-            f"{100.0 * frac:.2f}% of the accepted samples touch the box "
-            "faces; the box may truncate the energy shell", stacklevel=3)
 
 
 def state_count_exact(g: int, ndim: int) -> int:
@@ -320,11 +300,12 @@ def scaling_report(spec: PotentialSpec, ndims: Sequence[int], energy: float,
                    n_samples: int = 10**6, seed: int = 0) -> list:
     """Volume and state-count scaling across dimensions for a separable well.
 
-    Per dimension D: Monte Carlo volume over the D-th power of the minimal
-    1-D box, the simplex value v^D/D! built from the 1-D orbit area v, the
-    exact tuple count at g = floor(v/(2 pi hbar)) excitation quanta, its
-    two asymptotic limits, and s^D/D! for the 1-D packing ratio s. Monte
-    Carlo seeds derive deterministically from `seed` and D.
+    Per dimension D: Monte Carlo volume over the D-th power of
+    `minimal_box(spec, energy, D)`, the simplex value v^D/D! built from the
+    1-D orbit area v, the exact tuple count at g = floor(v/(2 pi hbar))
+    excitation quanta, its two asymptotic limits, and s^D/D! for the packing
+    ratio s of v in the 1-D box. Monte Carlo seeds derive deterministically
+    from `seed` and D.
     """
     box = minimal_box(spec, energy)
     v1 = phase_area_1d(spec, energy)
@@ -332,8 +313,7 @@ def scaling_report(spec: PotentialSpec, ndims: Sequence[int], energy: float,
     g = int(math.floor(v1 / (2.0 * math.pi * spec.hbar) + 1e-9))
     rows = []
     for d in ndims:
-        est = mc_phase_volume(spec, d, energy, n_samples, seed * 1009 + d,
-                              box=box)
+        est = mc_phase_volume(spec, d, energy, n_samples, seed * 1009 + d)
         lim_g, lim_d = state_count_limits(g, d)
         rows.append(ScalingRow(
             ndim=d, v_mc=est.value, v_mc_err=est.std_error,

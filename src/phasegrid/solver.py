@@ -60,8 +60,11 @@ def assemble_bvn(h_op: FghOperator, cols: tuple, metrics: tuple,
 
     cols and metrics hold each axis's grid columns B and their overlap
     M = B^H B: (G, S) for pvn, (B, S^-1) for bvn. mask=None keeps every cell.
-    The mask is checked here; H and S are built only when the returned
-    problem's `h()` and `s()` are called, each time anew.
+    A mask must keep each cell with its mirror (`VnLattice.mirror`) on every
+    axis, or the real columns do not span the kept complex Gaussians;
+    `Pipeline.solve` checks that, and the mask's length is checked here. H
+    and S are built only when the returned problem's `h()` and `s()` are
+    called, each time anew.
     Kept cell k = (cx, cy) is the column kron(By[:, cy], Bx[:, cx]), which is
     never formed. With W[x] = By^H (Ty + diag v[:, x]) By and Sy = By^H By,
     the rows of one cy = a take row a of every W[x] and one GEMM over x,
@@ -181,7 +184,8 @@ class Pipeline:
               n_states: int | None = None) -> Spectrum:
         """Lowest n_states levels (all by default) on the kept cells.
 
-        mask applies to pvn and bvn; without one every cell is kept.
+        mask applies to pvn and bvn; without one every cell is kept. It
+        must keep each cell with its mirror on every axis.
         """
         if self.basis == "fgh":
             return solve_fgh(self.axes, self.spec, n_states=n_states)
@@ -189,6 +193,19 @@ class Pipeline:
             h, s = continuous_vn_matrices(self.lattices[0], self.spec)
             problem = GeneralizedProblem(h, s)
         else:
+            if mask is not None:
+                lats = self.lattices[::-1]  # the flat index runs x fastest
+                shape = [lat.size for lat in lats]
+                if mask.size != math.prod(shape):
+                    raise ValueError(f"mask of {mask.size} cells does not "
+                                     f"match the basis of {math.prod(shape)}")
+                kept = mask.kept.reshape(shape)
+                if not all(np.array_equal(kept, kept.take(lat.mirror, axis))
+                           for axis, lat in enumerate(lats)):
+                    raise ValueError(
+                        "mask keeps a cell without its mirror (same x, "
+                        "opposite p): the real basis would not span the "
+                        "kept Gaussians")
             cols, metrics = zip(*self.pairs)
             problem = assemble_bvn(self.h_grid, cols, metrics, mask)
         return solve_generalized(problem, n_states=n_states)

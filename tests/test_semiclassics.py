@@ -12,8 +12,8 @@ import pytest
 
 import phasegrid as pg
 from phasegrid import _kernels, semiclassics
-from phasegrid.errors import (DegenerateEstimateError, NotAvailableError,
-                              UnboundedOrbitError)
+from phasegrid.errors import (BelowWellBottomError, DegenerateEstimateError,
+                              NotAvailableError, UnboundedOrbitError)
 from phasegrid.semiclassics import MC_BLOCK, MC_CHUNK, _walk
 
 
@@ -155,10 +155,10 @@ def _assert_serial_blocks(blocks, serial, block):
 def test_walker_replays_serial_uniform_draws(monkeypatch):
     # every block is its rows of the serial draws: rng.uniform for x, then
     # for p, chunk by chunk through the short last chunk, bit for bit, and
-    # the diagnostic chunk follows at stream offset 2 D n_samples
+    # nothing is drawn beyond the n_samples rows
     assert type(np.random.default_rng(17).bit_generator) is np.random.PCG64
     spec, box = pg.harmonic(), pg.PhaseSpaceBox(-1.3, 2.9, 3.7)
-    n_samples, n_diag = MC_CHUNK + 7, 200_000
+    n_samples = MC_CHUNK + 7
     seen = []
     shell_mask = _kernels.shell_mask
 
@@ -171,17 +171,15 @@ def test_walker_replays_serial_uniform_draws(monkeypatch):
         ref = np.random.default_rng(17)
         serial = [(ref.uniform(box.x_lo, box.x_hi, size=(n, ndim)),
                    ref.uniform(-box.p_max, box.p_max, size=(n, ndim)))
-                  for n in (MC_CHUNK, 7, n_diag)]
+                  for n in (MC_CHUNK, 7)]
         # the walker alone, with block edges (every 10007 rows) that miss
         # the chunk edges
         seen.clear()
-        chunks = [(0, MC_CHUNK), (2 * ndim * MC_CHUNK, 7),
-                  (2 * ndim * n_samples, n_diag)]
-        assert _walk(17, box, ndim, chunks,
+        assert _walk(17, box, ndim, n_samples,
                      lambda xs, ps: len(spy(xs, ps, spec, 8.0)),
-                     10_007) == n_samples + n_diag
+                     10_007) == n_samples
         _assert_serial_blocks(seen, serial, 10_007)
-        # mc_phase_volume's own chunks, its boundary diagnostic included
+        # mc_phase_volume's own walk, whose box cuts the shell and warns
         seen.clear()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -196,7 +194,7 @@ def _cpus(monkeypatch, k):
 @pytest.mark.parametrize("n_samples",
                          [1, MC_BLOCK - 1, MC_BLOCK + 1, MC_CHUNK + 7])
 def test_mc_volume_does_not_depend_on_the_core_count(monkeypatch, n_samples):
-    # the box cuts the E = 8 shell, so the larger runs warn about its faces
+    # the box cuts the E = 8 shell, so every run warns, whatever its size
     spec, box = pg.harmonic(), pg.PhaseSpaceBox(-3.0, 3.0, 3.0)
     seen = []
     for cpus in (1, 2, 3):
@@ -207,12 +205,12 @@ def test_mc_volume_does_not_depend_on_the_core_count(monkeypatch, n_samples):
         seen.append((est.value, est.std_error,
                      [str(w.message) for w in caught]))
     assert seen[0] == seen[1] == seen[2]
-    assert bool(seen[0][2]) == (n_samples > 1)
+    assert len(seen[0][2]) == 1
 
 
 def test_mc_volume_does_not_depend_on_the_block_size(monkeypatch):
     # blocks of 1 << 14 and 1 << 15 rows cut the same stream at different
-    # edges; the estimates, the face diagnostic's included, are identical
+    # edges; the estimates are identical
     spec, walk = pg.morse(), semiclassics._walk
     for ndim in (1, 2, 3):
         seen = []
@@ -257,7 +255,8 @@ def test_fixed_box_hit_count_grows_with_energy():
 
 def test_mc_volume_degenerate_when_nothing_hits():
     # a box placed entirely outside the allowed region scores zero hits
-    with pytest.raises(DegenerateEstimateError):
+    with (pytest.warns(UserWarning, match="truncates the energy shell"),
+          pytest.raises(DegenerateEstimateError)):
         pg.mc_phase_volume(pg.harmonic(), 1, 8.0, 50, seed=0,
                            box=pg.PhaseSpaceBox(x_lo=100.0, x_hi=101.0,
                                                 p_max=1.0))
@@ -279,8 +278,85 @@ def test_truncating_box_warns():
             warnings.simplefilter("error")
             pg.mc_phase_volume(spec, ndim, 8.0, 200000, seed=1)
         for box in (cut_x, cut_p):
-            with pytest.warns(UserWarning, match="touch the box faces"):
+            with pytest.warns(UserWarning,
+                              match="the box truncates the energy shell"):
                 pg.mc_phase_volume(spec, ndim, 8.0, 200000, seed=1, box=box)
+
+
+def _grown(box, dx_lo=0.0, dx_hi=0.0, dp=0.0):
+    return pg.PhaseSpaceBox(box.x_lo - dx_lo, box.x_hi + dx_hi,
+                            box.p_max + dp)
+
+
+def test_box_warns_iff_it_misses_the_minimal_box():
+    # the check is exact, so it needs no samples: one is enough, and a run
+    # whose only sample misses the shell still warns before it gives up
+    xs = np.linspace(-6.0, 6.0, 2001)
+    for spec, e in ((pg.harmonic(), 8.0), (pg.morse(), 11.25),
+                    (pg.tabulated(xs, 0.5 * xs**2 - 1.0), 2.0)):
+        for ndim in (1, 2, 3):
+            tight = pg.minimal_box(spec, e, ndim)
+            w = 1e-9 * (tight.x_hi - tight.x_lo)
+            boxes = {tight: False, _grown(tight, w, w, w): False}
+            for i in range(3):  # pull one face in by a hair
+                cut = [0.0, 0.0, 0.0]
+                cut[i] = -w
+                boxes[_grown(tight, *cut)] = True
+            for box, cuts in boxes.items():
+                for n in (1, 1000):
+                    with warnings.catch_warnings(record=True) as caught:
+                        warnings.simplefilter("always")
+                        try:
+                            pg.mc_phase_volume(spec, ndim, e, n, seed=2,
+                                               box=box)
+                        except DegenerateEstimateError:
+                            assert n == 1
+                    assert len(caught) == cuts, (spec.kind, ndim, box)
+
+
+def test_shifted_well_volume_matches_the_d_fold_shell():
+    # V = x^2/2 - 1 puts the well bottom at -1: the D-fold shell below E is
+    # the harmonic one below E + D, of volume (2 pi (E + D))^D / D!. A box
+    # that ignored the shift (the 1-d orbit at E, |p| <= sqrt(2 (E + 1)))
+    # would cut it and fall 5 % short at D = 2
+    xs = np.linspace(-6.0, 6.0, 2001)
+    spec, e = pg.tabulated(xs, 0.5 * xs**2 - 1.0), 2.0
+    for ndim in (1, 2, 3):
+        box = pg.minimal_box(spec, e, ndim)
+        # x reaches the orbit at E + D - 1, p the bottom's momentum at E + D
+        assert -box.x_lo == pytest.approx(math.sqrt(2.0 * (e + ndim)), 1e-5)
+        assert box.x_hi == pytest.approx(math.sqrt(2.0 * (e + ndim)), 1e-5)
+        assert box.p_max == pytest.approx(math.sqrt(2.0 * (e + ndim)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = pg.mc_phase_volume(spec, ndim, e, 400_000, seed=1)
+        exact = (2.0 * math.pi * (e + ndim)) ** ndim / math.factorial(ndim)
+        assert abs(est.value - exact) < 4.0 * est.std_error, ndim
+
+
+def test_minimal_box_is_the_same_at_every_d_with_the_bottom_at_zero():
+    for spec, e in ((pg.harmonic(mass=2.0, omega=0.7), 8.0),
+                    (pg.morse(), 11.25)):
+        for ndim in (1, 2, 3, 4):
+            assert pg.minimal_box(spec, e, ndim) == pg.minimal_box(spec, e)
+
+
+@pytest.mark.parametrize("spec,e,error", [
+    (pg.coulomb1d(), -0.5, NotAvailableError),
+    (pg.coulomb1d(), 0.5, NotAvailableError),
+    (pg.morse(), 12.0, UnboundedOrbitError),
+    (pg.morse(), 13.0, UnboundedOrbitError),
+    (pg.harmonic(), 0.0, BelowWellBottomError),
+    (pg.triangle2d(), 0.5, NotAvailableError)])
+def test_mc_volume_raises_where_minimal_box_does(spec, e, error):
+    # no box can bound these shells, so a caller's box does not help
+    box = pg.PhaseSpaceBox(-1.0, 1.0, 1.0)
+    with pytest.raises(error) as want:
+        pg.minimal_box(spec, e, 2)
+    for given in (None, box):
+        with pytest.raises(error) as got:
+            pg.mc_phase_volume(spec, 2, e, 100, seed=0, box=given)
+        assert str(got.value) == str(want.value)
 
 
 def test_state_count_exact_is_binomial():
@@ -328,3 +404,9 @@ def test_scaling_report_structure():
     assert abs(rows[0].v_mc - v1) < 5 * rows[0].v_mc_err
     assert rows[1].v_mc + 5 * rows[1].v_mc_err < rows[1].v_simplex
     assert all(r.n_exact >= 1 for r in rows)
+
+
+@pytest.mark.filterwarnings("error")
+def test_scaling_report_on_the_morse_well_warns_nothing():
+    rows = pg.scaling_report(pg.morse(), (1, 2, 3), 11.25, n_samples=20_000)
+    assert [r.ndim for r in rows] == [1, 2, 3]
