@@ -111,7 +111,9 @@ def _eval_1d(spec: PotentialSpec, x, out):
         return out
     if spec.kind == "tabulated":
         tab = spec.table
-        if np.any(x < tab[0, 0]) or np.any(x > tab[-1, 0]):
+        # fmin/fmax skip NaN, which passes the check, and build no mask
+        if (np.fmin.reduce(x, None, initial=np.inf) < tab[0, 0]
+                or np.fmax.reduce(x, None, initial=-np.inf) > tab[-1, 0]):
             raise ValueError("tabulated potential evaluated outside its table range")
         out[...] = np.interp(x, tab[:, 0], tab[:, 1])
         return out

@@ -258,36 +258,41 @@ class EfficiencyPoint:
 
 
 # Fixed search recipe, so scans are reproducible. `_smallest` runs both
-# searches. The grid size starts at the phase-space estimate n_target =
-# length * 2 P_PAD p_max / h, halves or doubles (past N_BUDGET the scan
-# gives up) and bisects to the smallest even size that converges. The
-# pruned scan runs on its own square k x k lattice, k^2 ~ n_target, whose
-# grid momentum range covers the classical p at e_max with P_PAD headroom;
-# its margin scale starts at 1, stays at most SCALE_MAX and bisects to
-# SCALE_TOL.
+# searches. The grid size starts at the classical grid n_cl = length *
+# 2 p_max / h, whose momentum range just covers the classical p at e_max;
+# it gallops by n_cl/32, 2 n_cl/32, ... (past N_BUDGET the scan gives up)
+# and bisects to the smallest even size that converges. The pruned scan
+# runs on its own square k x k lattice, k^2 ~ n_target = P_PAD n_cl (grid
+# momenta cover the classical p with P_PAD headroom) and never below that
+# fgh size; its margin scale starts at 1, gallops by 1, 2, 4, ... (so it
+# halves or doubles), stays at most SCALE_MAX and bisects to SCALE_TOL.
 N_BUDGET = 4096
 P_PAD = 1.25
 SCALE_MAX = 16.0
 SCALE_TOL = 0.0625
 
 
-def _smallest(passes, start, limit, step):
+def _smallest(passes, start, limit, step, first):
     """Smallest multiple of step in (0, limit] at which passes holds.
 
     passes must be monotone (false up to some value, true above it) and
-    limit a multiple of step. hi starts at start, rounded down onto the
-    lattice and capped at limit. It halves while passes(hi) holds, or else
-    doubles (capped at limit) until it does, raising BudgetExceededError
-    once limit has failed; then (lo, hi] is bisected until hi - lo <= step.
+    limit a multiple of step. The first probe is start, rounded down onto
+    the lattice and capped at limit. From there the search gallops: it
+    steps by `first` (rounded down onto the lattice, at least one step),
+    doubling the distance after each step, down while passes holds (a step
+    to 0 or below ends the run) or up, capped at limit, until it holds,
+    raising BudgetExceededError once limit has failed. Then the last
+    bracket (lo, hi] is bisected until hi - lo <= step.
     """
     hi = min(step * max(1, math.floor(start / step)), limit)
+    dist = step * max(1, math.floor(first / step))
     if passes(hi):
-        lo = step * (hi // (2 * step))
-        while lo > 0 and passes(lo):
-            hi, lo = lo, step * (lo // (2 * step))
+        while (lo := hi - dist) > 0 and passes(lo):
+            hi, dist = lo, 2 * dist
+        lo = max(lo, 0)
     else:
         while hi < limit:
-            lo, hi = hi, min(2 * hi, limit)
+            lo, hi, dist = hi, min(hi + dist, limit), 2 * dist
             if passes(hi):
                 break
         else:
@@ -325,16 +330,19 @@ def efficiency_scan(spec: PotentialSpec, hbars: Sequence[float], digits: int,
 
         p_max = math.sqrt(2.0 * sp.mass * e_max)
         n_target = length * P_PAD * p_max / (math.pi * hb)
+        n_cl = n_target / P_PAD  # the classical grid: no momentum headroom
         try:
-            n = _smallest(grid_passes, n_target, N_BUDGET, 2)
+            n = _smallest(grid_passes, n_cl, N_BUDGET, 2, n_cl / 32)
         except BudgetExceededError:
             raise BudgetExceededError(
                 f"grid budget {N_BUDGET} exceeded at hbar={hb}",
                 partial=points) from None
         points.append(EfficiencyPoint(hb, "fgh", n, int(ref.size)))
 
-        # even k, so the k*k grid has an even number of points
-        k = 2 * max(1, round(math.sqrt(n_target) / 2))
+        # even k, so the k*k grid has an even number of points, and never
+        # coarser than the n-point grid fgh needed
+        k = 2 * max(round(math.sqrt(n_target) / 2),
+                    math.ceil(math.sqrt(n) / 2))
         pipe = Pipeline(sp, (Grid1D(x_min, length, k * k),), "bvn", n_x=k)
         kept, judged = {}, {}  # scale -> kept cells; kept set -> converges
 
@@ -347,7 +355,7 @@ def efficiency_scan(spec: PotentialSpec, hbars: Sequence[float], digits: int,
             return judged.get(key, False)
 
         try:
-            scale = _smallest(margin_passes, 1.0, SCALE_MAX, SCALE_TOL)
+            scale = _smallest(margin_passes, 1.0, SCALE_MAX, SCALE_TOL, 1.0)
         except BudgetExceededError:
             raise BudgetExceededError(
                 f"margin search failed at hbar={hb}", partial=points) from None

@@ -84,6 +84,22 @@ def test_tabulated_matches_interp():
         pg.evaluate(spec, 1.5)
 
 
+def test_tabulated_range_check():
+    # an (m, D) block of in-range points passes, NaN passes as undefined,
+    # and one point off either end of the table fails, NaN beside it or not
+    spec = pg.tabulated(np.linspace(-1, 1, 21), np.linspace(0, 2, 21))
+    block = np.linspace(-1, 1, 12).reshape(4, 3)
+    assert pg.evaluate(spec, block).shape == (4, 3)
+    assert np.isnan(pg.evaluate(spec, np.array([np.nan, 0.5]))[0])
+    assert pg.evaluate(spec, np.empty(0)).size == 0
+    for bad in (-1.01, 1.01):
+        for x in (block.copy(), np.array([[np.nan, 0.0, np.nan]])):
+            x[0, 1] = bad
+            with pytest.raises(ValueError, match="^tabulated potential "
+                               "evaluated outside its table range$"):
+                pg.evaluate(spec, x)
+
+
 def test_triangle_alpha_threefold():
     # alpha has period 2*pi/3 and ranges over [0.05, 0.05 + 0.25]
     assert pg.triangle_alpha(0.0) == pytest.approx(0.05)

@@ -1,6 +1,7 @@
 """Generalized eigensolver, convergence counting, pruned assembly."""
 
 import bisect
+import math
 import os
 
 import numpy as np
@@ -352,16 +353,38 @@ def test_efficiency_scan_lattice_side_is_even():
     assert [p.method for p in points] == ["fgh", "bvn"]
 
 
+@pytest.mark.parametrize("hbars, digits, e_max, bvn", [
+    ([1.0], 3, 5.0, [18]), ([1.0], 3, 6.0, [20]), ([1.0], 3, 7.0, [22]),
+    ([1.0], 3, 8.0, [20]), ([1.0, 0.5, 0.25], 4, 12.0, [44, 74, 132])])
+def test_efficiency_lattice_grid_holds_the_fgh_grid(monkeypatch, hbars,
+                                                    digits, e_max, bvn):
+    # pruned bvn is a Ritz projection inside its own k*k grid, so that grid
+    # needs at least the points fgh needed at the same hbar: at e_max 5-7,
+    # sqrt(n_target) alone would give 64 points against fgh's 68-76
+    grids = {}
+
+    def pipeline(spec, grid, basis, **kw):
+        grids[spec.hbar, basis] = grid[0].N
+        return pg.Pipeline(spec, grid, basis, **kw)
+
+    monkeypatch.setattr(solver, "Pipeline", pipeline)
+    points = pg.efficiency_scan(pg.morse(), hbars, digits, e_max, -1.6, 21.7)
+    assert [p.basis_size for p in points if p.method == "bvn"] == bvn
+    for p in points:
+        if p.method == "fgh":
+            assert grids[p.hbar, "bvn"] >= p.basis_size
+
+
 def test_efficiency_point_ratio():
     pt = pg.EfficiencyPoint(hbar=1.0, method="bvn", basis_size=28, n_levels=18)
     assert pt.ratio == pytest.approx(28 / 18)
 
 
 def test_efficiency_scan_probe_sequence(monkeypatch):
-    # at hbar=1 the grid search starts at the phase-space estimate 102,
-    # halves to 50 and bisects to 94; the margin scale halves from 1 and
-    # bisects, each scale's mask solved only when it keeps at least the 24
-    # reference levels' worth of cells and no earlier scale kept the same
+    # at hbar=1 the grid search starts at the classical grid 82, gallops up
+    # by 2, 4 and 8 to 96 and bisects to 94; the margin scale halves from 1
+    # and bisects, each scale's mask solved only when it keeps at least the
+    # 24 reference levels' worth of cells and no earlier scale kept the same
     probes = []
 
     def solve_fgh(axes, spec, n_states=None):
@@ -382,11 +405,11 @@ def test_efficiency_scan_probe_sequence(monkeypatch):
     monkeypatch.setattr(solver, "solve_generalized", solve_generalized)
     solver.efficiency_scan(pg.morse(), [1.0, 0.5, 0.25], 4, 12.0, -1.6, 21.7)
     assert [p[1:] for p in probes if p[0] != "pencil" and p[1] == 1.0] == (
-        [(1.0, n) for n in (102, 50, 76, 90, 96, 94, 92)]
+        [(1.0, n) for n in (82, 84, 88, 96, 92, 94)]
         + [(1.0, s, kept) for s, kept in
            ((1.0, 44), (0.5, 40), (0.75, 40), (0.875, 40), (0.9375, 44))])
     kinds = [p[0] for p in probes]
-    assert (kinds.count("fgh"), kinds.count("scale")) == (23, 15)
+    assert (kinds.count("fgh"), kinds.count("scale")) == (15, 15)
     # a kept set is solved once: at hbar=1 the scales 0.75 and 0.875 reuse
     # the 40 cells of 0.5 and 0.9375 the 44 of 1, at hbar=1/2 one more repeats
     assert kinds.count("pencil") == 11
@@ -398,24 +421,59 @@ def test_efficiency_scan_probe_sequence(monkeypatch):
 def test_smallest_is_the_brute_force_threshold(limit, step):
     # the scan's two lattices (even grid sizes to 4096, dyadic margin scales
     # to 16) and a limit that is no power-of-two multiple of a start; the
-    # search may start anywhere, on or off the lattice, past the limit too
+    # search may start anywhere, on or off the lattice, past the limit too,
+    # and gallop by any first distance, below one step or past the limit
     values = [step * i for i in range(1, round(limit / step) + 1)]
     for t in values + [v - step / 2 for v in values] + [limit + step]:
         want = values[bisect.bisect_left(values, t)] if t <= limit else None
         starts = {step / 2, t - step, t - step / 2, t, t + step, limit,
                   2 * limit}
         for start in sorted(s for s in starts if s > 0):
-            probed = []
+            for first in (step / 3, step, start / 32, start, limit):
+                probed = []
 
-            def passes(v):
-                probed.append(v)
-                return v >= t
+                def passes(v):
+                    probed.append(v)
+                    return v >= t
 
-            if t > limit:
-                with pytest.raises(BudgetExceededError):
-                    solver._smallest(passes, start, limit, step)
+                if t > limit:
+                    with pytest.raises(BudgetExceededError):
+                        solver._smallest(passes, start, limit, step, first)
+                else:
+                    assert solver._smallest(passes, start, limit, step,
+                                            first) == want
+                assert len(set(probed)) == len(probed)  # never probes twice
+                assert all(0 < v <= limit and (v / step).is_integer()
+                           for v in probed)
+
+
+def test_smallest_from_one_by_one_halves_and_doubles():
+    # the margin search's recipe (start 1, first distance 1, dyadic scales
+    # to 16) probes exactly as a search that halves from 1 while it passes
+    # or doubles until it does, then bisects
+    def halve_or_double(passes, step=0.0625, limit=16.0):
+        hi = 1.0
+        if passes(hi):
+            lo = step * (hi // (2 * step))
+            while lo > 0 and passes(lo):
+                hi, lo = lo, step * (lo // (2 * step))
+        else:
+            while hi < limit:
+                lo, hi = hi, min(2 * hi, limit)
+                if passes(hi):
+                    break
             else:
-                assert solver._smallest(passes, start, limit, step) == want
-            assert len(set(probed)) == len(probed)  # never probes twice
-            assert all(0 < v <= limit and (v / step).is_integer()
-                       for v in probed)
+                return
+        while hi - lo > step:
+            mid = step * math.ceil((lo + hi) / (2 * step))
+            lo, hi = (lo, mid) if passes(mid) else (mid, hi)
+
+    for t in [0.0625 * i for i in range(1, 258)]:
+        probed, want = [], []
+        halve_or_double(lambda v: want.append(v) or v >= t)
+        try:
+            solver._smallest(lambda v: probed.append(v) or v >= t,
+                             1.0, 16.0, 0.0625, 1.0)
+        except BudgetExceededError:
+            assert t > 16.0
+        assert probed == want
