@@ -23,13 +23,13 @@ from . import __version__
 from .errors import (BelowWellBottomError, BudgetExceededError,
                      DegenerateEstimateError, NotAvailableError,
                      UnboundedOrbitError)
-from .fourier_grid import DENSE_2D_LIMIT, Grid1D, harmonic_square_grid
 from .potentials import (PARAMETERS, PotentialSpec, analytic_levels,
                          coulomb1d, harmonic, morse, triangle2d)
-from .pruner import cell_table, select_cells
-from .semiclassics import scaling_report
-from .solver import BASES, Pipeline, efficiency_scan
-from .vn_basis import VnLattice
+from .spectra import BASES
+
+# Each command imports the modules it runs inside itself: the solver stack
+# for solve, sweep and efficiency, semiclassics for scaling. Importing this
+# module and parsing a config load neither.
 
 
 class ConfigError(ValueError):
@@ -294,11 +294,13 @@ def _rejected(section: str, values: dict, exc: Exception) -> ConfigError:
     return ConfigError(f"{named}: {exc}")
 
 
-def _grid_axis(g: GridConfig, n: int | None = None) -> Grid1D:
+def _grid_axis(g: GridConfig, n: int | None = None):
     """The [grid] axis, with n points in place of grid.n when given.
 
     A value the library refuses names only the keys the axis read.
     """
+    from .fourier_grid import Grid1D
+
     keys = {"n": g.n, "length": g.length} if n is None else {"length": g.length}
     try:
         return Grid1D(g.x_min, g.length, g.n if n is None else n)
@@ -308,6 +310,11 @@ def _grid_axis(g: GridConfig, n: int | None = None) -> Grid1D:
 
 def cmd_solve(cfg: RunConfig, args, meta: dict) -> dict:
     """Run one basis pipeline end-to-end: eigenvalues (+cells)."""
+    from .fourier_grid import DENSE_2D_LIMIT
+    from .pruner import cell_table, select_cells
+    from .solver import Pipeline
+    from .vn_basis import VnLattice
+
     spec = cfg.spec()
     axes = (_grid_axis(cfg.grid),) * spec.dimension
     basis, two_d, lat = cfg.solver.basis, len(axes) == 2, cfg.lattice
@@ -363,6 +370,9 @@ def cmd_sweep(cfg: RunConfig, args, meta: dict) -> dict:
     pvn and fgh columns coincide because the bases span the same space;
     the vn method is the non-periodized Gaussian baseline.
     """
+    from .fourier_grid import harmonic_square_grid
+    from .solver import Pipeline
+
     sizes, index, methods = args.sizes, args.index, args.methods
     spec = cfg.spec()
     levels = analytic_levels(spec, n_max=index)
@@ -397,6 +407,8 @@ def cmd_sweep(cfg: RunConfig, args, meta: dict) -> dict:
 
 def cmd_efficiency(cfg: RunConfig, args, meta: dict) -> dict:
     """Smallest basis per method and per hbar; ratio = size / levels."""
+    from .solver import efficiency_scan
+
     if cfg.prune is None:
         raise ConfigError("efficiency scan needs prune.e_cut as the level cutoff")
     if not args.hbars or not all(hb > 0 for hb in args.hbars):
@@ -427,6 +439,8 @@ def cmd_efficiency(cfg: RunConfig, args, meta: dict) -> dict:
 
 def cmd_scaling(cfg: RunConfig, args, meta: dict) -> dict:
     """Volume and state-count scaling table across dimension."""
+    from .semiclassics import scaling_report
+
     if not args.dims or min(args.dims) < 1:
         raise ConfigError(f"scaling --dims must be >= 1: {args.dims}")
     if args.samples < 1:

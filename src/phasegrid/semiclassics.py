@@ -10,6 +10,7 @@ binomial(g + D, D).
 
 import math
 import os
+import threading
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -55,8 +56,9 @@ def turning_points(spec: PotentialSpec, energy: float):
     """Classical turning points (x_left, x_right) of the 1-D motion at energy.
 
     Closed forms for the analytic potentials, and for tabulated ones the
-    zeros of the linearly interpolated V - E. Energies at or above the
-    dissociation/ionization threshold have no bounded orbit.
+    zeros of the linearly interpolated V - E: the outermost pair, the hull
+    of every allowed interval when the table has several wells. Energies at
+    or above the dissociation/ionization threshold have no bounded orbit.
     """
     if spec.dimension != 1:
         raise NotAvailableError(
@@ -82,28 +84,31 @@ def turning_points(spec: PotentialSpec, energy: float):
             raise UnboundedOrbitError("coulomb orbit is unbounded for E >= 0")
         return 0.0, z / (-energy)
     if spec.kind == "tabulated":
-        return _turning_points_table(spec, energy)
+        lefts, rights = _allowed_intervals(spec, energy)
+        return float(lefts[0]), float(rights[-1])
     raise ValueError(f"no turning points for kind {spec.kind!r}")
 
 
-def _turning_points_table(spec: PotentialSpec, energy: float):
+def _allowed_intervals(spec: PotentialSpec, energy: float):
+    """(lefts, rights): every interval where the interpolated table V < E.
+
+    Each run of knots with V < E is one interval, closed by the zeros of
+    the linear interpolant in the segments on either side of the run.
+    """
     xs = spec.table[:, 0]
     vs = spec.table[:, 1]
-    i0 = int(np.argmin(vs))
-    if energy <= vs[i0]:
+    if energy <= np.min(vs):
         raise BelowWellBottomError(
             "energy at or below the tabulated minimum")
     f = vs - energy
     if f[0] < 0 or f[-1] < 0:
         raise UnboundedOrbitError("table does not bracket the orbit")
-
-    def root(i, j):  # zero of the linear interpolant between knots i and j
-        return float(xs[i] + f[i] * (xs[j] - xs[i]) / (f[i] - f[j]))
-
-    # the knots nearest the minimum with f >= 0 close the orbit's segments
-    il = np.flatnonzero(f[: i0 + 1] >= 0)[-1]
-    ir = i0 + np.flatnonzero(f[i0:] >= 0)[0]
-    return root(il, il + 1), root(ir - 1, ir)
+    below = f < 0
+    # segments (i, i + 1) where a run starts, and where one ends
+    starts = np.flatnonzero(~below[:-1] & below[1:])
+    ends = np.flatnonzero(below[:-1] & ~below[1:])
+    return tuple(xs[i] + f[i] * (xs[i + 1] - xs[i]) / (f[i] - f[i + 1])
+                 for i in (starts, ends))
 
 
 def phase_area_1d(spec: PotentialSpec, energy: float) -> float:
@@ -111,10 +116,10 @@ def phase_area_1d(spec: PotentialSpec, energy: float) -> float:
 
     Closed forms for every 1-D kind: harmonic (2 pi E / omega), Morse,
     Coulomb (pi z sqrt(2m/|E|)), and for tables the exact integral of the
-    linearly interpolated potential, segment by segment.
+    linearly interpolated potential, segment by segment, summed over every
+    allowed interval (each well below E is one orbit).
     """
-    # turning_points also rejects energies with no bounded orbit
-    xl, xr = turning_points(spec, energy)
+    turning_points(spec, energy)  # rejects energies with no bounded orbit
     m = spec.mass
     if spec.kind == "harmonic":
         return 2.0 * math.pi * energy / spec.params["omega"]
@@ -127,13 +132,16 @@ def phase_area_1d(spec: PotentialSpec, energy: float) -> float:
     if spec.kind == "coulomb1d":
         return math.pi * spec.params["charge"] * math.sqrt(2.0 * m / -energy)
     xs, vs = spec.table[:, 0], spec.table[:, 1]
-    x = np.concatenate(([xl], xs[(xs > xl) & (xs < xr)], [xr]))
-    gap = np.maximum(energy - np.interp(x, xs, vs), 0.0)
-    # integral of sqrt(gap) over a segment where gap runs linearly from a^2
-    # to b^2: (2/3) dx (b^3 - a^3) / (b^2 - a^2), without the cancellation
-    a, b = np.sqrt(gap[:-1]), np.sqrt(gap[1:])
-    seg = np.diff(x) * (a * a + a * b + b * b) / (a + b)
-    return 2.0 * math.sqrt(2.0 * m) * (2.0 / 3.0) * float(np.sum(seg))
+    total = 0.0
+    for xl, xr in zip(*_allowed_intervals(spec, energy)):
+        x = np.concatenate(([xl], xs[(xs > xl) & (xs < xr)], [xr]))
+        gap = np.maximum(energy - np.interp(x, xs, vs), 0.0)
+        # integral of sqrt(gap) over a segment where gap runs linearly from
+        # a^2 to b^2: (2/3) dx (b^3 - a^3) / (b^2 - a^2), without the
+        # cancellation
+        a, b = np.sqrt(gap[:-1]), np.sqrt(gap[1:])
+        total += float(np.sum(np.diff(x) * (a * a + a * b + b * b) / (a + b)))
+    return 2.0 * math.sqrt(2.0 * m) * (2.0 / 3.0) * total
 
 
 def minimal_box(spec: PotentialSpec, energy: float,
@@ -213,11 +221,13 @@ def _walk(seed, box, ndim, n_samples, count, block=MC_BLOCK):
     and then rng.uniform(-p_max, p_max, (n, D)) would. Each float64 costs
     one PCG64 step, so a block resets its worker's generator to the seeded
     state and advances it to the block's own rows: the blocks run on one
-    thread per available core and draw the same numbers however many cores
+    worker per available core and draw the same numbers however many cores
     there are. Worker w of k takes blocks w, w + k, ..., with its own
-    generator and buffers. count gets the (m, D) arrays of one block, which
-    it may overwrite, and returns integers, so the sum does not depend on
-    which worker counts which block.
+    generator and buffers; worker 0 runs on the calling thread and workers
+    1 .. k-1 each on a threading.Thread of their own. count gets the (m, D)
+    arrays of one block, which it may overwrite, and returns integers, so
+    the sum does not depend on which worker counts which block. An error
+    in any worker is raised here once every thread has been joined.
     """
     blocks = []
     for c0 in range(0, n_samples, MC_CHUNK):
@@ -228,31 +238,37 @@ def _walk(seed, box, ndim, n_samples, count, block=MC_BLOCK):
     faces = ((box.x_lo, box.x_hi), (-box.p_max, box.p_max))
 
     def work(w):
-        rng = np.random.default_rng(seed)
-        bits, seeded = rng.bit_generator, rng.bit_generator.state
-        bufs = np.empty((rows, ndim)), np.empty((rows, ndim))
-        total = 0
-        for off_x, off_p, m in blocks[w::workers]:
-            out = bufs[0][:m], bufs[1][:m]
-            for a, offset, (lo, hi) in zip(out, (off_x, off_p), faces):
-                bits.state = seeded
-                bits.advance(offset)
-                rng.random(out=a)
-                a *= hi - lo  # Generator.uniform computes lo + (hi - lo) * u
-                a += lo
-            total += count(*out)
-        return total
+        try:
+            rng = np.random.default_rng(seed)
+            bits, seeded = rng.bit_generator, rng.bit_generator.state
+            bufs = np.empty((rows, ndim)), np.empty((rows, ndim))
+            for off_x, off_p, m in blocks[w::workers]:
+                out = bufs[0][:m], bufs[1][:m]
+                for a, offset, (lo, hi) in zip(out, (off_x, off_p), faces):
+                    bits.state = seeded
+                    bits.advance(offset)
+                    rng.random(out=a)
+                    a *= hi - lo  # Generator.uniform: lo + (hi - lo) * u
+                    a += lo
+                totals[w] += count(*out)
+        except BaseException as exc:  # raised below, after the joins
+            errors.append(exc)
 
     # the cores this process may run on (sched_getaffinity is Linux-only)
     cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
              else os.cpu_count() or 1)
     workers = min(cores, len(blocks))
-    if workers == 1:
-        return work(0)
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(workers) as pool:
-        done = [pool.submit(work, w) for w in range(workers)]
-    return sum(f.result() for f in done)  # re-raises a worker's error
+    totals, errors = [0] * workers, []
+    threads = [threading.Thread(target=work, args=(w,))
+               for w in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    work(0)
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+    return sum(totals)
 
 
 def state_count_exact(g: int, ndim: int) -> int:

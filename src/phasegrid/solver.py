@@ -21,12 +21,9 @@ from .errors import BudgetExceededError, NotAvailableError
 from .fourier_grid import FghOperator, Grid1D, hamiltonian_fgh, solve_fgh
 from .potentials import PotentialSpec, analytic_levels
 from .pruner import PruneMask, select_cells
-from .spectra import Spectrum
+from .spectra import BASES, Spectrum
 from .vn_basis import (VnLattice, balanced_factors, build_basis,
                        congruence, continuous_vn_matrices, metric_root)
-
-# the bases a Pipeline solves in
-BASES = ("fgh", "vn", "pvn", "bvn")
 
 
 class GeneralizedProblem:

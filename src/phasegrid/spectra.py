@@ -1,8 +1,12 @@
-"""Result container shared by the grid and phase-space solvers."""
+"""Basis names and the result container shared by the grid and phase-space
+solvers; it loads without them, so a config check can name the bases."""
 
 from dataclasses import dataclass
 
 import numpy as np
+
+# the bases a Pipeline solves in
+BASES = ("fgh", "vn", "pvn", "bvn")
 
 
 @dataclass

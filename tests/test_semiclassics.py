@@ -5,6 +5,7 @@ import itertools
 import math
 import os
 import threading
+import time
 import warnings
 
 import numpy as np
@@ -103,6 +104,50 @@ def test_phase_area_tabulated_v_abs_x_is_exact():
     for e in (0.3, 1.0, 3.9):
         assert pg.phase_area_1d(spec, e) == pytest.approx(
             8.0 / 3.0 * math.sqrt(2 * 1.5) * e**1.5, rel=1e-14)
+
+
+def _double_well():
+    # harmonic wells (omega = sqrt 2) with bottoms 0 at x = -2 and 0.5 at
+    # x = +2, each also as a table of its own on the same knots
+    xs = np.linspace(-5.0, 5.0, 4001)
+    left, right = (xs + 2.0) ** 2, (xs - 2.0) ** 2 + 0.5
+    return (pg.tabulated(xs, np.minimum(left, right)), pg.tabulated(xs, left),
+            pg.tabulated(xs, right))
+
+
+def test_table_area_sums_every_well():
+    # at E = 1 both wells hold an orbit: the area is their sum, and the
+    # turning points and the box span the hull of both
+    both, left, right = _double_well()
+    assert abs(pg.phase_area_1d(both, 1.0) - pg.phase_area_1d(left, 1.0)
+               - pg.phase_area_1d(right, 1.0)) <= 1e-12
+    assert pg.phase_area_1d(left, 1.0) == pytest.approx(math.pi * math.sqrt(2),
+                                                        rel=1e-5)
+    lo, hi = pg.turning_points(both, 1.0)
+    assert (lo, hi) == (pg.turning_points(left, 1.0)[0],
+                        pg.turning_points(right, 1.0)[1])
+    assert lo == pytest.approx(-3.0) and hi == pytest.approx(2.0 + 0.5**0.5)
+    box = pg.minimal_box(both, 1.0, 2)
+    assert (box.x_lo, box.x_hi) == (lo, hi)
+    # below the right well's bottom only the left orbit remains
+    assert pg.phase_area_1d(both, 0.4) == pg.phase_area_1d(left, 0.4)
+
+
+@pytest.mark.filterwarnings("error")
+def test_mc_default_box_holds_every_well():
+    # the default box reaches both wells: it agrees with a wider box, and
+    # in 1-d with the summed area
+    both = _double_well()[0]
+    wide = pg.PhaseSpaceBox(-4.0, 4.0, 1.5)
+    for ndim in (1, 2):
+        tight = pg.mc_phase_volume(both, ndim, 1.0, 400_000, seed=ndim)
+        loose = pg.mc_phase_volume(both, ndim, 1.0, 400_000, seed=ndim,
+                                   box=wide)
+        assert abs(tight.value - loose.value) < 4.0 * math.hypot(
+            tight.std_error, loose.std_error), ndim
+        if ndim == 1:
+            assert abs(tight.value - pg.phase_area_1d(both, 1.0)) < (
+                4.0 * tight.std_error)
 
 
 def test_minimal_box_harmonic():
@@ -238,6 +283,21 @@ def test_worker_error_reaches_the_caller(monkeypatch):
         with pytest.raises(ValueError, match="outside its table range"):
             pg.mc_phase_volume(spec, 2, 1.0, MC_CHUNK + 7, seed=3, box=box)
         assert threading.active_count() == before
+    # worker 0 counts on the calling thread: an error in its own first block,
+    # or in every thread's, is raised only once the slow others have ended
+    caller = threading.get_ident()
+    for cpus in (2, 3):
+        _cpus(monkeypatch, cpus)
+        for on_caller in (True, False):
+            def count(xs, ps):
+                if (threading.get_ident() == caller) == on_caller:
+                    raise KeyError("planted")
+                time.sleep(0.01)
+                return 0
+
+            with pytest.raises(KeyError, match="planted"):
+                _walk(3, box, 2, MC_CHUNK + 7, count)
+            assert threading.active_count() == before, (cpus, on_caller)
 
 
 def test_fixed_box_hit_count_grows_with_energy():

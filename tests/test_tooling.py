@@ -11,6 +11,7 @@ import runpy
 import shlex
 import subprocess
 import sys
+import types
 import warnings
 
 import pytest
@@ -214,8 +215,9 @@ def test_no_module_densifies_through_kronecker_products():
 
 
 def test_one_module_owns_the_threads():
-    # only semiclassics runs threads, and it imports concurrent.futures
-    # inside the Monte Carlo walk, so importing the CLI does not load it
+    # only semiclassics runs threads, on plain threading.Threads beside the
+    # calling one, and importing the CLI does not load it; no module loads
+    # concurrent.futures (a scaling run included, below)
     found = []
     for path in sorted((ROOT / "src" / "phasegrid").glob("*.py")):
         if path.name == "semiclassics.py":
@@ -232,6 +234,69 @@ def test_one_module_owns_the_threads():
     assert not found, found
     assert _python("import sys, phasegrid.cli; "
                    "print('concurrent.futures' in sys.modules)") == "False"
+
+
+_SOLVER_STACK = ("solver", "vn_basis", "fourier_grid", "pruner")
+_LOADED = ("*sorted(m.split('.', 1)[1] for m in sys.modules "
+           "if m.startswith('phasegrid.'))")
+
+
+def _loaded(code, cwd=ROOT):
+    """Words printed by `code`, then the phasegrid modules it loaded."""
+    return _python(f"import sys\n{code}\nprint({_LOADED})", cwd).split()
+
+
+def test_cli_import_and_config_parse_load_no_command_modules():
+    # each command imports its own modules: parsing a config needs none
+    code = ("from phasegrid import cli\n"
+            "for path in sorted(__import__('glob').glob('configs/*.cfg')):\n"
+            "    cli.parse_config(open(path).read())")
+    loaded = _loaded(code)
+    assert "potentials" in loaded
+    assert not set(loaded) & {*_SOLVER_STACK, "semiclassics"}, loaded
+
+
+def test_scaling_run_loads_no_solver_stack_or_executor(tmp_path):
+    argv = ["scaling", "--config", "configs/morse_bvn.cfg", "--energy", "8",
+            "--dims", "1,2", "--samples", "40000", "--out", str(tmp_path),
+            "--quiet"]
+    code = (f"from phasegrid import cli\nassert cli.main({argv!r}) == 0\n"
+            "print('concurrent.futures' in sys.modules)")
+    futures, *loaded = _loaded(code)
+    assert futures == "False"
+    assert "semiclassics" in loaded
+    assert not set(loaded) & set(_SOLVER_STACK), loaded
+
+
+def test_solve_run_loads_no_monte_carlo(tmp_path):
+    argv = ["solve", "--config", "configs/morse_bvn.cfg", "--out",
+            str(tmp_path), "--quiet"]
+    loaded = _loaded(f"from phasegrid import cli\n"
+                     f"assert cli.main({argv!r}) == 0")
+    assert set(_SOLVER_STACK) <= set(loaded)
+    assert not set(loaded) & {"semiclassics", "_kernels"}, loaded
+
+
+def test_public_names_resolve_to_their_modules():
+    # the package's names are resolved on first read, each from the module
+    # that defines it; a submodule's own name is the module
+    import phasegrid
+    assert phasegrid.__all__ and set(phasegrid.__all__) <= set(dir(phasegrid))
+    for name in phasegrid.__all__:
+        obj = getattr(phasegrid, name)
+        if isinstance(obj, types.ModuleType):
+            assert obj is sys.modules[f"phasegrid.{name}"]
+        else:
+            home = sys.modules[obj.__module__]
+            assert home.__name__.startswith("phasegrid."), name
+            assert getattr(home, name) is obj, name
+    with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
+        phasegrid.nonexistent
+    # a submodule imported on its own binds the package's names as it lands,
+    # so patching it afterwards leaves them alone, as eager imports did
+    assert _python("import phasegrid.solver as s; real = s.Pipeline; "
+                   "s.Pipeline = None; import phasegrid; "
+                   "print(phasegrid.Pipeline is real)") == "True"
 
 
 def test_orbit_areas_leave_out_scipy_integrate():
