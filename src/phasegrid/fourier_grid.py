@@ -34,6 +34,10 @@ class Grid1D:
     N: int
 
     def __post_init__(self):
+        for name in ("x_min", "L"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(
+                    f"grid {name} = {getattr(self, name)} is not finite")
         if self.L <= 0:
             raise ValueError("box length L must be positive")
         if self.N <= 0 or self.N % 2 != 0:

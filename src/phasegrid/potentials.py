@@ -37,9 +37,14 @@ class PotentialSpec:
         for name in PARAMETERS[self.kind]:
             if name not in self.params:
                 raise ValueError(f"{self.kind} potential requires parameter {name!r}")
+            if not math.isfinite(self.params[name]):
+                raise ValueError(
+                    f"parameter {name!r} = {self.params[name]} is not finite")
         for name in _POSITIVE:
             if name in self.params and not self.params[name] > 0:
                 raise ValueError(f"parameter {name!r} must be positive")
+        if not math.isfinite(self.hbar):
+            raise ValueError(f"hbar = {self.hbar} is not finite")
         if not self.hbar > 0:
             raise ValueError("hbar must be positive")
         if self.kind == "tabulated":

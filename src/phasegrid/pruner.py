@@ -7,6 +7,7 @@ cells whose center sits just above the cutoff but whose cell still dips
 below it are retained. Scale 0 is the sharp cut H_cl <= e_cut.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,6 +80,9 @@ def select_cells(lats: tuple, spec: PotentialSpec, e_cut: float,
     The margin does not depend on e_cut, so the kept set is monotone in
     e_cut, and in auto_scale.
     """
+    for name, value in (("e_cut", e_cut), ("auto_scale", auto_scale)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} = {value} is not finite")
     if auto_scale < 0:
         raise ValueError("auto_scale must be nonnegative")
     centers, h_cl = cell_table(lats, spec)

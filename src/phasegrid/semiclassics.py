@@ -119,7 +119,8 @@ def phase_area_1d(spec: PotentialSpec, energy: float) -> float:
     linearly interpolated potential, segment by segment, summed over every
     allowed interval (each well below E is one orbit).
     """
-    turning_points(spec, energy)  # rejects energies with no bounded orbit
+    if spec.kind != "tabulated":  # a table's intervals reject the same way
+        turning_points(spec, energy)  # rejects energies with no bounded orbit
     m = spec.mass
     if spec.kind == "harmonic":
         return 2.0 * math.pi * energy / spec.params["omega"]
@@ -222,12 +223,14 @@ def _walk(seed, box, ndim, n_samples, count, block=MC_BLOCK):
     one PCG64 step, so a block resets its worker's generator to the seeded
     state and advances it to the block's own rows: the blocks run on one
     worker per available core and draw the same numbers however many cores
-    there are. Worker w of k takes blocks w, w + k, ..., with its own
-    generator and buffers; worker 0 runs on the calling thread and workers
-    1 .. k-1 each on a threading.Thread of their own. count gets the (m, D)
-    arrays of one block, which it may overwrite, and returns integers, so
-    the sum does not depend on which worker counts which block. An error
-    in any worker is raised here once every thread has been joined.
+    there are. The workers claim the next block from one shared iterator
+    as they finish the last, so a core that runs ahead takes more blocks;
+    each has its own generator and buffers. Worker 0 runs on the calling
+    thread and workers 1 .. k-1 each on a threading.Thread of their own.
+    count gets the (m, D) arrays of one block, which it may overwrite, and
+    returns integers, so the sum does not depend on which worker counts
+    which block. A worker stops at its first error, and the error is
+    raised here once every thread has been joined.
     """
     blocks = []
     for c0 in range(0, n_samples, MC_CHUNK):
@@ -242,7 +245,7 @@ def _walk(seed, box, ndim, n_samples, count, block=MC_BLOCK):
             rng = np.random.default_rng(seed)
             bits, seeded = rng.bit_generator, rng.bit_generator.state
             bufs = np.empty((rows, ndim)), np.empty((rows, ndim))
-            for off_x, off_p, m in blocks[w::workers]:
+            for off_x, off_p, m in todo:  # list iterators step under the GIL
                 out = bufs[0][:m], bufs[1][:m]
                 for a, offset, (lo, hi) in zip(out, (off_x, off_p), faces):
                     bits.state = seeded
@@ -257,7 +260,7 @@ def _walk(seed, box, ndim, n_samples, count, block=MC_BLOCK):
     # the cores this process may run on (sched_getaffinity is Linux-only)
     cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
              else os.cpu_count() or 1)
-    workers = min(cores, len(blocks))
+    workers, todo = min(cores, len(blocks)), iter(blocks)
     totals, errors = [0] * workers, []
     threads = [threading.Thread(target=work, args=(w,))
                for w in range(1, workers)]

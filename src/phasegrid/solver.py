@@ -22,32 +22,42 @@ from .fourier_grid import FghOperator, Grid1D, hamiltonian_fgh, solve_fgh
 from .potentials import PotentialSpec, analytic_levels
 from .pruner import PruneMask, select_cells
 from .spectra import BASES, Spectrum
-from .vn_basis import (VnLattice, balanced_factors, build_basis,
-                       congruence, continuous_vn_matrices, metric_root)
+from .vn_basis import (VnLattice, balanced_factors, build_basis, carve,
+                       congruence, continuous_vn_matrices, metric_root,
+                       workspace)
 
 
 class GeneralizedProblem:
     """Pencil (H, S) with S the basis overlap (metric), built when needed.
 
-    `h()` and `s()` each return a new array that their caller owns and may
-    overwrite. GeneralizedProblem(h, s) holds two dense arrays and never
-    lets them be written: `h()` and `s()` copy them.
-    `GeneralizedProblem.deferred(size, build_h, build_s)` holds two
-    functions that build new arrays, so the eigensolve can make S, factor it
-    in its own memory and free it before H exists; `assemble_bvn` returns
-    one. H and S need to be Hermitian only up to roundoff: nothing
-    symmetrizes them, and LAPACK reads one triangle of S and of C^H H C.
+    `h(work)` and `s(work)` each return a new array that their caller owns
+    and may overwrite; work is a buffer from the problem's `workspace()`,
+    from which a builder carves its temporaries (it makes one if none is
+    given). GeneralizedProblem(h, s) holds two dense arrays and never lets
+    them be written: `h()` and `s()` copy them.
+    `GeneralizedProblem.deferred(size, build_h, build_s, workspace)` holds
+    two functions that build new arrays, so the eigensolve can make S,
+    factor it in its own memory and free it before H exists, and the one
+    that makes the buffer they need; `assemble_bvn` returns one. H and S
+    need to be Hermitian only up to roundoff: nothing symmetrizes them, and
+    LAPACK reads one triangle of S and of C^H H C.
     """
 
     def __init__(self, h: np.ndarray, s: np.ndarray):
         if h.shape != s.shape or h.shape[0] != h.shape[1]:
             raise ValueError("H and S must be square and congruent")
-        self.size, self.h, self.s = h.shape[0], h.copy, s.copy
+        self.size = h.shape[0]
+        self.h = lambda work=None: h.copy()
+        self.s = lambda work=None: s.copy()
+        self.workspace = lambda: workspace(self.size,
+                                           np.result_type(h, s, 1.0))
 
     @classmethod
-    def deferred(cls, size: int, build_h, build_s) -> "GeneralizedProblem":
+    def deferred(cls, size: int, build_h, build_s,
+                 make_workspace) -> "GeneralizedProblem":
         problem = cls.__new__(cls)
         problem.size, problem.h, problem.s = size, build_h, build_s
+        problem.workspace = make_workspace
         return problem
 
 
@@ -64,12 +74,18 @@ def assemble_bvn(h_op: FghOperator, cols: tuple, metrics: tuple,
     called, each time anew.
     Kept cell k = (cx, cy) is the column kron(By[:, cy], Bx[:, cx]), which is
     never formed. With W[x] = By^H (Ty + diag v[:, x]) By and Sy = By^H By,
-    the rows of one cy = a take row a of every W[x] and one GEMM over x,
-    H[rows] = Bx[:, cx_rows]^H (W[x, a, cy] Bx[:, cx] + Sy[a, cy] (Tx Bx)[:, cx]),
-    and S[k, k'] = My[cy, cy'] Mx[cx, cx'], so beside H or S only
-    O(Nx n_kept) numbers are alive. A 1-d grid gets a one-point y axis,
-    By = My = [[1]] and Ty = [[0]], which reduces H to Bk^H (diag v + Tx) Bk
-    and S to Mx[kept, kept]. S is exactly symmetric, H only up to roundoff.
+    the rows of one cy = a take row a of every W[x], and
+    H[rows, cols] = Bx[:, cx_rows]^H (W[x, a, cy] Bx[:, cx] + Sy[a, cy] (Tx Bx)[:, cx])
+    is filled tile by tile: t columns at a time, for which Tx Bx[:, cx] is
+    formed once, and within them at most t rows of one cy at a time, each
+    tile one GEMM over x that writes into H. S[k, k'] = My[cy, cy'] Mx[cx,
+    cx'] is filled t rows at a time. The Nx x t operands and the gathered
+    rows are views of the problem's `workspace()` buffer, which holds three
+    of them and so sets t, so beside H or S nothing larger than one
+    INV_BLOCK-row block is allocated. A 1-d grid gets a one-point
+    y axis, By = My = [[1]] and Ty = [[0]], which reduces H to
+    Bk^H (diag v + Tx) Bk and S to Mx[kept, kept]. S is exactly symmetric,
+    H only up to roundoff.
     """
     ts = h_op.ts
     if len(cols) == 1:
@@ -84,30 +100,75 @@ def assemble_bvn(h_op: FghOperator, cols: tuple, metrics: tuple,
     # idx ascends: the rows of one cy are a block
     starts = np.flatnonzero(np.diff(cy, prepend=-1))
     blocks = tuple(zip(starts, np.append(starts[1:], n)))
+    h_type, s_type = np.result_type(bx, by, tx), np.result_type(mx, my)
+    # the gathers read C-contiguous arrays of the pencil's type (np.take
+    # copies any other source whole): a column-major G, or a real axis
+    # beside a complex one, is copied here once
+    bx, tx = (np.ascontiguousarray(m, h_type) for m in (bx, tx))
+    mx = np.ascontiguousarray(mx, s_type)
+    bxh = bx.conj()  # H's rows gather from it: bx itself when real
+    tall = max(bx.shape)  # bounds the grid rows and cell columns of a tile
 
-    def build_s():
-        s = np.empty((n, n), np.result_type(mx, my))
-        mxk, myk = mx[:, cx], my[:, cy]
-        for lo, hi in blocks:
-            np.multiply(mxk[cx[lo:hi]], myk[cy[lo]], out=s[lo:hi])
+    def tiles(work, dtype):
+        """t, the room for three Nx x t tiles, and the (lo, hi) row tiles:
+        at most t rows of one cy."""
+        t = work.nbytes // np.dtype(dtype).itemsize // (3 * tall)
+        return t, [(lo, min(lo + t, hi)) for start, hi in blocks
+                   for lo in range(start, hi, t)]
+
+    def build_s(work=None):
+        work = problem.workspace() if work is None else work
+        s = np.empty((n, n), s_type)
+        _, rows = tiles(work, s_type)
+        for lo, hi in rows:
+            mxr = carve(work, s_type, (hi - lo, mx.shape[1]))[0]
+            np.take(mx, cx[lo:hi], axis=0, out=mxr, mode="clip")
+            np.take(mxr, cx, axis=1, out=s[lo:hi], mode="clip")
+            s[lo:hi] *= my[cy[lo], cy]
         return s
 
-    def build_h():
+    def build_h(work=None):
+        work = problem.workspace() if work is None else work
         v_xy, byc = h_op.v_diag.reshape(by.shape[0], bx.shape[0]).T, by.conj()
         tyy, sy = byc.T @ ty @ by, byc.T @ by
-        ux, inv = np.unique(cx, return_inverse=True)  # Tx only where kept
-        bxk, tbxk = bx[:, cx], (tx @ bx[:, ux])[:, inv]
-        h = np.empty((n, n), np.result_type(bx, by, tx))
-        for lo, hi in blocks:
-            a = cy[lo]
-            w = v_xy @ (byc[:, a, None] * by)  # row a of every W[x]
-            w += tyy[a]
-            op = w[:, cy] * bxk
-            op += sy[a, cy] * tbxk
-            np.matmul(bxk[:, lo:hi].conj().T, op, out=h[lo:hi])
+        h = np.empty((n, n), h_type)
+        t, rows = tiles(work, h_type)
+        nx = bx.shape[0]
+        for clo in range(0, n, t):
+            chi = min(clo + t, n)
+            c0, c1 = cy[clo], cy[chi - 1] + 1  # the cy that these columns take
+            col, cols, ccy = (nx, chi - clo), cx[clo:chi], cy[clo:chi]
+            spare, op, third = carve(work, h_type, (nx * t,), col, (nx * t,))
+            bx.take(cols, axis=1, out=op, mode="clip")
+            # Tx Bx[:, cols] = (Bx[:, cols]^T Tx)^T as Tx is symmetric: a
+            # GEMM with few rows runs faster than one with few columns
+            op_t, tbx_t = (m[:op.size].reshape(col[::-1])
+                           for m in (third, spare))
+            np.copyto(op_t, op.T)
+            np.matmul(op_t, tx, out=tbx_t)
+            tbxt = third[:op.size].reshape(col)
+            np.copyto(tbxt, tbx_t.T)
+            # the spare tile holds W's factors, Sy's and each row tile's Bx
+            tmp, a = spare[:op.size].reshape(col), None
+            for lo, hi in rows:
+                if cy[lo] != a:  # row a of every W[x], on these columns
+                    if a is not None:  # op holds Bx[:, cols] for the first
+                        bx.take(cols, axis=1, out=op, mode="clip")
+                    a = cy[lo]
+                    w = v_xy @ (byc[:, a, None] * by[:, c0:c1]) + tyy[a, c0:c1]
+                    op *= w.astype(h_type, copy=False).take(
+                        ccy - c0, axis=1, out=tmp, mode="clip")
+                    op += np.multiply(tbxt, sy[a, ccy], out=tmp)
+                bxr = spare[:nx * (hi - lo)].reshape(nx, hi - lo)
+                bxh.take(cx[lo:hi], axis=1, out=bxr, mode="clip")
+                np.matmul(bxr.T, op, out=h[lo:hi, clo:chi])
         return h
 
-    return GeneralizedProblem.deferred(n, build_h, build_s)
+    # room for tiles one column wide, in a type that holds both pencils
+    dtype = np.result_type(h_type, s_type, 1.0)
+    problem = GeneralizedProblem.deferred(
+        n, build_h, build_s, lambda: workspace(n, dtype, 3 * tall))
+    return problem
 
 
 # the names perfbench/tracer.py wraps, kept only until ROADMAP item 10
@@ -122,13 +183,19 @@ def solve_generalized(problem: GeneralizedProblem,
     The pencil is built in the order the solve reads it: `metric_root`
     makes S with `problem.s` and turns it into C, C^H S C = I; only then is
     `problem.h()` made, and `congruence` reduces it to C^H H C, whose lower
-    triangle LAPACK reads. Eigenvectors U = C Y are computed only when
+    triangle LAPACK reads. Building, factoring and reducing take every
+    temporary from one `problem.workspace()` buffer, made here once, so
+    the solve holds two pencils and one INV_BLOCK-row block at most until
+    the eigensolve. Eigenvectors U = C Y are computed only when
     want_vectors is set. The caller's arrays are never written.
     """
     if problem.size == 0:
         raise ValueError("empty pencil: no basis function to solve for")
-    c, cond = metric_root(problem.s, "pencil metric whitened")
-    a = congruence(problem.h(), c, cond)
+    work = problem.workspace()
+    c, cond = metric_root(lambda: problem.s(work), "pencil metric whitened",
+                          work)
+    a = congruence(problem.h(work), c, cond, work)
+    del work
     if not want_vectors:
         del c
         return Spectrum(np.linalg.eigvalsh(a)[:n_states])

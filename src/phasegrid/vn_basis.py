@@ -21,8 +21,9 @@ from .potentials import PotentialSpec
 RCOND = 1e-12
 # metric_root whitens a metric whose 1-norm condition number bound exceeds this
 COND_SWITCH = 1e8
-# _cholesky_inverse's LAPACK block bound, every metric GEMM's row block and
-# the Gaussian pairs build_basis evaluates at once
+# _cholesky_inverse's LAPACK block bound, every metric GEMM's row block, the
+# rows of the one working buffer a pencil solve carves its temporaries from
+# (`workspace`) and the Gaussian pairs build_basis evaluates at once
 INV_BLOCK = 128
 
 
@@ -56,6 +57,10 @@ class VnLattice:
         if self.n_x <= 0 or self.axis.N % self.n_x:
             raise ValueError(f"n_x = {self.n_x} is not a positive divisor of "
                              f"the grid size {self.axis.N}")
+        for name in ("hbar", "alpha"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} = {value} is not finite")
         if self.hbar <= 0:
             raise ValueError("hbar must be positive")
         if self.alpha is None:
@@ -153,7 +158,27 @@ def positive_modes(s: np.ndarray, what: str):
     return w, u
 
 
-def _cholesky_inverse(a: np.ndarray) -> np.ndarray:
+def workspace(n: int, dtype=float, least: int = 0) -> np.ndarray:
+    """The flat buffer of one INV_BLOCK x n block (and at least `least`
+    numbers) that the steps of an n x n pencil solve carve their
+    temporaries from (`carve`), so that none of them allocates a block."""
+    return np.empty(max(INV_BLOCK * n, least), dtype)
+
+
+def carve(work: np.ndarray, dtype, *shapes) -> list:
+    """C-contiguous arrays of the given shapes and dtype laid one after
+    another over the memory of the flat buffer `work` (a real view of a
+    complex buffer holds twice as many numbers); reshape raises for a
+    buffer too short."""
+    flat, at, out = work.view(dtype), 0, []
+    for shape in shapes:
+        size = math.prod(shape)
+        out.append(flat[at:at + size].reshape(shape))
+        at += size
+    return out
+
+
+def _cholesky_inverse(a: np.ndarray, work: np.ndarray | None = None):
     """L^-1 of S = L L^H written over a = S, of which only the lower
     triangle is read; returns a, zero above the diagonal.
 
@@ -161,65 +186,82 @@ def _cholesky_inverse(a: np.ndarray) -> np.ndarray:
     L21 = S21 X11^H, S22 - L21 L21^H (on its lower block triangle), its
     inverse factor X22 and X21 = -X22 L21 X11. LAPACK sees only diagonal
     blocks below INV_BLOCK rows; every other step is a GEMM on INV_BLOCK
-    rows that writes back into a, so no second n x n array is made. A
-    non-positive S raises LinAlgError and leaves a partly overwritten.
+    rows that writes into the `workspace` buffer work (made here if none
+    is given) and is copied back into a, so beside a nothing larger than
+    those LAPACK blocks is allocated (a complex a also conjugates its
+    GEMM operands into new arrays). A non-positive S raises LinAlgError
+    and leaves a partly overwritten.
     """
     n = a.shape[0]
     if n < INV_BLOCK:
         a[...] = np.tril(np.linalg.inv(np.linalg.cholesky(a)))
         return a
+    work = workspace(n, a.dtype) if work is None else work
     k = n // 2
-    x11 = _cholesky_inverse(a[:k, :k])
+    x11 = _cholesky_inverse(a[:k, :k], work)
     for lo in range(k, n, INV_BLOCK):  # L21 over S21, then S22 - L21 L21^H
         hi = min(lo + INV_BLOCK, n)
-        a[lo:hi, :k] = a[lo:hi, :k] @ x11.conj().T
-        a[lo:hi, k:hi] -= a[lo:hi, :k] @ a[k:hi, :k].conj().T
-    _cholesky_inverse(a[k:, k:])
+        l21, s22 = carve(work, a.dtype, (hi - lo, k), (hi - lo, hi - k))
+        a[lo:hi, :k] = np.matmul(a[lo:hi, :k], x11.conj().T, out=l21)
+        # a[lo:hi, :k] itself, not its copy l21: numpy takes the first
+        # block's product with its own transpose as one SYRK
+        a[lo:hi, k:hi] -= np.matmul(a[lo:hi, :k], a[k:hi, :k].conj().T,
+                                    out=s22)
+    _cholesky_inverse(a[k:, k:], work)
     a[:k, k:] = 0
     for hi in range(n, k, -INV_BLOCK):  # X21 over L21, bottom up
         lo = max(hi - INV_BLOCK, k)
-        a[lo:hi, :k] = -(a[lo:hi, k:hi] @ a[k:hi, :k] @ x11)
+        y, x21 = carve(work, a.dtype, (hi - lo, k), (hi - lo, k))
+        np.matmul(a[lo:hi, k:hi], a[k:hi, :k], out=y)
+        np.negative(np.matmul(y, x11, out=x21), out=a[lo:hi, :k])
     return a
 
 
-def _factor(s: np.ndarray):
+def _factor(s: np.ndarray, work: np.ndarray | None = None):
     """(L^-1, cond) of a positive metric S = L L^H, L^-1 written over s
     (the factor reads its lower triangle); (None, inf) without a factor.
 
     cond = ||S||_1 ||L^-1||_1 ||L^-1||_inf >= ||S||_1 ||L^-H L^-1||_1, and
     each L^-1 norm is at most sqrt(n) ||L^-1||_2, so cond_1(S) <= cond <=
     n cond_1(S). ||S||_1 is summed by column blocks before L^-1 overwrites
-    S, |L^-1| INV_BLOCK rows at a time; row 0 of each block's buffer carries
-    the column sums so far, so they add up in row order, as one sum over
-    axis 0 would.
+    S, |L^-1| INV_BLOCK - 1 rows at a time; row 0 of the block's buffer
+    carries the column sums so far, so they add up in row order, as one
+    sum over axis 0 would. Both blocks, like `_cholesky_inverse`'s, are
+    views of the `workspace` buffer work (made here if none is given).
     """
     s = s.astype(np.result_type(s, 1.0), copy=False)  # integers in floats
     n = s.shape[0]
-    s_norm = max(np.abs(s[:, lo:lo + INV_BLOCK]).sum(0).max()
-                 for lo in range(0, n, INV_BLOCK))
+    work = workspace(n, s.dtype) if work is None else work
+    s_norm = 0.0
+    for lo in range(0, n, INV_BLOCK):
+        cols = s[:, lo:lo + INV_BLOCK]
+        mag = np.abs(cols, out=carve(work, float, cols.shape)[0])
+        s_norm = max(s_norm, mag.sum(0).max())
     try:
-        l_inv = _cholesky_inverse(s)
+        l_inv = _cholesky_inverse(s, work)
     except np.linalg.LinAlgError:
         return None, float("inf")
-    buf = np.zeros((min(n, INV_BLOCK) + 1, n))
+    step = min(n, INV_BLOCK - 1)
+    buf = carve(work, float, (step + 1, n))[0]
+    buf[0] = 0.0
     row_max = 0.0
-    for lo in range(0, n, INV_BLOCK):
-        rows = l_inv[lo:lo + INV_BLOCK]
+    for lo in range(0, n, step):
+        rows = l_inv[lo:lo + step]
         mag = np.abs(rows, out=buf[1:1 + rows.shape[0]])
         row_max = max(row_max, mag.sum(1).max())
         buf[0] = buf[:1 + mag.shape[0]].sum(0)
     return l_inv, float(s_norm * buf[0].max() * row_max)
 
 
-def metric_root(make_s, what: str):
+def metric_root(make_s, what: str, work: np.ndarray | None = None):
     """(C, cond) with C^H S C = I: the one inverse of a positive metric S.
 
     make_s() returns a new S that metric_root may overwrite; cond is its
-    `_factor` bound. Up to COND_SWITCH, C = L^-H, upper triangular, in S's
-    own memory; above it C = U W^-1/2 whitens the modes of a second S that
-    `positive_modes` keeps.
+    `_factor` bound, which takes its blocks from work. Up to COND_SWITCH,
+    C = L^-H, upper triangular, in S's own memory; above it C = U W^-1/2
+    whitens the modes of a second S that `positive_modes` keeps.
     """
-    l_inv, cond = _factor(make_s())
+    l_inv, cond = _factor(make_s(), work)
     if cond <= COND_SWITCH:
         return l_inv.conj().T, cond
     del l_inv
@@ -227,25 +269,32 @@ def metric_root(make_s, what: str):
     return u / np.sqrt(w), cond
 
 
-def congruence(h: np.ndarray, c: np.ndarray, cond: float) -> np.ndarray:
+def congruence(h: np.ndarray, c: np.ndarray, cond: float,
+               work: np.ndarray | None = None) -> np.ndarray:
     """C^H H C for the root C and bound cond that `metric_root` returned.
 
     A whitening root (n x k) takes the plain product. Up to COND_SWITCH,
     X = C^H is lower triangular and the lower triangle of X H X^H is written
     over H: row blocks of Y = X H come bottom up, X[r, :hi] H[:hi], reading
     rows of H not yet written, then A[r, :hi] = Y[r, :hi] X[:hi, :hi]^H:
-    INV_BLOCK rows per GEMM, X's zero half skipped, no other n x n array.
+    INV_BLOCK rows per GEMM, X's zero half skipped. Each GEMM writes into
+    the `workspace` buffer work (made here if none is given) and is copied
+    into H, so beside H and C nothing is allocated for a real C (a complex
+    one conjugates each block of C into a new array).
     """
     if not cond <= COND_SWITCH:  # metric_root's test: a NaN bound whitens
         return c.conj().T @ (h @ c)
     h = h.astype(np.result_type(h, c), copy=False)  # a real H, complex S
-    n, x = h.shape[0], c.conj().T
+    n = h.shape[0]
+    work = workspace(n, h.dtype) if work is None else work
     for hi in range(n, 0, -INV_BLOCK):
         lo = max(hi - INV_BLOCK, 0)
-        h[lo:hi] = x[lo:hi, :hi] @ h[:hi]
+        y = carve(work, h.dtype, (hi - lo, n))[0]
+        h[lo:hi] = np.matmul(c[:hi, lo:hi].conj().T, h[:hi], out=y)
     for lo in range(0, n, INV_BLOCK):
         hi = min(lo + INV_BLOCK, n)
-        h[lo:hi, :hi] = h[lo:hi, :hi] @ c[:hi, :hi]
+        a = carve(work, h.dtype, (hi - lo, hi))[0]
+        h[lo:hi, :hi] = np.matmul(h[lo:hi, :hi], c[:hi, :hi], out=a)
     return h
 
 
@@ -257,9 +306,9 @@ def _real_columns(lattice: VnLattice) -> np.ndarray:
     p = 0 cell keeps Re g). One complex Gaussian per pair is evaluated,
     INV_BLOCK pairs at a time, into the columns of one column-major N x N
     array (the layout every product with G reads). Entries below
-    sqrt(tiny) in magnitude are zeroed: a product of two is subnormal and
-    slows the BLAS, and S moves by far less than its rounding (at most
-    N sqrt(tiny) max|G|).
+    sqrt(tiny) in magnitude are zeroed, INV_BLOCK columns at a time: a
+    product of two is subnormal and slows the BLAS, and S moves by far
+    less than its rounding (at most N sqrt(tiny) max|G|).
     """
     pair = lattice.mirror
     lower = np.flatnonzero(np.arange(lattice.size) <= pair)
@@ -270,7 +319,9 @@ def _real_columns(lattice: VnLattice) -> np.ndarray:
         gc = build_G(lattice, cells)
         g[:, cells] = np.where(twin, math.sqrt(2.0), 1.0) * gc.real
         g[:, pair[cells][twin]] = math.sqrt(2.0) * gc.imag[:, twin]
-    g[np.abs(g) < math.sqrt(np.finfo(float).tiny)] = 0.0
+    for lo in range(0, lattice.size, INV_BLOCK):  # contiguous column blocks
+        cols = g[:, lo:lo + INV_BLOCK]
+        cols[np.abs(cols) < math.sqrt(np.finfo(float).tiny)] = 0.0
     return g
 
 

@@ -5,6 +5,7 @@ quantity, the tolerance it is held to, and the wall time against the
 stated budget. Tolerances are fixed here, not computed from the run.
 """
 
+import functools
 import itertools
 import math
 import time
@@ -20,6 +21,23 @@ def _report(tag: str, ok: bool, detail: str) -> None:
     print(f"[acceptance] {tag}: {'PASS' if ok else 'FAIL'} - {detail}",
           flush=True)
     assert ok, f"{tag}: {detail}"
+
+
+# spec, grid axis, dimension, n_x, alpha, e_cut and margin scale: the
+# morse_bvn config at scale 1 (44 of 100 cells) and triangle_desk (976/4096)
+MECHANISM = {
+    "morse": (pg.morse(), pg.Grid1D(-1.6, 21.7, 100), 1, 10, 0.5, 12.0, 1.0),
+    "desk": (pg.triangle2d(), pg.Grid1D(-8.0, 16.0, 64), 2, 8, None, 0.4,
+             1.5),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _grid_levels(case: str) -> np.ndarray:
+    """Every level of a MECHANISM case's dense grid Hamiltonian, solved once
+    per run: C06 and C13 share the 4096-point desk reference."""
+    spec, axis, dim = MECHANISM[case][:3]
+    return pg.solve_fgh((axis,) * dim, spec).energies
 
 
 def test_c01_pvn_spectrum_equals_fgh():
@@ -142,7 +160,7 @@ def test_c06_triangle_2d_pruned_vs_grid_reference():
     gx = pg.Grid1D(-8.0, 16.0, 64)
     grid = (gx, gx)
     e_cut = 0.4
-    ref = np.linalg.eigvalsh(pg.hamiltonian_fgh(grid, spec).to_dense())
+    ref = _grid_levels("desk")  # the dense eigvalsh of this grid
     ref = ref[ref < e_cut]
     lat = pg.VnLattice(gx, 8)
     b, s_inv, _ = pg.build_basis(lat, "bvn")
@@ -272,3 +290,50 @@ def test_c11_efficiency_classical_limit():
             f"final < 1.15), (ratio - 1) factors "
             f"{[round(f, 3) for f in factors]} (window [0.6, 0.8]), "
             f"{dt:.1f} s (budget 60 s)")
+
+
+def _lowdin_columns(lat):
+    """W = G S^(-1/2): the Loewdin-orthonormalized real Gaussians (metric I).
+
+    A test oracle only: the package projects onto G (pvn) and B (bvn), and
+    this third set shows that it is the biorthogonal partner, not any
+    recombination of the Gaussians, whose pruning keeps the low levels.
+    """
+    g = pg.build_basis(lat, "pvn")[0]
+    w, u = np.linalg.eigh(g.T @ g)
+    return g @ (u / np.sqrt(w)) @ u.T
+
+
+@pytest.mark.parametrize("case", sorted(MECHANISM))
+def test_c13_pruning_keeps_levels_in_the_biorthogonal_set_only(case):
+    """At one mask, bvn is >= 10x closer to the grid than pvn and Loewdin.
+
+    The budget covers the grid reference too, unless C06 solved it first.
+    """
+    t0 = time.perf_counter()
+    spec, axis, dim, n_x, alpha, e_cut, scale = MECHANISM[case]
+    axes = (axis,) * dim
+    ref = _grid_levels(case)
+    bvn = pg.Pipeline(spec, axes, "bvn", n_x=n_x, alpha=alpha)
+    pvn = pg.Pipeline(spec, axes, "pvn", n_x=n_x, alpha=alpha)
+    mask = pg.select_cells(bvn.lattices, spec, e_cut, scale)
+    w = _lowdin_columns(bvn.lattices[0])
+    lowdin = pg.assemble_bvn(bvn.h_grid, (w,) * dim,
+                             (np.eye(w.shape[1]),) * dim, mask)
+    levels = {"bvn": bvn.solve(mask).energies,
+              "pvn": pvn.solve(mask).energies,
+              "Loewdin": pg.solve_generalized(lowdin).energies}
+    n_below = int(np.count_nonzero(ref < e_cut))
+    err = {k: float(np.max(np.abs(e[:n_below] - ref[:n_below])))
+           for k, e in levels.items()}
+    # all three are Ritz values of the grid Hamiltonian on a subspace:
+    # level i of each lies at or above the grid's level i
+    above = min(float(np.min(e - ref[:e.size])) for e in levels.values())
+    factor = min(err["pvn"], err["Loewdin"]) / err["bvn"]
+    dt = time.perf_counter() - t0
+    _report(f"C13 pruned bvn vs pvn and Loewdin, {case}",
+            factor >= 10.0 and above >= -1e-10 and dt < 120.0,
+            f"kept {mask.n_kept}/{mask.size}, max |E - E_fgh| below {e_cut}: "
+            + ", ".join(f"{k} {v:.2e}" for k, v in err.items())
+            + f" (pvn and Loewdin >= 10x bvn: {factor:.1f}x), min E_i - "
+            f"E_fgh,i {above:.1e} (>= -1e-10), {dt:.1f} s (budget 120 s)")

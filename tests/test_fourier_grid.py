@@ -264,3 +264,12 @@ def test_fgh_2d_isotropic_harmonic_degeneracy():
     h = np.kron(eye, t + v1) + np.kron(t + v1, eye)
     vals = np.sort(np.linalg.eigvalsh(h))
     np.testing.assert_allclose(vals[:6], [1, 2, 2, 3, 3, 3], atol=1e-5)
+
+
+@pytest.mark.parametrize("x_min,length", [(math.nan, 1.0), (math.inf, 1.0),
+                                          (0.0, math.nan), (0.0, math.inf)])
+def test_grid_rejects_non_finite_box(x_min, length):
+    # a NaN origin used to pass and surface in solve_fgh as "potential is
+    # singular on a grid point"
+    with pytest.raises(ValueError, match="is not finite"):
+        pg.Grid1D(x_min, length, 4)

@@ -168,3 +168,13 @@ def test_morse_level_count_scales_with_hbar():
 def test_levels_unavailable_for_triangle():
     with pytest.raises(NotAvailableError):
         pg.analytic_levels(pg.triangle2d())
+
+
+@pytest.mark.parametrize("make", [
+    lambda v: pg.harmonic(mass=v), lambda v: pg.morse(mass=v),
+    lambda v: pg.triangle2d(mass=v), lambda v: pg.coulomb1d(charge=v),
+    lambda v: pg.harmonic(hbar=v), lambda v: pg.morse(depth=v)])
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_spec_rejects_non_finite_constants(make, value):
+    with pytest.raises(ValueError, match=f"= {value} is not finite"):
+        make(value)

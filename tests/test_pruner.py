@@ -116,3 +116,13 @@ def test_masks_closed_under_mirror(spec):
                 mask = pg.select_cells(lats, spec, e_cut, scale)
                 assert 0 < mask.n_kept
                 assert _closed_under_mirror(mask, lats), (n_x, n_p, scale)
+
+
+@pytest.mark.parametrize("e_cut,scale", [(float("nan"), 1.0),
+                                         (float("inf"), 1.0),
+                                         (12.0, float("nan"))])
+def test_select_cells_rejects_non_finite_cut_and_scale(e_cut, scale):
+    # a NaN cut used to keep no cell, silently
+    lat = pg.VnLattice(pg.Grid1D(-1.6, 21.7, 100), 10, alpha=0.5)
+    with pytest.raises(ValueError, match="is not finite"):
+        pg.select_cells((lat,), pg.morse(), e_cut, scale)

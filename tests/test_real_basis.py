@@ -274,13 +274,14 @@ def test_factorized_assembly_matches_materialized_columns(axes, complex_b,
 
 @pytest.mark.parametrize("want_vectors,bound", [(False, 2.6), (True, 3.25)])
 def test_whole_solve_memory_scales_with_the_pencil(want_vectors, bound):
-    # assembly included, the solve keeps 2.49 pencils' worth of numpy arrays
+    # assembly included, the solve keeps 2.44 pencils' worth of numpy arrays
     # at its peak, vectors 3.01 (measured): S, factored and inverted in its
     # own memory into the metric root C, beside H, reduced in place, and the
-    # grid-x-by-kept assembly rows (numpy.linalg's private copies are not
-    # traced; the harness's peak RSS sees them). Building H and S together
-    # and holding both through the eigensolve took 4.26 and 5.07, and one
-    # grid-by-kept array (1024 x n_kept) alone would take 2.9
+    # one INV_BLOCK x n_kept working buffer, 0.36 pencils here (numpy.linalg's
+    # private copies are not traced; the harness's peak RSS sees them).
+    # Building H and S together and holding both through the eigensolve
+    # took 4.26 and 5.07, and one grid-by-kept array (1024 x n_kept) alone
+    # would take 2.9
     gx = pg.Grid1D(-6.0, 12.0, 32)
     spec = pg.triangle2d(mass=30.0)
     lat = pg.VnLattice(gx, 4)
@@ -300,6 +301,47 @@ def test_whole_solve_memory_scales_with_the_pencil(want_vectors, bound):
     assert peak < bound * mask.n_kept**2 * 8
 
 
+def _desk():
+    """The triangle_desk pipeline and its shipped mask (976 of 4096 cells)."""
+    spec, gx = pg.triangle2d(mass=96.0), pg.Grid1D(-8.0, 16.0, 64)
+    pipe = pg.Pipeline(spec, (gx, gx), "bvn", n_x=8)
+    return pipe, pg.select_cells(pipe.lattices, spec, 0.4, 1.5)
+
+
+def _morse_400():
+    """The efficiency scan's hbar = 1/4 bvn pipeline (N = 400) at margin
+    scale 3, 136 kept cells."""
+    spec = pg.morse(hbar=0.25)
+    pipe = pg.Pipeline(spec, (pg.Grid1D(-1.6, 21.7, 400),), "bvn", n_x=20)
+    return pipe, pg.select_cells(pipe.lattices, spec, 11.25, 3.0)
+
+
+def test_desk_solve_holds_two_pencils_and_one_block():
+    # S factored into C, H reduced in place and the 128 x 976 working
+    # buffer (0.13 pencils): 2.15 pencils measured. Building H from five
+    # grid-x-by-kept arrays, its GEMMs and the factor's temporaries each
+    # allocating their own blocks, took 2.345
+    pipe, mask = _desk()
+    peak = _traced_peak(lambda: pipe.solve(mask))
+    assert peak <= 2.2 * mask.n_kept**2 * 8, peak / (mask.n_kept**2 * 8)
+
+
+@pytest.mark.parametrize("setup", [_desk, _morse_400])
+def test_h_build_allocates_h_and_one_block(setup):
+    # h() without a buffer makes H and one INV_BLOCK x n workspace, whose
+    # tiles hold every Nx-tall operand; beside them only numpy's ufunc
+    # buffer (getbufsize numbers, for the broadcast column scalings) and a
+    # few grid vectors of W's rows (measured: 1.8% and 18% above H plus
+    # the block on desk and Morse). Building from full Nx x n_kept arrays
+    # took 1.19 and 6.8 times H plus the block
+    pipe, mask = setup()
+    prob = pg.assemble_bvn(pipe.h_grid, *zip(*pipe.pairs), mask)
+    n, grid = mask.n_kept, pipe.h_grid.v_diag.size
+    peak = _traced_peak(prob.h)
+    room = n * n + vn_basis.INV_BLOCK * n + np.getbufsize() + 4 * grid
+    assert peak <= 8 * room, peak / (8 * (n * n + vn_basis.INV_BLOCK * n))
+
+
 def _traced_peak(f):
     """tracemalloc's peak over f(), after one untraced first call."""
     f()
@@ -314,7 +356,8 @@ def _traced_peak(f):
 @pytest.mark.parametrize("basis,bound", [("bvn", 3.25), ("pvn", 3.5)])
 def test_build_basis_memory_holds_three_axis_matrices(basis, bound):
     # the efficiency scan's hbar = 1/4 lattice, n = 400: G, S and S's root
-    # for pvn (3.37 n^2 measured, with the condition bound's row buffer), G,
+    # for pvn (3.46 n^2 measured, with the factor's INV_BLOCK x n working
+    # buffer and LAPACK's diagonal blocks), G,
     # S^-1 and B for bvn (3.00), each G column block built and dropped
     # before S exists. The complex G, its mirror gather and the real
     # bundle of all four matrices took 6.0 in both

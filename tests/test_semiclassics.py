@@ -4,6 +4,7 @@ import functools
 import itertools
 import math
 import os
+import sys
 import threading
 import time
 import warnings
@@ -95,6 +96,22 @@ def test_phase_area_tabulated_well_integrates_the_interpolant():
     for e in (0.5, 3.0, 8.0):
         assert pg.phase_area_1d(spec, e) == pytest.approx(
             2 * math.pi * e, rel=1e-5)
+
+
+def test_phase_area_of_a_table_finds_its_intervals_once(monkeypatch):
+    # the intervals both reject energies without a bounded orbit and carry
+    # the area, so they are found once per call
+    xs = np.linspace(-5.0, 5.0, 201)
+    spec = pg.tabulated(xs, 0.5 * xs**2)
+    calls = []
+    find = semiclassics._allowed_intervals
+    monkeypatch.setattr(semiclassics, "_allowed_intervals",
+                        lambda *a: calls.append(a) or find(*a))
+    assert pg.phase_area_1d(spec, 3.0) > 0 and len(calls) == 1
+    with pytest.raises(BelowWellBottomError):
+        pg.phase_area_1d(spec, -1.0)
+    with pytest.raises(UnboundedOrbitError):
+        pg.phase_area_1d(spec, 20.0)
 
 
 def test_phase_area_tabulated_v_abs_x_is_exact():
@@ -271,6 +288,26 @@ def test_mc_volume_does_not_depend_on_the_block_size(monkeypatch):
         assert seen[0] == seen[1], ndim
 
 
+def test_shared_blocks_are_each_counted_once(monkeypatch):
+    # eight workers on two or fewer cores, switching threads as often as
+    # the interpreter allows: every block is claimed by exactly one worker,
+    # so an order-free sum of one integer per block matches one core's
+    box = pg.PhaseSpaceBox(-1.0, 1.0, 1.0)
+
+    def count(xs, ps):
+        return int(xs[0, 0] * 2**40) + 2**20 * xs.shape[0]
+
+    _cpus(monkeypatch, 1)
+    serial = _walk(5, box, 2, MC_CHUNK + 7, count, 512)
+    _cpus(monkeypatch, 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert _walk(5, box, 2, MC_CHUNK + 7, count, 512) == serial
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_worker_error_reaches_the_caller(monkeypatch):
     # the box reaches 2e-5 past the table: samples of 2 of the 17 blocks
     # leave it, so a worker that swallowed its error would quietly undercount
@@ -283,21 +320,26 @@ def test_worker_error_reaches_the_caller(monkeypatch):
         with pytest.raises(ValueError, match="outside its table range"):
             pg.mc_phase_volume(spec, 2, 1.0, MC_CHUNK + 7, seed=3, box=box)
         assert threading.active_count() == before
-    # worker 0 counts on the calling thread: an error in its own first block,
-    # or in every thread's, is raised only once the slow others have ended
-    caller = threading.get_ident()
+    # the workers claim blocks from one shared iterator, so an error is
+    # planted by block: in the first block of the stream (whichever worker
+    # claims it), in the last one (the 7-row tail) or in every block; it is
+    # raised only once the slow others have ended
+    first = box.x_lo + np.random.default_rng(3).random() * (box.x_hi - box.x_lo)
+    planted = {"first": lambda xs: xs[0, 0] == first,
+               "last": lambda xs: xs.shape[0] == 7,
+               "every": lambda xs: True}
     for cpus in (2, 3):
         _cpus(monkeypatch, cpus)
-        for on_caller in (True, False):
+        for where, hit in planted.items():
             def count(xs, ps):
-                if (threading.get_ident() == caller) == on_caller:
+                if hit(xs):
                     raise KeyError("planted")
                 time.sleep(0.01)
                 return 0
 
             with pytest.raises(KeyError, match="planted"):
                 _walk(3, box, 2, MC_CHUNK + 7, count)
-            assert threading.active_count() == before, (cpus, on_caller)
+            assert threading.active_count() == before, (cpus, where)
 
 
 def test_fixed_box_hit_count_grows_with_energy():

@@ -268,3 +268,11 @@ def test_continuous_lattice_is_variational():
     out = pg.solve_generalized(pg.GeneralizedProblem(h, s))
     assert out.energies[0] >= 0.5 - 1e-9
     assert out.energies[0] < 1.5  # localized in the right region all the same
+
+
+@pytest.mark.parametrize("field", ["hbar", "alpha"])
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_lattice_rejects_non_finite_hbar_and_alpha(field, value):
+    grid = pg.Grid1D(-4.0, 8.0, 16)
+    with pytest.raises(ValueError, match=f"{field} = {value} is not finite"):
+        pg.VnLattice(grid, 4, **{field: value})
