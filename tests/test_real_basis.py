@@ -12,6 +12,7 @@ import pytest
 
 import phasegrid as pg
 from phasegrid import vn_basis
+from pencil_oracle import grid_pencil
 
 
 def _complex_bundle(lat, grid):
@@ -74,13 +75,13 @@ def test_pruned_morse_matches_complex_pipeline():
     real_b, real_s_inv, _ = pg.build_basis(lat, "bvn")
     b, s_inv = _complex_bundle(lat, grid)
     e_real = pg.solve_generalized(
-        pg.assemble_bvn(h, (real_b,), (real_s_inv,), mask)).energies
+        grid_pencil(h, (real_b,), (real_s_inv,), mask)).energies
     e_cplx = pg.solve_generalized(
-        pg.assemble_bvn(h, (b,), (s_inv,), mask)).energies
+        grid_pencil(h, (b,), (s_inv,), mask)).energies
     np.testing.assert_allclose(e_real, e_cplx, rtol=0, atol=1e-10)
     real_g, real_s, _ = pg.build_basis(lat, "pvn")
     e_pvn = pg.solve_generalized(
-        pg.assemble_bvn(h, (real_g,), (real_s,))).energies
+        grid_pencil(h, (real_g,), (real_s,))).energies
     np.testing.assert_allclose(e_pvn, np.linalg.eigvalsh(h.to_dense()),
                                rtol=0, atol=1e-10)
 
@@ -91,9 +92,9 @@ def test_pruned_triangle_2d_matches_complex_pipeline():
     assert 0 < mask.n_kept < mask.size
     real_b, real_s_inv, _ = pg.build_basis(lat, "bvn")
     b, s_inv = _complex_bundle(lat, gx)
-    prob_r = pg.assemble_bvn(h_op, (real_b, real_b), (real_s_inv, real_s_inv),
-                             mask)
-    prob_c = pg.assemble_bvn(h_op, (b, b), (s_inv, s_inv), mask)
+    prob_r = grid_pencil(h_op, (real_b, real_b), (real_s_inv, real_s_inv),
+                         mask)
+    prob_c = grid_pencil(h_op, (b, b), (s_inv, s_inv), mask)
     assert prob_r.h().dtype == np.float64 and prob_r.s().dtype == np.float64
     e_real = pg.solve_generalized(prob_r).energies
     e_cplx = pg.solve_generalized(prob_c).energies
@@ -156,7 +157,7 @@ def test_pruned_bvn_bounds_fgh_from_above_1d(seed):
     b, s_inv, _ = pg.build_basis(lat, "bvn")
     rng = np.random.default_rng(seed)
     mask = _closed_mask_1d(lat, rng, rng.uniform(0.2, 0.8))
-    out = pg.solve_generalized(pg.assemble_bvn(h, (b,), (s_inv,), mask))
+    out = pg.solve_generalized(grid_pencil(h, (b,), (s_inv,), mask))
     assert out.energies.size == mask.n_kept
     assert np.all(out.energies >= fgh[:mask.n_kept] - 1e-10)
 
@@ -174,7 +175,7 @@ def test_one_point_y_axis_reduces_to_the_1d_projection(seed, complex_b):
         rng = np.random.default_rng(300 + seed)
         mask = _closed_mask_1d(lat, rng, rng.uniform(0.2, 0.8))
         idx = mask.indices
-    prob = pg.assemble_bvn(h, (b,), (s_inv,), mask)
+    prob = grid_pencil(h, (b,), (s_inv,), mask)
     # the oracle: the kept columns around the dense grid Hamiltonian
     bk = b[:, idx]
     h_grid = (pg.kinetic_matrix(grid, spec.mass, spec.hbar)
@@ -193,7 +194,7 @@ def test_pruned_bvn_bounds_fgh_from_above_2d(seed):
     b, s_inv, _ = pg.build_basis(lat, "bvn")
     rng = np.random.default_rng(100 + seed)
     mask = _closed_mask_2d(lat, rng, rng.uniform(0.2, 0.6))
-    prob = pg.assemble_bvn(h_op, (b, b), (s_inv, s_inv), mask)
+    prob = grid_pencil(h_op, (b, b), (s_inv, s_inv), mask)
     out = pg.solve_generalized(prob)
     assert out.energies.size == mask.n_kept
     assert np.all(out.energies >= fgh[:mask.n_kept] - 1e-10)
@@ -203,7 +204,7 @@ def test_unpruned_bvn_2d_equals_fgh():
     gx, lat, _, h_op = _triangle_setup()
     b, s_inv, _ = pg.build_basis(lat, "bvn")
     mask = pg.PruneMask(kept=np.ones(lat.size**2, dtype=bool))
-    prob = pg.assemble_bvn(h_op, (b, b), (s_inv, s_inv), mask)
+    prob = grid_pencil(h_op, (b, b), (s_inv, s_inv), mask)
     out = pg.solve_generalized(prob)
     np.testing.assert_allclose(out.energies,
                                np.linalg.eigvalsh(h_op.to_dense()),
@@ -214,7 +215,7 @@ def test_eigenvalues_only_matches_vectors_path(monkeypatch):
     grid, lat, spec, h = _morse_setup()
     b, s_inv, _ = pg.build_basis(lat, "bvn")
     mask = pg.select_cells((lat,), spec, 12.0)
-    prob = pg.assemble_bvn(h, (b,), (s_inv,), mask)
+    prob = grid_pencil(h, (b,), (s_inv,), mask)
     # COND_SWITCH = 1 forces the whitening route on the same pencil
     for switch in (1e8, 1.0):
         monkeypatch.setattr(vn_basis, "COND_SWITCH", switch)
@@ -262,7 +263,7 @@ def test_factorized_assembly_matches_materialized_columns(axes, complex_b,
     r = r | r[lats[1].mirror, :]
     mask = pg.PruneMask(kept=r.ravel())
     (bx, sx_inv), (by, sy_inv) = bundles
-    prob = pg.assemble_bvn(h_op, (bx, by), (sx_inv, sy_inv), mask)
+    prob = grid_pencil(h_op, (bx, by), (sx_inv, sy_inv), mask)
     h_ref, s_ref = _materialized_assembly(h_op, bx, by, sx_inv, sy_inv, mask)
     assert prob.size == mask.n_kept
     h, s = prob.h(), prob.s()
@@ -289,31 +290,54 @@ def test_whole_solve_memory_scales_with_the_pencil(want_vectors, bound):
     b, s_inv, _ = pg.build_basis(lat, "bvn")
     mask = pg.select_cells((lat, lat), spec, 0.5)
     assert 0 < mask.n_kept < mask.size // 2
-    parts = (h_op, (b, b), (s_inv, s_inv), mask)
-    pg.solve_generalized(pg.assemble_bvn(*parts))  # first-call set-up
+    prob = grid_pencil(h_op, (b, b), (s_inv, s_inv), mask)
+    pg.solve_generalized(prob)  # first-call set-up
     tracemalloc.start()
     try:
-        pg.solve_generalized(pg.assemble_bvn(*parts),
-                             want_vectors=want_vectors)
+        pg.solve_generalized(prob, want_vectors=want_vectors)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < bound * mask.n_kept**2 * 8
 
 
-def _desk():
+def _desk(basis="bvn"):
     """The triangle_desk pipeline and its shipped mask (976 of 4096 cells)."""
     spec, gx = pg.triangle2d(mass=96.0), pg.Grid1D(-8.0, 16.0, 64)
-    pipe = pg.Pipeline(spec, (gx, gx), "bvn", n_x=8)
+    pipe = pg.Pipeline(spec, (gx, gx), basis, n_x=8)
     return pipe, pg.select_cells(pipe.lattices, spec, 0.4, 1.5)
 
 
-def _morse_400():
-    """The efficiency scan's hbar = 1/4 bvn pipeline (N = 400) at margin
+def _morse_400(basis="bvn"):
+    """The efficiency scan's hbar = 1/4 pipeline (N = 400) at margin
     scale 3, 136 kept cells."""
     spec = pg.morse(hbar=0.25)
-    pipe = pg.Pipeline(spec, (pg.Grid1D(-1.6, 21.7, 400),), "bvn", n_x=20)
+    pipe = pg.Pipeline(spec, (pg.Grid1D(-1.6, 21.7, 400),), basis, n_x=20)
     return pipe, pg.select_cells(pipe.lattices, spec, 11.25, 3.0)
+
+
+@pytest.mark.parametrize("basis", ["pvn", "bvn"])
+@pytest.mark.parametrize("setup", [_desk, _morse_400])
+def test_pipeline_kinetic_matrices_equal_the_dense_projection(setup, basis):
+    # K = B^T T B, projected in T's memory by row and column blocks, is the
+    # plain product up to roundoff on every axis
+    pipe, _ = setup(basis)
+    for lat, (cols, _, k) in zip(pipe.lattices, pipe.factors):
+        t = pg.kinetic_matrix(lat.axis, pipe.spec.mass, pipe.spec.hbar)
+        ref = cols.T @ t @ cols
+        assert k.shape == ref.shape
+        assert np.max(np.abs(k - ref)) <= 1e-12 * np.abs(ref).max()
+
+
+def test_pipeline_init_projects_the_kinetic_matrix_in_place():
+    # B, S^-1 and K over T's memory, and the projection's INV_BLOCK x N
+    # block: 3.32 N^2 measured at N = 400. The plain B^T T B holds B^T T
+    # and K beside T, 5.0
+    pipe = _morse_400()[0]
+    peak = _traced_peak(lambda: pg.Pipeline(pipe.spec, pipe.axes, "bvn",
+                                            n_x=20))
+    n = pipe.lattices[0].size
+    assert peak <= 3.35 * n**2 * 8, peak / (n**2 * 8)
 
 
 def test_desk_solve_holds_two_pencils_and_one_block():
@@ -335,8 +359,8 @@ def test_h_build_allocates_h_and_one_block(setup):
     # the block on desk and Morse). Building from full Nx x n_kept arrays
     # took 1.19 and 6.8 times H plus the block
     pipe, mask = setup()
-    prob = pg.assemble_bvn(pipe.h_grid, *zip(*pipe.pairs), mask)
-    n, grid = mask.n_kept, pipe.h_grid.v_diag.size
+    prob = pg.assemble_bvn(pipe.v_diag, *zip(*pipe.factors), mask)
+    n, grid = mask.n_kept, pipe.v_diag.size
     peak = _traced_peak(prob.h)
     room = n * n + vn_basis.INV_BLOCK * n + np.getbufsize() + 4 * grid
     assert peak <= 8 * room, peak / (8 * (n * n + vn_basis.INV_BLOCK * n))

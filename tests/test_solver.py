@@ -11,6 +11,7 @@ import phasegrid as pg
 from phasegrid import cli, solver, vn_basis
 from phasegrid.errors import (BudgetExceededError, IllConditionedError,
                               NotAvailableError)
+from pencil_oracle import grid_pencil
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -260,7 +261,7 @@ def test_pvn_reproduces_fgh_exactly():
     fgh = np.linalg.eigvalsh(h.to_dense())
     lat = pg.VnLattice(grid, 4)
     g, s, _ = pg.build_basis(lat, "pvn")
-    out = pg.solve_generalized(pg.assemble_bvn(h, (g,), (s,)))
+    out = pg.solve_generalized(grid_pencil(h, (g,), (s,)))
     np.testing.assert_allclose(out.energies, fgh, rtol=1e-10, atol=1e-12)
 
 
@@ -270,7 +271,7 @@ def test_unpruned_bvn_reproduces_fgh():
     h = pg.hamiltonian_fgh((grid,), spec)
     lat = pg.VnLattice(grid, 8)
     b, s_inv, _ = pg.build_basis(lat, "bvn")
-    prob = pg.assemble_bvn(h, (b,), (s_inv,), None)
+    prob = grid_pencil(h, (b,), (s_inv,), None)
     out = pg.solve_generalized(prob)
     np.testing.assert_allclose(out.energies[:20],
                                np.linalg.eigvalsh(h.to_dense())[:20],
@@ -284,7 +285,7 @@ def test_pruned_bvn_keeps_low_levels():
     lat = pg.VnLattice(grid, 10, alpha=0.5)
     b, s_inv, _ = pg.build_basis(lat, "bvn")
     mask = pg.select_cells((lat,), spec, 12.0)
-    prob = pg.assemble_bvn(h, (b,), (s_inv,), mask)
+    prob = grid_pencil(h, (b,), (s_inv,), mask)
     assert prob.size == mask.n_kept < 100
     out = pg.solve_generalized(prob)
     ref = pg.analytic_levels(spec)
@@ -301,7 +302,7 @@ def test_bvn_2d_full_mask_equals_dense_fgh():
     b, s_inv, _ = pg.build_basis(lat, "bvn")
     h_op = pg.hamiltonian_fgh(grid, spec)
     mask = pg.PruneMask(kept=np.ones(144, dtype=bool))
-    prob = pg.assemble_bvn(h_op, (b, b), (s_inv, s_inv), mask)
+    prob = grid_pencil(h_op, (b, b), (s_inv, s_inv), mask)
     out = pg.solve_generalized(prob)
     np.testing.assert_allclose(out.energies[:30], dense_vals[:30],
                                rtol=1e-8, atol=1e-9)
@@ -326,7 +327,7 @@ def test_bvn_2d_mask_length_checked():
     h_op = pg.hamiltonian_fgh(grid, spec)
     bad = pg.PruneMask(kept=np.ones(63, dtype=bool))
     with pytest.raises(ValueError):
-        pg.assemble_bvn(h_op, (b, b), (s_inv, s_inv), bad)
+        grid_pencil(h_op, (b, b), (s_inv, s_inv), bad)
 
 
 def test_pipeline_rejects_2d_vn():
@@ -339,6 +340,36 @@ def test_pipeline_rejects_2d_vn():
         pg.Pipeline(spec, grid, "vn")
     for basis in ("pvn", "bvn"):
         assert pg.Pipeline(spec, grid, basis, n_x=4).basis == basis
+
+
+@pytest.mark.parametrize("basis", ["fgh", "vn"])
+def test_pipeline_rejects_a_mask_it_cannot_prune(basis):
+    # fgh and vn have no pruned path: a mask would be dropped silently and
+    # every one of the 16 levels returned
+    grid = pg.harmonic_square_grid(16)
+    kept = np.zeros(16, bool)
+    kept[:12] = True
+    pipe = pg.Pipeline(pg.harmonic(), (grid,), basis, n_x=4)
+    with pytest.raises(ValueError, match=f"basis '{basis}' takes no mask"):
+        pipe.solve(pg.PruneMask(kept))
+    assert pipe.solve().energies.size == 16
+
+
+@pytest.mark.parametrize("n_states", [0, -1, -3])
+def test_solves_reject_n_states_below_one(n_states):
+    # negative n_states sliced levels off the top (-1 returned 15 of 16)
+    grid = pg.harmonic_square_grid(16)
+    spec = pg.harmonic()
+    bvn = pg.Pipeline(spec, (grid,), "bvn", n_x=4)
+    mask = pg.select_cells(bvn.lattices, spec, 4.0)
+    assert 0 < mask.n_kept < 16
+    match = f"n_states = {n_states}: must be at least 1"
+    for solve in (lambda: pg.solve_fgh((grid,), spec, n_states=n_states),
+                  lambda: pg.Pipeline(spec, (grid,), "pvn", n_x=4).solve(
+                      n_states=n_states),
+                  lambda: bvn.solve(mask, n_states=n_states)):
+        with pytest.raises(ValueError, match=match):
+            solve()
 
 
 def test_efficiency_scan_needs_levels_below_cutoff():

@@ -200,6 +200,24 @@ def test_one_module_owns_the_metric_rule():
     assert not found, found
 
 
+def test_solver_projects_no_grid_operator():
+    # the pencils read each axis's kinetic matrix as K = B^T T B, projected
+    # once by vn_basis.project: the solver neither builds a grid operator
+    # nor reads one's per-axis kinetic matrices
+    found = []
+    path = ROOT / "src" / "phasegrid" / "solver.py"
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        else:
+            continue
+        found += [f"solver.py:{node.lineno} {name}" for name in names
+                  if name in ("hamiltonian_fgh", "FghOperator", "ts")]
+    assert not found, found
+
+
 def test_no_module_densifies_through_kronecker_products():
     # a grid operator is densified by writing each axis's matrix into one
     # array (FghOperator.to_dense), never by Kronecker products with
