@@ -411,8 +411,9 @@ def cmd_efficiency(cfg: RunConfig, args, meta: dict) -> dict:
 
     if cfg.prune is None:
         raise ConfigError("efficiency scan needs prune.e_cut as the level cutoff")
-    if not args.hbars or not all(hb > 0 for hb in args.hbars):
-        raise ConfigError(f"efficiency --hbars must be positive: {args.hbars}")
+    if not args.hbars or not all(0 < hb < math.inf for hb in args.hbars):
+        raise ConfigError(
+            f"efficiency --hbars must be finite and positive: {args.hbars}")
     spec, e_cut = cfg.spec(), cfg.prune.e_cut
     _grid_axis(cfg.grid, 2)  # the scan's box; it picks its own point counts
     for hb in args.hbars:

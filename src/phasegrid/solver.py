@@ -30,22 +30,22 @@ class GeneralizedProblem:
     """Pencil (H, S) with S the basis overlap (metric), built when needed.
 
     `h(work)` and `s(work)` each return a new array that their caller may
-    overwrite, carving temporaries from work, a buffer from `workspace()`
-    (made if none is given). GeneralizedProblem(h, s) holds two dense
-    arrays and copies them. `deferred(size, build_h, build_s, workspace)`
-    holds the builders and the buffer's maker, so the eigensolve can make
-    and factor S before H exists; `assemble_bvn` returns one, whose H is
-    S's Kronecker gather of the kinetic matrices plus the potential. H and
-    S need to be Hermitian only up to roundoff: nothing symmetrizes them,
-    and LAPACK reads one triangle of S and of C^H H C.
+    overwrite, carving temporaries from work, a buffer from `workspace()`.
+    GeneralizedProblem(h, s) holds two dense arrays, real or complex, and
+    copies them. `deferred(size, build_h, build_s, workspace)` holds the
+    builders and the buffer's maker, so the eigensolve can make and factor
+    S before H exists; `assemble_bvn` returns one, whose H is S's Kronecker
+    gather of the kinetic matrices plus the potential. H and S need to be
+    Hermitian only up to roundoff: nothing symmetrizes them, and LAPACK
+    reads one triangle of S and of C^H H C.
     """
 
     def __init__(self, h: np.ndarray, s: np.ndarray):
         if h.shape != s.shape or h.shape[0] != h.shape[1]:
             raise ValueError("H and S must be square and congruent")
         self.size = h.shape[0]
-        self.h = lambda work=None: h.copy()
-        self.s = lambda work=None: s.copy()
+        self.h = lambda work: h.copy()
+        self.s = lambda work: s.copy()
         self.workspace = lambda: workspace(self.size,
                                            np.result_type(h, s, 1.0))
 
@@ -62,14 +62,15 @@ def assemble_bvn(v_diag, cols: tuple, metrics: tuple, kinetics: tuple,
                  mask: PruneMask | None = None) -> GeneralizedProblem:
     """Projection onto the kept columns of a Kronecker basis, built lazily.
 
-    v_diag is the potential at the grid points; each axis has its columns B,
-    their overlap M = B^H B and kinetic matrix K = B^H T B: (G, S, K) for
-    pvn, (B, S^-1, K) for bvn. mask=None keeps every cell; a mask must keep
-    each cell with its mirror on every axis (`Pipeline.solve` checks that,
-    and its length is checked here). Kept cell k = (cx, cy) is the column
+    v_diag is the potential at the grid points; each axis has its real
+    columns B, their overlap M = B^T B and kinetic matrix K = B^T T B:
+    (G, S, K) for pvn, (B, S^-1, K) for bvn. A complex factor raises
+    ValueError. mask=None keeps every cell; a mask must keep each cell with
+    its mirror on every axis (`Pipeline.solve` checks that, and its length
+    is checked here). Kept cell k = (cx, cy) is the column
     kron(By[:, cy], Bx[:, cx]), never formed: S[k, k'] = Mx[cx, cx'] My[cy, cy']
-    and H[k, k'] = Kx[cx, cx'] My[cy, cy'] + sum_x Bx[x, cx]^* Bx[x, cx'] W[x, cy, cy']
-    with W[x] = Ky + By^H diag(v[x, :]) By. One gather fills S and H's
+    and H[k, k'] = Kx[cx, cx'] My[cy, cy'] + sum_x Bx[x, cx] Bx[x, cx'] W[x, cy, cy']
+    with W[x] = Ky + By^T diag(v[x, :]) By. One gather fills S and H's
     kinetic half, t rows of one cy at a time; the potential is added t
     columns at a time, each tile of at most t rows one GEMM over x. Every
     Nx x t operand is a view of the `workspace()` buffer, which holds three,
@@ -80,6 +81,10 @@ def assemble_bvn(v_diag, cols: tuple, metrics: tuple, kinetics: tuple,
         one = np.ones((1, 1))
         cols, metrics = (*cols, one), (*metrics, one)
         kinetics = (*kinetics, 0 * one)
+    for name, factors in (("columns", cols), ("metric", metrics),
+                          ("kinetic matrix", kinetics)):
+        if any(map(np.iscomplexobj, factors)):
+            raise ValueError(f"complex {name}: real factors only")
     (bx, by), (mx, my), (kx, ky) = cols, metrics, kinetics
     ncx, size = bx.shape[1], bx.shape[1] * by.shape[1]
     if mask is not None and mask.size != size:
@@ -89,61 +94,52 @@ def assemble_bvn(v_diag, cols: tuple, metrics: tuple, kinetics: tuple,
     # idx ascends: the rows of one cy are a block
     starts = np.flatnonzero(np.diff(cy, prepend=-1))
     blocks = tuple(zip(starts, np.append(starts[1:], n)))
-    s_type = np.result_type(mx, my)
-    h_type = np.result_type(bx, by, kx, ky, s_type)
-    # the gathers read C-contiguous arrays of the pencil's type (np.take
-    # copies any other source whole): a column-major G, or a real axis
-    # beside a complex one, is copied here once
-    bx, kx = (np.ascontiguousarray(m, h_type) for m in (bx, kx))
-    mx = np.ascontiguousarray(mx, s_type)
-    bxh = bx.conj()  # H's rows gather from it: bx itself when real
+    # the gathers read C-contiguous float arrays (np.take copies any other
+    # source whole)
+    bx, kx, mx = (np.ascontiguousarray(m, float) for m in (bx, kx, mx))
     nx, tall = bx.shape[0], max(bx.shape)  # tall bounds a tile's side
 
-    def tiles(work, dtype):
+    def tiles(work):
         """t, the room for three tall x t tiles, and the row tiles."""
-        t = work.nbytes // np.dtype(dtype).itemsize // (3 * tall)
+        t = work.size // (3 * tall)
         return t, [(lo, min(lo + t, hi)) for start, hi in blocks
                    for lo in range(start, hi, t)]
 
-    def gather(m, dtype, work=None):
+    def gather(m, work):
         """A new n x n array of m[cx, cx'] My[cy, cy'] on the kept cells."""
-        work = problem.workspace() if work is None else work
-        out = np.empty((n, n), dtype)
-        for lo, hi in tiles(work, dtype)[1]:
-            rows = carve(work, dtype, (hi - lo, m.shape[1]))[0]
+        out = np.empty((n, n))
+        for lo, hi in tiles(work)[1]:
+            rows = carve(work, float, (hi - lo, m.shape[1]))[0]
             np.take(m, cx[lo:hi], axis=0, out=rows, mode="clip")
             np.take(rows, cx, axis=1, out=out[lo:hi], mode="clip")
             out[lo:hi] *= my[cy[lo], cy]
         return out
 
-    def build_h(work=None):
-        work = problem.workspace() if work is None else work
-        h = gather(kx, h_type, work)
-        v_xy, byc = v_diag.reshape(by.shape[0], nx).T, by.conj()
-        t, rows = tiles(work, h_type)
+    def build_h(work):
+        h = gather(kx, work)
+        v_xy = v_diag.reshape(by.shape[0], nx).T
+        t, rows = tiles(work)
         for clo in range(0, n, t):
             chi = min(clo + t, n)
             c0, c1 = cy[clo], cy[chi - 1] + 1  # the cy that these columns take
             col, cols, ccy = (nx, chi - clo), cx[clo:chi], cy[clo:chi]
-            (op, wcols), a = carve(work, h_type, col, col), None
+            (op, wcols), a = carve(work, float, col, col), None
             for lo, hi in rows:
                 if cy[lo] != a:  # Bx[:, cols] times row a of every W[x]
                     a = cy[lo]
-                    w = v_xy @ (byc[:, a, None] * by[:, c0:c1]) + ky[a, c0:c1]
+                    w = v_xy @ (by[:, a, None] * by[:, c0:c1]) + ky[a, c0:c1]
                     bx.take(cols, axis=1, out=op, mode="clip")
-                    op *= w.astype(h_type, copy=False).take(
-                        ccy - c0, axis=1, out=wcols, mode="clip")
-                _, bxr, prod = carve(work, h_type, col, (nx, hi - lo),
+                    op *= w.take(ccy - c0, axis=1, out=wcols, mode="clip")
+                _, bxr, prod = carve(work, float, col, (nx, hi - lo),
                                      (hi - lo, chi - clo))
-                bxh.take(cx[lo:hi], axis=1, out=bxr, mode="clip")
+                bx.take(cx[lo:hi], axis=1, out=bxr, mode="clip")
                 h[lo:hi, clo:chi] += np.matmul(bxr.T, op, out=prod)
         return h
 
-    # room for tiles one column wide, in a type that holds both pencils
-    problem = GeneralizedProblem.deferred(
-        n, build_h, lambda work=None: gather(mx, s_type, work),
-        lambda: workspace(n, np.result_type(h_type, 1.0), 3 * tall))
-    return problem
+    # room for three tiles one column wide
+    return GeneralizedProblem.deferred(
+        n, build_h, lambda work: gather(mx, work),
+        lambda: workspace(n, float, 3 * tall))
 
 
 # the names perfbench/tracer.py wraps, kept only until ROADMAP item 10

@@ -178,7 +178,7 @@ def carve(work: np.ndarray, dtype, *shapes) -> list:
     return out
 
 
-def _cholesky_inverse(a: np.ndarray, work: np.ndarray | None = None):
+def _cholesky_inverse(a: np.ndarray, work: np.ndarray):
     """L^-1 of S = L L^H written over a = S, of which only the lower
     triangle is read; returns a, zero above the diagonal.
 
@@ -186,17 +186,16 @@ def _cholesky_inverse(a: np.ndarray, work: np.ndarray | None = None):
     L21 = S21 X11^H, S22 - L21 L21^H (on its lower block triangle), its
     inverse factor X22 and X21 = -X22 L21 X11. LAPACK sees only diagonal
     blocks below INV_BLOCK rows; every other step is a GEMM on INV_BLOCK
-    rows that writes into the `workspace` buffer work (made here if none
-    is given) and is copied back into a, so beside a nothing larger than
-    those LAPACK blocks is allocated (a complex a also conjugates its
-    GEMM operands into new arrays). A non-positive S raises LinAlgError
+    rows that writes into the `workspace` buffer work and is copied back
+    into a, so beside a nothing larger than those LAPACK blocks is
+    allocated (a complex a also conjugates its GEMM operands into new
+    arrays). A non-positive S raises LinAlgError
     and leaves a partly overwritten.
     """
     n = a.shape[0]
     if n < INV_BLOCK:
         a[...] = np.tril(np.linalg.inv(np.linalg.cholesky(a)))
         return a
-    work = workspace(n, a.dtype) if work is None else work
     k = n // 2
     x11 = _cholesky_inverse(a[:k, :k], work)
     for lo in range(k, n, INV_BLOCK):  # L21 over S21, then S22 - L21 L21^H
@@ -217,7 +216,7 @@ def _cholesky_inverse(a: np.ndarray, work: np.ndarray | None = None):
     return a
 
 
-def _factor(s: np.ndarray, work: np.ndarray | None = None):
+def _factor(s: np.ndarray, work: np.ndarray):
     """(L^-1, cond) of a positive metric S = L L^H, L^-1 written over s
     (the factor reads its lower triangle); (None, inf) without a factor.
 
@@ -227,11 +226,10 @@ def _factor(s: np.ndarray, work: np.ndarray | None = None):
     S, |L^-1| INV_BLOCK - 1 rows at a time; row 0 of the block's buffer
     carries the column sums so far, so they add up in row order, as one
     sum over axis 0 would. Both blocks, like `_cholesky_inverse`'s, are
-    views of the `workspace` buffer work (made here if none is given).
+    views of the `workspace` buffer work.
     """
     s = s.astype(np.result_type(s, 1.0), copy=False)  # integers in floats
     n = s.shape[0]
-    work = workspace(n, s.dtype) if work is None else work
     s_norm = 0.0
     for lo in range(0, n, INV_BLOCK):
         cols = s[:, lo:lo + INV_BLOCK]
@@ -253,7 +251,7 @@ def _factor(s: np.ndarray, work: np.ndarray | None = None):
     return l_inv, float(s_norm * buf[0].max() * row_max)
 
 
-def metric_root(make_s, what: str, work: np.ndarray | None = None):
+def metric_root(make_s, what: str, work: np.ndarray):
     """(C, cond) with C^H S C = I: the one inverse of a positive metric S.
 
     make_s() returns a new S that metric_root may overwrite; cond is its
@@ -270,7 +268,7 @@ def metric_root(make_s, what: str, work: np.ndarray | None = None):
 
 
 def congruence(h: np.ndarray, c: np.ndarray, cond: float,
-               work: np.ndarray | None = None) -> np.ndarray:
+               work: np.ndarray) -> np.ndarray:
     """C^H H C for the root C and bound cond that `metric_root` returned.
 
     A whitening root (n x k) takes the plain product. Up to COND_SWITCH,
@@ -278,15 +276,14 @@ def congruence(h: np.ndarray, c: np.ndarray, cond: float,
     over H: row blocks of Y = X H come bottom up, X[r, :hi] H[:hi], reading
     rows of H not yet written, then A[r, :hi] = Y[r, :hi] X[:hi, :hi]^H:
     INV_BLOCK rows per GEMM, X's zero half skipped. Each GEMM writes into
-    the `workspace` buffer work (made here if none is given) and is copied
-    into H, so beside H and C nothing is allocated for a real C (a complex
-    one conjugates each block of C into a new array).
+    the `workspace` buffer work and is copied into H, so beside H and C
+    nothing is allocated for a real C (a complex one conjugates each block
+    of C into a new array).
     """
     if not cond <= COND_SWITCH:  # metric_root's test: a NaN bound whitens
         return c.conj().T @ (h @ c)
     h = h.astype(np.result_type(h, c), copy=False)  # a real H, complex S
     n = h.shape[0]
-    work = workspace(n, h.dtype) if work is None else work
     for hi in range(n, 0, -INV_BLOCK):
         lo = max(hi - INV_BLOCK, 0)
         y = carve(work, h.dtype, (hi - lo, n))[0]
@@ -299,11 +296,10 @@ def congruence(h: np.ndarray, c: np.ndarray, cond: float,
 
 
 def project(t: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """K = B^H T B for the N x N t and N x n columns B, in t's leading n x n
-    block: row blocks of T B, then column blocks of B^H (T B), INV_BLOCK per
-    GEMM into a `workspace` buffer (a complex B copies t and B^H first)."""
-    t = t.astype(np.result_type(t, cols), copy=False)
-    n, colsh, work = cols.shape[1], cols.conj().T, workspace(len(t), t.dtype)
+    """K = B^T T B for the N x N t and real N x n columns B, in t's leading
+    n x n block: row blocks of T B, then column blocks of B^T (T B),
+    INV_BLOCK per GEMM into a `workspace` buffer made here."""
+    n, work = cols.shape[1], workspace(len(t), t.dtype)
     for lo in range(0, len(t), INV_BLOCK):
         rows = t[lo:lo + INV_BLOCK]
         tb = carve(work, t.dtype, (len(rows), n))[0]
@@ -311,7 +307,7 @@ def project(t: np.ndarray, cols: np.ndarray) -> np.ndarray:
     for lo in range(0, n, INV_BLOCK):
         hi = min(lo + INV_BLOCK, n)
         k = carve(work, t.dtype, (n, hi - lo))[0]
-        t[:n, lo:hi] = np.matmul(colsh, t[:, lo:hi], out=k)
+        t[:n, lo:hi] = np.matmul(cols.T, t[:, lo:hi], out=k)
     return t[:n, :n]
 
 
@@ -321,24 +317,23 @@ def _real_columns(lattice: VnLattice) -> np.ndarray:
     g at -p is the conjugate of g at +p, so a cell and its mirror become the
     unitary pair sqrt(2) Re g, sqrt(2) Im g of the lower-index partner g (a
     p = 0 cell keeps Re g). One complex Gaussian per pair is evaluated,
-    INV_BLOCK pairs at a time, into the columns of one column-major N x N
-    array (the layout every product with G reads). Entries below
-    sqrt(tiny) in magnitude are zeroed, INV_BLOCK columns at a time: a
-    product of two is subnormal and slows the BLAS, and S moves by far
-    less than its rounding (at most N sqrt(tiny) max|G|).
+    INV_BLOCK pairs at a time, into the columns of one C-ordered N x N
+    array. Entries below sqrt(tiny) in magnitude are zeroed, INV_BLOCK
+    rows at a time: a product of two is subnormal and slows the BLAS, and
+    S moves by far less than its rounding (at most N sqrt(tiny) max|G|).
     """
     pair = lattice.mirror
     lower = np.flatnonzero(np.arange(lattice.size) <= pair)
-    g = np.empty((lattice.axis.N, lattice.size), order="F")
+    g = np.empty((lattice.axis.N, lattice.size))
     for lo in range(0, lower.size, INV_BLOCK):
         cells = lower[lo:lo + INV_BLOCK]
         twin = pair[cells] != cells
         gc = build_G(lattice, cells)
         g[:, cells] = np.where(twin, math.sqrt(2.0), 1.0) * gc.real
         g[:, pair[cells][twin]] = math.sqrt(2.0) * gc.imag[:, twin]
-    for lo in range(0, lattice.size, INV_BLOCK):  # contiguous column blocks
-        cols = g[:, lo:lo + INV_BLOCK]
-        cols[np.abs(cols) < math.sqrt(np.finfo(float).tiny)] = 0.0
+    for lo in range(0, lattice.axis.N, INV_BLOCK):  # contiguous row blocks
+        rows = g[lo:lo + INV_BLOCK]
+        rows[np.abs(rows) < math.sqrt(np.finfo(float).tiny)] = 0.0
     return g
 
 
@@ -357,9 +352,9 @@ def build_basis(lattice: VnLattice, basis: str):
     g = _real_columns(lattice)
     if basis == "pvn":
         s = build_overlap(g)
-        return g, s, _factor(s.copy())[1]
+        return g, s, _factor(s.copy(), workspace(lattice.size))[1]
     c, cond = metric_root(lambda: build_overlap(g),
-                          "overlap pseudo-inverted")
+                          "overlap pseudo-inverted", workspace(lattice.size))
     s_inv = c @ c.conj().T
     del c
     return g @ s_inv, s_inv, cond

@@ -526,6 +526,8 @@ e_cut = -0.2
      "raise --samples or lower --dims"),
     (MORSE_CFG, ["efficiency", "--hbars", ","], "--hbars"),
     (MORSE_CFG, ["efficiency", "--hbars", "0"], "--hbars"),
+    (MORSE_CFG, ["efficiency", "--hbars", "inf"], "--hbars"),
+    (MORSE_CFG, ["efficiency", "--hbars", "nan"], "--hbars"),
     # a non-finite energy, or one at or below the well bottom, has no orbit
     (HARMONIC_CFG, ["scaling", "--energy", "nan"],
      "--energy (default prune.e_cut): energy nan is not finite"),

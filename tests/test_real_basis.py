@@ -5,7 +5,9 @@ basis with the same span as the complex Gaussians. The complex bvn pair is
 rebuilt here from its parts to check that nothing observable changed.
 """
 
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -15,10 +17,11 @@ from phasegrid import vn_basis
 from pencil_oracle import grid_pencil
 
 
-def _complex_bundle(lat, grid):
+def _complex_bundle(lat):
     g = pg.build_G(lat)
     c, _ = vn_basis.metric_root(lambda: pg.build_overlap(g),
-                                "overlap pseudo-inverted")
+                                "overlap pseudo-inverted",
+                                vn_basis.workspace(lat.size, complex))
     s_inv = c @ c.conj().T
     return g @ s_inv, s_inv
 
@@ -60,6 +63,7 @@ def test_real_bundle_is_float64_and_biorthogonal():
         b, s_inv, _ = pg.build_basis(lat, "bvn")
         for m in (g_real, s, s_inv, b):
             assert m.dtype == np.float64
+        assert g_real.flags.c_contiguous  # the layout the gathers read
         eye = np.eye(lat.size)
         assert np.max(np.abs(g_real.T @ b - eye)) < 1e-10
         assert np.max(np.abs(b.T @ b - s_inv)) < 1e-10
@@ -69,15 +73,24 @@ def test_real_bundle_is_float64_and_biorthogonal():
         assert np.max(np.abs(proj - g_real)) < 1e-10
 
 
+def _complex_levels(h_op, bundles, mask):
+    """Levels of the pencil of the kept complex bvn columns, materialized
+    around the dense grid H (a 1-d grid gets a one-point y axis)."""
+    if len(bundles) == 1:
+        bundles = (*bundles, (np.ones((1, 1)),) * 2)
+    (bx, sx_inv), (by, sy_inv) = bundles
+    prob = pg.GeneralizedProblem(*_materialized_assembly(
+        h_op, bx, by, sx_inv, sy_inv, mask))
+    return pg.solve_generalized(prob).energies
+
+
 def test_pruned_morse_matches_complex_pipeline():
     grid, lat, spec, h = _morse_setup()
     mask = pg.select_cells((lat,), spec, 12.0)
     real_b, real_s_inv, _ = pg.build_basis(lat, "bvn")
-    b, s_inv = _complex_bundle(lat, grid)
     e_real = pg.solve_generalized(
         grid_pencil(h, (real_b,), (real_s_inv,), mask)).energies
-    e_cplx = pg.solve_generalized(
-        grid_pencil(h, (b,), (s_inv,), mask)).energies
+    e_cplx = _complex_levels(h, [_complex_bundle(lat)], mask)
     np.testing.assert_allclose(e_real, e_cplx, rtol=0, atol=1e-10)
     real_g, real_s, _ = pg.build_basis(lat, "pvn")
     e_pvn = pg.solve_generalized(
@@ -91,13 +104,12 @@ def test_pruned_triangle_2d_matches_complex_pipeline():
     mask = pg.select_cells((lat, lat), spec, 0.8)
     assert 0 < mask.n_kept < mask.size
     real_b, real_s_inv, _ = pg.build_basis(lat, "bvn")
-    b, s_inv = _complex_bundle(lat, gx)
     prob_r = grid_pencil(h_op, (real_b, real_b), (real_s_inv, real_s_inv),
                          mask)
-    prob_c = grid_pencil(h_op, (b, b), (s_inv, s_inv), mask)
-    assert prob_r.h().dtype == np.float64 and prob_r.s().dtype == np.float64
+    work = prob_r.workspace()
+    assert prob_r.h(work).dtype == prob_r.s(work).dtype == np.float64
     e_real = pg.solve_generalized(prob_r).energies
-    e_cplx = pg.solve_generalized(prob_c).energies
+    e_cplx = _complex_levels(h_op, [_complex_bundle(lat)] * 2, mask)
     np.testing.assert_allclose(e_real, e_cplx, rtol=0, atol=1e-10)
 
 
@@ -163,13 +175,9 @@ def test_pruned_bvn_bounds_fgh_from_above_1d(seed):
 
 
 @pytest.mark.parametrize("seed", [None, 0, 1, 2])
-@pytest.mark.parametrize("complex_b", [False, True])
-def test_one_point_y_axis_reduces_to_the_1d_projection(seed, complex_b):
+def test_one_point_y_axis_reduces_to_the_1d_projection(seed):
     grid, lat, spec, h = _morse_setup()
-    if complex_b:
-        b, s_inv = _complex_bundle(lat, grid)
-    else:
-        b, s_inv, _ = pg.build_basis(lat, "bvn")
+    b, s_inv, _ = pg.build_basis(lat, "bvn")
     mask, idx = None, np.arange(lat.size)
     if seed is not None:
         rng = np.random.default_rng(300 + seed)
@@ -180,9 +188,9 @@ def test_one_point_y_axis_reduces_to_the_1d_projection(seed, complex_b):
     bk = b[:, idx]
     h_grid = (pg.kinetic_matrix(grid, spec.mass, spec.hbar)
               + np.diag(pg.potential_matrix((grid,), spec)))
-    h_ref = bk.conj().T @ h_grid @ bk
-    h, s = prob.h(), prob.s()
-    assert np.iscomplexobj(h) == complex_b
+    h_ref = bk.T @ h_grid @ bk
+    work = prob.workspace()
+    h, s = prob.h(work), prob.s(work)
     assert np.array_equal(s, s_inv[np.ix_(idx, idx)])
     assert np.max(np.abs(h - h_ref)) < 1e-12 * np.abs(h_ref).max()
 
@@ -242,20 +250,15 @@ def _materialized_assembly(h_op, bx, by, sx_inv, sy_inv, mask):
 
 
 @pytest.mark.parametrize("seed", range(3))
-@pytest.mark.parametrize("complex_b", [False, True])
 @pytest.mark.parametrize("axes", [((16, 4, 4), (16, 4, 4)),
                                   ((16, 2, 8), (12, 3, 4)),
                                   ((12, 4, 3), (18, 6, 3))])
-def test_factorized_assembly_matches_materialized_columns(axes, complex_b,
-                                                          seed):
+def test_factorized_assembly_matches_materialized_columns(axes, seed):
     grids, lats, bundles = [], [], []
     for n, n_x, n_p in axes:
         grids.append(pg.Grid1D(-6.0, 12.0, n))
         lats.append(pg.VnLattice(grids[-1], n_x))
-        if complex_b:
-            bundles.append(_complex_bundle(lats[-1], grids[-1]))
-        else:
-            bundles.append(pg.build_basis(lats[-1], "bvn")[:2])
+        bundles.append(pg.build_basis(lats[-1], "bvn")[:2])
     h_op = pg.hamiltonian_fgh(tuple(grids), pg.triangle2d(mass=30.0))
     rng = np.random.default_rng(200 + seed)
     r = rng.random((lats[1].size, lats[0].size)) < rng.uniform(0.2, 0.6)
@@ -266,11 +269,58 @@ def test_factorized_assembly_matches_materialized_columns(axes, complex_b,
     prob = grid_pencil(h_op, (bx, by), (sx_inv, sy_inv), mask)
     h_ref, s_ref = _materialized_assembly(h_op, bx, by, sx_inv, sy_inv, mask)
     assert prob.size == mask.n_kept
-    h, s = prob.h(), prob.s()
-    assert np.iscomplexobj(h) == complex_b
+    work = prob.workspace()
+    h, s = prob.h(work), prob.s(work)
     tol = 1e-12 * np.abs(h_ref).max()
     assert np.max(np.abs(h - h_ref)) < tol
     assert np.max(np.abs(s - s_ref)) < 1e-12 * np.abs(s_ref).max()
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("which", ["columns", "metric", "kinetic matrix"])
+def test_assembly_refuses_a_complex_factor(which, axis):
+    # every pencil Pipeline builds is real: a complex factor on either axis
+    # is refused by name, before anything is gathered
+    gx, lat, spec, h_op = _triangle_setup()
+    b, s_inv, _ = pg.build_basis(lat, "bvn")
+    factors = {"columns": [b, b], "metric": [s_inv, s_inv],
+               "kinetic matrix": [b.T @ t @ b for t in h_op.ts]}
+    factors[which][axis] = factors[which][axis] * (1 + 0j)
+    with pytest.raises(ValueError, match=f"complex {which}: real"):
+        pg.assemble_bvn(h_op.v_diag, *factors.values())
+
+
+@pytest.mark.parametrize("which", ["columns", "metric", "kinetic matrix"])
+def test_assembly_reads_other_layouts_of_a_real_factor(which):
+    # a direct caller's column-major or integer factor is copied into the
+    # C-ordered floats the gathers read: the pencil is bit for bit the
+    # C-ordered float factor's
+    gx, lat, spec, h_op = _triangle_setup()
+    b, s_inv, _ = pg.build_basis(lat, "bvn")
+    factors = {"columns": [b, b], "metric": [s_inv, s_inv],
+               "kinetic matrix": [b.T @ t @ b for t in h_op.ts]}
+    factors[which] = [np.rint(1e6 * m) for m in factors[which]]
+    mask = pg.select_cells((lat, lat), spec, 0.8)
+
+    def pencil(cast):
+        chosen = {**factors, which: [cast(m) for m in factors[which]]}
+        prob = pg.assemble_bvn(h_op.v_diag, *chosen.values(), mask)
+        work = prob.workspace()
+        return prob.h(work), prob.s(work)
+
+    ref = pencil(np.ascontiguousarray)
+    for cast in (np.asfortranarray, lambda m: m.astype(np.int64)):
+        assert all(np.array_equal(*pair) for pair in zip(pencil(cast), ref))
+
+
+def test_kinetic_projection_refuses_complex_columns():
+    # project writes T B and B^T (T B) into real blocks of T's memory, and
+    # numpy refuses to cast a complex B's products into them
+    grid, lat, spec, _ = _morse_setup()
+    t = pg.kinetic_matrix(grid, spec.mass, spec.hbar)
+    b = pg.build_basis(lat, "bvn")[0]
+    with pytest.raises(TypeError):
+        vn_basis.project(t, b * (1 + 0j))
 
 
 @pytest.mark.parametrize("want_vectors,bound", [(False, 2.6), (True, 3.25)])
@@ -350,20 +400,43 @@ def test_desk_solve_holds_two_pencils_and_one_block():
     assert peak <= 2.2 * mask.n_kept**2 * 8, peak / (mask.n_kept**2 * 8)
 
 
+@pytest.mark.parametrize("basis", ["bvn", "pvn"])
 @pytest.mark.parametrize("setup", [_desk, _morse_400])
-def test_h_build_allocates_h_and_one_block(setup):
-    # h() without a buffer makes H and one INV_BLOCK x n workspace, whose
-    # tiles hold every Nx-tall operand; beside them only numpy's ufunc
-    # buffer (getbufsize numbers, for the broadcast column scalings) and a
-    # few grid vectors of W's rows (measured: 1.8% and 18% above H plus
-    # the block on desk and Morse). Building from full Nx x n_kept arrays
-    # took 1.19 and 6.8 times H plus the block
-    pipe, mask = setup()
-    prob = pg.assemble_bvn(pipe.v_diag, *zip(*pipe.factors), mask)
+def test_h_build_allocates_h_and_one_block(setup, basis):
+    # the assembly and h on a new workspace() make H and one INV_BLOCK x n
+    # buffer, whose tiles hold every Nx-tall operand; beside them only
+    # numpy's ufunc buffer (getbufsize numbers, for the broadcast column
+    # scalings) and a few grid vectors of W's rows (measured: 2.0% and 7.9%
+    # above H plus the block on desk and Morse, pvn as bvn). Building from
+    # full Nx x n_kept arrays took 1.19 and 6.8 times H plus the block; a
+    # column-major pvn G, which the assembly copied whole, 5.5 on Morse
+    pipe, mask = setup(basis)
     n, grid = mask.n_kept, pipe.v_diag.size
-    peak = _traced_peak(prob.h)
+
+    def assemble_and_build_h():
+        prob = pg.assemble_bvn(pipe.v_diag, *zip(*pipe.factors), mask)
+        return prob.h(prob.workspace())
+
+    peak = _traced_peak(assemble_and_build_h)
     room = n * n + vn_basis.INV_BLOCK * n + np.getbufsize() + 4 * grid
     assert peak <= 8 * room, peak / (8 * (n * n + vn_basis.INV_BLOCK * n))
+
+
+def test_a_dropped_pipeline_frees_its_basis_at_once():
+    # no pencil refers back to itself through its builders, so deleting a
+    # solved Pipeline frees its basis by reference counting alone. A
+    # pencil that did kept the previous hbar's basis alive in the
+    # efficiency scan until the cycle collector ran (traced peak 5.47 MB
+    # against 4.27 MB)
+    pipe, mask = _morse_400()
+    gc.disable()
+    try:
+        pipe.solve(mask)
+        basis = weakref.ref(pipe.factors[0][0])
+        del pipe
+        assert basis() is None
+    finally:
+        gc.enable()
 
 
 def _traced_peak(f):

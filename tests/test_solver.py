@@ -72,20 +72,22 @@ def test_cholesky_inverse_and_condition_bound(n, dtype):
     cond = np.linalg.cond(s, 1)
     a = s.copy()
     a[np.triu_indices(n, 1)] = np.nan  # only the lower triangle is read
-    l_inv = vn_basis._cholesky_inverse(a)
+    work = vn_basis.workspace(n, dtype)
+    l_inv = vn_basis._cholesky_inverse(a, work)
     assert l_inv is a and l_inv.dtype == s.dtype  # in S's own memory
     assert np.all(np.triu(l_inv, 1) == 0)
     np.testing.assert_allclose(l_inv, exact_inv, rtol=0,
                                atol=1e-12 * cond * np.abs(exact_inv).max())
     mag = np.abs(l_inv)
-    factor, bound = vn_basis._factor(s.copy())
+    factor, bound = vn_basis._factor(s.copy(), work)
     assert np.array_equal(factor, l_inv)
     assert bound == float(np.abs(s).sum(0).max()
                           * mag.sum(0).max() * mag.sum(1).max())
     exact = np.linalg.norm(s, 1) * np.linalg.norm(np.linalg.inv(s), 1)
     # never below the condition number, at most n times it (up to roundoff)
     assert exact * (1 - 1e-12) <= bound <= n * exact * (1 + 1e-12)
-    c, root_cond = vn_basis.metric_root(s.copy, "pencil metric whitened")
+    c, root_cond = vn_basis.metric_root(s.copy, "pencil metric whitened",
+                                        work)
     assert root_cond == bound and np.array_equal(c, l_inv.conj().T)
 
 
@@ -102,7 +104,8 @@ def test_metric_root_calls_lapack_only_on_small_blocks(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, record)
     s = _random_metric(976, float, 3)
-    c, cond = vn_basis.metric_root(s.copy, "pencil metric whitened")
+    c, cond = vn_basis.metric_root(s.copy, "pencil metric whitened",
+                                   vn_basis.workspace(976))
     assert cond < vn_basis.COND_SWITCH and c.shape == s.shape
     # 976 halves to eight 122-row leaves, each one Cholesky and one inverse
     assert rows == [122] * 16 and max(rows) < vn_basis.INV_BLOCK
@@ -167,9 +170,11 @@ def test_congruence_lower_triangle_is_the_dense_formula(n, dtype):
     # also for a real H in a complex metric
     rng = np.random.default_rng(n)
     h = rng.standard_normal((n, n))
-    c, cond = vn_basis.metric_root(_random_metric(n, dtype, n + 1).copy, "")
+    work = vn_basis.workspace(n, dtype)
+    c, cond = vn_basis.metric_root(_random_metric(n, dtype, n + 1).copy, "",
+                                   work)
     dense = c.conj().T @ h @ c
-    a = vn_basis.congruence(h.copy(), c, cond)
+    a = vn_basis.congruence(h.copy(), c, cond, work)
     np.testing.assert_allclose(np.tril(a), np.tril(dense), rtol=0,
                                atol=1e-12 * np.abs(dense).max())
     # a bound above COND_SWITCH comes with a whitening root, n x k and not
@@ -177,7 +182,7 @@ def test_congruence_lower_triangle_is_the_dense_formula(n, dtype):
     w, u = np.linalg.eigh(_random_metric(n, dtype, n + 2))
     c = u[:, n // 2:] / np.sqrt(w[n // 2:])
     dense = c.conj().T @ h @ c
-    a = vn_basis.congruence(h.copy(), c, np.inf)
+    a = vn_basis.congruence(h.copy(), c, np.inf, work)
     np.testing.assert_allclose(a, dense, rtol=0,
                                atol=1e-12 * np.abs(dense).max())
 
@@ -220,7 +225,8 @@ def test_integer_pencil_is_solved_in_floats(switch, monkeypatch):
     out = pg.solve_generalized(pg.GeneralizedProblem(h, s))
     np.testing.assert_allclose(out.energies, [1 - 3**-0.5, 1 + 3**-0.5, 3],
                                rtol=1e-14)
-    c, _ = vn_basis.metric_root(s.copy, "overlap pseudo-inverted")
+    c, _ = vn_basis.metric_root(s.copy, "overlap pseudo-inverted",
+                                vn_basis.workspace(3))
     np.testing.assert_allclose(c @ c.conj().T @ s, np.eye(3), atol=1e-15)
 
 

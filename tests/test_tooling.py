@@ -218,6 +218,36 @@ def test_solver_projects_no_grid_operator():
     assert not found, found
 
 
+def test_pencil_routines_take_their_callers_buffer_and_real_factors():
+    # the entry points (solve_generalized, build_basis, project) make the
+    # one workspace buffer and every routine below them takes it, with no
+    # fallback of its own; the Kronecker path reads real factors, so
+    # neither assemble_bvn nor project conjugates or promotes a dtype
+    found = []
+    for name in ("solver.py", "vn_basis.py"):
+        tree = ast.parse((ROOT / "src" / "phasegrid" / name).read_text())
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.Lambda)):
+                continue
+            args = func.args
+            positional = args.posonlyargs + args.args
+            defaulted = positional[len(positional) - len(args.defaults):]
+            defaulted += [arg for arg, default in zip(args.kwonlyargs,
+                                                       args.kw_defaults)
+                          if default is not None]
+            found += [f"{name}:{func.lineno} work has a default"
+                      for arg in defaulted if arg.arg == "work"]
+            if getattr(func, "name", None) not in ("assemble_bvn", "project"):
+                continue
+            for node in ast.walk(func):
+                callee = node.func if isinstance(node, ast.Call) else None
+                called = getattr(callee, "attr", getattr(callee, "id", None))
+                if called in ("conj", "result_type"):
+                    found.append(f"{name}:{node.lineno} {func.name} calls "
+                                 f"{called}")
+    assert not found, found
+
+
 def test_no_module_densifies_through_kronecker_products():
     # a grid operator is densified by writing each axis's matrix into one
     # array (FghOperator.to_dense), never by Kronecker products with

@@ -32,16 +32,18 @@ def _axis_overlap(name):
 
 def _reference_basis(lat):
     """(G, S, S^-1, B, cond) by the one-bundle recipe build_basis replaced:
-    the full complex G gathered by mirror pair, S^-1 = C C^T from a copy of
-    S, then B = G S^-1."""
+    the full complex G gathered by mirror pair into a C-ordered real G (the
+    layout build_basis returns), S^-1 = C C^T from a copy of S, then
+    B = G S^-1."""
     m = np.arange(lat.size)
     pair = lat.mirror
     gc = pg.build_G(lat)[:, np.minimum(m, pair)]
-    g = np.where(m == pair, 1.0, math.sqrt(2.0)) * np.where(
-        m <= pair, gc.real, gc.imag)
+    g = np.ascontiguousarray(np.where(m == pair, 1.0, math.sqrt(2.0))
+                             * np.where(m <= pair, gc.real, gc.imag))
     g[np.abs(g) < math.sqrt(np.finfo(float).tiny)] = 0.0
     s = pg.build_overlap(g)
-    c, cond = vn_basis.metric_root(s.copy, "overlap pseudo-inverted")
+    c, cond = vn_basis.metric_root(s.copy, "overlap pseudo-inverted",
+                                   vn_basis.workspace(lat.size))
     s_inv = c @ c.conj().T
     return g, s, s_inv, g @ s_inv, cond
 
@@ -172,7 +174,8 @@ def test_singular_overlap_is_pseudo_inverted_with_a_warning():
     np.testing.assert_allclose(s @ s_inv @ s, s, atol=1e-8)
     with pytest.raises(IllConditionedError, match="negative beyond roundoff"):
         vn_basis.metric_root(lambda: s - 0.01 * np.eye(s.shape[0]),
-                             "overlap pseudo-inverted")
+                             "overlap pseudo-inverted",
+                             vn_basis.workspace(s.shape[0]))
     benign = pg.VnLattice(pg.harmonic_square_grid(64), 8)
     assert pg.build_basis(benign, "bvn")[2] < 1e4
 
