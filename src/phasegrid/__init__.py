@@ -38,7 +38,7 @@ _EXPORTS = {
                "assemble_bvn", "count_converged", "efficiency_scan",
                "solve_generalized"),
     "spectra": ("Spectrum",),
-    "vn_basis": ("VnLattice", "build_basis", "build_G", "build_overlap",
+    "vn_basis": ("VnLattice", "build_basis", "build_G",
                  "continuous_vn_matrices"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items()

@@ -377,24 +377,28 @@ def cmd_sweep(cfg: RunConfig, args, meta: dict) -> dict:
     spec = cfg.spec()
     levels = analytic_levels(spec, n_max=index)
     if not 0 <= index < levels.size:
-        raise ConfigError(f"sweep index {index} outside the analytic table")
+        raise ConfigError(f"sweep --index {index} outside the analytic table")
     if any(size <= 0 or size % 2 for size in sizes):
         raise ConfigError(f"sweep --sizes must be positive and even: {sizes}")
     for method in methods:
         if method not in ("fgh", "pvn", "vn"):
             raise ConfigError(f"sweep method '{method}' not supported")
+    if cfg.potential.kind == "harmonic":
+        # keep the phase-space box square as the grid grows, the natural
+        # box schedule for basis-size convergence plots
+        grids = [harmonic_square_grid(size, spec.params["mass"],
+                                      spec.params["omega"], spec.hbar)
+                 for size in sizes]
+    else:
+        grids = [_grid_axis(cfg.grid, size) for size in sizes]
+        if "vn" in methods:  # analytic Gaussian integrals exist for it only
+            raise ConfigError("sweep --methods vn needs potential.kind = "
+                              f"harmonic, not {cfg.potential.kind}")
     target = levels[index]
     meta["sweep.reference"] = _g(target)
     rows = []
     for method in methods:
-        for size in sizes:
-            if cfg.potential.kind == "harmonic":
-                # keep the phase-space box square as the grid grows, the
-                # natural box schedule for basis-size convergence plots
-                grid = harmonic_square_grid(size, spec.params["mass"],
-                                            spec.params["omega"], spec.hbar)
-            else:
-                grid = _grid_axis(cfg.grid, size)
+        for size, grid in zip(sizes, grids):
             energies = Pipeline(spec, (grid,), method).solve().energies
             if index < len(energies):
                 energy = float(energies[index])

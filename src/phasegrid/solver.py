@@ -31,23 +31,26 @@ class GeneralizedProblem:
 
     `h(work)` and `s(work)` each return a new array that their caller may
     overwrite, carving temporaries from work, a buffer from `workspace()`.
-    GeneralizedProblem(h, s) holds two dense arrays, real or complex, and
-    copies them. `deferred(size, build_h, build_s, workspace)` holds the
-    builders and the buffer's maker, so the eigensolve can make and factor
-    S before H exists; `assemble_bvn` returns one, whose H is S's Kronecker
-    gather of the kinetic matrices plus the potential. H and S need to be
-    Hermitian only up to roundoff: nothing symmetrizes them, and LAPACK
-    reads one triangle of S and of C^H H C.
+    GeneralizedProblem(h, s) holds float copies of two dense arrays and
+    raises ValueError on a complex one. `deferred(size, build_h, build_s,
+    workspace)` holds the builders and the buffer's maker, so the
+    eigensolve can make and factor S before H exists; `assemble_bvn`
+    returns one, whose H is S's Kronecker gather of the kinetic matrices
+    plus the potential. H and S need to be symmetric only up to roundoff:
+    nothing symmetrizes them, and LAPACK reads one triangle of S and of
+    C^T H C.
     """
 
     def __init__(self, h: np.ndarray, s: np.ndarray):
+        if np.iscomplexobj(h) or np.iscomplexobj(s):
+            raise ValueError("complex H or S: real pencils only")
+        h, s = np.array(h, float), np.array(s, float)
         if h.shape != s.shape or h.shape[0] != h.shape[1]:
             raise ValueError("H and S must be square and congruent")
         self.size = h.shape[0]
         self.h = lambda work: h.copy()
         self.s = lambda work: s.copy()
-        self.workspace = lambda: workspace(self.size,
-                                           np.result_type(h, s, 1.0))
+        self.workspace = lambda: workspace(self.size)
 
     @classmethod
     def deferred(cls, size: int, build_h, build_s,
@@ -109,7 +112,7 @@ def assemble_bvn(v_diag, cols: tuple, metrics: tuple, kinetics: tuple,
         """A new n x n array of m[cx, cx'] My[cy, cy'] on the kept cells."""
         out = np.empty((n, n))
         for lo, hi in tiles(work)[1]:
-            rows = carve(work, float, (hi - lo, m.shape[1]))[0]
+            rows = carve(work, (hi - lo, m.shape[1]))[0]
             np.take(m, cx[lo:hi], axis=0, out=rows, mode="clip")
             np.take(rows, cx, axis=1, out=out[lo:hi], mode="clip")
             out[lo:hi] *= my[cy[lo], cy]
@@ -123,14 +126,14 @@ def assemble_bvn(v_diag, cols: tuple, metrics: tuple, kinetics: tuple,
             chi = min(clo + t, n)
             c0, c1 = cy[clo], cy[chi - 1] + 1  # the cy that these columns take
             col, cols, ccy = (nx, chi - clo), cx[clo:chi], cy[clo:chi]
-            (op, wcols), a = carve(work, float, col, col), None
+            (op, wcols), a = carve(work, col, col), None
             for lo, hi in rows:
                 if cy[lo] != a:  # Bx[:, cols] times row a of every W[x]
                     a = cy[lo]
                     w = v_xy @ (by[:, a, None] * by[:, c0:c1]) + ky[a, c0:c1]
                     bx.take(cols, axis=1, out=op, mode="clip")
                     op *= w.take(ccy - c0, axis=1, out=wcols, mode="clip")
-                _, bxr, prod = carve(work, float, col, (nx, hi - lo),
+                _, bxr, prod = carve(work, col, (nx, hi - lo),
                                      (hi - lo, chi - clo))
                 bx.take(cx[lo:hi], axis=1, out=bxr, mode="clip")
                 h[lo:hi, clo:chi] += np.matmul(bxr.T, op, out=prod)
@@ -139,7 +142,7 @@ def assemble_bvn(v_diag, cols: tuple, metrics: tuple, kinetics: tuple,
     # room for three tiles one column wide
     return GeneralizedProblem.deferred(
         n, build_h, lambda work: gather(mx, work),
-        lambda: workspace(n, float, 3 * tall))
+        lambda: workspace(n, 3 * tall))
 
 
 # the names perfbench/tracer.py wraps, kept only until ROADMAP item 10
@@ -149,11 +152,11 @@ assemble_pvn = assemble_bvn_2d = assemble_bvn
 def solve_generalized(problem: GeneralizedProblem,
                       n_states: int | None = None,
                       want_vectors: bool = False) -> Spectrum:
-    """Solve H U = S U E for a Hermitian pencil with positive metric.
+    """Solve H U = S U E for a symmetric pencil with positive metric.
 
     The pencil is built in the order the solve reads it: `metric_root`
-    makes S with `problem.s` and turns it into C, C^H S C = I; only then is
-    `problem.h()` made, and `congruence` reduces it to C^H H C, whose lower
+    makes S with `problem.s` and turns it into C, C^T S C = I; only then is
+    `problem.h()` made, and `congruence` reduces it to C^T H C, whose lower
     triangle LAPACK reads. Building, factoring and reducing take every
     temporary from one `problem.workspace()` buffer, made here once, so
     the solve holds two pencils and one INV_BLOCK-row block at most until

@@ -3,7 +3,7 @@
 A lattice of n_x * n_p Gaussians tiles the phase-space rectangle of a grid
 with exactly one function per Planck cell (cell area a*dp = h). Sampling the
 Gaussians on the grid gives the matrix G whose columns span the same space
-as the periodic sinc basis; S = G^dag G is the overlap of the periodized
+as the periodic sinc basis; S = G^T G is the overlap of the periodized
 Gaussians and B = G S^-1 samples their biorthogonal partners.
 """
 
@@ -128,14 +128,8 @@ def build_G(lattice: VnLattice, cells=slice(None)) -> np.ndarray:
                      - 1j * pc * (x - xc) / lattice.hbar))
 
 
-def build_overlap(g: np.ndarray) -> np.ndarray:
-    """Overlap S = G^dag G of the periodized Gaussians (exact on the grid),
-    exactly symmetric for a real G (numpy forms G^T G as one product)."""
-    return g.conj().T @ g
-
-
 def positive_modes(s: np.ndarray, what: str):
-    """Kept eigenpairs (w, u) of a Hermitian metric: the whitening rule.
+    """Kept eigenpairs (w, u) of a symmetric metric: the whitening rule.
 
     No positive direction, or an eigenvalue below -RCOND * lambda_max,
     raises; the modes at or below RCOND * lambda_max are dropped with the
@@ -158,39 +152,36 @@ def positive_modes(s: np.ndarray, what: str):
     return w, u
 
 
-def workspace(n: int, dtype=float, least: int = 0) -> np.ndarray:
-    """The flat buffer of one INV_BLOCK x n block (and at least `least`
-    numbers) that the steps of an n x n pencil solve carve their
+def workspace(n: int, least: int = 0) -> np.ndarray:
+    """The flat float buffer of one INV_BLOCK x n block (and at least
+    `least` numbers) that the steps of an n x n pencil solve carve their
     temporaries from (`carve`), so that none of them allocates a block."""
-    return np.empty(max(INV_BLOCK * n, least), dtype)
+    return np.empty(max(INV_BLOCK * n, least))
 
 
-def carve(work: np.ndarray, dtype, *shapes) -> list:
-    """C-contiguous arrays of the given shapes and dtype laid one after
-    another over the memory of the flat buffer `work` (a real view of a
-    complex buffer holds twice as many numbers); reshape raises for a
-    buffer too short."""
-    flat, at, out = work.view(dtype), 0, []
+def carve(work: np.ndarray, *shapes) -> list:
+    """C-contiguous arrays of the given shapes laid one after another over
+    the memory of the flat buffer `work`; reshape raises for a buffer too
+    short."""
+    at, out = 0, []
     for shape in shapes:
-        size = math.prod(shape)
-        out.append(flat[at:at + size].reshape(shape))
-        at += size
+        out.append(work[at:at + math.prod(shape)].reshape(shape))
+        at += out[-1].size
     return out
 
 
 def _cholesky_inverse(a: np.ndarray, work: np.ndarray):
-    """L^-1 of S = L L^H written over a = S, of which only the lower
+    """L^-1 of S = L L^T written over a = S, of which only the lower
     triangle is read; returns a, zero above the diagonal.
 
     With S = [[S11, .], [S21, S22]], X11 = L11^-1 comes first, then
-    L21 = S21 X11^H, S22 - L21 L21^H (on its lower block triangle), its
+    L21 = S21 X11^T, S22 - L21 L21^T (on its lower block triangle), its
     inverse factor X22 and X21 = -X22 L21 X11. LAPACK sees only diagonal
     blocks below INV_BLOCK rows; every other step is a GEMM on INV_BLOCK
     rows that writes into the `workspace` buffer work and is copied back
     into a, so beside a nothing larger than those LAPACK blocks is
-    allocated (a complex a also conjugates its GEMM operands into new
-    arrays). A non-positive S raises LinAlgError
-    and leaves a partly overwritten.
+    allocated. A non-positive S raises LinAlgError and leaves a partly
+    overwritten.
     """
     n = a.shape[0]
     if n < INV_BLOCK:
@@ -198,29 +189,28 @@ def _cholesky_inverse(a: np.ndarray, work: np.ndarray):
         return a
     k = n // 2
     x11 = _cholesky_inverse(a[:k, :k], work)
-    for lo in range(k, n, INV_BLOCK):  # L21 over S21, then S22 - L21 L21^H
+    for lo in range(k, n, INV_BLOCK):  # L21 over S21, then S22 - L21 L21^T
         hi = min(lo + INV_BLOCK, n)
-        l21, s22 = carve(work, a.dtype, (hi - lo, k), (hi - lo, hi - k))
-        a[lo:hi, :k] = np.matmul(a[lo:hi, :k], x11.conj().T, out=l21)
+        l21, s22 = carve(work, (hi - lo, k), (hi - lo, hi - k))
+        a[lo:hi, :k] = np.matmul(a[lo:hi, :k], x11.T, out=l21)
         # a[lo:hi, :k] itself, not its copy l21: numpy takes the first
         # block's product with its own transpose as one SYRK
-        a[lo:hi, k:hi] -= np.matmul(a[lo:hi, :k], a[k:hi, :k].conj().T,
-                                    out=s22)
+        a[lo:hi, k:hi] -= np.matmul(a[lo:hi, :k], a[k:hi, :k].T, out=s22)
     _cholesky_inverse(a[k:, k:], work)
     a[:k, k:] = 0
     for hi in range(n, k, -INV_BLOCK):  # X21 over L21, bottom up
         lo = max(hi - INV_BLOCK, k)
-        y, x21 = carve(work, a.dtype, (hi - lo, k), (hi - lo, k))
+        y, x21 = carve(work, (hi - lo, k), (hi - lo, k))
         np.matmul(a[lo:hi, k:hi], a[k:hi, :k], out=y)
         np.negative(np.matmul(y, x11, out=x21), out=a[lo:hi, :k])
     return a
 
 
 def _factor(s: np.ndarray, work: np.ndarray):
-    """(L^-1, cond) of a positive metric S = L L^H, L^-1 written over s
+    """(L^-1, cond) of a positive metric S = L L^T, L^-1 written over s
     (the factor reads its lower triangle); (None, inf) without a factor.
 
-    cond = ||S||_1 ||L^-1||_1 ||L^-1||_inf >= ||S||_1 ||L^-H L^-1||_1, and
+    cond = ||S||_1 ||L^-1||_1 ||L^-1||_inf >= ||S||_1 ||L^-T L^-1||_1, and
     each L^-1 norm is at most sqrt(n) ||L^-1||_2, so cond_1(S) <= cond <=
     n cond_1(S). ||S||_1 is summed by column blocks before L^-1 overwrites
     S, |L^-1| INV_BLOCK - 1 rows at a time; row 0 of the block's buffer
@@ -228,19 +218,18 @@ def _factor(s: np.ndarray, work: np.ndarray):
     sum over axis 0 would. Both blocks, like `_cholesky_inverse`'s, are
     views of the `workspace` buffer work.
     """
-    s = s.astype(np.result_type(s, 1.0), copy=False)  # integers in floats
     n = s.shape[0]
     s_norm = 0.0
     for lo in range(0, n, INV_BLOCK):
         cols = s[:, lo:lo + INV_BLOCK]
-        mag = np.abs(cols, out=carve(work, float, cols.shape)[0])
+        mag = np.abs(cols, out=carve(work, cols.shape)[0])
         s_norm = max(s_norm, mag.sum(0).max())
     try:
         l_inv = _cholesky_inverse(s, work)
     except np.linalg.LinAlgError:
         return None, float("inf")
     step = min(n, INV_BLOCK - 1)
-    buf = carve(work, float, (step + 1, n))[0]
+    buf = carve(work, (step + 1, n))[0]
     buf[0] = 0.0
     row_max = 0.0
     for lo in range(0, n, step):
@@ -252,16 +241,16 @@ def _factor(s: np.ndarray, work: np.ndarray):
 
 
 def metric_root(make_s, what: str, work: np.ndarray):
-    """(C, cond) with C^H S C = I: the one inverse of a positive metric S.
+    """(C, cond) with C^T S C = I: the one inverse of a positive metric S.
 
     make_s() returns a new S that metric_root may overwrite; cond is its
     `_factor` bound, which takes its blocks from work. Up to COND_SWITCH,
-    C = L^-H, upper triangular, in S's own memory; above it C = U W^-1/2
+    C = L^-T, upper triangular, in S's own memory; above it C = U W^-1/2
     whitens the modes of a second S that `positive_modes` keeps.
     """
     l_inv, cond = _factor(make_s(), work)
     if cond <= COND_SWITCH:
-        return l_inv.conj().T, cond
+        return l_inv.T, cond
     del l_inv
     w, u = positive_modes(make_s(), what)
     return u / np.sqrt(w), cond
@@ -269,28 +258,26 @@ def metric_root(make_s, what: str, work: np.ndarray):
 
 def congruence(h: np.ndarray, c: np.ndarray, cond: float,
                work: np.ndarray) -> np.ndarray:
-    """C^H H C for the root C and bound cond that `metric_root` returned.
+    """C^T H C for the root C and bound cond that `metric_root` returned.
 
     A whitening root (n x k) takes the plain product. Up to COND_SWITCH,
-    X = C^H is lower triangular and the lower triangle of X H X^H is written
+    X = C^T is lower triangular and the lower triangle of X H X^T is written
     over H: row blocks of Y = X H come bottom up, X[r, :hi] H[:hi], reading
-    rows of H not yet written, then A[r, :hi] = Y[r, :hi] X[:hi, :hi]^H:
+    rows of H not yet written, then A[r, :hi] = Y[r, :hi] X[:hi, :hi]^T:
     INV_BLOCK rows per GEMM, X's zero half skipped. Each GEMM writes into
     the `workspace` buffer work and is copied into H, so beside H and C
-    nothing is allocated for a real C (a complex one conjugates each block
-    of C into a new array).
+    nothing is allocated.
     """
     if not cond <= COND_SWITCH:  # metric_root's test: a NaN bound whitens
-        return c.conj().T @ (h @ c)
-    h = h.astype(np.result_type(h, c), copy=False)  # a real H, complex S
+        return c.T @ (h @ c)
     n = h.shape[0]
     for hi in range(n, 0, -INV_BLOCK):
         lo = max(hi - INV_BLOCK, 0)
-        y = carve(work, h.dtype, (hi - lo, n))[0]
-        h[lo:hi] = np.matmul(c[:hi, lo:hi].conj().T, h[:hi], out=y)
+        y = carve(work, (hi - lo, n))[0]
+        h[lo:hi] = np.matmul(c[:hi, lo:hi].T, h[:hi], out=y)
     for lo in range(0, n, INV_BLOCK):
         hi = min(lo + INV_BLOCK, n)
-        a = carve(work, h.dtype, (hi - lo, hi))[0]
+        a = carve(work, (hi - lo, hi))[0]
         h[lo:hi, :hi] = np.matmul(h[lo:hi, :hi], c[:hi, :hi], out=a)
     return h
 
@@ -299,14 +286,14 @@ def project(t: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """K = B^T T B for the N x N t and real N x n columns B, in t's leading
     n x n block: row blocks of T B, then column blocks of B^T (T B),
     INV_BLOCK per GEMM into a `workspace` buffer made here."""
-    n, work = cols.shape[1], workspace(len(t), t.dtype)
+    n, work = cols.shape[1], workspace(len(t))
     for lo in range(0, len(t), INV_BLOCK):
         rows = t[lo:lo + INV_BLOCK]
-        tb = carve(work, t.dtype, (len(rows), n))[0]
+        tb = carve(work, (len(rows), n))[0]
         rows[:, :n] = np.matmul(rows, cols, out=tb)
     for lo in range(0, n, INV_BLOCK):
         hi = min(lo + INV_BLOCK, n)
-        k = carve(work, t.dtype, (n, hi - lo))[0]
+        k = carve(work, (n, hi - lo))[0]
         t[:n, lo:hi] = np.matmul(cols.T, t[:, lo:hi], out=k)
     return t[:n, :n]
 
@@ -343,19 +330,19 @@ def build_basis(lattice: VnLattice, basis: str):
 
     G comes from `_real_columns` and S = G^T G; pvn factors a copy of S for
     the bound alone and never whitens. For bvn, `metric_root` turns S in its
-    own memory into C, S^-1 = C C^T (exactly symmetric: numpy forms it as
-    one product) and B = G S^-1, so G^T B = I and B^T B = S^-1; G is dropped
-    once B exists. Neither path holds more than three N x N arrays.
+    own memory into C, S^-1 = C C^T (S and S^-1 exactly symmetric: each is
+    one numpy product) and B = G S^-1, so G^T B = I and B^T B = S^-1; G is
+    dropped once B exists. Neither path holds more than three N x N arrays.
     """
     if basis not in ("pvn", "bvn"):
         raise ValueError(f"basis {basis!r} has no grid columns")
     g = _real_columns(lattice)
     if basis == "pvn":
-        s = build_overlap(g)
+        s = g.T @ g
         return g, s, _factor(s.copy(), workspace(lattice.size))[1]
-    c, cond = metric_root(lambda: build_overlap(g),
-                          "overlap pseudo-inverted", workspace(lattice.size))
-    s_inv = c @ c.conj().T
+    c, cond = metric_root(lambda: g.T @ g, "overlap pseudo-inverted",
+                          workspace(lattice.size))
+    s_inv = c @ c.T
     del c
     return g @ s_inv, s_inv, cond
 
@@ -365,7 +352,10 @@ def continuous_vn_matrices(lattice: VnLattice, spec: PotentialSpec):
 
     Closed-form integrals over the infinite line; only the harmonic potential
     is supported. This is the baseline the periodized basis is compared
-    against. h and s are Hermitian up to roundoff; nothing symmetrizes them.
+    against. The complex integrals A_ij = <g_i|A|g_j> are returned in the
+    real mirror pairs of `_real_columns`, r_j = Re(c_j g_j) with c_j = w_j at
+    a pair's lower index, i w_j at its twin (w = sqrt(2), 1 at p = 0), so
+    <r_i|A|r_j> = Re(conj(c_i) (c_j A_ij + conj(c_j) A_ij')) / 2, j' = mirror.
     """
     if spec.kind != "harmonic":
         raise NotAvailableError(
@@ -392,4 +382,7 @@ def continuous_vn_matrices(lattice: VnLattice, spec: PotentialSpec):
                 + 2j * hbar * alpha * (p2 * em1 - p1 * em2) + p1 * p2)
     x_sq = s * ex2
     h = p_sq / (2.0 * mass) + 0.5 * mass * omega**2 * x_sq
-    return h, s
+    pair, cell = lattice.mirror, np.arange(lattice.size)
+    c = np.where(cell <= pair, 1, 1j) * np.where(pair != cell, 2**0.5, 1)
+    return [0.5 * (c.conj()[:, None] * (c * a + c.conj() * a[:, pair])).real
+            for a in (h, s)]

@@ -559,6 +559,11 @@ e_cut = -0.2
     # nan fails both bounds checks and used to run the sharp cut silently
     (MORSE_CFG.replace("auto_scale = 1.0", "auto_scale = nan"), ["solve"],
      "prune.auto_scale: not a finite number: 'nan'"),
+    (HARMONIC_CFG, ["sweep", "--index", "-1"],
+     "sweep --index -1 outside the analytic table"),
+    # vn has analytic integrals for the oscillator only (the default
+    # --methods fgh,pvn,vn)
+    (MORSE_CFG, ["sweep", "--sizes", "16"], "--methods"),
 ])
 def test_config_errors_exit_2(tmp_path, capsys, text, argv, needle):
     cfg = _write(tmp_path, text)
@@ -566,6 +571,37 @@ def test_config_errors_exit_2(tmp_path, capsys, text, argv, needle):
                      "--quiet", *argv[1:]])
     assert code == 2
     assert needle in capsys.readouterr().err
+
+
+def test_sweep_refuses_vn_off_the_oscillator_before_any_solve(
+        tmp_path, capsys, monkeypatch):
+    # the message names the option and the config field, and the fgh and
+    # pvn solves that come first in --methods never run
+    solves = []
+    monkeypatch.setattr(pg.Pipeline, "solve",
+                        lambda self, *args, **kwargs: solves.append(self))
+    cfg = _write(tmp_path, MORSE_CFG)
+    assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--quiet", "--sizes", "16,20"]) == 2
+    err = capsys.readouterr().err
+    assert "--methods vn" in err and "potential.kind" in err
+    assert solves == []
+
+
+def test_sweep_runs_fgh_and_pvn_off_the_oscillator(tmp_path):
+    # the vn refusal reaches no further than vn: the grid bases sweep a
+    # Morse config, with the analytic Morse level as reference
+    cfg = _write(tmp_path, MORSE_CFG)
+    out = str(tmp_path / "sweep")
+    assert cli.main(["sweep", "--config", cfg, "--out", out, "--quiet",
+                     "--sizes", "16,20", "--index", "0",
+                     "--methods", "fgh,pvn"]) == 0
+    _, rows = cli.read_csv(os.path.join(out, "convergence.csv"))
+    assert [(r["method"], r["basis_size"]) for r in rows] == [
+        ("fgh", "16"), ("fgh", "20"), ("pvn", "16"), ("pvn", "20")]
+    fgh, pvn = (np.array([float(r["energy"]) for r in rows[i:i + 2]])
+                for i in (0, 2))
+    np.testing.assert_allclose(pvn, fgh, atol=1e-9)  # same span
 
 
 @pytest.mark.parametrize("text", [MORSE_CFG, TRIANGLE_CFG], ids=["1d", "2d"])

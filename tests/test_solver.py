@@ -54,25 +54,21 @@ def test_generalized_solver_both_branches(monkeypatch):
         assert whitened == route
 
 
-def _random_metric(n, dtype, seed):
-    """Hermitian positive definite S with 1-norm condition number ~1e4."""
+def _random_metric(n, seed):
+    """Symmetric positive definite S with 1-norm condition number ~1e4."""
     rng = np.random.default_rng(seed)
-    a = rng.standard_normal((n, n))
-    if dtype is complex:
-        a = a + 1j * rng.standard_normal((n, n))
-    q, _ = np.linalg.qr(a)
-    return (q * np.geomspace(1.0, 1e-4, n)) @ q.conj().T
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return (q * np.geomspace(1.0, 1e-4, n)) @ q.T
 
 
-@pytest.mark.parametrize("dtype", [float, complex])
 @pytest.mark.parametrize("n", [1, 127, 128, 129, 300, 977])  # about INV_BLOCK
-def test_cholesky_inverse_and_condition_bound(n, dtype):
-    s = _random_metric(n, dtype, n)
+def test_cholesky_inverse_and_condition_bound(n):
+    s = _random_metric(n, n)
     exact_inv = np.linalg.inv(np.linalg.cholesky(s))
     cond = np.linalg.cond(s, 1)
     a = s.copy()
     a[np.triu_indices(n, 1)] = np.nan  # only the lower triangle is read
-    work = vn_basis.workspace(n, dtype)
+    work = vn_basis.workspace(n)
     l_inv = vn_basis._cholesky_inverse(a, work)
     assert l_inv is a and l_inv.dtype == s.dtype  # in S's own memory
     assert np.all(np.triu(l_inv, 1) == 0)
@@ -88,7 +84,7 @@ def test_cholesky_inverse_and_condition_bound(n, dtype):
     assert exact * (1 - 1e-12) <= bound <= n * exact * (1 + 1e-12)
     c, root_cond = vn_basis.metric_root(s.copy, "pencil metric whitened",
                                         work)
-    assert root_cond == bound and np.array_equal(c, l_inv.conj().T)
+    assert root_cond == bound and np.array_equal(c, l_inv.T)
 
 
 def test_metric_root_calls_lapack_only_on_small_blocks(monkeypatch):
@@ -103,7 +99,7 @@ def test_metric_root_calls_lapack_only_on_small_blocks(monkeypatch):
             return _original(m, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, record)
-    s = _random_metric(976, float, 3)
+    s = _random_metric(976, 3)
     c, cond = vn_basis.metric_root(s.copy, "pencil metric whitened",
                                    vn_basis.workspace(976))
     assert cond < vn_basis.COND_SWITCH and c.shape == s.shape
@@ -162,46 +158,40 @@ def test_solve_reads_the_callers_pencil_and_repeats(switch, want_vectors,
     np.testing.assert_allclose(first.energies, d, rtol=1e-9, atol=1e-9)
 
 
-@pytest.mark.parametrize("dtype", [float, complex])
 @pytest.mark.parametrize("n", [1, 127, 300])
-def test_congruence_lower_triangle_is_the_dense_formula(n, dtype):
+def test_congruence_lower_triangle_is_the_dense_formula(n):
     # with the triangular Cholesky root, n on either side of INV_BLOCK and no
-    # multiple of it, the lower triangle written over H is that of C^H H C,
-    # also for a real H in a complex metric
+    # multiple of it, the lower triangle written over H is that of C^T H C
     rng = np.random.default_rng(n)
     h = rng.standard_normal((n, n))
-    work = vn_basis.workspace(n, dtype)
-    c, cond = vn_basis.metric_root(_random_metric(n, dtype, n + 1).copy, "",
-                                   work)
-    dense = c.conj().T @ h @ c
+    work = vn_basis.workspace(n)
+    c, cond = vn_basis.metric_root(_random_metric(n, n + 1).copy, "", work)
+    dense = c.T @ h @ c
     a = vn_basis.congruence(h.copy(), c, cond, work)
     np.testing.assert_allclose(np.tril(a), np.tril(dense), rtol=0,
                                atol=1e-12 * np.abs(dense).max())
     # a bound above COND_SWITCH comes with a whitening root, n x k and not
     # triangular, which is reduced whole
-    w, u = np.linalg.eigh(_random_metric(n, dtype, n + 2))
+    w, u = np.linalg.eigh(_random_metric(n, n + 2))
     c = u[:, n // 2:] / np.sqrt(w[n // 2:])
-    dense = c.conj().T @ h @ c
+    dense = c.T @ h @ c
     a = vn_basis.congruence(h.copy(), c, np.inf, work)
     np.testing.assert_allclose(a, dense, rtol=0,
                                atol=1e-12 * np.abs(dense).max())
 
 
-@pytest.mark.parametrize("dtype", [float, complex])
-def test_whitened_pencil_matches_the_eigh_formula(dtype):
+def test_whitened_pencil_matches_the_eigh_formula():
     # S of rank 23 < n = 30 keeps k = 23 modes; the whitening fallback
     # leaves the caller's H and S unwritten and its levels are those of
-    # C^H H C with C = U W^-1/2 on the kept eigenpairs of S
+    # C^T H C with C = U W^-1/2 on the kept eigenpairs of S
     rng = np.random.default_rng(11)
     n, k = 30, 23
     a, h = rng.standard_normal((n, k)), rng.standard_normal((n, n))
-    if dtype is complex:
-        a = a + 1j * rng.standard_normal((n, k))
-    s = a @ a.conj().T
+    s = a @ a.T
     h_in, s_in = h.copy(), s.copy()
     w, u = np.linalg.eigh(s)
     c = u[:, -k:] / np.sqrt(w[-k:])
-    dense = c.conj().T @ h @ c
+    dense = c.T @ h @ c
     with pytest.warns(UserWarning, match="dropping 7 modes"):
         out = pg.solve_generalized(pg.GeneralizedProblem(h, s))
     assert np.array_equal(h, h_in) and np.array_equal(s, s_in)
@@ -225,14 +215,25 @@ def test_integer_pencil_is_solved_in_floats(switch, monkeypatch):
     out = pg.solve_generalized(pg.GeneralizedProblem(h, s))
     np.testing.assert_allclose(out.energies, [1 - 3**-0.5, 1 + 3**-0.5, 3],
                                rtol=1e-14)
-    c, _ = vn_basis.metric_root(s.copy, "overlap pseudo-inverted",
+    c, _ = vn_basis.metric_root(s.astype(float).copy,
+                                "overlap pseudo-inverted",
                                 vn_basis.workspace(3))
-    np.testing.assert_allclose(c @ c.conj().T @ s, np.eye(3), atol=1e-15)
+    np.testing.assert_allclose(c @ c.T @ s, np.eye(3), atol=1e-15)
 
 
 def test_problem_shape_validation():
     with pytest.raises(ValueError):
         pg.GeneralizedProblem(np.eye(3), np.eye(4))
+
+
+@pytest.mark.parametrize("which", ["h", "s"])
+def test_problem_refuses_a_complex_pencil(which):
+    # every pencil is real: a complex H or S raises instead of losing its
+    # imaginary part to the float copy
+    pencil = {"h": np.eye(3), "s": np.eye(3)}
+    pencil[which] = pencil[which] * (1 + 0j)
+    with pytest.raises(ValueError, match="complex H or S"):
+        pg.GeneralizedProblem(**pencil)
 
 
 def test_eigenvector_metric_normalization():

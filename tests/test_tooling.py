@@ -221,11 +221,26 @@ def test_solver_projects_no_grid_operator():
 def test_pencil_routines_take_their_callers_buffer_and_real_factors():
     # the entry points (solve_generalized, build_basis, project) make the
     # one workspace buffer and every routine below them takes it, with no
-    # fallback of its own; the Kronecker path reads real factors, so
-    # neither assemble_bvn nor project conjugates or promotes a dtype
+    # fallback of its own. Every pencil is real: complex values (a conj
+    # call, an imaginary literal) live only in the Gaussians' closed forms,
+    # build_G and continuous_vn_matrices; nothing promotes a dtype, the
+    # buffer routines take none and S = G^T G has no helper of its own
+    import phasegrid
     found = []
     for name in ("solver.py", "vn_basis.py"):
         tree = ast.parse((ROOT / "src" / "phasegrid" / name).read_text())
+        for top in tree.body:
+            owner = getattr(top, "name", None)
+            for node in ast.walk(top):
+                callee = node.func if isinstance(node, ast.Call) else None
+                called = getattr(callee, "attr", getattr(callee, "id", None))
+                if called == "result_type":
+                    found.append(f"{name}:{node.lineno} calls result_type")
+                imaginary = (isinstance(node, ast.Constant)
+                             and isinstance(node.value, complex))
+                if (called == "conj" or imaginary) and owner not in (
+                        "build_G", "continuous_vn_matrices"):
+                    found.append(f"{name}:{node.lineno} complex in {owner}")
         for func in ast.walk(tree):
             if not isinstance(func, (ast.FunctionDef, ast.Lambda)):
                 continue
@@ -237,14 +252,15 @@ def test_pencil_routines_take_their_callers_buffer_and_real_factors():
                           if default is not None]
             found += [f"{name}:{func.lineno} work has a default"
                       for arg in defaulted if arg.arg == "work"]
-            if getattr(func, "name", None) not in ("assemble_bvn", "project"):
-                continue
-            for node in ast.walk(func):
-                callee = node.func if isinstance(node, ast.Call) else None
-                called = getattr(callee, "attr", getattr(callee, "id", None))
-                if called in ("conj", "result_type"):
-                    found.append(f"{name}:{node.lineno} {func.name} calls "
-                                 f"{called}")
+            func_name = getattr(func, "name", None)
+            if func_name in ("carve", "workspace"):
+                found += [f"{name}:{func.lineno} {func_name} takes a dtype"
+                          for arg in positional + args.kwonlyargs
+                          if arg.arg == "dtype"]
+            if func_name == "build_overlap":
+                found.append(f"{name}:{func.lineno} defines build_overlap")
+    if "build_overlap" in phasegrid.__all__:
+        found.append("phasegrid exports build_overlap")
     assert not found, found
 
 

@@ -41,10 +41,10 @@ def _reference_basis(lat):
     g = np.ascontiguousarray(np.where(m == pair, 1.0, math.sqrt(2.0))
                              * np.where(m <= pair, gc.real, gc.imag))
     g[np.abs(g) < math.sqrt(np.finfo(float).tiny)] = 0.0
-    s = pg.build_overlap(g)
+    s = g.T @ g
     c, cond = vn_basis.metric_root(s.copy, "overlap pseudo-inverted",
                                    vn_basis.workspace(lat.size))
-    s_inv = c @ c.conj().T
+    s_inv = c @ c.T
     return g, s, s_inv, g @ s_inv, cond
 
 
@@ -154,8 +154,7 @@ def test_underflowed_gaussian_tails_are_flushed():
         m <= pair, gc.real, gc.imag)
     assert np.mean((g != 0) & (np.abs(g) < floor)) > 0.1  # tails to flush
     assert np.array_equal(g_real, np.where(np.abs(g) < floor, 0.0, g))
-    np.testing.assert_allclose(s, pg.build_overlap(g), rtol=0,
-                               atol=1e-170)
+    np.testing.assert_allclose(s, g.T @ g, rtol=0, atol=1e-170)
 
 
 def test_singular_overlap_is_pseudo_inverted_with_a_warning():
@@ -249,16 +248,68 @@ def test_alpha_override_changes_width_not_span():
 
 
 def test_continuous_matrices_harmonic_only():
-    grid = pg.harmonic_square_grid(16)
-    lat = pg.VnLattice(grid, 4)
-    h, s = pg.continuous_vn_matrices(lat, pg.harmonic())
-    assert np.max(np.abs(h - h.conj().T)) < 1e-12
-    assert np.max(np.abs(s - s.conj().T)) < 1e-12
-    assert np.all(np.diag(s).real > 0)
-    # diagonal of S is unit-normalized Gaussians
-    np.testing.assert_allclose(np.diag(s).real, 1.0, atol=1e-12)
+    # the closed forms are the Gram matrices of the real mirror pairs
+    # r_j = w Re g_j (lower index) and -w Im g_j (its twin), sampled here
+    # on a grid 12 wider on each side than the box and fine enough that
+    # the sums are the integrals over the line
+    for n, n_x in ((16, 4), (36, 6)):
+        lat = pg.VnLattice(pg.harmonic_square_grid(n), n_x)
+        h, s = pg.continuous_vn_matrices(lat, pg.harmonic())
+        assert h.dtype == s.dtype == np.float64
+        assert np.array_equal(h, h.T) and np.array_equal(s, s.T)
+        fine = pg.Grid1D(lat.axis.x_min - 12, lat.axis.L + 24, 2048)
+        x = fine.points[:, None]
+        xc, pc = lat.centers.T
+        g = ((2 * lat.alpha / math.pi) ** 0.25
+             * np.exp(-lat.alpha * (x - xc) ** 2 - 1j * pc * (x - xc)))
+        m, pair = np.arange(lat.size), lat.mirror
+        r = np.where(m == pair, 1.0, math.sqrt(2.0)) * np.where(
+            m <= pair, g.real, -g.imag)
+        t = pg.kinetic_matrix(fine, 1.0)
+        np.testing.assert_allclose(s, r.T @ r * fine.dx, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(
+            h, r.T @ (t @ r + 0.5 * x**2 * r) * fine.dx, rtol=0, atol=1e-10)
     with pytest.raises(NotAvailableError):
         pg.continuous_vn_matrices(lat, pg.morse())
+
+
+@pytest.mark.parametrize("n, n_x", [(16, 4), (36, 6), (64, 8), (100, 10)])
+def test_vn_levels_are_those_of_the_complex_gaussians(n, n_x):
+    # the mirror pairs are a change of basis of the complex Gaussians g_j:
+    # the vn Pipeline's levels are those of the Hermitian pencil of g_j,
+    # sampled on the wide fine grid and reduced with numpy's Cholesky
+    grid = pg.harmonic_square_grid(n)
+    lat = pg.VnLattice(grid, n_x)
+    levels = pg.Pipeline(pg.harmonic(), (grid,), "vn").solve().energies
+    fine = pg.Grid1D(lat.axis.x_min - 12, lat.axis.L + 24, 2048)
+    x = fine.points[:, None]
+    xc, pc = lat.centers.T
+    g = ((2 * lat.alpha / math.pi) ** 0.25
+         * np.exp(-lat.alpha * (x - xc) ** 2 - 1j * pc * (x - xc)))
+    t = pg.kinetic_matrix(fine, 1.0)
+    l_inv = np.linalg.inv(np.linalg.cholesky(g.conj().T @ g * fine.dx))
+    h = g.conj().T @ (t @ g + 0.5 * x**2 * g) * fine.dx
+    np.testing.assert_allclose(
+        levels, np.linalg.eigvalsh(l_inv @ h @ l_inv.conj().T), rtol=0,
+        atol=1e-10)
+
+
+def test_carve_lays_its_arrays_end_to_end_over_the_buffer():
+    work = vn_basis.workspace(1)
+    a, b, c = vn_basis.carve(work, (2, 3), (0, 5), (4,))
+    assert [x.shape for x in (a, b, c)] == [(2, 3), (0, 5), (4,)]
+    assert all(x.flags.c_contiguous and x.base is work for x in (a, b, c))
+    a[...], c[...] = 1.0, 2.0  # written through to the buffer, in order
+    assert np.array_equal(work[:10], [1.0] * 6 + [2.0] * 4)
+    with pytest.raises(ValueError):  # a buffer too short for the shapes
+        vn_basis.carve(work, (vn_basis.INV_BLOCK, 2))
+
+
+@pytest.mark.parametrize("n, least, size", [(3, 0, 384), (3, 1000, 1000),
+                                            (0, 7, 7)])
+def test_workspace_holds_one_block_or_at_least_least(n, least, size):
+    work = vn_basis.workspace(n, least)
+    assert work.shape == (size,) and work.dtype == np.float64
 
 
 def test_continuous_lattice_is_variational():
