@@ -38,8 +38,7 @@ _EXPORTS = {
                "assemble_bvn", "count_converged", "efficiency_scan",
                "solve_generalized"),
     "spectra": ("Spectrum",),
-    "vn_basis": ("VnLattice", "build_basis", "build_G",
-                 "continuous_vn_matrices"),
+    "vn_basis": ("VnLattice", "build_basis", "continuous_vn_matrices"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items()
          for name in (module, *names)}

@@ -111,23 +111,6 @@ class VnLattice:
         return axis_product([self.centers_x, self.centers_p])
 
 
-def build_G(lattice: VnLattice, cells=slice(None)) -> np.ndarray:
-    """Complex matrix G[i, j] = g_m(x_i) over the lattice's grid points, one
-    column per cell m of `cells` (every cell by default).
-
-    g_m(x) = (2a/pi)^(1/4) exp(-a (x-x_c)^2 - i p_c (x-x_c)/hbar) is the
-    continuous-normalized Gaussian of cell m; the momentum phase sign is
-    fixed by convention and only conjugates the basis globally.
-    """
-    c = lattice.centers[cells]
-    x = lattice.axis.points[:, None]
-    xc = c[:, 0][None, :]
-    pc = c[:, 1][None, :]
-    return ((2.0 * lattice.alpha / math.pi) ** 0.25
-            * np.exp(-lattice.alpha * (x - xc) ** 2
-                     - 1j * pc * (x - xc) / lattice.hbar))
-
-
 def positive_modes(s: np.ndarray, what: str):
     """Kept eigenpairs (w, u) of a symmetric metric: the whitening rule.
 
@@ -299,25 +282,34 @@ def project(t: np.ndarray, cols: np.ndarray) -> np.ndarray:
 
 
 def _real_columns(lattice: VnLattice) -> np.ndarray:
-    """The real G whose mirror-closed cell subsets span as `build_G`'s.
+    """The real G of the lattice's Gaussians over its grid points.
 
-    g at -p is the conjugate of g at +p, so a cell and its mirror become the
-    unitary pair sqrt(2) Re g, sqrt(2) Im g of the lower-index partner g (a
-    p = 0 cell keeps Re g). One complex Gaussian per pair is evaluated,
-    INV_BLOCK pairs at a time, into the columns of one C-ordered N x N
-    array. Entries below sqrt(tiny) in magnitude are zeroed, INV_BLOCK
-    rows at a time: a product of two is subnormal and slows the BLAS, and
-    S moves by far less than its rounding (at most N sqrt(tiny) max|G|).
+    g_m(x) = (2a/pi)^(1/4) exp(-a (x-x_c)^2 - i p_c (x-x_c)/hbar) is the
+    continuous-normalized Gaussian of cell m; the momentum phase sign is
+    fixed by convention and only conjugates the basis globally. g at -p is
+    the conjugate of g at +p, so a cell and its mirror become the unitary
+    pair sqrt(2) Re g, sqrt(2) Im g of the lower-index partner g (a p = 0
+    cell keeps Re g): g's envelope, evaluated once per grid point and x_c,
+    times the cos and the sin of its phase. INV_BLOCK pairs at a time fill
+    the columns of one C-ordered N x N array. Entries below sqrt(tiny) in
+    magnitude are zeroed, INV_BLOCK rows at a time: a product of two is
+    subnormal and slows the BLAS, and S moves by far less than its rounding
+    (at most N sqrt(tiny) max|G|).
     """
     pair = lattice.mirror
     lower = np.flatnonzero(np.arange(lattice.size) <= pair)
+    dx = lattice.axis.points[:, None] - lattice.centers_x
+    env = ((2.0 * lattice.alpha / math.pi) ** 0.25
+           * np.exp(-lattice.alpha * dx ** 2))
     g = np.empty((lattice.axis.N, lattice.size))
     for lo in range(0, lower.size, INV_BLOCK):
         cells = lower[lo:lo + INV_BLOCK]
         twin = pair[cells] != cells
-        gc = build_G(lattice, cells)
-        g[:, cells] = np.where(twin, math.sqrt(2.0), 1.0) * gc.real
-        g[:, pair[cells][twin]] = math.sqrt(2.0) * gc.imag[:, twin]
+        n = cells % lattice.n_x
+        phase = -lattice.centers[cells, 1] * dx[:, n] / lattice.hbar
+        scaled = np.where(twin, math.sqrt(2.0), 1.0) * env[:, n]
+        g[:, cells] = scaled * np.cos(phase)
+        g[:, pair[cells][twin]] = scaled[:, twin] * np.sin(phase[:, twin])
     for lo in range(0, lattice.axis.N, INV_BLOCK):  # contiguous row blocks
         rows = g[lo:lo + INV_BLOCK]
         rows[np.abs(rows) < math.sqrt(np.finfo(float).tiny)] = 0.0

@@ -854,9 +854,11 @@ SCALING_HEADER = "D,V_mc,V_semiclassical,V_exponential_ref\n"
      "row 2 has no 'V_exponential_ref'"),
     ("scaling", SCALING_HEADER + "1,2,three,4\n",
      "row 1, column 'V_semiclassical': not a number: 'three'"),
+    # a 2-d cells.csv has no p column: --kind cells plots 1-d lattices only
+    ("cells", "x,px,y,py,h_cl,kept\n1,2,3,4,5,1\n", "missing column 'p'"),
 ], ids=["missing-column", "empty"] + [f"{kind}-{fault}" for kind in (
     "cells", "convergence", "efficiency", "scaling") for fault in (
-    "short-row", "not-a-number")])
+    "short-row", "not-a-number")] + ["cells-2d"])
 def test_plot_rejects_wrong_schema(tmp_path, capsys, kind, text, needle):
     bad, svg = tmp_path / "bad.csv", tmp_path / "bad.svg"
     bad.write_text(text)

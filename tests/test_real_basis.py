@@ -14,11 +14,11 @@ import pytest
 
 import phasegrid as pg
 from phasegrid import vn_basis
-from pencil_oracle import grid_pencil
+from pencil_oracle import complex_gaussians, grid_pencil
 
 
 def _complex_bundle(lat):
-    g = pg.build_G(lat)
+    g = complex_gaussians(lat)
     s_inv = np.linalg.inv(g.conj().T @ g)
     return g @ s_inv, s_inv
 
@@ -65,7 +65,7 @@ def test_real_bundle_is_float64_and_biorthogonal():
         assert np.max(np.abs(g_real.T @ b - eye)) < 1e-10
         assert np.max(np.abs(b.T @ b - s_inv)) < 1e-10
         # the real columns are a unitary recombination of the complex ones
-        g = pg.build_G(lat)
+        g = complex_gaussians(lat)
         proj = g @ np.linalg.lstsq(g, g_real, rcond=None)[0]
         assert np.max(np.abs(proj - g_real)) < 1e-10
 

@@ -221,14 +221,15 @@ def test_solver_projects_no_grid_operator():
 def test_pencil_routines_take_their_callers_buffer_and_real_factors():
     # the entry points (solve_generalized, build_basis, project) make the
     # one workspace buffer and every routine below them takes it, with no
-    # fallback of its own. Every pencil is real: complex values (a conj
-    # call, an imaginary literal) live only in the Gaussians' closed forms,
-    # build_G and continuous_vn_matrices; nothing promotes a dtype, the
-    # buffer routines take none and S = G^T G has no helper of its own
+    # fallback of its own. Every module is real: complex values (a conj
+    # call, an imaginary literal, a .real or .imag read) live only in the
+    # Gaussians' closed forms, continuous_vn_matrices; nothing promotes a
+    # dtype, the buffer routines take none, S = G^T G has no helper of its
+    # own and the complex Gaussians are the tests' oracle, not a src routine
     import phasegrid
     found = []
-    for name in ("solver.py", "vn_basis.py"):
-        tree = ast.parse((ROOT / "src" / "phasegrid" / name).read_text())
+    for path in sorted((ROOT / "src" / "phasegrid").glob("*.py")):
+        name, tree = path.name, ast.parse(path.read_text())
         for top in tree.body:
             owner = getattr(top, "name", None)
             for node in ast.walk(top):
@@ -238,8 +239,11 @@ def test_pencil_routines_take_their_callers_buffer_and_real_factors():
                     found.append(f"{name}:{node.lineno} calls result_type")
                 imaginary = (isinstance(node, ast.Constant)
                              and isinstance(node.value, complex))
-                if (called == "conj" or imaginary) and owner not in (
-                        "build_G", "continuous_vn_matrices"):
+                part = (isinstance(node, ast.Attribute)
+                        and node.attr in ("real", "imag")
+                        and isinstance(node.ctx, ast.Load))
+                if ((called == "conj" or imaginary or part)
+                        and owner != "continuous_vn_matrices"):
                     found.append(f"{name}:{node.lineno} complex in {owner}")
         for func in ast.walk(tree):
             if not isinstance(func, (ast.FunctionDef, ast.Lambda)):
@@ -257,10 +261,10 @@ def test_pencil_routines_take_their_callers_buffer_and_real_factors():
                 found += [f"{name}:{func.lineno} {func_name} takes a dtype"
                           for arg in positional + args.kwonlyargs
                           if arg.arg == "dtype"]
-            if func_name == "build_overlap":
-                found.append(f"{name}:{func.lineno} defines build_overlap")
-    if "build_overlap" in phasegrid.__all__:
-        found.append("phasegrid exports build_overlap")
+            if func_name in ("build_overlap", "build_G"):
+                found.append(f"{name}:{func.lineno} defines {func_name}")
+    found += [f"phasegrid exports {name}" for name in ("build_overlap",
+              "build_G") if name in phasegrid.__all__]
     assert not found, found
 
 

@@ -11,18 +11,23 @@ import phasegrid as pg
 from phasegrid import cli, vn_basis
 from phasegrid.errors import IllConditionedError, NotAvailableError
 from phasegrid.vn_basis import balanced_factors
+from pencil_oracle import complex_gaussians
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 SHIPPED = ("harmonic_pvn", "morse_bvn", "triangle_desk", "triangle_full")
 
 
-def _axis_basis(name, basis):
-    """build_basis of a shipped config's axis (every axis is the same)."""
+def _axis_lattice(name):
+    """The lattice of a shipped config's axis (every axis is the same)."""
     cfg = cli._load_config(os.path.join(CONFIGS, f"{name}.cfg"))
     grid = cli._grid_axis(cfg.grid)
-    lat = pg.VnLattice(grid, cfg.lattice.nx, hbar=cfg.spec().hbar,
-                       alpha=cfg.lattice.alpha)
-    return pg.build_basis(lat, basis)
+    return pg.VnLattice(grid, cfg.lattice.nx, hbar=cfg.spec().hbar,
+                        alpha=cfg.lattice.alpha)
+
+
+def _axis_basis(name, basis):
+    """build_basis of a shipped config's axis."""
+    return pg.build_basis(_axis_lattice(name), basis)
 
 
 def _axis_overlap(name):
@@ -30,16 +35,25 @@ def _axis_overlap(name):
     return _axis_basis(name, "pvn")[1]
 
 
+def _unflushed_columns(lat):
+    """The real G by build_basis's mirror-pair recipe in one unblocked
+    expression, before its tails are flushed: sqrt(2) env cos at a pair's
+    lower index, sqrt(2) env sin at its twin, env cos at p = 0."""
+    m, pair = np.arange(lat.size), lat.mirror
+    n = m % lat.n_x
+    dx = lat.axis.points[:, None] - lat.centers_x
+    env = (2.0 * lat.alpha / math.pi) ** 0.25 * np.exp(-lat.alpha * dx ** 2)
+    phase = -lat.centers[np.minimum(m, pair), 1] * dx[:, n] / lat.hbar
+    return (np.where(m == pair, 1.0, math.sqrt(2.0)) * env[:, n]
+            * np.where(m <= pair, np.cos(phase), np.sin(phase)))
+
+
 def _reference_basis(lat):
     """(G, S, S^-1, B, cond) by the one-bundle recipe build_basis replaced:
-    the full complex G gathered by mirror pair into a C-ordered real G (the
-    layout build_basis returns), S^-1 = C C^T from a copy of S, then
-    B = G S^-1."""
-    m = np.arange(lat.size)
-    pair = lat.mirror
-    gc = pg.build_G(lat)[:, np.minimum(m, pair)]
-    g = np.ascontiguousarray(np.where(m == pair, 1.0, math.sqrt(2.0))
-                             * np.where(m <= pair, gc.real, gc.imag))
+    the unflushed real G in one expression, its tails flushed, in the
+    C-ordered layout build_basis returns, S^-1 = C C^T from a copy of S,
+    then B = G S^-1."""
+    g = np.ascontiguousarray(_unflushed_columns(lat))
     g[np.abs(g) < math.sqrt(np.finfo(float).tiny)] = 0.0
     s = g.T @ g
     c, cond = vn_basis.metric_root(s.copy, "overlap pseudo-inverted",
@@ -105,7 +119,7 @@ def test_gaussian_grid_norm():
     lat = pg.VnLattice(grid, 6)
     m = 3 * 6 + 2
     assert abs(lat.centers[m, 0]) < lat.a  # really the central cell
-    g = pg.build_G(lat)[:, m]
+    g = complex_gaussians(lat)[:, m]
     norm = np.sum(np.abs(g) ** 2) * grid.dx
     assert norm == pytest.approx(1.0, abs=1e-6)
 
@@ -138,6 +152,27 @@ def test_build_basis_is_bit_identical_to_the_bundle_recipe(n, n_x, hbar):
     assert got_cond == got_cond_b == cond
 
 
+@pytest.mark.parametrize("lattice", [
+    (100, 10, 1.0), (400, 20, 0.25), (72, 8, 1.0), (72, 9, 1.0),
+    "triangle_desk", "triangle_full", "harmonic_pvn"],
+    ids=lambda v: v if isinstance(v, str) else "-".join(map(str, v)))
+def test_real_columns_are_the_complex_gaussians_by_mirror_pair(lattice):
+    # the link to the complex Gaussians g_m: the real G holds sqrt(2) Re g
+    # at a pair's lower index and sqrt(2) Im g at its twin (Re g at p = 0),
+    # to the rounding of its envelope times cos and sin of the phase
+    if isinstance(lattice, str):
+        lat = _axis_lattice(lattice)
+    else:
+        n, n_x, hbar = lattice
+        lat = pg.VnLattice(pg.Grid1D(-1.6, 21.7, n), n_x, hbar=hbar)
+    m, pair = np.arange(lat.size), lat.mirror
+    gc = complex_gaussians(lat)[:, np.minimum(m, pair)]
+    g = np.where(m == pair, 1.0, math.sqrt(2.0)) * np.where(
+        m <= pair, gc.real, gc.imag)
+    assert np.abs(vn_basis._real_columns(lat) - g).max() <= (
+        4 * np.finfo(float).eps * np.abs(g).max())
+
+
 def test_underflowed_gaussian_tails_are_flushed():
     # the efficiency scan's hbar = 1/4 lattice: 20 x 20 cells on 400 points
     grid = pg.Grid1D(-1.6, 21.7, 400)
@@ -146,12 +181,7 @@ def test_underflowed_gaussian_tails_are_flushed():
     floor = math.sqrt(np.finfo(float).tiny)  # products below it underflow
     mag = np.abs(g_real)
     assert not np.any((mag > 0) & (mag < floor))
-    # the unflushed real G, by build_basis's mirror-pair recipe
-    m = np.arange(lat.size)
-    pair = lat.mirror
-    gc = pg.build_G(lat)[:, np.minimum(m, pair)]
-    g = np.where(m == pair, 1.0, math.sqrt(2.0)) * np.where(
-        m <= pair, gc.real, gc.imag)
+    g = _unflushed_columns(lat)
     assert np.mean((g != 0) & (np.abs(g) < floor)) > 0.1  # tails to flush
     assert np.array_equal(g_real, np.where(np.abs(g) < floor, 0.0, g))
     np.testing.assert_allclose(s, g.T @ g, rtol=0, atol=1e-170)
@@ -239,8 +269,8 @@ def test_alpha_override_changes_width_not_span():
     grid = pg.Grid1D(-6.0, 12.0, 16)
     narrow = pg.VnLattice(grid, 4, alpha=2.0)
     wide = pg.VnLattice(grid, 4, alpha=0.2)
-    g_n = np.abs(pg.build_G(narrow)[:, 5])
-    g_w = np.abs(pg.build_G(wide)[:, 5])
+    g_n = np.abs(complex_gaussians(narrow)[:, 5])
+    g_w = np.abs(complex_gaussians(wide)[:, 5])
     # same center, different spread
     spread = lambda g: np.sqrt(np.sum(g**2 * grid.points**2) / np.sum(g**2))
     assert spread(g_w) > spread(g_n)
