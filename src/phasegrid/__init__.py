@@ -28,7 +28,7 @@ _EXPORTS = {
                      "kinetic_matrix", "potential_matrix", "solve_fgh"),
     "potentials": ("PotentialSpec", "analytic_levels", "coulomb1d",
                    "evaluate", "harmonic", "morse", "morse_frequency",
-                   "tabulated", "triangle2d", "triangle_alpha"),
+                   "triangle2d", "triangle_alpha"),
     "pruner": ("PruneMask", "cell_table", "select_cells"),
     "semiclassics": ("PhaseSpaceBox", "ScalingRow", "VolumeEstimate",
                      "mc_phase_volume", "minimal_box", "phase_area_1d",

@@ -19,12 +19,11 @@ from typing import get_args
 
 import numpy as np
 
-from . import __version__
+from . import __version__, potentials
 from .errors import (BelowWellBottomError, BudgetExceededError,
                      DegenerateEstimateError, NotAvailableError,
                      UnboundedOrbitError)
-from .potentials import (PARAMETERS, PotentialSpec, analytic_levels,
-                         coulomb1d, harmonic, morse, triangle2d)
+from .potentials import PARAMETERS, PotentialSpec, analytic_levels
 from .spectra import BASES
 
 # Each command imports the modules it runs inside itself: the solver stack
@@ -103,7 +102,7 @@ class RunConfig:
                   for key in ("hbar", *PARAMETERS[pot.kind])
                   if getattr(pot, key) is not None}
         try:
-            return _MAKERS[pot.kind](**values)
+            return getattr(potentials, pot.kind)(**values)
         except ValueError as exc:
             raise _rejected("potential", values, exc) from None
 
@@ -115,9 +114,6 @@ class RunConfig:
 # The [section] names and their dataclasses, read off RunConfig's fields.
 SECTION_CLASSES = {f.name: (get_args(f.type) or (f.type,))[0]
                    for f in fields(RunConfig)}
-
-_MAKERS = {"harmonic": harmonic, "morse": morse, "triangle2d": triangle2d,
-           "coulomb1d": coulomb1d}
 
 _CONVERTERS = {str: (str, "a string"), int: (int, "an integer"),
                float: (float, "a number")}
@@ -166,7 +162,7 @@ def parse_config(text: str) -> RunConfig:
                        if raw[f.name] or f.default is not None})
 
     kind = cfg.potential.kind
-    if kind not in _MAKERS:
+    if kind not in PARAMETERS:
         raise ConfigError(f"potential.kind: unknown potential '{kind}'")
     for key, text in raw["potential"].items():
         if key not in ("kind", "hbar", *PARAMETERS[kind]):
@@ -375,11 +371,14 @@ def cmd_sweep(cfg: RunConfig, args, meta: dict) -> dict:
 
     sizes, index, methods = args.sizes, args.index, args.methods
     spec = cfg.spec()
+    if any(size <= 0 or size % 2 for size in sizes):
+        raise ConfigError(f"sweep --sizes must be positive and even: {sizes}")
+    # an N-point basis has N levels in every method
+    if index >= max(sizes, default=0):
+        raise ConfigError(f"sweep --index {index}: no size in {sizes} has it")
     levels = analytic_levels(spec, n_max=index)
     if not 0 <= index < levels.size:
         raise ConfigError(f"sweep --index {index} outside the analytic table")
-    if any(size <= 0 or size % 2 for size in sizes):
-        raise ConfigError(f"sweep --sizes must be positive and even: {sizes}")
     for method in methods:
         if method not in ("fgh", "pvn", "vn"):
             raise ConfigError(f"sweep method '{method}' not supported")

@@ -13,7 +13,6 @@ PARAMETERS = {
     "morse": ("depth", "beta", "mass"),
     "triangle2d": ("mass",),
     "coulomb1d": ("charge", "mass"),
-    "tabulated": ("mass",),
 }
 _POSITIVE = ("mass", "omega", "depth", "beta")
 
@@ -22,14 +21,12 @@ _POSITIVE = ("mass", "omega", "depth", "beta")
 class PotentialSpec:
     """A potential energy function plus the constants of its Hamiltonian.
 
-    params holds named real parameters per kind; tabulated specs carry the
-    sample arrays in ``table`` (shape (n, 2), columns x and V).
+    params holds named real parameters per kind.
     """
 
     kind: str
     params: dict = field(default_factory=dict)
     hbar: float = 1.0
-    table: np.ndarray | None = None
 
     def __post_init__(self):
         if self.kind not in PARAMETERS:
@@ -47,15 +44,6 @@ class PotentialSpec:
             raise ValueError(f"hbar = {self.hbar} is not finite")
         if not self.hbar > 0:
             raise ValueError("hbar must be positive")
-        if self.kind == "tabulated":
-            if self.table is None:
-                raise ValueError("tabulated potential requires a table")
-            tab = np.asarray(self.table, dtype=float)
-            if tab.ndim != 2 or tab.shape[1] != 2 or tab.shape[0] < 2:
-                raise ValueError("table must have shape (n, 2) with n >= 2")
-            if not np.all(np.diff(tab[:, 0]) > 0):
-                raise ValueError("table x column must be strictly increasing")
-            object.__setattr__(self, "table", tab)
 
     @property
     def dimension(self) -> int:
@@ -80,11 +68,6 @@ def triangle2d(mass=96.0, hbar=1.0) -> PotentialSpec:
 
 def coulomb1d(charge=1.0, mass=1.0, hbar=1.0) -> PotentialSpec:
     return PotentialSpec("coulomb1d", {"charge": charge, "mass": mass}, hbar)
-
-
-def tabulated(xs, vs, mass=1.0, hbar=1.0) -> PotentialSpec:
-    table = np.column_stack([np.asarray(xs, float), np.asarray(vs, float)])
-    return PotentialSpec("tabulated", {"mass": mass}, hbar, table=table)
 
 
 def triangle_alpha(theta):
@@ -113,14 +96,6 @@ def _eval_1d(spec: PotentialSpec, x, out):
             raise SingularPointError(
                 "coulomb1d potential is singular at x=0; offset the grid")
         out[...] = np.where(x > 0.0, -p["charge"] / x, np.inf)
-        return out
-    if spec.kind == "tabulated":
-        tab = spec.table
-        # fmin/fmax skip NaN, which passes the check, and build no mask
-        if (np.fmin.reduce(x, None, initial=np.inf) < tab[0, 0]
-                or np.fmax.reduce(x, None, initial=-np.inf) > tab[-1, 0]):
-            raise ValueError("tabulated potential evaluated outside its table range")
-        out[...] = np.interp(x, tab[:, 0], tab[:, 1])
         return out
     raise NotAvailableError(f"no 1-d evaluation for kind {spec.kind!r}")
 

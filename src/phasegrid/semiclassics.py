@@ -55,10 +55,8 @@ class VolumeEstimate:
 def turning_points(spec: PotentialSpec, energy: float):
     """Classical turning points (x_left, x_right) of the 1-D motion at energy.
 
-    Closed forms for the analytic potentials, and for tabulated ones the
-    zeros of the linearly interpolated V - E: the outermost pair, the hull
-    of every allowed interval when the table has several wells. Energies at
-    or above the dissociation/ionization threshold have no bounded orbit.
+    Closed forms for every 1-D kind. Energies at or above the
+    dissociation/ionization threshold have no bounded orbit.
     """
     if spec.dimension != 1:
         raise NotAvailableError(
@@ -83,44 +81,16 @@ def turning_points(spec: PotentialSpec, energy: float):
         if energy >= 0:
             raise UnboundedOrbitError("coulomb orbit is unbounded for E >= 0")
         return 0.0, z / (-energy)
-    if spec.kind == "tabulated":
-        lefts, rights = _allowed_intervals(spec, energy)
-        return float(lefts[0]), float(rights[-1])
     raise ValueError(f"no turning points for kind {spec.kind!r}")
-
-
-def _allowed_intervals(spec: PotentialSpec, energy: float):
-    """(lefts, rights): every interval where the interpolated table V < E.
-
-    Each run of knots with V < E is one interval, closed by the zeros of
-    the linear interpolant in the segments on either side of the run.
-    """
-    xs = spec.table[:, 0]
-    vs = spec.table[:, 1]
-    if energy <= np.min(vs):
-        raise BelowWellBottomError(
-            "energy at or below the tabulated minimum")
-    f = vs - energy
-    if f[0] < 0 or f[-1] < 0:
-        raise UnboundedOrbitError("table does not bracket the orbit")
-    below = f < 0
-    # segments (i, i + 1) where a run starts, and where one ends
-    starts = np.flatnonzero(~below[:-1] & below[1:])
-    ends = np.flatnonzero(below[:-1] & ~below[1:])
-    return tuple(xs[i] + f[i] * (xs[i + 1] - xs[i]) / (f[i] - f[i + 1])
-                 for i in (starts, ends))
 
 
 def phase_area_1d(spec: PotentialSpec, energy: float) -> float:
     """Area enclosed by the 1-D orbit, 2 * integral of sqrt(2m(E-V)) dx.
 
-    Closed forms for every 1-D kind: harmonic (2 pi E / omega), Morse,
-    Coulomb (pi z sqrt(2m/|E|)), and for tables the exact integral of the
-    linearly interpolated potential, segment by segment, summed over every
-    allowed interval (each well below E is one orbit).
+    Closed forms for every 1-D kind: harmonic (2 pi E / omega), Morse and
+    Coulomb (pi z sqrt(2m/|E|)).
     """
-    if spec.kind != "tabulated":  # a table's intervals reject the same way
-        turning_points(spec, energy)  # rejects energies with no bounded orbit
+    turning_points(spec, energy)  # rejects energies with no bounded orbit
     m = spec.mass
     if spec.kind == "harmonic":
         return 2.0 * math.pi * energy / spec.params["omega"]
@@ -130,47 +100,30 @@ def phase_area_1d(spec: PotentialSpec, energy: float) -> float:
         u = energy / de
         return (2.0 * math.pi * math.sqrt(2.0 * m * de) / beta
                 * (u / (1.0 + math.sqrt(1.0 - u))))
-    if spec.kind == "coulomb1d":
-        return math.pi * spec.params["charge"] * math.sqrt(2.0 * m / -energy)
-    xs, vs = spec.table[:, 0], spec.table[:, 1]
-    total = 0.0
-    for xl, xr in zip(*_allowed_intervals(spec, energy)):
-        x = np.concatenate(([xl], xs[(xs > xl) & (xs < xr)], [xr]))
-        gap = np.maximum(energy - np.interp(x, xs, vs), 0.0)
-        # integral of sqrt(gap) over a segment where gap runs linearly from
-        # a^2 to b^2: (2/3) dx (b^3 - a^3) / (b^2 - a^2), without the
-        # cancellation
-        a, b = np.sqrt(gap[:-1]), np.sqrt(gap[1:])
-        total += float(np.sum(np.diff(x) * (a * a + a * b + b * b) / (a + b)))
-    return 2.0 * math.sqrt(2.0 * m) * (2.0 / 3.0) * total
+    # coulomb1d, the last kind turning_points accepts
+    return math.pi * spec.params["charge"] * math.sqrt(2.0 * m / -energy)
 
 
-def minimal_box(spec: PotentialSpec, energy: float,
-                ndim: int = 1) -> PhaseSpaceBox:
-    """Smallest box whose ndim-th power holds the D-fold energy shell.
+def minimal_box(spec: PotentialSpec, energy: float) -> PhaseSpaceBox:
+    """Smallest box whose D-th power holds the D-fold energy shell, any D.
 
-    The shell is sum_d p_d^2/2m + V(x_d) <= energy. One degree of freedom
-    reaches farthest when the other D - 1 sit at the well bottom V_min, so
-    the box spans the 1-D orbit at energy - (D - 1) V_min in x and
-    |p| <= sqrt(2m (energy - D V_min)); each face touches the shell. With
-    V_min = 0 (harmonic, Morse) it is the same box at every D.
+    The shell is sum_d p_d^2/2m + V(x_d) <= energy. Every kind with a
+    finite box (harmonic, Morse) has its well bottom at V = 0, so one
+    degree of freedom reaches farthest when the other D - 1 rest there: the
+    box spans the 1-D orbit at energy in x and |p| <= sqrt(2m energy), and
+    each face touches the shell.
     """
-    if ndim < 1:
-        raise ValueError("ndim must be >= 1")
     if spec.kind == "coulomb1d":
         raise NotAvailableError(
             f"momentum extent diverges for kind {spec.kind!r}")
-    v_min = (float(np.min(spec.table[:, 1])) if spec.kind == "tabulated"
-             else 0.0)
     # turning_points also rejects a kind that is not 1-d, and an energy at
-    # or below the shell's bottom D V_min or with no bounded orbit
-    xl, xr = turning_points(spec, energy - (ndim - 1) * v_min)
+    # or below the well bottom or with no bounded orbit
+    xl, xr = turning_points(spec, energy)
     if not xl < xr:  # a Morse energy near 1e-300 rounds both points to 0
         raise BelowWellBottomError(
             f"energy {energy} is too close to the well bottom: both turning "
             "points round to the same x")
-    return PhaseSpaceBox(
-        xl, xr, math.sqrt(2.0 * spec.mass * (energy - ndim * v_min)))
+    return PhaseSpaceBox(xl, xr, math.sqrt(2.0 * spec.mass * energy))
 
 
 def mc_phase_volume(spec: PotentialSpec, ndim: int, energy: float,
@@ -179,7 +132,7 @@ def mc_phase_volume(spec: PotentialSpec, ndim: int, energy: float,
     """Monte Carlo estimate of the phase-space volume below `energy`.
 
     Uniform samples over the ndim-th power of the box (default:
-    `minimal_box(spec, energy, ndim)`), counted against the separable
+    `minimal_box(spec, energy)`), counted against the separable
     classical Hamiltonian sum_d p_d^2/2m + V(x_d). The estimate is box
     volume * hit fraction with the binomial standard error; at a fixed seed
     and a fixed `box` the hit count is nondecreasing in energy because the
@@ -191,7 +144,9 @@ def mc_phase_volume(spec: PotentialSpec, ndim: int, energy: float,
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    shell = minimal_box(spec, energy, ndim)
+    if ndim < 1:
+        raise ValueError("ndim must be >= 1")
+    shell = minimal_box(spec, energy)
     if box is None:
         box = shell
     elif not (box.x_lo <= shell.x_lo and shell.x_hi <= box.x_hi
@@ -320,7 +275,7 @@ def scaling_report(spec: PotentialSpec, ndims: Sequence[int], energy: float,
     """Volume and state-count scaling across dimensions for a separable well.
 
     Per dimension D: Monte Carlo volume over the D-th power of
-    `minimal_box(spec, energy, D)`, the simplex value v^D/D! built from the
+    `minimal_box(spec, energy)`, the simplex value v^D/D! built from the
     1-D orbit area v, the exact tuple count at g = floor(v/(2 pi hbar))
     excitation quanta, its two asymptotic limits, and s^D/D! for the packing
     ratio s of v in the 1-D box. Monte Carlo seeds derive deterministically

@@ -178,9 +178,22 @@ def test_formats_md_lists_every_config_key():
 
 
 def test_potential_fields_are_the_kinds_parameters():
-    params = set().union(*(PARAMETERS[kind] for kind in cli._MAKERS))
+    params = set().union(*PARAMETERS.values())
     assert ({f.name for f in dataclasses.fields(cli.PotentialConfig)}
             == {"kind", "hbar"} | params)
+
+
+@pytest.mark.parametrize("kind", sorted(PARAMETERS))
+def test_every_kind_parses_into_a_spec_of_that_kind(kind):
+    # every kind the library knows is one a config can name, and its
+    # parameters reach the spec under their own names
+    lines = [f"{name} = 2" for name in PARAMETERS[kind]]
+    cfg = cli.parse_config("\n".join(
+        ["[potential]", f"kind = {kind}", "hbar = 0.5", *lines,
+         "[grid]", "x_min = 0.5", "length = 4", "n = 8"]))
+    spec = cfg.spec()
+    assert (spec.kind, spec.hbar) == (kind, 0.5)
+    assert spec.params == dict.fromkeys(PARAMETERS[kind], 2.0)
 
 
 def test_meta_echoes_the_serialized_config(tmp_path):
@@ -640,6 +653,27 @@ def test_sweep_convergence_orders_methods(tmp_path):
     np.testing.assert_allclose(pvn, fgh, atol=1e-9)  # same span
     # the naive continuous lattice stalls orders of magnitude higher
     assert vn[-1] > 100 * fgh[-1]
+
+
+def test_sweep_refuses_an_index_past_every_size_before_any_solve(
+        tmp_path, capsys, monkeypatch):
+    # an N-point basis has N levels in every method, so no default size
+    # (8 .. 24) has level 100; neither a solve nor the analytic table runs
+    calls = []
+    for owner, name in ((pg.Pipeline, "solve"), (cli, "analytic_levels")):
+        def spy(*args, real=getattr(owner, name), **kwargs):
+            calls.append(real)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, spy)
+    cfg = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                       "harmonic_pvn.cfg")
+    assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--quiet", "--index", "100"]) == 2
+    sizes = list(range(8, 26, 2))
+    assert (f"sweep --index 100: no size in {sizes} has it"
+            in capsys.readouterr().err)
+    assert calls == []
 
 
 @pytest.mark.parametrize("index", ["40", "-1"])

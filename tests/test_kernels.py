@@ -22,13 +22,15 @@ def test_mc_hits_against_python_loop():
 
 def test_shell_mask_matches_summed_formula():
     # the per-axis formula the kernel replaced, bit for bit, up to D = 4
+    # coulomb1d, sampled where it is finite (x > 0), fills V(x) by
+    # assignment rather than in place
     rng = np.random.default_rng(8)
-    grid = np.linspace(-3.0, 9.0, 97)
     specs = (pg.harmonic(mass=2.0, omega=1.5), pg.morse(),
-             pg.tabulated(grid, 0.1 * grid**2 - 0.3 * np.cos(grid), mass=3.0))
+             pg.coulomb1d(charge=1.3, mass=3.0))
     for spec in specs:
+        x_lo = 0.5 if spec.kind == "coulomb1d" else -2.5
         for d in (1, 2, 3, 4):
-            xs = rng.uniform(-2.5, 8.5, size=(4000, d))
+            xs = rng.uniform(x_lo, 8.5, size=(4000, d))
             ps = rng.uniform(-6.0, 6.0, size=(4000, d))
             total = (np.sum(ps**2, axis=1) / (2.0 * spec.mass)
                      + sum(pg.evaluate(spec, xs[:, k]) for k in range(d)))

@@ -73,33 +73,6 @@ def test_coulomb1d_singular_at_origin():
         pg.evaluate(spec, np.array([0.5, 0.0]))
 
 
-def test_tabulated_matches_interp():
-    xs = np.linspace(-1, 1, 21)
-    vs = np.cos(xs)
-    spec = pg.tabulated(xs, vs, mass=1.0)
-    probe = np.linspace(-0.95, 0.95, 13)
-    np.testing.assert_allclose(pg.evaluate(spec, probe),
-                               np.interp(probe, xs, vs))
-    with pytest.raises(ValueError):
-        pg.evaluate(spec, 1.5)
-
-
-def test_tabulated_range_check():
-    # an (m, D) block of in-range points passes, NaN passes as undefined,
-    # and one point off either end of the table fails, NaN beside it or not
-    spec = pg.tabulated(np.linspace(-1, 1, 21), np.linspace(0, 2, 21))
-    block = np.linspace(-1, 1, 12).reshape(4, 3)
-    assert pg.evaluate(spec, block).shape == (4, 3)
-    assert np.isnan(pg.evaluate(spec, np.array([np.nan, 0.5]))[0])
-    assert pg.evaluate(spec, np.empty(0)).size == 0
-    for bad in (-1.01, 1.01):
-        for x in (block.copy(), np.array([[np.nan, 0.0, np.nan]])):
-            x[0, 1] = bad
-            with pytest.raises(ValueError, match="^tabulated potential "
-                               "evaluated outside its table range$"):
-                pg.evaluate(spec, x)
-
-
 def test_triangle_alpha_threefold():
     # alpha has period 2*pi/3 and ranges over [0.05, 0.05 + 0.25]
     assert pg.triangle_alpha(0.0) == pytest.approx(0.05)
@@ -129,8 +102,6 @@ def test_spec_validation():
         pg.harmonic(mass=-1.0)
     with pytest.raises(ValueError):
         pg.morse(hbar=0.0)
-    with pytest.raises(ValueError):
-        pg.tabulated([0.0, 0.0], [1.0, 2.0])  # x not increasing
 
 
 def test_harmonic_levels_need_truncation():

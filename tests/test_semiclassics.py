@@ -86,87 +86,6 @@ def test_phase_area_coulomb_matches_quadrature():
             _area_by_quadrature(spec, e), rel=1e-12, abs=0.0)
 
 
-@pytest.mark.filterwarnings("error")
-def test_phase_area_tabulated_well_integrates_the_interpolant():
-    # a harmonic well sampled every 0.005: linear interpolation raises V by
-    # at most h^2/8, and the area falls short of 2 pi E by at most 4.1e-6
-    # relative (at E = 0.5)
-    xs = np.linspace(-5.0, 5.0, 2001)
-    spec = pg.tabulated(xs, 0.5 * xs**2)
-    for e in (0.5, 3.0, 8.0):
-        assert pg.phase_area_1d(spec, e) == pytest.approx(
-            2 * math.pi * e, rel=1e-5)
-
-
-def test_phase_area_of_a_table_finds_its_intervals_once(monkeypatch):
-    # the intervals both reject energies without a bounded orbit and carry
-    # the area, so they are found once per call
-    xs = np.linspace(-5.0, 5.0, 201)
-    spec = pg.tabulated(xs, 0.5 * xs**2)
-    calls = []
-    find = semiclassics._allowed_intervals
-    monkeypatch.setattr(semiclassics, "_allowed_intervals",
-                        lambda *a: calls.append(a) or find(*a))
-    assert pg.phase_area_1d(spec, 3.0) > 0 and len(calls) == 1
-    with pytest.raises(BelowWellBottomError):
-        pg.phase_area_1d(spec, -1.0)
-    with pytest.raises(UnboundedOrbitError):
-        pg.phase_area_1d(spec, 20.0)
-
-
-def test_phase_area_tabulated_v_abs_x_is_exact():
-    # V = |x| is linear between the three knots, so the interpolant is the
-    # potential itself: 2 * 2 * integral_0^E sqrt(2m(E - x)) dx
-    spec = pg.tabulated([-4.0, 0.0, 4.0], [4.0, 0.0, 4.0], mass=1.5)
-    for e in (0.3, 1.0, 3.9):
-        assert pg.phase_area_1d(spec, e) == pytest.approx(
-            8.0 / 3.0 * math.sqrt(2 * 1.5) * e**1.5, rel=1e-14)
-
-
-def _double_well():
-    # harmonic wells (omega = sqrt 2) with bottoms 0 at x = -2 and 0.5 at
-    # x = +2, each also as a table of its own on the same knots
-    xs = np.linspace(-5.0, 5.0, 4001)
-    left, right = (xs + 2.0) ** 2, (xs - 2.0) ** 2 + 0.5
-    return (pg.tabulated(xs, np.minimum(left, right)), pg.tabulated(xs, left),
-            pg.tabulated(xs, right))
-
-
-def test_table_area_sums_every_well():
-    # at E = 1 both wells hold an orbit: the area is their sum, and the
-    # turning points and the box span the hull of both
-    both, left, right = _double_well()
-    assert abs(pg.phase_area_1d(both, 1.0) - pg.phase_area_1d(left, 1.0)
-               - pg.phase_area_1d(right, 1.0)) <= 1e-12
-    assert pg.phase_area_1d(left, 1.0) == pytest.approx(math.pi * math.sqrt(2),
-                                                        rel=1e-5)
-    lo, hi = pg.turning_points(both, 1.0)
-    assert (lo, hi) == (pg.turning_points(left, 1.0)[0],
-                        pg.turning_points(right, 1.0)[1])
-    assert lo == pytest.approx(-3.0) and hi == pytest.approx(2.0 + 0.5**0.5)
-    box = pg.minimal_box(both, 1.0, 2)
-    assert (box.x_lo, box.x_hi) == (lo, hi)
-    # below the right well's bottom only the left orbit remains
-    assert pg.phase_area_1d(both, 0.4) == pg.phase_area_1d(left, 0.4)
-
-
-@pytest.mark.filterwarnings("error")
-def test_mc_default_box_holds_every_well():
-    # the default box reaches both wells: it agrees with a wider box, and
-    # in 1-d with the summed area
-    both = _double_well()[0]
-    wide = pg.PhaseSpaceBox(-4.0, 4.0, 1.5)
-    for ndim in (1, 2):
-        tight = pg.mc_phase_volume(both, ndim, 1.0, 400_000, seed=ndim)
-        loose = pg.mc_phase_volume(both, ndim, 1.0, 400_000, seed=ndim,
-                                   box=wide)
-        assert abs(tight.value - loose.value) < 4.0 * math.hypot(
-            tight.std_error, loose.std_error), ndim
-        if ndim == 1:
-            assert abs(tight.value - pg.phase_area_1d(both, 1.0)) < (
-                4.0 * tight.std_error)
-
-
 def test_minimal_box_harmonic():
     spec = pg.harmonic()
     box = pg.minimal_box(spec, 8.0)
@@ -309,16 +228,24 @@ def test_shared_blocks_are_each_counted_once(monkeypatch):
 
 
 def test_worker_error_reaches_the_caller(monkeypatch):
-    # the box reaches 2e-5 past the table: samples of 2 of the 17 blocks
-    # leave it, so a worker that swallowed its error would quietly undercount
-    xs = np.linspace(-2.0, 2.0, 41)
-    spec = pg.tabulated(xs, 0.5 * xs**2)
+    # a count that fails past x = 2: the box reaches 2e-5 beyond it, so
+    # samples of 2 of the 17 blocks leave it, and a worker that swallowed
+    # its error would quietly undercount
+    count = _kernels.mc_count_hits
+
+    def bounded(xs, ps, spec, energy):
+        if xs.max() > 2.0:
+            raise ValueError("sample past x = 2")
+        return count(xs, ps, spec, energy)
+
+    monkeypatch.setattr(_kernels, "mc_count_hits", bounded)
     box = pg.PhaseSpaceBox(-2.0, 2.00002, 2.0)
     before = threading.active_count()
     for cpus in (1, 2, 3):
         _cpus(monkeypatch, cpus)
-        with pytest.raises(ValueError, match="outside its table range"):
-            pg.mc_phase_volume(spec, 2, 1.0, MC_CHUNK + 7, seed=3, box=box)
+        with pytest.raises(ValueError, match="past x = 2"):
+            pg.mc_phase_volume(pg.harmonic(), 2, 1.0, MC_CHUNK + 7, seed=3,
+                               box=box)
         assert threading.active_count() == before
     # the workers claim blocks from one shared iterator, so an error is
     # planted by block: in the first block of the stream (whichever worker
@@ -393,11 +320,9 @@ def _grown(box, dx_lo=0.0, dx_hi=0.0, dp=0.0):
 def test_box_warns_iff_it_misses_the_minimal_box():
     # the check is exact, so it needs no samples: one is enough, and a run
     # whose only sample misses the shell still warns before it gives up
-    xs = np.linspace(-6.0, 6.0, 2001)
-    for spec, e in ((pg.harmonic(), 8.0), (pg.morse(), 11.25),
-                    (pg.tabulated(xs, 0.5 * xs**2 - 1.0), 2.0)):
+    for spec, e in ((pg.harmonic(), 8.0), (pg.morse(), 11.25)):
+        tight = pg.minimal_box(spec, e)
         for ndim in (1, 2, 3):
-            tight = pg.minimal_box(spec, e, ndim)
             w = 1e-9 * (tight.x_hi - tight.x_lo)
             boxes = {tight: False, _grown(tight, w, w, w): False}
             for i in range(3):  # pull one face in by a hair
@@ -416,33 +341,6 @@ def test_box_warns_iff_it_misses_the_minimal_box():
                     assert len(caught) == cuts, (spec.kind, ndim, box)
 
 
-def test_shifted_well_volume_matches_the_d_fold_shell():
-    # V = x^2/2 - 1 puts the well bottom at -1: the D-fold shell below E is
-    # the harmonic one below E + D, of volume (2 pi (E + D))^D / D!. A box
-    # that ignored the shift (the 1-d orbit at E, |p| <= sqrt(2 (E + 1)))
-    # would cut it and fall 5 % short at D = 2
-    xs = np.linspace(-6.0, 6.0, 2001)
-    spec, e = pg.tabulated(xs, 0.5 * xs**2 - 1.0), 2.0
-    for ndim in (1, 2, 3):
-        box = pg.minimal_box(spec, e, ndim)
-        # x reaches the orbit at E + D - 1, p the bottom's momentum at E + D
-        assert -box.x_lo == pytest.approx(math.sqrt(2.0 * (e + ndim)), 1e-5)
-        assert box.x_hi == pytest.approx(math.sqrt(2.0 * (e + ndim)), 1e-5)
-        assert box.p_max == pytest.approx(math.sqrt(2.0 * (e + ndim)))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            est = pg.mc_phase_volume(spec, ndim, e, 400_000, seed=1)
-        exact = (2.0 * math.pi * (e + ndim)) ** ndim / math.factorial(ndim)
-        assert abs(est.value - exact) < 4.0 * est.std_error, ndim
-
-
-def test_minimal_box_is_the_same_at_every_d_with_the_bottom_at_zero():
-    for spec, e in ((pg.harmonic(mass=2.0, omega=0.7), 8.0),
-                    (pg.morse(), 11.25)):
-        for ndim in (1, 2, 3, 4):
-            assert pg.minimal_box(spec, e, ndim) == pg.minimal_box(spec, e)
-
-
 @pytest.mark.parametrize("spec,e,error", [
     (pg.coulomb1d(), -0.5, NotAvailableError),
     (pg.coulomb1d(), 0.5, NotAvailableError),
@@ -454,11 +352,21 @@ def test_mc_volume_raises_where_minimal_box_does(spec, e, error):
     # no box can bound these shells, so a caller's box does not help
     box = pg.PhaseSpaceBox(-1.0, 1.0, 1.0)
     with pytest.raises(error) as want:
-        pg.minimal_box(spec, e, 2)
+        pg.minimal_box(spec, e)
     for given in (None, box):
         with pytest.raises(error) as got:
             pg.mc_phase_volume(spec, 2, e, 100, seed=0, box=given)
         assert str(got.value) == str(want.value)
+
+
+def test_mc_volume_rejects_ndim_below_one():
+    # checked before the box, so it comes first even where no box exists
+    box = pg.PhaseSpaceBox(-1.0, 1.0, 1.0)
+    for spec, e in ((pg.harmonic(), 8.0), (pg.coulomb1d(), -0.5)):
+        for ndim in (0, -1):
+            for given in (None, box):
+                with pytest.raises(ValueError, match="^ndim must be >= 1$"):
+                    pg.mc_phase_volume(spec, ndim, e, 100, seed=0, box=given)
 
 
 def test_state_count_exact_is_binomial():
