@@ -54,6 +54,19 @@ def test_evaluate_is_the_written_formula_bit_for_bit(spec, shape):
         assert np.isposinf(pg.evaluate(spec, -2000.0))
 
 
+@pytest.mark.parametrize("spec", [pg.harmonic(mass=2.0, omega=1.5),
+                                  pg.morse(depth=7.0, beta=0.8, mass=3.0)],
+                         ids=["harmonic", "morse"])
+def test_evaluate_keeps_blocks_nan_and_empty_input(spec):
+    # an (m, D) block of points keeps its shape, NaN passes as undefined
+    # beside finite points, and an empty array gives an empty one
+    block = np.linspace(-1.0, 1.0, 12).reshape(4, 3)
+    assert pg.evaluate(spec, block).shape == (4, 3)
+    got = pg.evaluate(spec, np.array([np.nan, 0.5]))
+    assert np.isnan(got[0]) and got[1] == _formula(spec, 0.5)
+    assert pg.evaluate(spec, np.empty(0)).shape == (0,)
+
+
 def test_morse_evaluate_allocates_only_its_output():
     spec = pg.morse()
     x = np.random.default_rng(2).uniform(-1.0, 20.0, size=(65536, 3))

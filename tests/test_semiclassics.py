@@ -341,6 +341,48 @@ def test_box_warns_iff_it_misses_the_minimal_box():
                     assert len(caught) == cuts, (spec.kind, ndim, box)
 
 
+WELLS = pytest.mark.parametrize("spec,e", [
+    (pg.harmonic(mass=2.0, omega=0.7), 8.0), (pg.morse(), 11.25)],
+    ids=["harmonic", "morse"])
+
+
+@WELLS
+def test_default_box_is_the_1d_box_at_every_d(spec, e):
+    # both wells bottom out at V = 0, so the 1-d orbit box holds the D-fold
+    # shell too: the default run is the run in minimal_box, sample for sample
+    box = pg.minimal_box(spec, e)
+    for ndim in (1, 2, 3, 4):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            given = pg.mc_phase_volume(spec, ndim, e, 20_000, seed=ndim,
+                                       box=box)
+        assert pg.mc_phase_volume(spec, ndim, e, 20_000,
+                                  seed=ndim) == given, ndim
+
+
+@pytest.mark.filterwarnings("error")
+@WELLS
+def test_default_box_cuts_nothing_of_the_d_fold_shell(spec, e):
+    # a box wider on every face counts the same volume, and the harmonic
+    # shell's is the exact simplex (2 pi E / omega)^D / D!
+    tight = pg.minimal_box(spec, e)
+    pad = 0.2 * (tight.x_hi - tight.x_lo)
+    wide = _grown(tight, pad, pad, 0.2 * tight.p_max)
+    for ndim in (1, 2, 3):
+        est = pg.mc_phase_volume(spec, ndim, e, 400_000, seed=ndim)
+        loose = pg.mc_phase_volume(spec, ndim, e, 400_000, seed=ndim,
+                                   box=wide)
+        assert abs(est.value - loose.value) < 4.0 * math.hypot(
+            est.std_error, loose.std_error), ndim
+        if spec.kind == "harmonic":
+            exact = ((2.0 * math.pi * e / spec.params["omega"]) ** ndim
+                     / math.factorial(ndim))
+        else:
+            exact = pg.phase_area_1d(spec, e) if ndim == 1 else None
+        if exact is not None:
+            assert abs(est.value - exact) < 4.0 * est.std_error, ndim
+
+
 @pytest.mark.parametrize("spec,e,error", [
     (pg.coulomb1d(), -0.5, NotAvailableError),
     (pg.coulomb1d(), 0.5, NotAvailableError),
